@@ -166,6 +166,8 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 def _run_analyze(args: argparse.Namespace) -> int:
     t = None
     if args.surface == "equator":
+        if args.t is not None:
+            raise ConfigError("--t applies only to --surface cartan")
         spec = LevelSpec(coordinate_field(5), 0.0)
         level = 0.0
     else:
@@ -202,8 +204,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    verdict = run_identity_sweep(args.identity, args.trials, args.seed,
-                                 height=args.height, workers=args.workers)
+    try:
+        verdict = run_identity_sweep(args.identity, args.trials, args.seed,
+                                     height=args.height, workers=args.workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     timing = time.perf_counter() - start
 
     config = _config_echo(args, identity=args.identity, trials=args.trials,
@@ -244,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     runners = {"analyze": _run_analyze, "verify": _run_verify, "catalog": _run_catalog}
     try:
+        if args.output and (os.path.isdir(args.output)
+                            or not os.path.isdir(os.path.dirname(os.path.abspath(args.output)))):
+            raise ConfigError(f"--output is a directory or in a missing one: {args.output!r}")
         return runners[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""Scalar field specifications on R^6 and their jet evaluation.
+"""Polynomial scalar fields on R^6 and their derivative tables.
 
-Three kinds cover everything the package studies:
+Every field is an exponent table {exponent 6-tuple: coefficient}. Two kinds
+are built in, and arbitrary tables can be given directly:
 
   coordinate   F(x) = x_i, the linear height function whose zero level on the
                sphere is a great 4-sphere
@@ -10,8 +11,11 @@ Three kinds cover everything the package studies:
                homogeneous family with four distinct curvatures
   polynomial   arbitrary polynomial given by an exponent-tuple table
 
-Evaluation goes through jets, so one code path yields value, gradient and
-Hessian, exactly for rational points and to machine precision for floats.
+The kind is only a label for reports. At construction each field is
+differentiated once into 6 gradient tables and 21 upper-triangle Hessian
+tables; evaluation multiplies out the monomials those tables use once per
+call and sums each table. Integral coefficients are kept as int, so rational
+points give exact Fractions and float points give floats.
 """
 
 from __future__ import annotations
@@ -19,30 +23,71 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from operator import mul
+from typing import Mapping, Sequence
 
-from .jets import (
-    N_VARS,
-    Jet1,
-    Jet2,
-    jet1_constant,
-    jet1_variable,
-    jet_constant,
-    jet_variable,
-)
+N_VARS = 6
 
 COORDINATE = "coordinate"
 CARTAN_QUARTIC = "cartan_quartic"
 POLYNOMIAL = "polynomial"
 
+# Upper-triangle Hessian layout: row i holds columns i..5.
+_UPPER = tuple((i, j) for i in range(N_VARS) for j in range(i, N_VARS))
+
+Table = tuple[tuple[tuple[int, ...], "int | Fraction"], ...]
+
+
+def _derivative(table: Table, i: int) -> Table:
+    """d/dx_i of an exponent table."""
+    out = []
+    for exps, c in table:
+        if exps[i]:
+            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out.append((lowered, c * exps[i]))
+    return tuple(out)
+
+
+def _compile(tables: Sequence[Table]) -> tuple[tuple, tuple]:
+    """Evaluation plan for several tables over one shared monomial list.
+
+    Returns (chain, plans). Monomial 0 is the constant 1 and monomial k + 1 is
+    monomial chain[k][0] times x[chain[k][1]]; the list is closed under
+    removing one variable, so each monomial costs one multiplication. Each
+    plan is (coefficients, monomial indices) for one table.
+    """
+    index = {(0,) * N_VARS: 0}
+    chain: list[tuple[int, int]] = []
+
+    def add(exps: tuple[int, ...]) -> int:
+        k = index.get(exps)
+        if k is None:
+            var = next(i for i, e in enumerate(exps) if e)
+            parent = add(exps[:var] + (exps[var] - 1,) + exps[var + 1:])
+            chain.append((parent, var))
+            k = index[exps] = len(chain)
+        return k
+
+    plans = tuple(
+        (tuple(c for _, c in table), tuple(add(exps) for exps, _ in table))
+        for table in tables
+    )
+    return tuple(chain), plans
+
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Declarative field description; evaluation never mutates it."""
+    """Polynomial field; its derivative tables are built once, at construction."""
 
     kind: str
+    coeffs: Table
     index: int | None = None
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...] = field(default=())
+    _plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        grad = tuple(_derivative(self.coeffs, i) for i in range(N_VARS))
+        hess = tuple(_derivative(grad[i], j) for i, j in _UPPER)
+        object.__setattr__(self, "_plan", _compile((self.coeffs,) + grad + hess))
 
     def describe(self) -> dict:
         """JSON-friendly summary used in reports."""
@@ -54,38 +99,55 @@ class ScalarField:
         return out
 
 
-def coordinate_field(index: int) -> ScalarField:
-    if not 0 <= index < N_VARS:
-        raise ValueError(f"coordinate index out of range: {index}")
-    return ScalarField(kind=COORDINATE, index=index)
-
-
-def cartan_field() -> ScalarField:
-    return ScalarField(kind=CARTAN_QUARTIC)
-
-
-def polynomial_field(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> ScalarField:
-    """Polynomial from {exponent 6-tuple: coefficient}. Zero terms are dropped."""
+def _normalize(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> Table:
+    """Sorted table without zero terms; integral coefficients become int."""
     norm = []
     for exps, c in sorted(coeffs.items()):
         if len(exps) != N_VARS or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple: {exps}")
         c = Fraction(c)
         if c != 0:
-            norm.append((tuple(int(e) for e in exps), c))
-    return ScalarField(kind=POLYNOMIAL, coeffs=tuple(norm))
+            norm.append((tuple(int(e) for e in exps), int(c) if c.denominator == 1 else c))
+    return tuple(norm)
+
+
+def _convolve(f: Table, g: Table) -> dict[tuple[int, ...], Fraction | int]:
+    acc: dict[tuple[int, ...], Fraction | int] = {}
+    for ef, cf in f:
+        for eg, cg in g:
+            key = tuple(a + b for a, b in zip(ef, eg))
+            acc[key] = acc.get(key, 0) + cf * cg
+    return acc
+
+
+def _unit(i: int, degree: int = 1) -> tuple[int, ...]:
+    return tuple(degree if k == i else 0 for k in range(N_VARS))
+
+
+def coordinate_field(index: int) -> ScalarField:
+    if not 0 <= index < N_VARS:
+        raise ValueError(f"coordinate index out of range: {index}")
+    return ScalarField(kind=COORDINATE, coeffs=((_unit(index), 1),), index=index)
+
+
+def cartan_field() -> ScalarField:
+    """The quartic A^2 + 4 B^2 of the module docstring, expanded."""
+    a = tuple((_unit(i, 2), 1 if i < 3 else -1) for i in range(N_VARS))
+    b = tuple((tuple(int(i in (k, k + 3)) for i in range(N_VARS)), 1) for k in range(3))
+    quartic = _convolve(a, a)
+    for exps, c in _convolve(b, b).items():
+        quartic[exps] = quartic.get(exps, 0) + 4 * c
+    return ScalarField(kind=CARTAN_QUARTIC, coeffs=_normalize(quartic))
+
+
+def polynomial_field(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> ScalarField:
+    """Polynomial from {exponent 6-tuple: coefficient}. Zero terms are dropped."""
+    return ScalarField(kind=POLYNOMIAL, coeffs=_normalize(coeffs))
 
 
 def polynomial_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Exact product of two polynomial fields (coefficient convolution)."""
-    if f.kind != POLYNOMIAL or g.kind != POLYNOMIAL:
-        raise ValueError("polynomial_product needs polynomial fields")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for ef, cf in f.coeffs:
-        for eg, cg in g.coeffs:
-            key = tuple(a + b for a, b in zip(ef, eg))
-            acc[key] = acc.get(key, Fraction(0)) + cf * cg
-    return polynomial_field(acc)
+    """Exact product of two fields (coefficient convolution)."""
+    return polynomial_field(_convolve(f.coeffs, g.coeffs))
 
 
 def _check_point(x) -> None:
@@ -96,35 +158,38 @@ def _check_point(x) -> None:
             raise ValueError("non-finite point component")
 
 
-def _evaluate(spec: ScalarField, vars_, const):
-    if spec.kind == COORDINATE:
-        return vars_[spec.index]
-    if spec.kind == CARTAN_QUARTIC:
-        a = vars_[0] ** 2 + vars_[1] ** 2 + vars_[2] ** 2 \
-            - vars_[3] ** 2 - vars_[4] ** 2 - vars_[5] ** 2
-        b = vars_[0] * vars_[3] + vars_[1] * vars_[4] + vars_[2] * vars_[5]
-        return a * a + 4 * (b * b)
-    if spec.kind == POLYNOMIAL:
-        acc = const(0)
-        for exps, c in spec.coeffs:
-            term = const(c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * vars_[i] ** e
-            acc = acc + term
-        return acc
-    raise ValueError(f"unknown field kind: {spec.kind}")
-
-
-def eval2(spec: ScalarField, x) -> Jet2:
-    """Full second-order jet of the field at x (6 floats or Fractions)."""
+def _run(spec: ScalarField, x, n_tables: int) -> list:
+    """The first n_tables of value, gradient and Hessian tables at x."""
     _check_point(x)
-    vars_ = [jet_variable(c, i) for i, c in enumerate(x)]
-    return _evaluate(spec, vars_, jet_constant)
+    chain, plans = spec._plan
+    mono = [1]
+    for parent, var in chain:
+        mono.append(mono[parent] * x[var])
+    get = mono.__getitem__
+    return [sum(map(mul, cs, map(get, ks))) if ks else 0 for cs, ks in plans[:n_tables]]
 
 
-def eval1(spec: ScalarField, x) -> Jet1:
-    """Value and gradient only; used in projection inner loops."""
-    _check_point(x)
-    vars_ = [jet1_variable(c, i) for i, c in enumerate(x)]
-    return _evaluate(spec, vars_, jet1_constant)
+def eval1(spec: ScalarField, x) -> tuple:
+    """(value, gradient) of the field at x (6 floats or Fractions)."""
+    out = _run(spec, x, 1 + N_VARS)
+    return out[0], tuple(out[1:])
+
+
+def eval2(spec: ScalarField, x) -> tuple:
+    """(value, gradient, Hessian upper triangle) of the field at x."""
+    out = _run(spec, x, 1 + N_VARS + len(_UPPER))
+    return out[0], tuple(out[1:1 + N_VARS]), tuple(out[1 + N_VARS:])
+
+
+def hess_bilinear(hess: Sequence, u: Sequence, v: Sequence):
+    """u^T H v for a Hessian stored as its row-major upper triangle."""
+    acc = 0
+    k = 0
+    for i in range(N_VARS):
+        ui = u[i]
+        acc += hess[k] * ui * v[i]
+        k += 1
+        for j in range(i + 1, N_VARS):
+            acc += hess[k] * (ui * v[j] + u[j] * v[i])
+            k += 1
+    return acc

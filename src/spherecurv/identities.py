@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import mpmath as mp
 
 from .exact import RationalLike, Surd, as_rational, matrix_rank, solve_linear
-from .rng import RngStream, draw_int, draw_rational
+from .rng import RngStream, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -494,24 +494,25 @@ def _trial_recover(stream: RngStream, height: int) -> dict | None:
     return None
 
 
-_TRIALS: dict[str, tuple[Callable[[RngStream, int], dict | None], bool]] = {
-    "g2": (_trial_g2, True),
-    "g3": (_trial_g3, True),
-    "vandermonde": (_trial_vandermonde, True),
-    "i-closed": (_trial_i_closed, True),
-    "i-sign": (_trial_i_sign, True),
-    "dpsi": (_trial_dpsi, True),
-    "recover": (_trial_recover, False),
+# name -> (trial, exact comparison, distinct rationals one trial draws)
+_TRIALS: dict[str, tuple[Callable[[RngStream, int], dict | None], bool, int]] = {
+    "g2": (_trial_g2, True, 0),
+    "g3": (_trial_g3, True, 3),
+    "vandermonde": (_trial_vandermonde, True, 4),
+    "i-closed": (_trial_i_closed, True, 4),
+    "i-sign": (_trial_i_sign, True, 4),
+    "dpsi": (_trial_dpsi, True, 4),
+    "recover": (_trial_recover, False, 0),
 }
 
 IDENTITY_NAMES = tuple(_TRIALS)
 
 
 def _identity_chunk(
-    name: str, seed: int, start: int, stop: int, height: int
+    name: str, seed: int, height: int, start: int, stop: int
 ) -> tuple[int, int | None, dict | None]:
     """(failure count, first failing index, its counterexample) on [start, stop)."""
-    trial_fn, _ = _TRIALS[name]
+    trial_fn = _TRIALS[name][0]
     root = RngStream(seed)
     failures = 0
     first_idx: int | None = None
@@ -542,30 +543,20 @@ def run_identity_sweep(
         raise ValueError(f"unknown identity {name!r}; choose from {sorted(_TRIALS)}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if workers <= 1:
-        failures, _, cex = _identity_chunk(name, seed, 0, trials, height)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _identity_chunk,
-                    [name] * workers,
-                    [seed] * workers,
-                    [b[0] for b in bounds],
-                    [b[1] for b in bounds],
-                    [height] * workers,
-                )
-            )
-        failures = sum(p[0] for p in parts)
-        first = min((p for p in parts if p[1] is not None), key=lambda p: p[1], default=None)
-        cex = first[2] if first else None
+    # Height h offers the 2h + 1 integers -h..h and, from h = 2 on, more; at
+    # h = 1 those three are all, so a trial needing four would redraw forever.
+    needed = _TRIALS[name][2]
+    if 2 * height + 1 < needed:
+        raise ValueError(
+            f"identity {name!r} needs {needed} distinct rationals; height {height} offers {2 * height + 1}"
+        )
+    parts = map_chunks(_identity_chunk, trials, workers, name, seed, height)
+    # Chunks come in index order, so the first failing chunk holds the first failure.
+    first = next((p for p in parts if p[1] is not None), None)
     return IdentityVerdict(
         identity=name,
         trials=trials,
-        failures=failures,
+        failures=sum(p[0] for p in parts),
         exact=_TRIALS[name][1],
-        first_counterexample=cex,
+        first_counterexample=first[2] if first else None,
     )

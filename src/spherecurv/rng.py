@@ -6,12 +6,14 @@ Every draw is a pure function of (seed, counter), so streams are values:
 drawing returns the drawn scalar together with the advanced stream, and any
 stream can be split into an independent child without touching the parent.
 All arithmetic is 64-bit wrapping integer arithmetic, identical on every
-platform.
+platform. Because item i of a sweep always draws from child stream i,
+`map_chunks` may cut an index range into any chunks without changing results.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -51,6 +53,29 @@ class RngStream:
         """Derive an independent child stream from an integer key."""
         child_seed = _mix64(self.seed ^ _mix64(((key & _MASK64) + 1) * _GOLDEN))
         return RngStream(seed=child_seed, counter=0)
+
+
+def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) chunks covering range(n), one per worker.
+
+    The worker count is clamped to the items and the CPUs available.
+    """
+    workers = max(1, min(workers, n, os.cpu_count() or 1))
+    return [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+
+
+def map_chunks(fn, n: int, workers: int, *args) -> list:
+    """[fn(*args, start, stop) for each chunk of range(n)], in chunk order.
+
+    Chunks run in a process pool, or in this process when there is one chunk.
+    """
+    bounds = chunk_bounds(n, workers)
+    if len(bounds) == 1:
+        return [fn(*args, 0, n)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
+        return list(pool.map(fn, *([a] * len(bounds) for a in args), *zip(*bounds)))
 
 
 def draw_u64(stream: RngStream) -> tuple[int, RngStream]:

@@ -21,8 +21,8 @@ from typing import Sequence
 from scipy.optimize import minimize_scalar
 
 from .eigen import SymMat4, sym_eigen
-from .fields import eval2
-from .rng import RngStream
+from .fields import eval2, hess_bilinear
+from .rng import RngStream, map_chunks
 from .sphere import (
     FOCAL_EPS,
     FocalPointError,
@@ -98,9 +98,9 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     negates the matrix.
     """
     p = frame.base.coords
-    jet = eval2(spec.field, p)
-    gp = sum(g * c for g, c in zip(jet.grad, p))
-    tang = [g - gp * c for g, c in zip(jet.grad, p)]
+    _, grad, hess = eval2(spec.field, p)
+    gp = sum(g * c for g, c in zip(grad, p))
+    tang = [g - gp * c for g, c in zip(grad, p)]
     nt = math.sqrt(sum(t * t for t in tang))
     if nt < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
@@ -109,7 +109,7 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
         ea = frame.vectors[a]
         for b in range(a, 4):
             eb = frame.vectors[b]
-            val = jet.hess_bilinear(ea, eb)
+            val = hess_bilinear(hess, ea, eb)
             if a == b:
                 val -= gp
             upper.append(val / nt)
@@ -251,9 +251,9 @@ class _Kahan:
 def _sweep_chunk(
     spec: LevelSpec,
     seed: int,
+    tols: SweepTolerances,
     start: int,
     stop: int,
-    tols: SweepTolerances,
 ) -> list[tuple]:
     """Per-point results for indices [start, stop); pure and order-stable.
 
@@ -324,25 +324,8 @@ def sweep_analyze(
         raise ValueError("need at least one sample")
     tols = tols or SweepTolerances()
 
-    if workers <= 1:
-        rows = _sweep_chunk(spec, seed, 0, n, tols)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _sweep_chunk,
-                    [spec] * workers,
-                    [seed] * workers,
-                    [b[0] for b in bounds],
-                    [b[1] for b in bounds],
-                    [tols] * workers,
-                )
-            )
-        rows = [row for part in parts for row in part]
-    rows.sort(key=lambda r: r[0])
+    parts = map_chunks(_sweep_chunk, n, workers, spec, seed, tols)
+    rows = [row for part in parts for row in part]
 
     ok_rows = [r for r in rows if r[1]]
     failures = [r for r in rows if not r[1]]

@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import ScalarField, eval1, eval2
-from .jets import N_VARS
+from .fields import N_VARS, ScalarField, eval1
 from .rng import RngStream, draw_gaussian
 
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
+# Step halvings per Newton step. Start points next to the focal set of the
+# quartic need more than a few: one with F ~ 5e-5 needs 7.
+_MAX_HALVINGS = 12
 
 
 class FocalPointError(ValueError):
@@ -40,7 +42,7 @@ class LevelSpec:
 
     def residual(self, x: Sequence[float]) -> float:
         """max of the two constraint residuals at x."""
-        value = eval1(self.field, x).value
+        value, _ = eval1(self.field, x)
         return max(abs(_dot(x, x) - 1.0), abs(value - self.level))
 
 
@@ -101,8 +103,8 @@ def project_to_level(
         raise ValueError("cannot project the origin")
 
     def residuals(pt: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
-        jet = eval1(spec.field, pt)
-        return _dot(pt, pt) - 1.0, jet.value - spec.level, jet.grad
+        value, grad = eval1(spec.field, pt)
+        return _dot(pt, pt) - 1.0, value - spec.level, grad
 
     c1, c2, grad = residuals(x)
     res = max(abs(c1), abs(c2))
@@ -128,7 +130,7 @@ def project_to_level(
         alpha = (-c1 * a22 + c2 * a12) / det
         beta = (-a11 * c2 + a21 * c1) / det
         step = 1.0
-        for _halving in range(6):
+        for _halving in range(_MAX_HALVINGS):
             trial = _axpy(_axpy(x, step * alpha, d1), step * beta, d2)
             t1, t2, tgrad = residuals(trial)
             tres = max(abs(t1), abs(t2))
@@ -147,7 +149,7 @@ def project_to_level(
 
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
     """Unit normal of the level surface inside the sphere: PgradF/|PgradF|."""
-    grad = eval1(spec.field, p.coords).grad
+    _, grad = eval1(spec.field, p.coords)
     tang = _tangential(grad, p.coords)
     n = _norm(tang)
     if n < FOCAL_EPS:

@@ -2,7 +2,18 @@
 
 from fractions import Fraction
 
-from spherecurv import ScalarField, polynomial_field, polynomial_product
+from spherecurv import N_VARS, ScalarField, polynomial_field, polynomial_product
+
+# Upper-triangle Hessian layout: row i holds columns i..5.
+UPPER = [(i, j) for i in range(N_VARS) for j in range(i, N_VARS)]
+
+
+def hess_matrix(hess):
+    """Full symmetric matrix from an upper-triangle Hessian tuple."""
+    mat = [[None] * N_VARS for _ in range(N_VARS)]
+    for (i, j), h in zip(UPPER, hess):
+        mat[i][j] = mat[j][i] = h
+    return mat
 
 
 def _monomial(index: int, degree: int = 1) -> tuple[int, ...]:

@@ -171,6 +171,30 @@ class TestAnalyzeCommand:
                             "--workers", "2")
         assert json.loads(solo)["results"] == json.loads(pooled)["results"]
 
+    def test_t_with_equator_is_config_error(self, capsys):
+        code, out, err = _run(capsys, "analyze", "--surface", "equator", "--t", "pi/8")
+        assert code == 2
+        assert out == ""
+        assert "--t" in err
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_bad_output_path_rejected_up_front(self, capsys, monkeypatch, tmp_path, target):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "sweep_analyze", never)
+        code, out, err = _run(capsys, "analyze", "--surface", "equator",
+                              "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_start_point_next_to_focal_set_projects(self, capsys):
+        code, out, _ = _run(capsys, "analyze", "--surface", "cartan", "--t", "pi/8",
+                            "--samples", "64", "--seed", "300059")
+        assert code == 0
+        assert json.loads(out)["results"]["n_failures"] == 0
+
     def test_missing_t_is_config_error(self, capsys):
         code, out, err = _run(capsys, "analyze", "--surface", "cartan")
         assert code == 2
@@ -238,6 +262,12 @@ class TestVerifyCommand:
         assert row["failures"] == 2
         assert row["first_counterexample"] == {"k": "1", "trial": "0"}
         assert "FAIL" in err
+
+    def test_height_without_distinct_values_exits_2(self, capsys):
+        code, out, err = _run(capsys, "verify", "--identity", "i-sign", "--height", "1")
+        assert code == 2
+        assert out == ""
+        assert "distinct" in err
 
     def test_unknown_identity_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,19 +1,83 @@
-"""Field construction, validation, and evaluation semantics."""
+"""Field construction, derivative tables, and evaluation semantics, checked
+against finite differences and exact algebraic oracles."""
 
 from fractions import Fraction
 
 import pytest
 
 from spherecurv import (
+    N_VARS,
     RngStream,
     cartan_field,
     coordinate_field,
+    draw_float,
     draw_rational,
+    eval1,
     eval2,
+    hess_bilinear,
     polynomial_field,
     polynomial_product,
 )
-from fieldtools import expanded_quartic
+from fieldtools import UPPER, expanded_quartic, hess_matrix
+
+# Central differences: gradient error ~ h^2 + eps/h, second-derivative error
+# ~ h^2 + eps/h^2, so each order gets its own near-optimal step.
+_GRAD_STEP = 1e-5
+_HESS_STEP = 1e-4
+_GRAD_TOL = 1e-8
+_HESS_TOL = 1e-6
+
+
+def _field_value(field, x):
+    return eval2(field, tuple(x))[0]
+
+
+def _fd_grad(field, x, i):
+    xp = list(x)
+    xm = list(x)
+    xp[i] += _GRAD_STEP
+    xm[i] -= _GRAD_STEP
+    return (_field_value(field, xp) - _field_value(field, xm)) / (2 * _GRAD_STEP)
+
+
+def _fd_hess(field, x, i, j):
+    if i == j:
+        xp = list(x)
+        xm = list(x)
+        xp[i] += _HESS_STEP
+        xm[i] -= _HESS_STEP
+        f0 = _field_value(field, x)
+        return (_field_value(field, xp) - 2 * f0 + _field_value(field, xm)) / _HESS_STEP**2
+    xpp = list(x)
+    xpm = list(x)
+    xmp = list(x)
+    xmm = list(x)
+    for vec, si, sj in ((xpp, 1, 1), (xpm, 1, -1), (xmp, -1, 1), (xmm, -1, -1)):
+        vec[i] += si * _HESS_STEP
+        vec[j] += sj * _HESS_STEP
+    return (
+        _field_value(field, xpp)
+        - _field_value(field, xpm)
+        - _field_value(field, xmp)
+        + _field_value(field, xmm)
+    ) / (4 * _HESS_STEP**2)
+
+
+def _random_point(seed):
+    s = RngStream(seed)
+    out = []
+    for _ in range(N_VARS):
+        v, s = draw_float(s, -1.0, 1.0)
+        out.append(v)
+    return tuple(out)
+
+
+def _rational_point(s, height):
+    pt = []
+    for _ in range(N_VARS):
+        q, s = draw_rational(s, height)
+        pt.append(q)
+    return tuple(pt), s
 
 
 def test_coordinate_field_validation():
@@ -26,9 +90,10 @@ def test_coordinate_field_validation():
 
 
 def test_polynomial_field_drops_zero_terms():
-    f = polynomial_field({(1, 0, 0, 0, 0, 0): 0, (0, 2, 0, 0, 0, 0): 3})
+    f = polynomial_field({(1, 0, 0, 0, 0, 0): 0, (0, 2, 0, 0, 0, 0): Fraction(3)})
     assert len(f.coeffs) == 1
     assert f.coeffs[0] == ((0, 2, 0, 0, 0, 0), Fraction(3))
+    assert type(f.coeffs[0][1]) is int
 
 
 def test_polynomial_field_rejects_bad_exponents():
@@ -46,11 +111,6 @@ def test_polynomial_product_difference_of_squares():
     assert prod == expected
 
 
-def test_polynomial_product_type_check():
-    with pytest.raises(ValueError):
-        polynomial_product(cartan_field(), cartan_field())
-
-
 def test_describe_is_json_friendly():
     assert coordinate_field(3).describe() == {"kind": "coordinate", "index": 3}
     assert cartan_field().describe() == {"kind": "cartan_quartic"}
@@ -59,21 +119,13 @@ def test_describe_is_json_friendly():
 
 
 def test_builtin_quartic_equals_expanded_polynomial():
-    """The hard-coded quartic and its explicit expansion are the same field."""
+    """The built-in quartic and its independent expansion are the same field."""
     builtin = cartan_field()
     expanded = expanded_quartic()
     s = RngStream(2718)
     for _ in range(20):
-        pt = []
-        for _ in range(6):
-            q, s = draw_rational(s, 7)
-            pt.append(q)
-        pt = tuple(pt)
-        jb = eval2(builtin, pt)
-        je = eval2(expanded, pt)
-        assert jb.value == je.value
-        assert jb.grad == je.grad
-        assert jb.hess == je.hess
+        pt, s = _rational_point(s, 7)
+        assert eval2(builtin, pt) == eval2(expanded, pt)
 
 
 def test_eval_point_validation():
@@ -82,18 +134,100 @@ def test_eval_point_validation():
         eval2(f, (1.0, 2.0))
     with pytest.raises(ValueError):
         eval2(f, (0.0, 0.0, 0.0, float("nan"), 0.0, 0.0))
+    with pytest.raises(ValueError):
+        eval1(f, (0.0, 0.0, 0.0, 0.0, float("inf"), 0.0))
 
 
 def test_exactness_on_rational_points():
     f = cartan_field()
     pt = tuple(Fraction(1, k) for k in range(2, 8))
-    jet = eval2(f, pt)
-    assert isinstance(jet.value, Fraction)
-    assert all(isinstance(g, Fraction) for g in jet.grad)
-    assert all(isinstance(h, Fraction) for h in jet.hess)
+    value, grad, hess = eval2(f, pt)
+    assert isinstance(value, Fraction)
+    assert all(isinstance(g, Fraction) for g in grad)
+    assert all(isinstance(h, Fraction) for h in hess)
 
 
 def test_float_points_stay_float():
     f = cartan_field()
-    jet = eval2(f, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
-    assert isinstance(jet.value, float)
+    value, grad, hess = eval2(f, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    assert isinstance(value, float)
+    assert all(isinstance(g, float) for g in grad)
+    assert all(isinstance(h, float) for h in hess)
+
+
+def test_hess_bilinear_matches_full_matrix():
+    f = polynomial_field({(1, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 2, 0): 1})
+    g = polynomial_field({(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1})
+    x = tuple(Fraction(v) for v in (1, 2, 0, 0, -1, 0))
+    _, _, hess = eval2(polynomial_product(f, g), x)
+    mat = hess_matrix(hess)
+    u = (1, 2, 0, 0, 3, 0)
+    v = (0, 1, 0, 0, -2, 1)
+    full = sum(mat[a][b] * u[a] * v[b] for a in range(N_VARS) for b in range(N_VARS))
+    assert hess_bilinear(hess, u, v) == full
+
+
+def test_quartic_field_at_first_basis_vector():
+    """Hand-derived derivatives of the catalog quartic at e1.
+
+    With F = A^2 + 4B^2, A = x1^2+x2^2+x3^2-x4^2-x5^2-x6^2 and
+    B = x1 x4 + x2 x5 + x3 x6, the point e1 has A = 1, B = 0, so
+    Hess F = 2 grad(A) grad(A)^T + 2 Hess(A) + 8 grad(B) grad(B)^T, which is
+    diagonal: (12, 4, 4, 4, -4, -4). All off-diagonal entries vanish.
+    """
+    x = tuple(Fraction(v) for v in (1, 0, 0, 0, 0, 0))
+    value, grad, hess = eval2(cartan_field(), x)
+    assert value == 1
+    assert grad == (4, 0, 0, 0, 0, 0)
+    mat = hess_matrix(hess)
+    assert [mat[i][i] for i in range(6)] == [12, 4, 4, 4, -4, -4]
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                assert mat[i][j] == 0
+
+
+def test_exact_product_rule_on_polynomials():
+    """Derivatives of f*g equal the product rule applied to those of f and g."""
+    f = polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 1): -3})
+    g = polynomial_field({(1, 1, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 0): 5})
+    fg = polynomial_product(f, g)
+    s = RngStream(404)
+    for _ in range(25):
+        pt, s = _rational_point(s, 9)
+        fv, fgr, fh = eval2(f, pt)
+        gv, ggr, gh = eval2(g, pt)
+        value, grad, hess = eval2(fg, pt)
+        assert value == fv * gv
+        assert grad == tuple(fv * ggr[k] + gv * fgr[k] for k in range(N_VARS))
+        assert hess == tuple(
+            fv * gh[k] + gv * fh[k] + fgr[i] * ggr[j] + ggr[i] * fgr[j]
+            for k, (i, j) in enumerate(UPPER)
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gradient_matches_finite_differences(seed):
+    field = cartan_field()
+    x = _random_point(seed)
+    _, grad, _ = eval2(field, x)
+    for i in range(N_VARS):
+        fd = _fd_grad(field, x, i)
+        assert grad[i] == pytest.approx(fd, abs=_GRAD_TOL)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hessian_matches_finite_differences(seed):
+    field = cartan_field()
+    x = _random_point(100 + seed)
+    _, _, hess = eval2(field, x)
+    for k, (i, j) in enumerate(UPPER):
+        fd = _fd_hess(field, x, i, j)
+        assert hess[k] == pytest.approx(fd, abs=_HESS_TOL)
+
+
+def test_eval1_agrees_with_eval2():
+    field = cartan_field()
+    x = _random_point(55)
+    value, grad, _ = eval2(field, x)
+    assert eval1(field, x) == (value, grad)

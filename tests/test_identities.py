@@ -359,6 +359,14 @@ class TestSweeps:
         assert verdict.first_counterexample is None
         assert verdict.exact is (name != "recover")
 
+    @pytest.mark.parametrize("name", ["vandermonde", "i-closed", "i-sign", "dpsi"])
+    def test_height_without_four_distinct_values_rejected(self, name):
+        with pytest.raises(ValueError, match="distinct"):
+            run_identity_sweep(name, 5, seed=0, height=1)
+
+    def test_height_one_supplies_three_distinct_values(self):
+        assert run_identity_sweep("g3", 5, seed=0, height=1).failures == 0
+
     def test_worker_count_does_not_change_verdict(self):
         solo = run_identity_sweep("i-closed", 60, seed=11, workers=1)
         pooled = run_identity_sweep("i-closed", 60, seed=11, workers=2)

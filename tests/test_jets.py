@@ -1,228 +1,86 @@
-"""Second-order forward-mode differentiation against finite differences and
-exact algebraic oracles."""
+"""Second-order jets of elementary fields: the (value, gradient, upper-triangle
+Hessian) tuples that eval2 returns for constants, coordinates, products and
+powers, checked against hand-computed derivatives."""
 
 from fractions import Fraction
 
 import pytest
 
-from spherecurv import (
-    Jet2,
-    N_VARS,
-    RngStream,
-    cartan_field,
-    coordinate_field,
-    draw_float,
-    draw_rational,
-    eval1,
-    eval2,
-    jet_constant,
-    jet_variable,
-    polynomial_field,
-    polynomial_product,
-)
-
-# Central differences: gradient error ~ h^2 + eps/h, second-derivative error
-# ~ h^2 + eps/h^2, so each order gets its own near-optimal step.
-_GRAD_STEP = 1e-5
-_HESS_STEP = 1e-4
-_GRAD_TOL = 1e-8
-_HESS_TOL = 1e-6
+from spherecurv import N_VARS, coordinate_field, eval1, eval2, polynomial_field, polynomial_product
+from fieldtools import UPPER, hess_matrix, poly_scale, poly_sum
 
 
-def _field_value(field, x):
-    return eval2(field, tuple(x)).value
+def _monomial(*pairs):
+    """Polynomial field of one monomial, given as (variable, power) pairs."""
+    return polynomial_field({tuple(dict(pairs).get(i, 0) for i in range(N_VARS)): 1})
 
 
-def _fd_grad(field, x, i):
-    xp = list(x)
-    xm = list(x)
-    xp[i] += _GRAD_STEP
-    xm[i] -= _GRAD_STEP
-    return (_field_value(field, xp) - _field_value(field, xm)) / (2 * _GRAD_STEP)
-
-
-def _fd_hess(field, x, i, j):
-    if i == j:
-        xp = list(x)
-        xm = list(x)
-        xp[i] += _HESS_STEP
-        xm[i] -= _HESS_STEP
-        f0 = _field_value(field, x)
-        return (_field_value(field, xp) - 2 * f0 + _field_value(field, xm)) / _HESS_STEP**2
-    xpp = list(x)
-    xpm = list(x)
-    xmp = list(x)
-    xmm = list(x)
-    for vec, si, sj in ((xpp, 1, 1), (xpm, 1, -1), (xmp, -1, 1), (xmm, -1, -1)):
-        vec[i] += si * _HESS_STEP
-        vec[j] += sj * _HESS_STEP
-    return (
-        _field_value(field, xpp)
-        - _field_value(field, xpm)
-        - _field_value(field, xmp)
-        + _field_value(field, xmm)
-    ) / (4 * _HESS_STEP**2)
-
-
-def _random_point(seed):
-    s = RngStream(seed)
-    out = []
-    for _ in range(N_VARS):
-        v, s = draw_float(s, -1.0, 1.0)
-        out.append(v)
-    return tuple(out)
+def _point(*values):
+    return tuple(Fraction(v) for v in values) + (Fraction(1),) * (N_VARS - len(values))
 
 
 def test_constant_jet_structure():
-    c = jet_constant(5)
-    assert c.value == 5
-    assert all(g == 0 for g in c.grad)
-    assert all(h == 0 for h in c.hess)
+    value, grad, hess = eval2(poly_scale(_monomial(), 5), _point(2, 3))
+    assert value == 5
+    assert grad == (0,) * N_VARS
+    assert hess == (0,) * len(UPPER)
 
 
 def test_variable_jet_structure():
-    v = jet_variable(3, 2)
-    assert v.value == 3
-    assert v.grad == (0, 0, 1, 0, 0, 0)
-    assert all(h == 0 for h in v.hess)
+    """A coordinate has a unit gradient and a zero Hessian, as exact ints."""
+    x = (0.1, 0.2, 3.0, 0.4, 0.5, 0.6)
+    value, grad, hess = eval2(coordinate_field(2), x)
+    assert value == 3.0 and type(value) is float
+    assert grad == (0, 0, 1, 0, 0, 0)
+    assert all(type(g) is int for g in grad)
+    assert hess == (0,) * len(UPPER)
+    assert all(type(h) is int for h in hess)
+    assert eval1(coordinate_field(2), x) == (value, grad)
 
 
 def test_product_of_two_variables():
-    x = jet_variable(Fraction(2), 0)
-    y = jet_variable(Fraction(5), 1)
-    p = x * y
-    assert p.value == 10
-    assert p.grad == (5, 2, 0, 0, 0, 0)
-    assert p.hess_entry(0, 1) == 1
-    assert p.hess_entry(1, 0) == 1
-    assert p.hess_entry(0, 0) == 0
+    value, grad, hess = eval2(_monomial((0, 1), (1, 1)), _point(2, 5))
+    mat = hess_matrix(hess)
+    assert value == 10
+    assert grad == (5, 2, 0, 0, 0, 0)
+    assert mat[0][1] == 1
+    assert mat[1][0] == 1
+    assert mat[0][0] == 0
 
 
 def test_square_has_constant_second_derivative():
-    x = jet_variable(Fraction(7), 3)
-    sq = x * x
-    assert sq.value == 49
-    assert sq.grad[3] == 14
-    assert sq.hess_entry(3, 3) == 2
+    value, grad, hess = eval2(_monomial((3, 2)), _point(0, 0, 0, 7))
+    assert value == 49
+    assert grad[3] == 14
+    assert hess_matrix(hess)[3][3] == 2
 
 
 def test_pow_matches_repeated_multiplication():
-    x = jet_variable(Fraction(3, 2), 1)
-    explicit = x * x * x * x
-    assert x**4 == explicit
-    assert x**0 == jet_constant(1)
-    assert x**1 == x
+    x = coordinate_field(1)
+    explicit = polynomial_product(polynomial_product(x, x), polynomial_product(x, x))
+    pt = _point(1, Fraction(3, 2))
+    assert eval2(_monomial((1, 4)), pt) == eval2(explicit, pt)
+    assert eval2(_monomial((1, 0)), pt) == eval2(poly_scale(_monomial(), 1), pt)
+    assert eval2(_monomial((1, 1)), pt) == eval2(x, pt)
     with pytest.raises(ValueError):
-        x ** (-1)
-    with pytest.raises(ValueError):
-        x**0.5
+        _monomial((1, -1))
 
 
 def test_scalar_mixing():
-    x = jet_variable(Fraction(2), 0)
-    expr = 3 * x + 1 - x * Fraction(1, 2)
-    assert expr.value == 3 * 2 + 1 - 1
-    assert expr.grad[0] == Fraction(5, 2)
-
-
-def test_hess_bilinear_matches_full_matrix():
-    x = jet_variable(Fraction(1), 0)
-    y = jet_variable(Fraction(2), 1)
-    z = jet_variable(Fraction(-1), 4)
-    j = (x * y + z * z) * (x + y)
-    mat = j.hess_matrix()
-    u = (1, 2, 0, 0, 3, 0)
-    v = (0, 1, 0, 0, -2, 1)
-    full = sum(mat[a][b] * u[a] * v[b] for a in range(N_VARS) for b in range(N_VARS))
-    assert j.hess_bilinear(u, v) == full
-
-
-def test_quartic_field_at_first_basis_vector():
-    """Hand-derived jet of the catalog quartic at e1.
-
-    With F = A^2 + 4B^2, A = x1^2+x2^2+x3^2-x4^2-x5^2-x6^2 and
-    B = x1 x4 + x2 x5 + x3 x6, the point e1 has A = 1, B = 0, so
-    Hess F = 2 grad(A) grad(A)^T + 2 Hess(A) + 8 grad(B) grad(B)^T, which is
-    diagonal: (12, 4, 4, 4, -4, -4). All off-diagonal entries vanish.
-    """
-    x = tuple(Fraction(v) for v in (1, 0, 0, 0, 0, 0))
-    jet = eval2(cartan_field(), x)
-    assert jet.value == 1
-    assert jet.grad == (4, 0, 0, 0, 0, 0)
-    mat = jet.hess_matrix()
-    assert [mat[i][i] for i in range(6)] == [12, 4, 4, 4, -4, -4]
-    for i in range(6):
-        for j in range(6):
-            if i != j:
-                assert mat[i][j] == 0
-
-
-def test_exact_product_rule_on_polynomials():
-    f = polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 1): -3})
-    g = polynomial_field({(1, 1, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 0): 5})
-    fg = polynomial_product(f, g)
-    s = RngStream(404)
-    for _ in range(25):
-        pt = []
-        for _ in range(N_VARS):
-            q, s = draw_rational(s, 9)
-            pt.append(q)
-        pt = tuple(pt)
-        jf = eval2(f, pt)
-        jg = eval2(g, pt)
-        jfg = eval2(fg, pt)
-        prod = jf * jg
-        assert jfg.value == prod.value
-        assert jfg.grad == prod.grad
-        assert jfg.hess == prod.hess
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_gradient_matches_finite_differences(seed):
-    field = cartan_field()
-    x = _random_point(seed)
-    jet = eval2(field, x)
-    for i in range(N_VARS):
-        fd = _fd_grad(field, x, i)
-        assert jet.grad[i] == pytest.approx(fd, abs=_GRAD_TOL)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_hessian_matches_finite_differences(seed):
-    field = cartan_field()
-    x = _random_point(100 + seed)
-    jet = eval2(field, x)
-    for i in range(N_VARS):
-        for j in range(i, N_VARS):
-            fd = _fd_hess(field, x, i, j)
-            assert jet.hess_entry(i, j) == pytest.approx(fd, abs=_HESS_TOL)
-
-
-def test_first_order_jet_agrees_with_second_order():
-    field = cartan_field()
-    x = _random_point(55)
-    j2 = eval2(field, x)
-    j1 = eval1(field, x)
-    assert j1.value == j2.value
-    assert j1.grad == j2.grad
+    """3 x + 1 - x/2 mixes int and Fraction coefficients exactly."""
+    x = coordinate_field(0)
+    expr = poly_sum(poly_scale(x, 3), _monomial(), poly_scale(x, Fraction(-1, 2)))
+    value, grad, _ = eval2(expr, _point(2))
+    assert value == 3 * 2 + 1 - 1
+    assert grad[0] == Fraction(5, 2)
 
 
 def test_coordinate_field_jets():
     x = tuple(Fraction(v, 10) for v in (1, 2, 3, 4, 5, 6))
-    jet = eval2(coordinate_field(4), x)
-    assert jet.value == Fraction(1, 2)
-    assert jet.grad == (0, 0, 0, 0, 1, 0)
-    assert all(h == 0 for h in jet.hess)
-
-
-def test_symmetry_of_stored_hessian():
-    j = Jet2(
-        value=0.0,
-        grad=(0.0,) * N_VARS,
-        hess=tuple(float(k) for k in range(21)),
-    )
-    mat = j.hess_matrix()
-    for i in range(N_VARS):
-        for jj in range(N_VARS):
-            assert mat[i][jj] == mat[jj][i]
-            assert j.hess_entry(i, jj) == j.hess_entry(jj, i)
+    value, grad, hess = eval2(coordinate_field(4), x)
+    assert value == Fraction(1, 2)
+    assert grad == (0, 0, 0, 0, 1, 0)
+    assert all(type(g) is int for g in grad)
+    assert hess == (0,) * len(UPPER)
+    assert all(type(h) is int for h in hess)
+    assert eval1(coordinate_field(4), x) == (value, grad)

@@ -1,6 +1,7 @@
 """Deterministic stream semantics and output distribution sanity."""
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from spherecurv import (
     draw_rational,
     draw_u64,
 )
+from spherecurv.rng import chunk_bounds, map_chunks
 
 _MASK = (1 << 64) - 1
 
@@ -153,3 +155,23 @@ def test_seed_and_counter_wrap_to_64_bits():
     s = RngStream(2**64 + 5, counter=2**64 + 9)
     assert s.seed == 5
     assert s.counter == 9
+
+
+def test_chunk_bounds_clamp_to_items_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert chunk_bounds(10, 1000) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert chunk_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert chunk_bounds(5, 1) == [(0, 5)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert chunk_bounds(10, 2) == [(0, 10)]
+
+
+def test_map_chunks_runs_a_single_chunk_in_process():
+    seen = []
+
+    def chunk(tag, start, stop):  # a closure: a worker process could not receive it
+        seen.append((tag, start, stop))
+        return stop - start
+
+    assert map_chunks(chunk, 7, 1, "x") == [7]
+    assert seen == [("x", 0, 7)]

@@ -10,6 +10,7 @@ from spherecurv import (
     ProjectionError,
     RngStream,
     cartan_field,
+    cartan_level,
     coordinate_field,
     eval1,
     frame_at,
@@ -74,9 +75,9 @@ def test_surface_normal_properties():
     # tangent to the sphere
     assert abs(sum(a * b for a, b in zip(n, p.coords))) <= 1e-12
     # aligned with the tangential part of the gradient
-    jet = eval1(QUARTIC_HALF.field, p.coords)
-    gp = sum(g * c for g, c in zip(jet.grad, p.coords))
-    tang = [g - gp * c for g, c in zip(jet.grad, p.coords)]
+    _, grad = eval1(QUARTIC_HALF.field, p.coords)
+    gp = sum(g * c for g, c in zip(grad, p.coords))
+    tang = [g - gp * c for g, c in zip(grad, p.coords)]
     nt = _norm(tang)
     assert max(abs(a - b / nt) for a, b in zip(n, tang)) <= 1e-12
 
@@ -116,6 +117,13 @@ def test_sample_level_point_hits_surface():
         p, s = sample_level_point(QUARTIC_HALF, s, tol=1e-12)
         assert abs(_norm(p.coords) - 1.0) <= 1e-12
         assert abs(QUARTIC_HALF.residual(p.coords)) <= 1e-12
+
+
+def test_start_next_to_focal_set_projects():
+    """This start has F ~ 5e-5 against level 1/2; its first step needs 7 halvings."""
+    spec = LevelSpec(cartan_field(), cartan_level(math.pi / 8))
+    point, _ = sample_level_point(spec, RngStream(300059).split(52))
+    assert spec.residual(point.coords) <= 1e-12
 
 
 def test_projection_rejects_bad_input():
