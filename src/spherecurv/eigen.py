@@ -51,9 +51,6 @@ class SymMat4:
     def entry(self, i: int, j: int) -> float:
         return self.rows[i][j]
 
-    def scaled(self, factor: float) -> "SymMat4":
-        return SymMat4(tuple(tuple(factor * v for v in row) for row in self.rows))
-
     def frobenius(self) -> float:
         return math.sqrt(sum(v * v for row in self.rows for v in row))
 

@@ -1,6 +1,6 @@
 """Exact scalar types and exact linear algebra.
 
-Rational is the stdlib Fraction: arbitrary precision, always reduced, positive
+Rationals are stdlib Fractions: arbitrary precision, always reduced, positive
 denominator, so every arithmetic identity asserted in this package is checked
 with zero rounding error. Surd adds the one extension field we need, numbers
 of the form q*sqrt(r) with q, r rational, closed under the operations used by
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 

@@ -24,6 +24,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 
 from .exact import RationalLike, Surd, as_rational, matrix_rank, solve_linear
 from .rng import RngStream, draw_int, draw_rational, map_chunks
@@ -328,8 +329,6 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
 def _to_mpf(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, int):
-        return mp.mpf(x)
     return mp.mpf(x)
 
 
@@ -352,11 +351,16 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
             zero_roots += 1
-        roots = (
-            [mp.mpc(r) for r in mp.polyroots(coeffs, maxsteps=300, extraprec=300)]
-            if len(coeffs) > 1
-            else []
-        )
+        try:
+            found = mp.polyroots(coeffs, maxsteps=300, extraprec=300)
+        except NoConvergence:
+            # Durand-Kerner stalls on triple and quadruple roots; the
+            # eigenvalues of the companion matrix do not.
+            n = len(coeffs) - 1
+            companion = [[-c for c in coeffs[1:]]]
+            companion += [[int(j == i) for j in range(n)] for i in range(n - 1)]
+            found = mp.eig(mp.matrix(companion), left=False, right=False)
+        roots = [mp.mpc(r) for r in found]
         roots.extend(mp.mpc(0) for _ in range(zero_roots))
         out = []
         for rt in roots:

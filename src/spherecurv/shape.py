@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.optimize import minimize_scalar
-
 from .eigen import SymMat4, sym_eigen
 from .fields import eval2, hess_bilinear
 from .rng import RngStream, map_chunks
@@ -126,6 +124,21 @@ def _cluster(ascending: Sequence[float], cluster_tol: float) -> list[list[float]
     return groups
 
 
+def misfit_derivatives(vals: Sequence[float], g: int, theta: float) -> tuple[float, float]:
+    """First and second theta-derivatives of the ladder misfit sum_k gap_k^2,
+    gap_k = lambda_k - cot(a_k), a_k = theta + (k-1)pi/g. With s_k, c_k = sin,
+    cos a_k: d1 = sum 2 gap_k/s_k^2 and d2 = sum 2/s_k^4 - 4 gap_k c_k/s_k^3."""
+    step = math.pi / g
+    d1 = d2 = 0.0
+    for k, lam in enumerate(vals):
+        angle = theta + k * step
+        s, c = math.sin(angle), math.cos(angle)
+        gap = lam - c / s
+        d1 += 2.0 * gap / (s * s)
+        d2 += 2.0 / (s * s * s * s) - 4.0 * gap * c / (s * s * s)
+    return d1, d2
+
+
 def fit_theta0(distinct: Sequence[float], g: int | None = None) -> tuple[float, float]:
     """Least-squares angle offset for lambda_k = cot((k-1)pi/g + theta0).
 
@@ -153,37 +166,22 @@ def fit_theta0(distinct: Sequence[float], g: int | None = None) -> tuple[float, 
             acc += (lam - math.cos(angle) / math.sin(angle)) ** 2
         return acc
 
-    # Coarse scan pins the basin; bounded Brent polishes inside it; Newton on
-    # the analytic derivative removes the optimizer's ~1e-10 stopping error.
+    # A coarse scan pins the basin; Newton on the misfit's derivative polishes
+    # inside the neighbouring grid points, bisecting when a step would leave them.
     lo, hi = 1e-9, step - 1e-9
     n_grid = 256
     best_k = min(range(n_grid + 1), key=lambda k: misfit(lo + (hi - lo) * k / n_grid))
     width = (hi - lo) / n_grid
-    center = lo + width * best_k
-    res = minimize_scalar(
-        misfit,
-        bounds=(max(lo, center - 2 * width), min(hi, center + 2 * width)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    theta = float(res.x)
-    for _ in range(5):
-        d1 = d2 = 0.0
-        for k, lam in enumerate(vals):
-            angle = theta + k * step
-            s, c = math.sin(angle), math.cos(angle)
-            gap = lam - c / s
-            d1 += 2.0 * gap / (s * s)
-            d2 += 2.0 / (s * s * s * s) + 4.0 * gap * c / (s * s * s)
-        if d2 <= 0.0:
+    theta = lo + width * best_k
+    left, right = max(lo, theta - width), min(hi, theta + width)
+    for _ in range(100):
+        d1, d2 = misfit_derivatives(vals, g, theta)
+        left, right = (left, theta) if d1 > 0.0 else (theta, right)
+        if d2 > 0.0 and abs(d1) < 1e-15 * d2:
+            theta -= d1 / d2
             break
-        delta = d1 / d2
-        candidate = theta - delta
-        if not lo < candidate < hi:
-            break
-        theta = candidate
-        if abs(delta) < 1e-15:
-            break
+        candidate = theta - d1 / d2 if d2 > 0.0 else theta
+        theta = candidate if left < candidate < right else 0.5 * (left + right)
     return theta, math.sqrt(misfit(theta))
 
 

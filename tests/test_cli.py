@@ -269,6 +269,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "distinct" in err
 
+    @pytest.mark.parametrize("height, trials", [("1", "3"), ("2", "40")])
+    def test_recover_with_repeated_curvatures_exits_0(self, capsys, height, trials):
+        code, out, err = _run(
+            capsys, "verify", "--identity", "recover", "--height", height, "--trials", trials
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["failures"] == 0
+
     def test_unknown_identity_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "made-up"])

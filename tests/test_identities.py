@@ -323,6 +323,27 @@ class TestRecoverCurvatures:
     def test_all_zero(self):
         assert recover_curvatures(F(0), F(0), F(0), F(0)) == (0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "vals", [(-1, -1, -1, -1), (-1, -1, -1, 0), (0, 1, 1, 1), (1, 1, 1, 1), (F(1, 2),) * 4]
+    )
+    def test_triple_and_quadruple_roots(self, vals):
+        """polyroots does not converge on these; the companion-matrix
+        eigenvalues recover them well inside the sweep's 1e-9."""
+        vals = [F(v) for v in vals]
+        p1 = sum(vals)
+        p2 = sum(v * v for v in vals)
+        p3 = sum(v**3 for v in vals)
+        e4 = vals[0] * vals[1] * vals[2] * vals[3]
+        roots = recover_curvatures(p1, p2, p3, e4)
+        assert roots == pytest.approx([float(v) for v in vals], abs=1e-9)
+
+    @pytest.mark.parametrize("height, trials", [(1, 20), (2, 40)])
+    def test_sweep_at_small_heights(self, height, trials):
+        """Small heights draw repeated curvatures (seed 0 reaches a triple
+        root by trial 2 at height 1 and trial 33 at height 2)."""
+        verdict = run_identity_sweep("recover", trials, 0, height)
+        assert verdict.failures == 0
+
 
 class TestSweeps:
     def test_identity_names(self):

@@ -9,6 +9,7 @@ gradient) as well as the magnitudes:
 """
 
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from spherecurv import (
     sym_eigen,
     TangentFrame,
 )
+from spherecurv.shape import misfit_derivatives
 
 SQ3 = math.sqrt(3.0)
 
@@ -131,6 +133,57 @@ class TestThetaFit:
             fit_theta0([1.0, 2.0], 2)  # ascending, not descending
         with pytest.raises(ValueError):
             fit_theta0([3.0, 1.0], 4)  # wrong count for g
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_random_ladders_recover_theta(self, g):
+        rng = random.Random(100 + g)
+        for _ in range(500):
+            theta = rng.uniform(0.01, math.pi / g - 0.01)
+            vals = [1.0 / math.tan(theta + k * math.pi / g) for k in range(g)]
+            fitted, residual = fit_theta0(vals, g)
+            assert abs(fitted - theta) <= 1e-12
+            assert residual <= 1e-9
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_random_non_ladders_reach_the_dense_scan_minimum(self, g):
+        """The fit's residual is no worse than a 4096-point scan of (0, pi/g)
+        polished by golden-section search around its best point."""
+        rng = random.Random(200 + g)
+        for _ in range(150):
+            vals = sorted((rng.uniform(-4.0, 4.0) for _ in range(g)), reverse=True)
+            _, residual = fit_theta0(vals, g)
+            assert residual <= _dense_scan_residual(vals, g) + 1e-9, vals
+
+    def test_second_derivative_matches_finite_difference(self):
+        vals = (0.242, -0.861, -1.231, -1.618)
+        h = 1e-6
+        for theta in (0.1, 0.45, 0.7):
+            d1, d2 = misfit_derivatives(vals, 4, theta)
+            fd1 = (_misfit(vals, 4, theta + h) - _misfit(vals, 4, theta - h)) / (2 * h)
+            fd2 = (misfit_derivatives(vals, 4, theta + h)[0]
+                   - misfit_derivatives(vals, 4, theta - h)[0]) / (2 * h)
+            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-6)
+            assert d2 == pytest.approx(fd2, rel=1e-6)
+        assert misfit_derivatives(vals, 4, 0.45)[1] == pytest.approx(444.4589, abs=1e-3)
+
+
+def _misfit(vals, g, theta):
+    return sum((lam - 1.0 / math.tan(theta + k * math.pi / g)) ** 2 for k, lam in enumerate(vals))
+
+
+def _dense_scan_residual(vals, g, n=4096):
+    lo, hi = 1e-9, math.pi / g - 1e-9
+    width = (hi - lo) / n
+    best = min(range(n + 1), key=lambda k: _misfit(vals, g, lo + width * k))
+    a, b = lo + width * max(best - 1, 0), lo + width * min(best + 1, n)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        if _misfit(vals, g, c) < _misfit(vals, g, d):
+            b = d
+        else:
+            a = c
+    return math.sqrt(_misfit(vals, g, 0.5 * (a + b)))
 
 
 def test_orientation_flip_negates_odd_invariants():
