@@ -28,7 +28,7 @@ from .report import (
     to_json,
     verdicts_payload,
 )
-from .shape import SweepTolerances, sweep_analyze
+from .shape import sweep_analyze
 from .sphere import LevelSpec
 
 SURFACES = ("equator", "cartan")
@@ -174,15 +174,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
         if args.t is None:
             raise ConfigError("--t is required for --surface cartan")
         t = parse_angle(args.t)
-        if not 0.0 < t < math.pi / 4:
-            raise ConfigError(f"--t must lie strictly between 0 and pi/4, got {t!r}")
-        level = cartan_level(t)
+        try:
+            level = cartan_level(t)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         spec = LevelSpec(cartan_field(), level)
 
-    tols = SweepTolerances(f1_tol=args.tol)
     start = time.perf_counter()
     try:
-        stats = sweep_analyze(spec, args.samples, args.seed, tols, args.workers)
+        stats = sweep_analyze(spec, args.samples, args.seed, args.tol, args.workers)
     except RuntimeError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 3

@@ -94,34 +94,17 @@ class Surd:
         return self.coef == 0
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination, exactly.
+def _reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place over the first ncols columns.
 
-    Raises ValueError on a singular matrix.
+    Pivot k ends in row k and is cleared from every other row; returns the
+    pivot columns in order, so their count is the rank.
     """
-    n = len(rhs)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / prow[col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], prow)]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
-def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact row reduction."""
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -131,7 +114,23 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col] / prow[col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a square rational system by Gaussian elimination, exactly.
+
+    Raises ValueError on a singular matrix.
+    """
+    n = len(rhs)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    if len(_reduce(aug, n)) < n:
+        raise ValueError("singular system")
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by exact row reduction."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    return len(_reduce(rows, len(rows[0]))) if rows else 0

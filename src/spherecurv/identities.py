@@ -389,22 +389,22 @@ class IdentityVerdict:
             raise ValueError("failure count and counterexample presence disagree")
 
 
-def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[Quadruple, RngStream]:
+def _draw_rationals(
+    stream: RngStream, height: int, n: int, distinct: bool = False
+) -> tuple[tuple[Fraction, ...], RngStream]:
+    """n rationals of the given height; with distinct, redraw all n until no two are equal."""
     while True:
         vals = []
-        for _ in range(4):
+        for _ in range(n):
             v, stream = draw_rational(stream, height)
             vals.append(v)
-        if len(set(vals)) == 4:
-            return Quadruple(tuple(sorted(vals))), stream
+        if not distinct or len(set(vals)) == n:
+            return tuple(vals), stream
 
 
-def _draw_vec4(stream: RngStream, height: int) -> tuple[Quad, RngStream]:
-    vals = []
-    for _ in range(4):
-        v, stream = draw_rational(stream, height)
-        vals.append(v)
-    return tuple(vals), stream
+def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[Quadruple, RngStream]:
+    vals, stream = _draw_rationals(stream, height, 4, distinct=True)
+    return Quadruple(tuple(sorted(vals))), stream
 
 
 def _fmt(values) -> list[str]:
@@ -427,13 +427,7 @@ def _trial_g2(stream: RngStream, height: int) -> dict | None:
 def _trial_g3(stream: RngStream, height: int) -> dict | None:
     choice, stream = draw_int(stream, 0, 2)
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
-    while True:
-        vals = []
-        for _ in range(3):
-            v, stream = draw_rational(stream, height)
-            vals.append(v)
-        if len(set(vals)) == 3:
-            break
+    vals, stream = _draw_rationals(stream, height, 3, distinct=True)
     if g3_kernel(p, q, r, vals) != 0:
         return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(vals)}
     return None
@@ -453,7 +447,7 @@ def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
 
 def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
     quad, stream = _draw_distinct_quadruple(stream, height)
-    K, stream = _draw_vec4(stream, height)
+    K, stream = _draw_rationals(stream, height, 4)
     direct = I_def(quad, diag_from_K(quad, K))
     closed = I_closed(quad, K)
     if direct != closed:
@@ -463,7 +457,7 @@ def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
 
 def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
     quad, stream = _draw_distinct_quadruple(stream, height)
-    K, stream = _draw_vec4(stream, height)
+    K, stream = _draw_rationals(stream, height, 4)
     if not sign_lemma(quad, K):
         return {"lam": _fmt(quad.lam), "K": _fmt(K)}
     return None
@@ -471,8 +465,8 @@ def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
 
 def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
     quad, stream = _draw_distinct_quadruple(stream, height)
-    K, stream = _draw_vec4(stream, height)
-    mixed, stream = _draw_vec4(stream, height)
+    K, stream = _draw_rationals(stream, height, 4)
+    mixed, stream = _draw_rationals(stream, height, 4)
     table = DerivativeTable(lam=quad, K=K, mixed=mixed)
     lhs = dpsi_coeff(table)
     rhs = gauss_R(quad) / 2 - sum(I_closed(quad, K))
@@ -482,11 +476,7 @@ def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_recover(stream: RngStream, height: int) -> dict | None:
-    vals = []
-    for _ in range(4):
-        v, stream = draw_rational(stream, height)
-        vals.append(v)
-    vals.sort()
+    vals = sorted(_draw_rationals(stream, height, 4)[0])
     p1 = sum(vals)
     p2 = sum(v * v for v in vals)
     p3 = sum(v**3 for v in vals)

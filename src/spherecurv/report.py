@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .catalog import CheckResult, IsoModel, checks_passed
 from .identities import IdentityVerdict
-from .shape import SurfaceStats
+from .shape import VERDICTS, SurfaceStats
 
 SCHEMA_VERSION = "1"
 
@@ -189,12 +189,7 @@ REPORT_SCHEMA: dict = {
                     "additionalProperties": False,
                 },
                 "theta0_mean": _NUMBER_OR_NULL,
-                "verdict": {
-                    "enum": [
-                        "equator", "clifford_1_3", "clifford_2_2", "cartan",
-                        "non_isoparametric", "inconclusive",
-                    ]
-                },
+                "verdict": {"enum": list(VERDICTS)},
                 "failure_samples": {"type": "array", "items": {"type": "string"}},
             },
         },

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
@@ -44,10 +44,6 @@ class RngStream:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", self.seed & _MASK64)
         object.__setattr__(self, "counter", self.counter & _MASK64)
-
-    def _raw(self) -> tuple[int, "RngStream"]:
-        value = _mix64(self.seed + ((self.counter + 1) * _GOLDEN & _MASK64))
-        return value, replace(self, counter=self.counter + 1)
 
     def split(self, key: int) -> "RngStream":
         """Derive an independent child stream from an integer key."""
@@ -79,14 +75,16 @@ def map_chunks(fn, n: int, workers: int, *args) -> list:
 
 
 def draw_u64(stream: RngStream) -> tuple[int, RngStream]:
-    return stream._raw()
+    """The stream's next raw 64-bit output, with the advanced stream."""
+    counter = stream.counter + 1
+    return _mix64(stream.seed + (counter * _GOLDEN & _MASK64)), RngStream(stream.seed, counter)
 
 
 def draw_float(stream: RngStream, lo: float, hi: float) -> tuple[float, RngStream]:
     """Uniform float in [lo, hi) from the top 53 bits of one raw draw."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid float range [{lo}, {hi})")
-    raw, nxt = stream._raw()
+    raw, nxt = draw_u64(stream)
     u = (raw >> 11) * (2.0**-53)
     return lo + (hi - lo) * u, nxt
 
@@ -99,7 +97,7 @@ def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     limit = (1 << 64) - ((1 << 64) % n)
     s = stream
     while True:
-        raw, s = s._raw()
+        raw, s = draw_u64(s)
         if raw < limit:
             return lo + raw % n, s
 

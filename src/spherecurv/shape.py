@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .catalog import all_models
 from .eigen import SymMat4, sym_eigen
 from .fields import eval2, hess_bilinear
 from .rng import RngStream, map_chunks
@@ -32,18 +33,12 @@ from .sphere import (
     sample_level_point,
 )
 
-VERDICTS = ("equator", "clifford_1_3", "clifford_2_2", "cartan", "non_isoparametric", "inconclusive")
+S_TOL = 1e-6  # allowed deviation of S from a catalog value
+CLUSTER_TOL = 1e-4  # eigenvalue gap that separates distinct curvatures
+MAX_FAILURE_FRACTION = 0.10  # share of failed projections a sweep tolerates
 
-
-@dataclass(frozen=True)
-class SweepTolerances:
-    """Thresholds used by sweep classification."""
-
-    f1_tol: float = 1e-8      # max |mean curvature * 4| treated as minimal
-    s_tol: float = 1e-6       # allowed deviation of S from a catalog value
-    cluster_tol: float = 1e-4  # eigenvalue gap that separates distinct curvatures
-    projection_tol: float = 1e-12
-    max_failure_fraction: float = 0.10
+_MODELS = all_models()
+VERDICTS = tuple(m.name for m in _MODELS) + ("non_isoparametric", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -114,10 +109,10 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     return SymMat4.from_upper(upper)
 
 
-def _cluster(ascending: Sequence[float], cluster_tol: float) -> list[list[float]]:
+def _cluster(ascending: Sequence[float]) -> list[list[float]]:
     groups: list[list[float]] = [[ascending[0]]]
     for v in ascending[1:]:
-        if v - groups[-1][-1] <= cluster_tol:
+        if v - groups[-1][-1] <= CLUSTER_TOL:
             groups[-1].append(v)
         else:
             groups.append([v])
@@ -139,19 +134,16 @@ def misfit_derivatives(vals: Sequence[float], g: int, theta: float) -> tuple[flo
     return d1, d2
 
 
-def fit_theta0(distinct: Sequence[float], g: int | None = None) -> tuple[float, float]:
+def fit_theta0(distinct: Sequence[float]) -> tuple[float, float]:
     """Least-squares angle offset for lambda_k = cot((k-1)pi/g + theta0).
 
-    `distinct` holds the distinct curvature values in strictly descending
+    `distinct` holds the g distinct curvature values in strictly descending
     order. Returns (theta0, residual) where residual is the root of the
     summed squared misfit. For g = 1 the ladder is the single value
     cot(theta0) = 0, so theta0 = pi/2 and the residual is |lambda|.
     """
     vals = [float(v) for v in distinct]
-    if g is None:
-        g = len(vals)
-    if g != len(vals):
-        raise ValueError(f"need exactly g={g} distinct values, got {len(vals)}")
+    g = len(vals)
     if any(a <= b for a, b in zip(vals, vals[1:])):
         raise ValueError("distinct curvatures must be strictly descending")
     if g == 1:
@@ -185,11 +177,7 @@ def fit_theta0(distinct: Sequence[float], g: int | None = None) -> tuple[float, 
     return theta, math.sqrt(misfit(theta))
 
 
-def curvature_report(
-    spec: LevelSpec,
-    point: SpherePoint,
-    cluster_tol: float = 1e-4,
-) -> CurvatureReport:
+def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     """All curvature invariants of the level surface at one point."""
     frame = frame_at(point, spec)
     h = second_form(spec, frame)
@@ -202,15 +190,15 @@ def curvature_report(
     K = lambdas[0] * lambdas[1] * lambdas[2] * lambdas[3]
     R = 12.0 + f1 * f1 - S
 
-    groups = _cluster(lambdas, cluster_tol)
+    groups = _cluster(lambdas)
     distinct_desc = tuple(sum(grp) / len(grp) for grp in reversed(groups))
     mults_desc = tuple(len(grp) for grp in reversed(groups))
     g = len(groups)
 
+    # Every pattern but g = 3 is a ladder; four distinct values have multiplicity 1 each.
     theta0 = residual = None
-    ladder_pattern = g in (1, 2) or (g == 4 and mults_desc == (1, 1, 1, 1))
-    if ladder_pattern:
-        theta0, residual = fit_theta0(distinct_desc, g)
+    if g != 3:
+        theta0, residual = fit_theta0(distinct_desc)
 
     return CurvatureReport(
         point=point.coords,
@@ -246,13 +234,7 @@ class _Kahan:
         self.total = t
 
 
-def _sweep_chunk(
-    spec: LevelSpec,
-    seed: int,
-    tols: SweepTolerances,
-    start: int,
-    stop: int,
-) -> list[tuple]:
+def _sweep_chunk(spec: LevelSpec, seed: int, start: int, stop: int) -> list[tuple]:
     """Per-point results for indices [start, stop); pure and order-stable.
 
     Every index derives its own child stream from the root seed, so the
@@ -263,10 +245,8 @@ def _sweep_chunk(
     for idx in range(start, stop):
         stream = root.split(idx)
         try:
-            point, _ = sample_level_point(
-                spec, stream, tol=tols.projection_tol, max_iter=50
-            )
-            rep = curvature_report(spec, point, cluster_tol=tols.cluster_tol)
+            point, _ = sample_level_point(spec, stream)
+            rep = curvature_report(spec, point)
         except (FocalPointError, ProjectionError) as exc:
             out.append((idx, False, f"point {idx}: {exc}"))
             continue
@@ -276,32 +256,20 @@ def _sweep_chunk(
     return out
 
 
-def _classify(
-    ok_rows: list[tuple],
-    max_abs_f1: float,
-    tols: SweepTolerances,
-) -> str:
-    if not ok_rows:
-        return "inconclusive"
-    if max_abs_f1 > tols.f1_tol:
+def _classify(ok_rows: list[tuple], max_abs_f1: float, f1_tol: float) -> str:
+    """non_isoparametric when max |f1| exceeds f1_tol; otherwise the name of the
+    catalog model every row matches in (g, multiplicities) and S, if any."""
+    if max_abs_f1 > f1_tol:
         return "non_isoparametric"
     signatures = {(row[5], tuple(sorted(row[6]))) for row in ok_rows}
     if len(signatures) != 1:
         return "inconclusive"
-    (g, mults), = signatures
-    s_values = [row[3] for row in ok_rows]
-
-    def s_close(target: float) -> bool:
-        return all(abs(s - target) <= tols.s_tol for s in s_values)
-
-    if g == 1 and s_close(0.0):
-        return "equator"
-    if g == 2 and mults == (1, 3) and s_close(4.0):
-        return "clifford_1_3"
-    if g == 2 and mults == (2, 2) and s_close(4.0):
-        return "clifford_2_2"
-    if g == 4 and mults == (1, 1, 1, 1) and s_close(12.0):
-        return "cartan"
+    (signature,) = signatures
+    for model in _MODELS:
+        if (model.g, tuple(sorted(model.multiplicities))) == signature and all(
+            abs(row[3] - model.S_expected) <= S_TOL for row in ok_rows
+        ):
+            return model.name
     return "inconclusive"
 
 
@@ -309,25 +277,25 @@ def sweep_analyze(
     spec: LevelSpec,
     n: int,
     seed: int,
-    tols: SweepTolerances | None = None,
+    f1_tol: float = 1e-8,
     workers: int = 1,
 ) -> SurfaceStats:
     """Sample n surface points and aggregate their curvature invariants.
 
-    Raises RuntimeError when more than tols.max_failure_fraction of the
-    projections fail; individual failures below that are counted and the
-    first few messages kept.
+    f1_tol is the largest max |f1| (four times the mean curvature) still
+    treated as minimal. Raises RuntimeError when more than
+    MAX_FAILURE_FRACTION of the projections fail; individual failures below
+    that are counted and the first few messages kept.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    tols = tols or SweepTolerances()
 
-    parts = map_chunks(_sweep_chunk, n, workers, spec, seed, tols)
+    parts = map_chunks(_sweep_chunk, n, workers, spec, seed)
     rows = [row for part in parts for row in part]
 
     ok_rows = [r for r in rows if r[1]]
     failures = [r for r in rows if not r[1]]
-    if len(failures) > tols.max_failure_fraction * n:
+    if len(failures) > MAX_FAILURE_FRACTION * n:
         raise RuntimeError(
             f"{len(failures)}/{n} projections failed; first: {failures[0][2]}"
         )
@@ -366,6 +334,6 @@ def sweep_analyze(
         f3_spread=f3_max - f3_min,
         g_histogram=dict(sorted(hist.items())),
         theta0_mean=(theta_sum.total / n_theta) if n_theta else None,
-        verdict=_classify(ok_rows, max_abs_f1, tols),
+        verdict=_classify(ok_rows, max_abs_f1, f1_tol),
         failure_samples=tuple(r[2] for r in failures[:3]),
     )

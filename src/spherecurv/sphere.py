@@ -18,6 +18,7 @@ from .rng import RngStream, draw_gaussian
 
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
+_MAX_ITER = 50  # Newton steps per projection
 # Step halvings per Newton step. Start points next to the focal set of the
 # quartic need more than a few: one with F ~ 5e-5 needs 7.
 _MAX_HALVINGS = 12
@@ -86,7 +87,6 @@ def project_to_level(
     x0: Sequence[float],
     spec: LevelSpec,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> SpherePoint:
     """Newton-project x0 onto {|x| = 1} intersect {F = level}.
 
@@ -108,7 +108,7 @@ def project_to_level(
 
     c1, c2, grad = residuals(x)
     res = max(abs(c1), abs(c2))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if res <= tol:
             break
         # Directions: current position and field gradient.
@@ -209,8 +209,7 @@ def sample_level_point(
     spec: LevelSpec,
     stream: RngStream,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> tuple[SpherePoint, RngStream]:
     """One random point of the level surface: sphere sample then projection."""
     start, stream = sample_on_sphere(stream)
-    return project_to_level(start.coords, spec, tol=tol, max_iter=max_iter), stream
+    return project_to_level(start.coords, spec, tol=tol), stream

@@ -19,12 +19,14 @@ existed:
     1*1*2*(1-0)(2-0)(2-1) = 4.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from spherecurv import identities
 from spherecurv import (
     DerivativeTable,
     IDENTITY_NAMES,
@@ -397,3 +399,34 @@ class TestSweeps:
         a = run_identity_sweep("dpsi", 30, seed=4)
         b = run_identity_sweep("dpsi", 30, seed=4)
         assert a == b
+
+
+_TRIAL2_LAM = ["-1", "0", "1/2", "1"]
+_TRIAL2_K = ["1", "1/2", "0", "1"]
+
+# identity -> (checked function, value it returns when planted to fail, the
+# counterexample of trial 2 at seed 7). Height 2 offers 7 distinct values, so
+# the distinct draws are often redrawn; recover keeps its repeated -1/2.
+_PLANTED = {
+    "g3": ("g3_kernel", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
+    "vandermonde": ("diag_from_system", None, {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
+    "i-closed": ("I_closed", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
+    "i-sign": ("sign_lemma", False, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
+    "dpsi": ("dpsi_coeff", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
+    "recover": ("recover_curvatures", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED))
+def test_planted_failure_pins_first_counterexample(name, monkeypatch):
+    """The checked function fails from its third call on, so trial 2 is the
+    first counterexample; its drawn values pin the order of the RNG draws."""
+    attr, bad, expected = _PLANTED[name]
+    original = getattr(identities, attr)
+    calls = itertools.count()
+    monkeypatch.setattr(
+        identities, attr, lambda *a, **k: bad if next(calls) >= 2 else original(*a, **k)
+    )
+    verdict = run_identity_sweep(name, 4, seed=7, height=2)
+    assert verdict.failures == 2
+    assert verdict.first_counterexample == dict(expected, trial="2")

@@ -13,6 +13,7 @@ from spherecurv import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
     SurfaceStats,
+    VERDICTS,
     all_models,
     build_report,
     model_check,
@@ -160,6 +161,12 @@ class TestSchema:
         config = dict(VERIFY_CONFIG, trials=None, identity=None, height=None, seed=0, workers=1)
         rep = build_report("catalog", config, catalog_payload(entries), 0.2)
         validate(json.loads(to_json(rep)), REPORT_SCHEMA)
+
+    def test_verdict_enum_is_the_catalog_names_and_two_outcomes(self):
+        enum = REPORT_SCHEMA["$defs"]["analyze_results"]["properties"]["verdict"]["enum"]
+        assert enum == list(VERDICTS)
+        assert list(VERDICTS[:4]) == [m.name for m in all_models()]
+        assert VERDICTS[4:] == ("non_isoparametric", "inconclusive")
 
     def test_extra_top_level_key_rejected(self):
         rep = build_report("analyze", ANALYZE_CONFIG, stats_payload(STATS), 0.25)

@@ -8,6 +8,7 @@ gradient) as well as the magnitudes:
   x1^2 + x2^2 + x3^2 = 1/2  at (1/sqrt2, 0, 0, 1/sqrt2, 0, 0) -> (1, 1, -1, -1)
 """
 
+import inspect
 import math
 import random
 
@@ -17,7 +18,6 @@ from spherecurv import (
     LevelSpec,
     RngStream,
     SpherePoint,
-    SweepTolerances,
     cartan_field,
     cartan_level,
     coordinate_field,
@@ -32,6 +32,7 @@ from spherecurv import (
     sym_eigen,
     TangentFrame,
 )
+from spherecurv import shape
 from spherecurv.shape import misfit_derivatives
 
 SQ3 = math.sqrt(3.0)
@@ -105,18 +106,18 @@ class TestThetaFit:
         theta = math.pi / 8
         vals = [math.cos(theta + k * math.pi / g) / math.sin(theta + k * math.pi / g)
                 for k in range(g)]
-        fitted, residual = fit_theta0(vals, g)
+        fitted, residual = fit_theta0(vals)
         assert fitted == pytest.approx(theta, abs=1e-9)
         assert residual <= 1e-9
 
     def test_exact_two_value_ladder(self):
         vals = [SQ3, -1 / SQ3]
-        fitted, residual = fit_theta0(vals, 2)
+        fitted, residual = fit_theta0(vals)
         assert fitted == pytest.approx(math.pi / 6, abs=1e-9)
         assert residual <= 1e-9
 
     def test_single_value_convention(self):
-        fitted, residual = fit_theta0([0.25], 1)
+        fitted, residual = fit_theta0([0.25])
         assert fitted == math.pi / 2
         assert residual == 0.25
 
@@ -125,14 +126,12 @@ class TestThetaFit:
         vals = [math.cos(theta + k * math.pi / 4) / math.sin(theta + k * math.pi / 4)
                 for k in range(4)]
         vals[1] += 0.01
-        _, residual = fit_theta0(vals, 4)
+        _, residual = fit_theta0(vals)
         assert residual > 1e-3
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            fit_theta0([1.0, 2.0], 2)  # ascending, not descending
-        with pytest.raises(ValueError):
-            fit_theta0([3.0, 1.0], 4)  # wrong count for g
+            fit_theta0([1.0, 2.0])  # ascending, not descending
 
     @pytest.mark.parametrize("g", [2, 4])
     def test_random_ladders_recover_theta(self, g):
@@ -140,7 +139,7 @@ class TestThetaFit:
         for _ in range(500):
             theta = rng.uniform(0.01, math.pi / g - 0.01)
             vals = [1.0 / math.tan(theta + k * math.pi / g) for k in range(g)]
-            fitted, residual = fit_theta0(vals, g)
+            fitted, residual = fit_theta0(vals)
             assert abs(fitted - theta) <= 1e-12
             assert residual <= 1e-9
 
@@ -151,7 +150,7 @@ class TestThetaFit:
         rng = random.Random(200 + g)
         for _ in range(150):
             vals = sorted((rng.uniform(-4.0, 4.0) for _ in range(g)), reverse=True)
-            _, residual = fit_theta0(vals, g)
+            _, residual = fit_theta0(vals)
             assert residual <= _dense_scan_residual(vals, g) + 1e-9, vals
 
     def test_second_derivative_matches_finite_difference(self):
@@ -274,8 +273,7 @@ class TestSweep:
 
     def test_matching_signature_with_wrong_s_is_inconclusive(self):
         spec = LevelSpec(cartan_field(), cartan_level(0.3))
-        tols = SweepTolerances(f1_tol=10.0)
-        stats = sweep_analyze(spec, 12, seed=2, tols=tols)
+        stats = sweep_analyze(spec, 12, seed=2, f1_tol=10.0)
         assert stats.verdict == "inconclusive"
 
     def test_worker_count_does_not_change_results(self):
@@ -294,9 +292,8 @@ class TestSweep:
 
 
 def test_default_tolerances():
-    tols = SweepTolerances()
-    assert tols.f1_tol == 1e-8
-    assert tols.s_tol == 1e-6
-    assert tols.cluster_tol == 1e-4
-    assert tols.projection_tol == 1e-12
-    assert tols.max_failure_fraction == 0.10
+    assert inspect.signature(sweep_analyze).parameters["f1_tol"].default == 1e-8
+    assert shape.S_TOL == 1e-6
+    assert shape.CLUSTER_TOL == 1e-4
+    assert inspect.signature(sample_level_point).parameters["tol"].default == 1e-12
+    assert shape.MAX_FAILURE_FRACTION == 0.10
