@@ -18,6 +18,7 @@ Index conventions (0-based internally, matching the docstrings' 1-based math):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,7 @@ import mpmath as mp
 from mpmath.libmp import NoConvergence
 
 from .exact import RationalLike, Surd, as_rational, matrix_rank, solve_linear
-from .rng import RngStream, draw_int, draw_rational, map_chunks
+from .rng import RngStream, draw_int, draw_rational, draw_rationals, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -220,33 +221,45 @@ def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     return tuple(out)
 
 
+def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Numerators of the four closed-form I_l over one positive common denominator.
+
+    With d the lcm of the curvature denominators and a_i = lam_i d the
+    integer quadruple, the brackets and D have degrees 4 and 6, so
+    I_l = -k_l^2 bracket_l(a) d^8 / (k_den^2 D(a)^2), where K_l = k_l / k_den.
+    Everything is Python int arithmetic.
+    """
+    d = math.lcm(*(v.denominator for v in lam.lam))
+    a1, a2, a3, a4 = (v.numerator * (d // v.denominator) for v in lam.lam)
+    k_den = math.lcm(*(v.denominator for v in K))
+    ks = [v.numerator * (k_den // v.denominator) for v in K]
+    d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
+    brackets = (
+        d43 * d42 * d41 * d41 - d43 * d32 * d31 * d31 + d42 * d32 * d21 * d21,
+        d43 * d42 * d42 * d41 - d43 * d32 * d32 * d31 + d41 * d31 * d21 * d21,
+        d43 * d43 * d42 * d41 - d42 * d32 * d32 * d21 + d41 * d31 * d31 * d21,
+        d43 * d43 * d32 * d31 - d42 * d42 * d32 * d21 + d41 * d41 * d31 * d21,
+    )
+    scale = d**8
+    D = d21 * d31 * d41 * d32 * d42 * d43
+    return tuple(-k * k * b * scale for k, b in zip(ks, brackets)), (k_den * D) ** 2
+
+
 def I_closed(lam: Quadruple, K: Sequence[RationalLike]) -> Quad:
     """The same four sums in closed form: -K_l^2 / D^2 times a difference
     bracket, D = prod_{i<j} (lam_j - lam_i)."""
-    K = tuple(as_rational(v) for v in K)
-    l1, l2, l3, l4 = lam.lam
-    D = (l2 - l1) * (l3 - l1) * (l4 - l1) * (l3 - l2) * (l4 - l2) * (l4 - l3)
-    D2 = D * D
-    brackets = (
-        (l4 - l3) * (l4 - l2) * (l4 - l1) ** 2
-        + (l3 - l4) * (l3 - l2) * (l3 - l1) ** 2
-        + (l2 - l4) * (l2 - l3) * (l2 - l1) ** 2,
-        (l4 - l3) * (l4 - l2) ** 2 * (l4 - l1)
-        + (l3 - l4) * (l3 - l2) ** 2 * (l3 - l1)
-        + (l1 - l4) * (l1 - l3) * (l1 - l2) ** 2,
-        (l4 - l3) ** 2 * (l4 - l2) * (l4 - l1)
-        + (l2 - l4) * (l2 - l3) ** 2 * (l2 - l1)
-        + (l1 - l4) * (l1 - l3) ** 2 * (l1 - l2),
-        (l3 - l4) ** 2 * (l3 - l2) * (l3 - l1)
-        + (l2 - l4) ** 2 * (l2 - l3) * (l2 - l1)
-        + (l1 - l4) ** 2 * (l1 - l3) * (l1 - l2),
-    )
-    return tuple(-K[l] * K[l] * brackets[l] / D2 for l in range(4))
+    nums, den = _I_cleared(lam, tuple(as_rational(v) for v in K))
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
-    """True when every interaction sum I_l is nonpositive."""
-    return all(v <= 0 for v in I_closed(lam, K))
+    """True when every interaction sum I_l is nonpositive.
+
+    The closed forms share a positive denominator, so this reads the signs
+    of their integer numerators.
+    """
+    nums, _den = _I_cleared(lam, tuple(as_rational(v) for v in K))
+    return all(n <= 0 for n in nums)
 
 
 def gauss_R(lam: Quadruple) -> Fraction:
@@ -332,41 +345,95 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
+def _primitive(p: list) -> list[int]:
+    """Integer polynomial with coprime coefficients and the roots of the
+    rational polynomial p; coefficients leading first."""
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """q and r with lc(b)^k a = q b + r and deg r < deg b, for integer
+    polynomials (coefficients leading first); k is the number of steps."""
+    q = []
+    while len(a) >= len(b):
+        c = a[0]
+        q = [b[0] * x for x in q] + [c]
+        a = [b[0] * x - c * y for x, y in zip(a[1:], b[1:])] + [b[0] * x for x in a[len(b):]]
+    while a and a[0] == 0:
+        a = a[1:]
+    return q, a
+
+
+def _square_free_parts(f: list[int]) -> list[list[int]]:
+    """Square-free polynomials whose roots, taken together, are the roots of
+    the integer polynomial f counted with multiplicity.
+
+    f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
+    its multiplicity lowered by one, so repeating on the gcd peels one layer
+    of each repeated root at a time. The gcd runs as a primitive
+    pseudo-remainder sequence, so every step stays on integers.
+    """
+    parts = []
+    while len(f) > 1:
+        n = len(f) - 1
+        g, r = f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])
+        while r:
+            g, r = r, _primitive(_pseudo_divmod(g, r)[1])
+        parts.append(_pseudo_divmod(f, g)[0])
+        f = g
+    return parts
+
+
+def _roots(coeffs: list) -> list:
+    """Complex roots of an mpf polynomial, coefficients leading first."""
+    zero_roots = 0
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+        zero_roots += 1
+    try:
+        found = mp.polyroots(coeffs, maxsteps=300, extraprec=300)
+    except NoConvergence:
+        # Durand-Kerner stalls on triple and quadruple roots; the
+        # eigenvalues of the companion matrix do not.
+        n = len(coeffs) - 1
+        companion = [[-c / coeffs[0] for c in coeffs[1:]]]
+        companion += [[int(j == i) for j in range(n)] for i in range(n - 1)]
+        found = mp.eig(mp.matrix(companion), left=False, right=False)
+    return [mp.mpc(r) for r in found] + [mp.mpc(0)] * zero_roots
+
+
+def _elementary(p1, p2, p3):
+    """e1, e2, e3 from the power sums p1, p2, p3 (Newton's identities)."""
+    return p1, (p1 * p1 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
+
+
 def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, float, float]:
     """Curvature quadruple from power sums p1, p2, p3 and product e4.
 
     Newton's identities convert the power sums to elementary symmetric
     functions; the roots of the resulting quartic are found numerically at
-    `dps` decimal digits (exact rational or mpf inputs keep repeated roots
-    accurate far beyond double precision). Raises ValueError if any root has
-    imaginary part beyond 1e-10. Returns the four real roots ascending.
+    `dps` decimal digits. Exact rational input (int or Fraction) is first
+    split exactly into square-free factors, so repeated curvatures become
+    simple roots; mpf input keeps repeated roots accurate far beyond double
+    precision. Raises ValueError if any root has imaginary part beyond
+    1e-10. Returns the four real roots ascending.
     """
     with mp.workdps(dps):
-        p1m, p2m, p3m, e4m = (_to_mpf(v) for v in (p1, p2, p3, e4))
-        e1 = p1m
-        e2 = (p1m * p1m - p2m) / 2
-        e3 = (p1m**3 - 3 * p1m * p2m + 2 * p3m) / 6
-        coeffs = [mp.mpf(1), -e1, e2, -e3, e4m]
-        zero_roots = 0
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-            zero_roots += 1
-        try:
-            found = mp.polyroots(coeffs, maxsteps=300, extraprec=300)
-        except NoConvergence:
-            # Durand-Kerner stalls on triple and quadruple roots; the
-            # eigenvalues of the companion matrix do not.
-            n = len(coeffs) - 1
-            companion = [[-c for c in coeffs[1:]]]
-            companion += [[int(j == i) for j in range(n)] for i in range(n - 1)]
-            found = mp.eig(mp.matrix(companion), left=False, right=False)
-        roots = [mp.mpc(r) for r in found]
-        roots.extend(mp.mpc(0) for _ in range(zero_roots))
+        if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
+            e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
+            polys = _square_free_parts(_primitive([1, -e1, e2, -e3, e4]))
+        else:
+            e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
+            polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
         out = []
-        for rt in roots:
-            if abs(mp.im(rt)) > mp.mpf("1e-10"):
-                raise ValueError(f"curvature root is not real: {rt}")
-            out.append(float(mp.re(rt)))
+        for poly in polys:
+            for rt in _roots([_to_mpf(c) for c in poly]):
+                if abs(mp.im(rt)) > mp.mpf("1e-10"):
+                    raise ValueError(f"curvature root is not real: {rt}")
+                out.append(float(mp.re(rt)))
     return tuple(sorted(out))
 
 
@@ -394,12 +461,9 @@ def _draw_rationals(
 ) -> tuple[tuple[Fraction, ...], RngStream]:
     """n rationals of the given height; with distinct, redraw all n until no two are equal."""
     while True:
-        vals = []
-        for _ in range(n):
-            v, stream = draw_rational(stream, height)
-            vals.append(v)
+        vals, stream = draw_rationals(stream, height, n)
         if not distinct or len(set(vals)) == n:
-            return tuple(vals), stream
+            return vals, stream
 
 
 def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[Quadruple, RngStream]:

@@ -74,10 +74,26 @@ def map_chunks(fn, n: int, workers: int, *args) -> list:
         return list(pool.map(fn, *([a] * len(bounds) for a in args), *zip(*bounds)))
 
 
+def _output(seed: int, counter: int) -> int:
+    """Raw 64-bit output number `counter` (counting from 1) of the sequence `seed`."""
+    return _mix64(seed + (counter * _GOLDEN & _MASK64))
+
+
+def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
+    """Uniform integer in [0, n), bias-free via rejection, with the counter of
+    the accepted output."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        counter += 1
+        raw = _output(seed, counter)
+        if raw < limit:
+            return raw % n, counter
+
+
 def draw_u64(stream: RngStream) -> tuple[int, RngStream]:
     """The stream's next raw 64-bit output, with the advanced stream."""
     counter = stream.counter + 1
-    return _mix64(stream.seed + (counter * _GOLDEN & _MASK64)), RngStream(stream.seed, counter)
+    return _output(stream.seed, counter), RngStream(stream.seed, counter)
 
 
 def draw_float(stream: RngStream, lo: float, hi: float) -> tuple[float, RngStream]:
@@ -93,25 +109,34 @@ def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     """Uniform integer in [lo, hi], bias-free via rejection."""
     if lo > hi:
         raise ValueError(f"invalid int range [{lo}, {hi}]")
-    n = hi - lo + 1
-    limit = (1 << 64) - ((1 << 64) % n)
-    s = stream
-    while True:
-        raw, s = draw_u64(s)
-        if raw < limit:
-            return lo + raw % n, s
+    value, counter = _below(stream.seed, stream.counter, hi - lo + 1)
+    return lo + value, RngStream(stream.seed, counter)
 
 
-def draw_rational(stream: RngStream, height: int) -> tuple[Fraction, RngStream]:
-    """Random reduced fraction with |numerator| <= height, 1 <= denominator <= height.
+def draw_rationals(stream: RngStream, height: int, n: int) -> tuple[tuple[Fraction, ...], RngStream]:
+    """n random reduced fractions, each with |numerator| <= height and
+    1 <= denominator <= height, with the stream after the last.
 
-    The bound survives reduction, so the height contract is exact.
+    Each value draws its numerator as draw_int(-height, height) and then its
+    denominator as draw_int(1, height); the counter is walked as a plain int
+    and one stream is built at the end. The bound survives reduction, so the
+    height contract is exact.
     """
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    num, s = draw_int(stream, -height, height)
-    den, s = draw_int(s, 1, height)
-    return Fraction(num, den), s
+    seed, counter = stream.seed, stream.counter
+    vals = []
+    for _ in range(n):
+        num, counter = _below(seed, counter, 2 * height + 1)
+        den, counter = _below(seed, counter, height)
+        vals.append(Fraction(num - height, den + 1))
+    return tuple(vals), RngStream(seed, counter)
+
+
+def draw_rational(stream: RngStream, height: int) -> tuple[Fraction, RngStream]:
+    """One random reduced fraction of the given height: draw_rationals with n = 1."""
+    vals, stream = draw_rationals(stream, height, 1)
+    return vals[0], stream
 
 
 def draw_gaussian(stream: RngStream) -> tuple[float, RngStream]:

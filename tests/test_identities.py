@@ -173,8 +173,56 @@ class TestDiagonalTable:
             diag_from_K(LAM_1234, (F(1), F(0), F(0)))
 
 
+def _fraction_I_closed(lam, K):
+    """The closed form written out over Fraction, as it was before the
+    integer kernel; kept as the reference the kernel must equal."""
+    l1, l2, l3, l4 = lam.lam
+    D = (l2 - l1) * (l3 - l1) * (l4 - l1) * (l3 - l2) * (l4 - l2) * (l4 - l3)
+    brackets = (
+        (l4 - l3) * (l4 - l2) * (l4 - l1) ** 2
+        + (l3 - l4) * (l3 - l2) * (l3 - l1) ** 2
+        + (l2 - l4) * (l2 - l3) * (l2 - l1) ** 2,
+        (l4 - l3) * (l4 - l2) ** 2 * (l4 - l1)
+        + (l3 - l4) * (l3 - l2) ** 2 * (l3 - l1)
+        + (l1 - l4) * (l1 - l3) * (l1 - l2) ** 2,
+        (l4 - l3) ** 2 * (l4 - l2) * (l4 - l1)
+        + (l2 - l4) * (l2 - l3) ** 2 * (l2 - l1)
+        + (l1 - l4) * (l1 - l3) ** 2 * (l1 - l2),
+        (l3 - l4) ** 2 * (l3 - l2) * (l3 - l1)
+        + (l2 - l4) ** 2 * (l2 - l3) * (l2 - l1)
+        + (l1 - l4) ** 2 * (l1 - l3) * (l1 - l2),
+    )
+    return tuple(-K[l] * K[l] * brackets[l] / (D * D) for l in range(4))
+
+
 class TestInteractionSums:
     K_ONES = (F(1), F(1), F(1), F(1))
+
+    def test_integer_kernel_matches_fraction_reference(self):
+        """I_closed equals the Fraction closed form, and the integer numerators
+        over their positive denominator carry its signs, zero included, which
+        is all sign_lemma reads. Every third quadruple is rotated out of order;
+        the sums only permute under relabelling, so every bracket stays
+        nonnegative and no real input makes the lemma fail."""
+        root = RngStream(2024)
+        zeros = 0
+        for i in range(2400):
+            stream = root.split(i)
+            height = (2, 3, 50, 1000)[i % 4]
+            quad, stream = identities._draw_distinct_quadruple(stream, height)
+            K, stream = identities._draw_rationals(stream, height, 4)
+            if i % 7 == 0:
+                K = K[:2] + (F(0),) + K[3:]
+            if i % 3 == 0:
+                object.__setattr__(quad, "lam", quad.lam[1:] + quad.lam[:1])
+            ref = _fraction_I_closed(quad, K)
+            assert I_closed(quad, K) == ref
+            nums, den = identities._I_cleared(quad, K)
+            assert den > 0
+            assert [(n > 0) - (n < 0) for n in nums] == [(v > 0) - (v < 0) for v in ref]
+            assert sign_lemma(quad, K) == all(v <= 0 for v in ref)
+            zeros += ref.count(0)
+        assert zeros > 300
 
     def test_frozen_value(self):
         assert I_closed(LAM_1234, self.K_ONES) == (F(-1, 9),) * 4
@@ -325,9 +373,9 @@ class TestRecoverCurvatures:
     def test_all_zero(self):
         assert recover_curvatures(F(0), F(0), F(0), F(0)) == (0.0, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize(
-        "vals", [(-1, -1, -1, -1), (-1, -1, -1, 0), (0, 1, 1, 1), (1, 1, 1, 1), (F(1, 2),) * 4]
-    )
+    REPEATED = [(-1, -1, -1, -1), (-1, -1, -1, 0), (0, 1, 1, 1), (1, 1, 1, 1), (F(1, 2),) * 4]
+
+    @pytest.mark.parametrize("vals", REPEATED)
     def test_triple_and_quadruple_roots(self, vals):
         """polyroots does not converge on these; the companion-matrix
         eigenvalues recover them well inside the sweep's 1e-9."""
@@ -338,6 +386,22 @@ class TestRecoverCurvatures:
         e4 = vals[0] * vals[1] * vals[2] * vals[3]
         roots = recover_curvatures(p1, p2, p3, e4)
         assert roots == pytest.approx([float(v) for v in vals], abs=1e-9)
+
+    @pytest.mark.parametrize("vals", REPEATED + [(-2, F(1, 3), F(1, 3), 5), (0, 0, 7, 7)])
+    def test_rational_repeated_roots_are_split_exactly(self, vals, monkeypatch):
+        """Exact input is split into square-free factors before root finding,
+        so polyroots converges and the companion-matrix fallback is never taken."""
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("companion-matrix fallback taken")
+
+        monkeypatch.setattr(mp, "eig", no_fallback)
+        vals = [F(v) for v in vals]
+        p1 = sum(vals)
+        p2 = sum(v * v for v in vals)
+        p3 = sum(v**3 for v in vals)
+        e4 = vals[0] * vals[1] * vals[2] * vals[3]
+        assert recover_curvatures(p1, p2, p3, e4) == pytest.approx([float(v) for v in vals], abs=1e-12)
 
     @pytest.mark.parametrize("height, trials", [(1, 20), (2, 40)])
     def test_sweep_at_small_heights(self, height, trials):

@@ -12,6 +12,7 @@ from spherecurv import (
     draw_gaussian,
     draw_int,
     draw_rational,
+    draw_rationals,
     draw_u64,
 )
 from spherecurv.rng import chunk_bounds, map_chunks
@@ -133,6 +134,40 @@ def test_draw_rational_height_contract():
             assert 1 <= q.denominator <= height
     with pytest.raises(ValueError):
         draw_rational(s, 0)
+
+
+def _reference_draw_rational(stream, height):
+    """One rational the per-value way: numerator in [-height, height], then
+    denominator in [1, height], each by rejection on raw 64-bit draws."""
+    parts = []
+    for lo, hi in ((-height, height), (1, height)):
+        n = hi - lo + 1
+        limit = (1 << 64) - ((1 << 64) % n)
+        raw, stream = draw_u64(stream)
+        while raw >= limit:
+            raw, stream = draw_u64(stream)
+        parts.append(lo + raw % n)
+    return Fraction(*parts), stream
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 1000])
+def test_draw_rationals_matches_successive_single_draws(height):
+    root = RngStream(271828)
+    for key in range(300):
+        start = root.split(key)
+        for n in range(9):
+            vals, end = draw_rationals(start, height, n)
+            single, ref = [], []
+            s = t = start
+            for _ in range(n):
+                v, s = draw_rational(s, height)
+                single.append(v)
+                w, t = _reference_draw_rational(t, height)
+                ref.append(w)
+            assert vals == tuple(single) == tuple(ref)
+            assert end == s == t
+    with pytest.raises(ValueError):
+        draw_rationals(root, 0, 4)
 
 
 def test_draw_gaussian_moments():
