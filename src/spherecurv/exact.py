@@ -18,7 +18,10 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce int/str/Fraction to Fraction; floats are rejected on purpose."""
+    """Coerce int/str/Fraction to Fraction; floats are rejected on purpose.
+    A Fraction is returned as it is."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("float input would silently break exactness; pass a Fraction")
     return Fraction(x)

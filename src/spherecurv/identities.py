@@ -18,6 +18,7 @@ Index conventions (0-based internally, matching the docstrings' 1-based math):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,8 +369,8 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _square_free_parts(f: list[int]) -> list[list[int]]:
-    """Square-free polynomials whose roots, taken together, are the roots of
-    the integer polynomial f counted with multiplicity.
+    """Square-free primitive polynomials whose roots, taken together, are
+    the roots of the integer polynomial f counted with multiplicity.
 
     f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
     its multiplicity lowered by one, so repeating on the gcd peels one layer
@@ -382,9 +383,77 @@ def _square_free_parts(f: list[int]) -> list[list[int]]:
         g, r = f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])
         while r:
             g, r = r, _primitive(_pseudo_divmod(g, r)[1])
-        parts.append(_pseudo_divmod(f, g)[0])
+        parts.append(_primitive(_pseudo_divmod(f, g)[0]))
         f = g
     return parts
+
+
+def _estimates(f: list[int]) -> list[complex]:
+    """Float estimates of all roots of the integer polynomial f, by
+    Durand-Kerner iteration from a circle that encloses every root
+    (Fujiwara's bound)."""
+    n = len(f) - 1
+    c = [x / f[0] for x in f[1:]]
+    radius = 2 * max(abs(x) ** (1 / k) for k, x in enumerate(c, 1))
+    # Turned off the real axis by 0.4 rad: a start closed under conjugation
+    # would stay so through every step on real coefficients.
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(100):
+        moved = False
+        for k, zk in enumerate(z):
+            v = 1.0
+            for x in c:
+                v = v * zk + x
+            d = 1.0
+            for j, zj in enumerate(z):
+                if j != k:
+                    d *= zk - zj
+            step = v / d
+            z[k] = zk - step
+            moved = moved or abs(step) > 1e-9 * max(1.0, abs(zk))
+        if not moved:
+            break
+    return z
+
+
+def _rational_roots(f: list[int]) -> list[Fraction] | None:
+    """The roots of the square-free integer polynomial f, exactly, when all
+    are rational; None when they cannot all be found that way.
+
+    By the rational root theorem a rational root p/q of f has q | lc(f), so
+    it is m / lc(f) for an integer m, a root of phi(m) = lc^n f(m / lc).
+    Each float estimate is rounded to that integer grid and refined there
+    by Newton's method with every step rounded to an integer; m is kept
+    only where phi(m) is exactly 0. Distinct kept values number at most
+    deg f, and when there are that many they are all the roots.
+    """
+    lc = f[0]
+    scaled = [c * lc**k for k, c in enumerate(f)]
+    try:
+        estimates = _estimates(f)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    found = set()
+    for z in estimates:
+        if not math.isfinite(z.real):
+            return None
+        m = round(Fraction(z.real) * lc)
+        for _ in range(64):
+            v = dv = 0
+            for c in scaled:
+                dv = dv * m + v
+                v = v * m + c
+            if v == 0:
+                found.add(m)
+                break
+            # the integer nearest to the Newton step v / dv
+            step = (2 * v + dv) // (2 * dv) if dv else 0
+            if step == 0:
+                break
+            m -= step
+    if len(found) < len(f) - 1:
+        return None
+    return [Fraction(m, lc) for m in found]
 
 
 def _roots(coeffs: list) -> list:
@@ -414,15 +483,21 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     """Curvature quadruple from power sums p1, p2, p3 and product e4.
 
     Newton's identities convert the power sums to elementary symmetric
-    functions; the roots of the resulting quartic are found numerically at
-    `dps` decimal digits. Exact rational input (int or Fraction) is first
-    split exactly into square-free factors, so repeated curvatures become
-    simple roots; mpf input keeps repeated roots accurate far beyond double
+    functions of a quartic. Exact rational input (int or Fraction) is split
+    exactly into square-free integer factors, so repeated curvatures become
+    simple roots, and each factor's roots are first sought exactly: float
+    estimates refined on integers and kept only where the factor vanishes
+    (`_rational_roots`), each returned as the correctly rounded float of
+    the rational root. Only a factor with an irrational or complex root, or
+    one that refinement cannot resolve, falls back to finding its roots
+    numerically with mpmath at `dps` decimal digits; mpf input always takes
+    that path, which keeps repeated roots accurate far beyond double
     precision. Raises ValueError if any root has imaginary part beyond
     1e-10. Returns the four real roots ascending.
     """
+    rational = all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4))
     with mp.workdps(dps):
-        if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
+        if rational:
             e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
             polys = _square_free_parts(_primitive([1, -e1, e2, -e3, e4]))
         else:
@@ -430,6 +505,10 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
             polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
         out = []
         for poly in polys:
+            exact = _rational_roots(poly) if rational else None
+            if exact is not None:
+                out += map(float, exact)
+                continue
             for rt in _roots([_to_mpf(c) for c in poly]):
                 if abs(mp.im(rt)) > mp.mpf("1e-10"):
                     raise ValueError(f"curvature root is not real: {rt}")
@@ -502,7 +581,8 @@ def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
     K_l, stream = draw_rational(stream, height)
     l, stream = draw_int(stream, 0, 3)
     K = tuple(K_l if m == l else Fraction(0) for m in range(4))
-    expected = tuple(diag_from_K(quad, K)[i][l] for i in range(4))
+    diag = diag_from_K(quad, K)
+    expected = tuple(diag[i][l] for i in range(4))
     solved = diag_from_system(quad, K_l, l)
     if solved != expected:
         return {"lam": _fmt(quad.lam), "K_l": str(K_l), "l": str(l)}

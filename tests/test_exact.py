@@ -13,6 +13,11 @@ def test_as_rational_accepts_int_str_fraction():
     assert as_rational(Fraction(-5, 9)) == Fraction(-5, 9)
 
 
+def test_as_rational_returns_a_fraction_unchanged():
+    x = Fraction(-5, 9)
+    assert as_rational(x) is x
+
+
 def test_as_rational_rejects_float():
     with pytest.raises(TypeError):
         as_rational(0.5)

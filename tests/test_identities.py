@@ -38,6 +38,7 @@ from spherecurv import (
     diag_from_system,
     dpsi_coeff,
     draw_rational,
+    draw_rationals,
     g2_solve,
     g3_kernel,
     g3_matrix,
@@ -377,8 +378,7 @@ class TestRecoverCurvatures:
 
     @pytest.mark.parametrize("vals", REPEATED)
     def test_triple_and_quadruple_roots(self, vals):
-        """polyroots does not converge on these; the companion-matrix
-        eigenvalues recover them well inside the sweep's 1e-9."""
+        """Triple and quadruple roots come back well inside the sweep's 1e-9."""
         vals = [F(v) for v in vals]
         p1 = sum(vals)
         p2 = sum(v * v for v in vals)
@@ -390,7 +390,7 @@ class TestRecoverCurvatures:
     @pytest.mark.parametrize("vals", REPEATED + [(-2, F(1, 3), F(1, 3), 5), (0, 0, 7, 7)])
     def test_rational_repeated_roots_are_split_exactly(self, vals, monkeypatch):
         """Exact input is split into square-free factors before root finding,
-        so polyroots converges and the companion-matrix fallback is never taken."""
+        so the companion-matrix fallback is never taken."""
 
         def no_fallback(*args, **kwargs):
             raise AssertionError("companion-matrix fallback taken")
@@ -402,6 +402,66 @@ class TestRecoverCurvatures:
         p3 = sum(v**3 for v in vals)
         e4 = vals[0] * vals[1] * vals[2] * vals[3]
         assert recover_curvatures(p1, p2, p3, e4) == pytest.approx([float(v) for v in vals], abs=1e-12)
+
+    # 10^9 is beyond what float estimates resolve alone: the leading
+    # coefficient of a factor reaches about 10^36 there.
+    @pytest.mark.parametrize("height", [1, 2, 1000, 10**6, 10**9])
+    def test_rational_input_is_solved_exactly(self, height, monkeypatch):
+        """Rational curvatures, repeats included, come back as the correctly
+        rounded floats of the exact values without any mpmath root finding."""
+
+        def no_mpmath(*args, **kwargs):
+            raise AssertionError("mpmath root finding reached")
+
+        monkeypatch.setattr(mp, "polyroots", no_mpmath)
+        monkeypatch.setattr(mp, "eig", no_mpmath)
+        for i in range(80):
+            vals = sorted(draw_rationals(RngStream(606).split(i), height, 4)[0])
+            if i % 4 == 0:
+                vals[1 + i % 3] = vals[i % 3]
+            p1 = sum(vals)
+            p2 = sum(v * v for v in vals)
+            p3 = sum(v**3 for v in vals)
+            e4 = vals[0] * vals[1] * vals[2] * vals[3]
+            assert recover_curvatures(p1, p2, p3, e4) == tuple(float(v) for v in sorted(vals))
+
+    def test_rational_roots_are_verified_exactly(self):
+        """Roots are kept only where the factor vanishes exactly: the
+        irrational roots +-sqrt(2), +-sqrt(3) round to four distinct
+        integers, and none of them is accepted; on the grid of 10^-30 the
+        refinement of +-sqrt(2 + 10^-30) moves before it stalls."""
+        assert identities._rational_roots([1, 0, -5, 0, 6]) is None
+        assert identities._rational_roots([1, 0, -2]) is None
+        assert identities._rational_roots([10**30, 0, -(2 * 10**30 + 1)]) is None
+        assert sorted(identities._rational_roots([6, -5, -8, 3])) == [F(-1), F(1, 3), F(3, 2)]
+
+    with mp.workdps(60):
+        P3_TRIPLE = 8 * mp.sqrt(3) / 3
+
+    @pytest.mark.parametrize(
+        "p, dps, raises",
+        [
+            ((F(0), F(12), F(0), F(1)), 50, False),  # +-(sqrt(2) +- 1)
+            ((F(0), F(10), F(0), F(6)), 50, False),  # +-sqrt(2), +-sqrt(3)
+            ((F(0), F(0), F(0), F(1)), 50, True),  # the fourth roots of -1
+            ((F(0), F(4), P3_TRIPLE, F(-1, 3)), 60, False),  # mpf input, a triple root
+        ],
+    )
+    def test_fallback_reaches_mpmath(self, p, dps, raises, monkeypatch):
+        calls = itertools.count()
+        polyroots = mp.polyroots
+
+        def counted(*args, **kwargs):
+            next(calls)
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "polyroots", counted)
+        if raises:
+            with pytest.raises(ValueError, match="not real"):
+                recover_curvatures(*p, dps=dps)
+        else:
+            recover_curvatures(*p, dps=dps)
+        assert next(calls) >= 1
 
     @pytest.mark.parametrize("height, trials", [(1, 20), (2, 40)])
     def test_sweep_at_small_heights(self, height, trials):
