@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .fields import cartan_field, coordinate_field
 from .sphere import LevelSpec
 
@@ -29,6 +27,8 @@ _DEFAULT_DPS = 50
 
 def _eval_form(form: tuple, dps: int):
     """Evaluate a curvature closed-form tag at dps decimal digits."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         kind = form[0]
         if kind == "rational":
@@ -180,6 +180,8 @@ def model_check(model: IsoModel, dps: int = _DEFAULT_DPS) -> list[CheckResult]:
     Closed forms are evaluated at `dps` digits; analytic identities must hold
     to 10^-(dps-10), integer identities exactly.
     """
+    import mpmath as mp
+
     results: list[CheckResult] = []
     tol = mp.mpf(10) ** (-(dps - 10))
 

@@ -5,6 +5,11 @@ denominator, so every arithmetic identity asserted in this package is checked
 with zero rounding error. Surd adds the one extension field we need, numbers
 of the form q*sqrt(r) with q, r rational, closed under the operations used by
 the two-curvature solver.
+
+The linear algebra runs on Python ints: each row is scaled by the lcm of its
+denominators, which changes neither the rank nor the solution, and Bareiss
+fraction-free elimination keeps every entry an integer. A solution becomes
+Fractions once, at the end of back substitution.
 """
 
 from __future__ import annotations
@@ -70,11 +75,20 @@ class Surd:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "radicand", rad)
 
+    @classmethod
+    def _normalized(cls, coef: Fraction, radicand: Fraction) -> "Surd":
+        """A Surd from a radicand that is already a square-free integer, as
+        every existing Surd's is, without splitting it again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "coef", coef)
+        object.__setattr__(s, "radicand", radicand if coef != 0 else Fraction(1))
+        return s
+
     def __float__(self) -> float:
         return float(self.coef) * math.sqrt(float(self.radicand))
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.coef, self.radicand)
+        return Surd._normalized(-self.coef, self.radicand)
 
     def __add__(self, other: "Surd") -> "Surd":
         if not isinstance(other, Surd):
@@ -85,10 +99,10 @@ class Surd:
             return self
         if self.radicand != other.radicand:
             raise ValueError("sum of surds over different radicands is not a Surd")
-        return Surd(self.coef + other.coef, self.radicand)
+        return Surd._normalized(self.coef + other.coef, self.radicand)
 
     def __rmul__(self, scalar: RationalLike) -> "Surd":
-        return Surd(as_rational(scalar) * self.coef, self.radicand)
+        return Surd._normalized(as_rational(scalar) * self.coef, self.radicand)
 
     def squared(self) -> Fraction:
         return self.coef * self.coef * self.radicand
@@ -97,13 +111,29 @@ class Surd:
         return self.coef == 0
 
 
-def _reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination in place over the first ncols columns.
+def _int_rows(matrix: Sequence[Sequence[RationalLike]]) -> list[list[int]]:
+    """Each row of a rational matrix scaled by the lcm of its denominators."""
+    out = []
+    for row in matrix:
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        den = math.lcm(*(v.denominator for v in vals))
+        out.append([v.numerator * (den // v.denominator) for v in vals])
+    return out
 
-    Pivot k ends in row k and is cleared from every other row; returns the
-    pivot columns in order, so their count is the rank.
+
+def _reduce(rows: list[list[int]], ncols: int) -> list[int]:
+    """Bareiss fraction-free elimination in place over the first ncols columns.
+
+    Pivot k ends in row k and is eliminated from the rows below it: each
+    entry right of the pivot becomes (p x - f y) / prev, with p the pivot,
+    f the row's entry under it, y the pivot row's entry above x, and prev the
+    previous pivot (1 at first). By Sylvester's identity every entry is then
+    a minor of the input, so the division is exact (Bareiss 1968); it is
+    checked all the same. Returns the pivot columns in order, so their count
+    is the rank.
     """
     pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == len(rows):
@@ -113,27 +143,43 @@ def _reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / prow[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            row[col] = 0
+            for c in range(col + 1, len(row)):
+                row[c], rem = divmod(p * row[c] - f * prow[c], prev)
+                if rem:
+                    raise RuntimeError("inexact Bareiss division (unreachable)")
+        prev = p
         pivots.append(col)
     return pivots
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination, exactly.
+    """Solve a square rational system by fraction-free elimination, exactly.
 
-    Raises ValueError on a singular matrix.
+    After elimination the last pivot is the determinant det of the scaled
+    system, up to the sign of the row swaps, so det * x is an integer
+    vector (Cramer's rule); back substitution finds it on ints and divides
+    by det once. Raises ValueError on a singular matrix.
     """
     n = len(rhs)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    aug = _int_rows([[matrix[i][j] for j in range(n)] + [rhs[i]] for i in range(n)])
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular system")
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+    det = aug[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = aug[i]
+        y[i], rem = divmod(det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        if rem:
+            raise RuntimeError("inexact back substitution (unreachable)")
+    return [Fraction(v, det) for v in y]
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact row reduction."""
-    rows = [list(map(Fraction, row)) for row in matrix]
+    """Rank of a rational matrix by exact fraction-free row reduction."""
+    rows = _int_rows(matrix)
     return len(_reduce(rows, len(rows[0]))) if rows else 0

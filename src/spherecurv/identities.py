@@ -4,8 +4,14 @@ Context: a minimal hypersurface of S^5 with constant scalar invariants and
 four principal curvature functions lambda_1 < ... < lambda_4. The classifying
 argument runs through a chain of algebraic identities in the curvatures and
 the symmetric derivative components h_abc; each identity is implemented here
-over Fraction so it can be checked with zero rounding error at random
-rational inputs.
+in exact arithmetic so it can be checked with zero rounding error at random
+rational inputs. Values go in and come out as Fractions. Inside, the kernels
+of the four-curvature identities (diag_from_K, diag_from_system, I_def,
+I_closed, sign_lemma, gauss_R, dpsi_coeff) run on Python ints: the
+quadruple is scaled by the lcm d of its denominators to integers a_i = lam_i d,
+K and the mixed components are cleared the same way, and Fractions are
+built only for the returned values. The definition side never calls the
+closed forms.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -24,9 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
-
-import mpmath as mp
-from mpmath.libmp import NoConvergence
 
 from .exact import RationalLike, Surd, as_rational, matrix_rank, solve_linear
 from .rng import RngStream, draw_int, draw_rational, draw_rationals, map_chunks
@@ -71,8 +74,11 @@ class DerivativeTable:
         return diag_from_K(self.lam, self.K)
 
     def mixed_component(self, a: int, b: int, c: int) -> Fraction:
-        key = tuple(sorted((a, b, c)))
-        return self.mixed[_MIXED_KEYS.index(key)]
+        return self.mixed[_mixed_index(a, b, c)]
+
+
+def _mixed_index(a: int, b: int, c: int) -> int:
+    return _MIXED_KEYS.index(tuple(sorted((a, b, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -147,58 +153,77 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
 # Four distinct curvatures: repeated-index components
 
 
+def _scaled(lam: Quadruple) -> tuple[int, list[int]]:
+    """The lcm d of the curvature denominators and the integers a_i = lam_i d."""
+    d = math.lcm(*(v.denominator for v in lam.lam))
+    return d, [v.numerator * (d // v.denominator) for v in lam.lam]
+
+
+def _cleared(vals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals vals over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _cofactors(a: Sequence[int]) -> list[int]:
+    """P_i = prod_{j != i} (a_j - a_i) for the integer quadruple a."""
+    a1, a2, a3, a4 = a
+    d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
+    return [d21 * d31 * d41, -d21 * d32 * d42, d31 * d32 * d43, -d41 * d42 * d43]
+
+
+def _diag_cleared(
+    lam: Quadruple, K: Sequence[Fraction]
+) -> tuple[int, list[int], list[int], list[int], int]:
+    """(d, a, P, k, k_den) with h_il = k_l d^3 / (k_den P_i).
+
+    With lam_i = a_i / d, prod_{j != i} (lam_j - lam_i) = P_i / d^3, and
+    K_l = k_l / k_den. Column l is k_l d^3 / k_den times (1 / P_i)_i, so the
+    three moment constraints hold for every column exactly when
+    sum_i a_i^m / P_i = 0 for m = 0, 1, 2; they are checked on ints as
+    sum_i a_i^m prod_{j != i} P_j = 0.
+    """
+    d, a = _scaled(lam)
+    P = _cofactors(a)
+    ks, k_den = _cleared(K)
+    p0, p1, p2, p3 = P
+    rest = (p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2)
+    for m in range(3):
+        if sum(x**m * r for x, r in zip(a, rest)) != 0:
+            raise RuntimeError("moment constraints violated (unreachable)")
+    return d, a, P, ks, k_den
+
+
 def diag_from_K(lam: Quadruple, K: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...]:
     """h_iil = K_l / prod_{j != i} (lam_j - lam_i), for all i, l.
 
     Each column is the unique solution of the three moment constraints with
-    the prescribed K_l; the constraints are re-verified exactly on every call.
+    the prescribed K_l; the constraints are re-verified exactly on every
+    call. Computed on Python ints, with one Fraction per entry at the end.
     """
     K = tuple(as_rational(v) for v in K)
     if len(K) != 4:
         raise ValueError("K has four entries")
-    ls = lam.lam
-    denom = []
-    for i in range(4):
-        d = Fraction(1)
-        for j in range(4):
-            if j != i:
-                d *= ls[j] - ls[i]
-        denom.append(d)
-    diag = tuple(tuple(K[l] / denom[i] for l in range(4)) for i in range(4))
-    for l in range(4):
-        col = [diag[i][l] for i in range(4)]
-        z0 = col[0] + col[1] + col[2] + col[3]
-        z1 = sum(ls[i] * col[i] for i in range(4))
-        z2 = sum(ls[i] * ls[i] * col[i] for i in range(4))
-        if z0 != 0 or z1 != 0 or z2 != 0:
-            raise RuntimeError("moment constraints violated (unreachable)")
-    return diag
+    d, _a, P, ks, k_den = _diag_cleared(lam, K)
+    d3 = d**3
+    return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in P)
 
 
 def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fraction, ...]:
     """Column l of the repeated-index table, from first principles.
 
     Solves the 4x4 system {three moment constraints} + {K equation} by exact
-    elimination, with no reference to the closed form. Agreement with
-    diag_from_K is the correctness check for both.
+    fraction-free elimination, with no reference to the closed form.
+    Agreement with diag_from_K is the correctness check for both.
     """
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
-    ls = lam.lam
-    prods = []
-    for i in range(4):
-        pr = Fraction(1)
-        for j in range(4):
-            if j != i:
-                pr *= ls[j]
-        prods.append(pr)
-    matrix = [
-        [Fraction(1)] * 4,
-        list(ls),
-        [v * v for v in ls],
-        prods,
-    ]
-    rhs = [Fraction(0), Fraction(0), Fraction(0), as_rational(K_l)]
+    d, a = _scaled(lam)
+    prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
+    # Equation m in lam_i = a_i / d is multiplied through by d^m (d^3 for the
+    # K equation), which leaves the solution unchanged and the matrix integer.
+    matrix = [[1] * 4, a, [v * v for v in a], prods]
+    rhs = [0, 0, 0, as_rational(K_l) * d**3]
     return tuple(solve_linear(matrix, rhs))
 
 
@@ -208,17 +233,20 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
 
 def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     """I_l = sum over pairs i < j (both != l) of
-    h_iil h_jjl / ((lam_l - lam_i)(lam_l - lam_j))."""
-    ls = lam.lam
+    h_iil h_jjl / ((lam_l - lam_i)(lam_l - lam_j)).
+
+    On ints: with a_i = lam_i d and column l's three entries h_il = n_i / c_l
+    over one integer c_l, the pair (i, j) with third index k contributes
+    d^2 n_i n_j (a_l - a_k) / (c_l^2 prod_{x != l} (a_l - a_x)).
+    """
+    d, a = _scaled(lam)
     out = []
     for l in range(4):
-        others = [i for i in range(4) if i != l]
-        acc = Fraction(0)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                i, j = others[a], others[b]
-                acc += diag[i][l] * diag[j][l] / ((ls[l] - ls[i]) * (ls[l] - ls[j]))
-        out.append(acc)
+        i, j, k = (x for x in range(4) if x != l)
+        (ni, nj, nk), c = _cleared((diag[i][l], diag[j][l], diag[k][l]))
+        ei, ej, ek = a[l] - a[i], a[l] - a[j], a[l] - a[k]
+        num = ni * nj * ek + ni * nk * ej + nj * nk * ei
+        out.append(Fraction(d * d * num, c * c * ei * ej * ek))
     return tuple(out)
 
 
@@ -230,10 +258,8 @@ def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], 
     I_l = -k_l^2 bracket_l(a) d^8 / (k_den^2 D(a)^2), where K_l = k_l / k_den.
     Everything is Python int arithmetic.
     """
-    d = math.lcm(*(v.denominator for v in lam.lam))
-    a1, a2, a3, a4 = (v.numerator * (d // v.denominator) for v in lam.lam)
-    k_den = math.lcm(*(v.denominator for v in K))
-    ks = [v.numerator * (k_den // v.denominator) for v in K]
+    d, (a1, a2, a3, a4) = _scaled(lam)
+    ks, k_den = _cleared(K)
     d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
     brackets = (
         d43 * d42 * d41 * d41 - d43 * d32 * d31 * d31 + d42 * d32 * d21 * d21,
@@ -265,13 +291,9 @@ def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
 
 def gauss_R(lam: Quadruple) -> Fraction:
     """Scalar curvature sum over ordered pairs: sum_{i != j} (1 + lam_i lam_j)."""
-    ls = lam.lam
-    acc = Fraction(0)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                acc += 1 + ls[i] * ls[j]
-    return acc
+    d, a = _scaled(lam)
+    # 12 + (sum lam)^2 - sum lam^2 over the common denominator d^2
+    return Fraction(12 * d * d + sum(a) ** 2 - sum(x * x for x in a), d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +322,52 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     sectional curvature enters as R_klkl = 1 + lam_k lam_l. The fully mixed
     components appear with weight -2/((lam_k-lam_m)(lam_l-lam_m)) per term and
     cancel in the total, which the exact sweep verifies rather than assumes.
+
+    Everything runs on Python ints, with lam_i = a_i / d, K_l = k_l / k_den,
+    mixed = m / m_den, h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i).
+    Three accumulators collect the h h terms over k_den^2 D^2 / d^8, the mixed
+    terms over m_den^2 D / d^2 and the curvature terms over d^2. Each term's
+    cofactor, its accumulator's denominator divided by its own, is taken by
+    division checked to leave no remainder.
     """
-    ls = table.lam.lam
-    diag = table.diag
-    total = Fraction(0)
+    d, a, P, ks, k_den = _diag_cleared(table.lam, table.K)
+    ms, m_den = _cleared(table.mixed)
+    diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
+    D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
+    D2 = D * D
+
+    def hh(c: int, p: int, q: int) -> int:
+        # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
+        #   = k_c^2 d^8 / (k_den^2 P_p P_q diff_cp diff_cq)
+        cof, rem = divmod(D2, P[p] * P[q] * diff[c][p] * diff[c][q])
+        if rem:
+            raise RuntimeError("h h denominator does not divide D^2 (unreachable)")
+        return ks[c] * ks[c] * cof
+
+    def mixed(m: int, x: int, k: int, l: int) -> int:
+        # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 diff_kx diff_lx)
+        cof, rem = divmod(D, diff[k][x] * diff[l][x])
+        if rem:
+            raise RuntimeError("mixed denominator does not divide D (unreachable)")
+        return m * m * cof
+
+    acc_hh = acc_mixed = acc_curv = 0
     for i, j, k, l in _PSI_TERMS:
-        dki = ls[k] - ls[i]
-        dli = ls[l] - ls[i]
-        dkj = ls[k] - ls[j]
-        dlj = ls[l] - ls[j]
-        dkl = ls[k] - ls[l]
-        m_ikl = table.mixed_component(i, k, l)
-        m_jkl = table.mixed_component(j, k, l)
+        m_ikl, m_jkl = ms[_mixed_index(i, k, l)], ms[_mixed_index(j, k, l)]
         # derivative on the first 1-form leg
-        block_a = -(
-            diag[i][k] * diag[l][k] / (dki * dkl)
-            + diag[i][l] * diag[k][l] / (dli * -dkl)
-            + m_ikl * m_ikl / (dki * dli)
-        )
+        acc_hh -= hh(k, i, l) + hh(l, i, k)
+        acc_mixed -= mixed(m_ikl, i, k, l)
         # derivative on the second 1-form leg (enters the total negatively)
-        block_b = (
-            diag[j][k] * diag[l][k] / (dkj * dkl)
-            + diag[j][l] * diag[k][l] / (dlj * -dkl)
-            + m_jkl * m_jkl / (dkj * dlj)
-        )
+        acc_hh -= hh(k, j, l) + hh(l, j, k)
+        acc_mixed -= mixed(m_jkl, j, k, l)
         # derivative on the connection form, including the curvature term
-        block_c = (
-            diag[k][i] * diag[l][i] / (dki * dli)
-            + diag[k][j] * diag[l][j] / (dkj * dlj)
-            - m_ikl * m_ikl / (dki * dli)
-            - m_jkl * m_jkl / (dkj * dlj)
-            + 1 + ls[k] * ls[l]
-        )
-        total += block_a - block_b + block_c
-    return total
+        acc_hh += hh(i, k, l) + hh(j, k, l)
+        acc_mixed -= mixed(m_ikl, i, k, l) + mixed(m_jkl, j, k, l)
+        acc_curv += d * d + a[k] * a[l]
+    d2 = d * d
+    kd, md = k_den * k_den, m_den * m_den
+    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
+    return Fraction(num, kd * md * D2 * d2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +375,8 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
 
 
 def _to_mpf(x):
+    import mpmath as mp
+
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
@@ -458,6 +494,9 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
 
 def _roots(coeffs: list) -> list:
     """Complex roots of an mpf polynomial, coefficients leading first."""
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
+
     zero_roots = 0
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -494,25 +533,33 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     that path, which keeps repeated roots accurate far beyond double
     precision. Raises ValueError if any root has imaginary part beyond
     1e-10. Returns the four real roots ascending.
+
+    mpmath is imported only when the fallback runs, so sweeps whose roots
+    are all found exactly never load it.
     """
+    out = []
+    polys = []
     rational = all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4))
-    with mp.workdps(dps):
-        if rational:
-            e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
-            polys = _square_free_parts(_primitive([1, -e1, e2, -e3, e4]))
-        else:
-            e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
-            polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
-        out = []
-        for poly in polys:
-            exact = _rational_roots(poly) if rational else None
-            if exact is not None:
+    if rational:
+        e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
+        for poly in _square_free_parts(_primitive([1, -e1, e2, -e3, e4])):
+            exact = _rational_roots(poly)
+            if exact is None:
+                polys.append(poly)
+            else:
                 out += map(float, exact)
-                continue
-            for rt in _roots([_to_mpf(c) for c in poly]):
-                if abs(mp.im(rt)) > mp.mpf("1e-10"):
-                    raise ValueError(f"curvature root is not real: {rt}")
-                out.append(float(mp.re(rt)))
+    if polys or not rational:
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            if not rational:
+                e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
+                polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
+            for poly in polys:
+                for rt in _roots([_to_mpf(c) for c in poly]):
+                    if abs(mp.im(rt)) > mp.mpf("1e-10"):
+                        raise ValueError(f"curvature root is not real: {rt}")
+                    out.append(float(mp.re(rt)))
     return tuple(sorted(out))
 
 

@@ -81,11 +81,32 @@ def _output(seed: int, counter: int) -> int:
 
 def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
     """Uniform integer in [0, n), bias-free via rejection, with the counter of
-    the accepted output."""
+    the accepted output.
+
+    Up to n = 2^64 a candidate is one raw output. Beyond, it is the next
+    ceil(bits(n) / 64) outputs read as one number, first output most
+    significant, so that it spans at least n and at least half of its range
+    is accepted.
+    """
+    if n > 1 << 64:
+        return _below_wide(seed, counter, n)
     limit = (1 << 64) - ((1 << 64) % n)
     while True:
         counter += 1
         raw = _output(seed, counter)
+        if raw < limit:
+            return raw % n, counter
+
+
+def _below_wide(seed: int, counter: int, n: int) -> tuple[int, int]:
+    words = -(-n.bit_length() // 64)
+    span = 1 << (64 * words)
+    limit = span - span % n
+    while True:
+        raw = 0
+        for _ in range(words):
+            counter += 1
+            raw = raw << 64 | _output(seed, counter)
         if raw < limit:
             return raw % n, counter
 

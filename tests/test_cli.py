@@ -277,6 +277,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["results"][0]["failures"] == 0
 
+    def test_height_beyond_64_bits_exits_0(self, capsys):
+        """Ranges wider than 2^64 used to reject every raw draw and hang."""
+        code, out, err = _run(
+            capsys, "verify", "--identity", "i-sign", "--trials", "5", "--height", str(2**70)
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["height"] == 2**70
+        assert report["results"][0]["failures"] == 0
+
     def test_unknown_identity_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "made-up"])

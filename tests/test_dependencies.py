@@ -43,3 +43,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_sweeps_and_analyze_load_no_mpmath():
+    """mpmath is imported only by the catalog checks and the root-finding
+    fallback, which rational recover trials at height 1000 never reach."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import contextlib, io, sys\n"
+        "from spherecurv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name in ('recover', 'dpsi', 'g3'):\n"
+        "        main(['verify', '--identity', name, '--trials', '30'])\n"
+        "    main(['analyze', '--surface', 'equator', '--samples', '20'])\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

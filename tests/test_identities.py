@@ -267,6 +267,128 @@ class TestInteractionSums:
         assert I_closed(LAM_1234, zeros) == zeros
 
 
+def _fraction_diag_from_K(lam, K):
+    """h_iil = K_l / prod_{j != i} (lam_j - lam_i) over Fraction, as the
+    kernel was before it moved to ints."""
+    ls = lam.lam
+    denom = []
+    for i in range(4):
+        d = F(1)
+        for j in range(4):
+            if j != i:
+                d *= ls[j] - ls[i]
+        denom.append(d)
+    return tuple(tuple(K[l] / denom[i] for l in range(4)) for i in range(4))
+
+
+def _fraction_I_def(lam, diag):
+    ls = lam.lam
+    out = []
+    for l in range(4):
+        others = [i for i in range(4) if i != l]
+        acc = F(0)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                i, j = others[a], others[b]
+                acc += diag[i][l] * diag[j][l] / ((ls[l] - ls[i]) * (ls[l] - ls[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def _fraction_gauss_R(lam):
+    ls = lam.lam
+    return sum(1 + ls[i] * ls[j] for i in range(4) for j in range(4) if i != j)
+
+
+def _fraction_dpsi_coeff(lam, K, mixed):
+    """The six terms' three blocks each, over Fraction."""
+    ls = lam.lam
+    diag = _fraction_diag_from_K(lam, K)
+    table = DerivativeTable(lam, K, mixed)
+    total = F(0)
+    for i, j, k, l in identities._PSI_TERMS:
+        dki, dli, dkj, dlj = ls[k] - ls[i], ls[l] - ls[i], ls[k] - ls[j], ls[l] - ls[j]
+        dkl = ls[k] - ls[l]
+        m_ikl = table.mixed_component(i, k, l)
+        m_jkl = table.mixed_component(j, k, l)
+        block_a = -(
+            diag[i][k] * diag[l][k] / (dki * dkl)
+            + diag[i][l] * diag[k][l] / (dli * -dkl)
+            + m_ikl * m_ikl / (dki * dli)
+        )
+        block_b = (
+            diag[j][k] * diag[l][k] / (dkj * dkl)
+            + diag[j][l] * diag[k][l] / (dlj * -dkl)
+            + m_jkl * m_jkl / (dkj * dlj)
+        )
+        block_c = (
+            diag[k][i] * diag[l][i] / (dki * dli)
+            + diag[k][j] * diag[l][j] / (dkj * dlj)
+            - m_ikl * m_ikl / (dki * dli)
+            - m_jkl * m_jkl / (dkj * dlj)
+            + 1 + ls[k] * ls[l]
+        )
+        total += block_a - block_b + block_c
+    return total
+
+
+def _definition_side_inputs(count):
+    """Seeded (lam, K, mixed) at heights 2, 1000 and 10^6. Every fifth
+    quadruple contains a zero curvature, and zero K and mixed entries are
+    planted on a cycle of their own (height 2 draws many more)."""
+    root = RngStream(3141)
+    for n in range(count):
+        stream = root.split(n)
+        height = (2, 1000, 10**6)[n % 3]
+        vals, stream = identities._draw_rationals(stream, height, 4, distinct=True)
+        if n % 5 == 0 and F(0) not in vals:
+            vals = (F(0),) + vals[1:]
+        K, stream = identities._draw_rationals(stream, height, 4)
+        mixed, stream = identities._draw_rationals(stream, height, 4)
+        if n % 7 == 0:
+            K = K[:n % 4] + (F(0),) + K[n % 4 + 1:]
+        if n % 4 == 1:
+            mixed = mixed[:n % 3] + (F(0),) + mixed[n % 3 + 1:]
+        yield Quadruple(tuple(sorted(vals))), K, mixed
+
+
+def test_definition_side_kernels_match_fraction_reference():
+    """diag_from_K, I_def, gauss_R and dpsi_coeff run on ints; each equals
+    its Fraction reference on 2100 seeded inputs."""
+    zero_lam = zero_k = zero_mixed = 0
+    for lam, K, mixed in _definition_side_inputs(2100):
+        diag = diag_from_K(lam, K)
+        ref_diag = _fraction_diag_from_K(lam, K)
+        assert diag == ref_diag
+        assert I_def(lam, diag) == _fraction_I_def(lam, ref_diag)
+        assert gauss_R(lam) == _fraction_gauss_R(lam)
+        assert dpsi_coeff(DerivativeTable(lam, K, mixed)) == _fraction_dpsi_coeff(lam, K, mixed)
+        zero_lam += F(0) in lam.lam
+        zero_k += F(0) in K
+        zero_mixed += F(0) in mixed
+    assert min(zero_lam, zero_k, zero_mixed) > 300
+
+
+def test_wrong_moment_or_cofactor_raises(monkeypatch):
+    """A wrong P_i breaks the moment check in diag_from_K. Scaling every P_i
+    by one prime keeps the moments at zero, but then the h h denominators of
+    dpsi_coeff no longer divide D^2."""
+    lam = Quadruple((F(-2), F(1, 3), F(1), F(7, 2)))
+    table = DerivativeTable(lam, (F(2), F(-1), F(1, 5), F(3)), (F(1),) * 4)
+    cofactors = identities._cofactors
+    monkeypatch.setattr(
+        identities, "_cofactors", lambda a: [p + (i == 2) for i, p in enumerate(cofactors(a))]
+    )
+    with pytest.raises(RuntimeError, match="moment"):
+        diag_from_K(table.lam, table.K)
+    with pytest.raises(RuntimeError, match="moment"):
+        dpsi_coeff(table)
+    monkeypatch.setattr(identities, "_cofactors", lambda a: [(2**61 - 1) * p for p in cofactors(a)])
+    diag_from_K(table.lam, table.K)
+    with pytest.raises(RuntimeError, match="divide"):
+        dpsi_coeff(table)
+
+
 def test_gauss_r_frozen():
     assert gauss_R(LAM_1234) == 82
 

@@ -170,6 +170,43 @@ def test_draw_rationals_matches_successive_single_draws(height):
         draw_rationals(root, 0, 4)
 
 
+def _reference_below_wide(stream, n):
+    """Uniform integer in [0, n) for n > 2^64: ceil(bits / 64) raw draws read
+    as one number, first draw most significant, by rejection."""
+    words = (n.bit_length() + 63) // 64
+    span = 2 ** (64 * words)
+    while True:
+        raw = 0
+        for _ in range(words):
+            v, stream = draw_u64(stream)
+            raw = raw * 2**64 + v
+        if raw < span - span % n:
+            return raw % n, stream
+
+
+@pytest.mark.parametrize("hi", [2**64, 2**64 + 1, 2**70, 3**90, 2**128 + 7])
+def test_draw_int_beyond_64_bits(hi):
+    """A range of more than 2^64 values draws several raw outputs and stays
+    in range; a range of exactly 2^64 values still takes one output."""
+    root = RngStream(4040)
+    top = 0
+    for key in range(200):
+        start = root.split(key)
+        v, end = draw_int(start, 0, hi - 1)
+        assert 0 <= v < hi
+        ref, ref_end = _reference_below_wide(start, hi) if hi > 2**64 else draw_u64(start)
+        assert (v, end) == (ref, ref_end)
+        top = max(top, v)
+    assert top > hi // 2
+
+
+def test_draw_rationals_at_height_beyond_64_bits():
+    height = 2**70
+    vals, _ = draw_rationals(RngStream(12), height, 200)
+    assert all(abs(q.numerator) <= height and 1 <= q.denominator <= height for q in vals)
+    assert max(abs(q.numerator) for q in vals) > 2**66
+
+
 def test_draw_gaussian_moments():
     s = RngStream(8)
     n = 20000
