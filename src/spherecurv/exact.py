@@ -111,14 +111,18 @@ class Surd:
         return self.coef == 0
 
 
+def clear_denominators(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The integers v * den for v in vals, with den the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
 def _int_rows(matrix: Sequence[Sequence[RationalLike]]) -> list[list[int]]:
     """Each row of a rational matrix scaled by the lcm of its denominators."""
-    out = []
-    for row in matrix:
-        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-        den = math.lcm(*(v.denominator for v in vals))
-        out.append([v.numerator * (den // v.denominator) for v in vals])
-    return out
+    return [
+        clear_denominators([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row])[0]
+        for row in matrix
+    ]
 
 
 def _reduce(rows: list[list[int]], ncols: int) -> list[int]:

@@ -31,10 +31,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .exact import RationalLike, Surd, as_rational, matrix_rank, solve_linear
+from .exact import RationalLike, Surd, as_rational, clear_denominators, matrix_rank, solve_linear
 from .rng import RngStream, draw_int, draw_rational, draw_rationals, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+def _four(name: str, vals: Sequence[RationalLike]) -> Quad:
+    """vals as a tuple of four Fractions; ValueError for any other length."""
+    out = tuple(as_rational(v) for v in vals)
+    if len(out) != 4:
+        raise ValueError(f"{name} has four entries, got {len(out)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,7 @@ class Quadruple:
     lam: Quad
 
     def __post_init__(self) -> None:
-        vals = tuple(as_rational(v) for v in self.lam)
-        if len(vals) != 4:
-            raise ValueError("a quadruple has four entries")
+        vals = _four("a quadruple", self.lam)
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"values must be strictly increasing: {vals}")
         object.__setattr__(self, "lam", vals)
@@ -64,10 +70,8 @@ class DerivativeTable:
     mixed: Quad  # h_123, h_124, h_134, h_234
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K", tuple(as_rational(v) for v in self.K))
-        object.__setattr__(self, "mixed", tuple(as_rational(v) for v in self.mixed))
-        if len(self.K) != 4 or len(self.mixed) != 4:
-            raise ValueError("K and mixed each have four entries")
+        object.__setattr__(self, "K", _four("K", self.K))
+        object.__setattr__(self, "mixed", _four("mixed", self.mixed))
 
     @cached_property
     def diag(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -100,9 +104,10 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
         raise ValueError("S = 0 collapses both curvatures to zero (degenerate)")
     if S < 0:
         raise ValueError(f"S must be positive, got {S}")
-    radicand = k * (4 - k) * S
-    lam = Surd(Fraction(1, 2 * k), radicand)
-    mu = Surd(Fraction(-1, 2 * (4 - k)), radicand)
+    # One square-free split; a rational multiple keeps the radicand as it is.
+    root = Surd(1, k * (4 - k) * S)
+    lam = Fraction(1, 2 * k) * root
+    mu = Fraction(-1, 2 * (4 - k)) * root
     return (lam, mu), (-lam, -mu)
 
 
@@ -153,18 +158,6 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
 # Four distinct curvatures: repeated-index components
 
 
-def _scaled(lam: Quadruple) -> tuple[int, list[int]]:
-    """The lcm d of the curvature denominators and the integers a_i = lam_i d."""
-    d = math.lcm(*(v.denominator for v in lam.lam))
-    return d, [v.numerator * (d // v.denominator) for v in lam.lam]
-
-
-def _cleared(vals: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the rationals vals over the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
-
-
 def _cofactors(a: Sequence[int]) -> list[int]:
     """P_i = prod_{j != i} (a_j - a_i) for the integer quadruple a."""
     a1, a2, a3, a4 = a
@@ -183,9 +176,9 @@ def _diag_cleared(
     sum_i a_i^m / P_i = 0 for m = 0, 1, 2; they are checked on ints as
     sum_i a_i^m prod_{j != i} P_j = 0.
     """
-    d, a = _scaled(lam)
+    a, d = clear_denominators(lam.lam)
     P = _cofactors(a)
-    ks, k_den = _cleared(K)
+    ks, k_den = clear_denominators(K)
     p0, p1, p2, p3 = P
     rest = (p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2)
     for m in range(3):
@@ -201,10 +194,7 @@ def diag_from_K(lam: Quadruple, K: Sequence[RationalLike]) -> tuple[tuple[Fracti
     the prescribed K_l; the constraints are re-verified exactly on every
     call. Computed on Python ints, with one Fraction per entry at the end.
     """
-    K = tuple(as_rational(v) for v in K)
-    if len(K) != 4:
-        raise ValueError("K has four entries")
-    d, _a, P, ks, k_den = _diag_cleared(lam, K)
+    d, _a, P, ks, k_den = _diag_cleared(lam, _four("K", K))
     d3 = d**3
     return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in P)
 
@@ -218,7 +208,7 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
     """
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
-    d, a = _scaled(lam)
+    a, d = clear_denominators(lam.lam)
     prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
     # Equation m in lam_i = a_i / d is multiplied through by d^m (d^3 for the
     # K equation), which leaves the solution unchanged and the matrix integer.
@@ -239,11 +229,11 @@ def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     over one integer c_l, the pair (i, j) with third index k contributes
     d^2 n_i n_j (a_l - a_k) / (c_l^2 prod_{x != l} (a_l - a_x)).
     """
-    d, a = _scaled(lam)
+    a, d = clear_denominators(lam.lam)
     out = []
     for l in range(4):
         i, j, k = (x for x in range(4) if x != l)
-        (ni, nj, nk), c = _cleared((diag[i][l], diag[j][l], diag[k][l]))
+        (ni, nj, nk), c = clear_denominators((diag[i][l], diag[j][l], diag[k][l]))
         ei, ej, ek = a[l] - a[i], a[l] - a[j], a[l] - a[k]
         num = ni * nj * ek + ni * nk * ej + nj * nk * ei
         out.append(Fraction(d * d * num, c * c * ei * ej * ek))
@@ -258,8 +248,8 @@ def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], 
     I_l = -k_l^2 bracket_l(a) d^8 / (k_den^2 D(a)^2), where K_l = k_l / k_den.
     Everything is Python int arithmetic.
     """
-    d, (a1, a2, a3, a4) = _scaled(lam)
-    ks, k_den = _cleared(K)
+    (a1, a2, a3, a4), d = clear_denominators(lam.lam)
+    ks, k_den = clear_denominators(K)
     d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
     brackets = (
         d43 * d42 * d41 * d41 - d43 * d32 * d31 * d31 + d42 * d32 * d21 * d21,
@@ -275,7 +265,7 @@ def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], 
 def I_closed(lam: Quadruple, K: Sequence[RationalLike]) -> Quad:
     """The same four sums in closed form: -K_l^2 / D^2 times a difference
     bracket, D = prod_{i<j} (lam_j - lam_i)."""
-    nums, den = _I_cleared(lam, tuple(as_rational(v) for v in K))
+    nums, den = _I_cleared(lam, _four("K", K))
     return tuple(Fraction(n, den) for n in nums)
 
 
@@ -285,13 +275,13 @@ def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
     The closed forms share a positive denominator, so this reads the signs
     of their integer numerators.
     """
-    nums, _den = _I_cleared(lam, tuple(as_rational(v) for v in K))
+    nums, _den = _I_cleared(lam, _four("K", K))
     return all(n <= 0 for n in nums)
 
 
 def gauss_R(lam: Quadruple) -> Fraction:
     """Scalar curvature sum over ordered pairs: sum_{i != j} (1 + lam_i lam_j)."""
-    d, a = _scaled(lam)
+    a, d = clear_denominators(lam.lam)
     # 12 + (sum lam)^2 - sum lam^2 over the common denominator d^2
     return Fraction(12 * d * d + sum(a) ** 2 - sum(x * x for x in a), d * d)
 
@@ -331,7 +321,7 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     division checked to leave no remainder.
     """
     d, a, P, ks, k_den = _diag_cleared(table.lam, table.K)
-    ms, m_den = _cleared(table.mixed)
+    ms, m_den = clear_denominators(table.mixed)
     diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
     D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
     D2 = D * D
@@ -385,8 +375,7 @@ def _to_mpf(x):
 def _primitive(p: list) -> list[int]:
     """Integer polynomial with coprime coefficients and the roots of the
     rational polynomial p; coefficients leading first."""
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
+    ints, _den = clear_denominators(p)
     g = math.gcd(*ints) or 1
     return [c // g for c in ints]
 
@@ -693,25 +682,6 @@ _TRIALS: dict[str, tuple[Callable[[RngStream, int], dict | None], bool, int]] = 
 IDENTITY_NAMES = tuple(_TRIALS)
 
 
-def _identity_chunk(
-    name: str, seed: int, height: int, start: int, stop: int
-) -> tuple[int, int | None, dict | None]:
-    """(failure count, first failing index, its counterexample) on [start, stop)."""
-    trial_fn = _TRIALS[name][0]
-    root = RngStream(seed)
-    failures = 0
-    first_idx: int | None = None
-    first_cex: dict | None = None
-    for idx in range(start, stop):
-        cex = trial_fn(root.split(idx), height)
-        if cex is not None:
-            failures += 1
-            if first_idx is None:
-                first_idx = idx
-                first_cex = dict(cex, trial=str(idx))
-    return failures, first_idx, first_cex
-
-
 def run_identity_sweep(
     name: str,
     trials: int,
@@ -721,8 +691,8 @@ def run_identity_sweep(
 ) -> IdentityVerdict:
     """Run `trials` independent random instances of one identity.
 
-    Trial i draws its inputs from the child stream split(seed, i), so results
-    are identical for any worker count and any partition of the index range.
+    Trial i draws its inputs from child stream i of the seed (rng.map_chunks),
+    so results are identical for any worker count.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; choose from {sorted(_TRIALS)}")
@@ -730,18 +700,16 @@ def run_identity_sweep(
         raise ValueError("trials must be positive")
     # Height h offers the 2h + 1 integers -h..h and, from h = 2 on, more; at
     # h = 1 those three are all, so a trial needing four would redraw forever.
-    needed = _TRIALS[name][2]
+    trial, exact, needed = _TRIALS[name]
     if 2 * height + 1 < needed:
         raise ValueError(
             f"identity {name!r} needs {needed} distinct rationals; height {height} offers {2 * height + 1}"
         )
-    parts = map_chunks(_identity_chunk, trials, workers, name, seed, height)
-    # Chunks come in index order, so the first failing chunk holds the first failure.
-    first = next((p for p in parts if p[1] is not None), None)
+    failed = map_chunks(trial, trials, workers, seed, height)
     return IdentityVerdict(
         identity=name,
         trials=trials,
-        failures=sum(p[0] for p in parts),
-        exact=_TRIALS[name][1],
-        first_counterexample=first[2] if first else None,
+        failures=len(failed),
+        exact=exact,
+        first_counterexample=dict(failed[0][1], trial=str(failed[0][0])) if failed else None,
     )

@@ -6,8 +6,9 @@ Every draw is a pure function of (seed, counter), so streams are values:
 drawing returns the drawn scalar together with the advanced stream, and any
 stream can be split into an independent child without touching the parent.
 All arithmetic is 64-bit wrapping integer arithmetic, identical on every
-platform. Because item i of a sweep always draws from child stream i,
-`map_chunks` may cut an index range into any chunks without changing results.
+platform. `map_chunks` is the one sweep driver: it hands item i of a sweep
+the child stream `RngStream(seed).split(i)`, so cutting the index range into
+chunks for worker processes cannot change the results.
 """
 
 from __future__ import annotations
@@ -60,18 +61,32 @@ def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
     return [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
 
 
-def map_chunks(fn, n: int, workers: int, *args) -> list:
-    """[fn(*args, start, stop) for each chunk of range(n)], in chunk order.
+def _map_chunk(fn, seed: int, start: int, stop: int, *args) -> list[tuple]:
+    """The (i, result) pairs of map_chunks for i in [start, stop)."""
+    root = RngStream(seed)
+    out = []
+    for i in range(start, stop):
+        result = fn(root.split(i), *args)
+        if result is not None:
+            out.append((i, result))
+    return out
 
-    Chunks run in a process pool, or in this process when there is one chunk.
+
+def map_chunks(fn, n: int, workers: int, seed: int, *args) -> list[tuple]:
+    """(i, fn(RngStream(seed).split(i), *args)) for each i in range(n) whose
+    result is not None, in index order.
+
+    range(n) is cut into contiguous chunks by chunk_bounds; they run in a
+    process pool, or in this process when there is one chunk.
     """
     bounds = chunk_bounds(n, workers)
     if len(bounds) == 1:
-        return [fn(*args, 0, n)]
+        return _map_chunk(fn, seed, 0, n, *args)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-        return list(pool.map(fn, *([a] * len(bounds) for a in args), *zip(*bounds)))
+        parts = [pool.submit(_map_chunk, fn, seed, start, stop, *args) for start, stop in bounds]
+        return [pair for part in parts for pair in part.result()]
 
 
 def _output(seed: int, counter: int) -> int:

@@ -234,26 +234,15 @@ class _Kahan:
         self.total = t
 
 
-def _sweep_chunk(spec: LevelSpec, seed: int, start: int, stop: int) -> list[tuple]:
-    """Per-point results for indices [start, stop); pure and order-stable.
-
-    Every index derives its own child stream from the root seed, so the
-    result is identical however the index range is partitioned.
-    """
-    root = RngStream(seed)
-    out: list[tuple] = []
-    for idx in range(start, stop):
-        stream = root.split(idx)
-        try:
-            point, _ = sample_level_point(spec, stream)
-            rep = curvature_report(spec, point)
-        except (FocalPointError, ProjectionError) as exc:
-            out.append((idx, False, f"point {idx}: {exc}"))
-            continue
-        out.append(
-            (idx, True, rep.f1, rep.S, rep.f3, rep.g, rep.multiplicities, rep.theta0)
-        )
-    return out
+def _sweep_point(stream: RngStream, spec: LevelSpec) -> tuple:
+    """(True, f1, S, f3, g, multiplicities, theta0) at the point drawn from
+    stream, or (False, message) when no point can be sampled there."""
+    try:
+        point, _ = sample_level_point(spec, stream)
+        rep = curvature_report(spec, point)
+    except (FocalPointError, ProjectionError) as exc:
+        return (False, str(exc))
+    return (True, rep.f1, rep.S, rep.f3, rep.g, rep.multiplicities, rep.theta0)
 
 
 def _classify(ok_rows: list[tuple], max_abs_f1: float, f1_tol: float) -> str:
@@ -290,15 +279,11 @@ def sweep_analyze(
     if n < 1:
         raise ValueError("need at least one sample")
 
-    parts = map_chunks(_sweep_chunk, n, workers, spec, seed)
-    rows = [row for part in parts for row in part]
-
+    rows = [(i, *row) for i, row in map_chunks(_sweep_point, n, workers, seed, spec)]
     ok_rows = [r for r in rows if r[1]]
-    failures = [r for r in rows if not r[1]]
+    failures = [f"point {r[0]}: {r[2]}" for r in rows if not r[1]]
     if len(failures) > MAX_FAILURE_FRACTION * n:
-        raise RuntimeError(
-            f"{len(failures)}/{n} projections failed; first: {failures[0][2]}"
-        )
+        raise RuntimeError(f"{len(failures)}/{n} projections failed; first: {failures[0]}")
     if not ok_rows:
         raise RuntimeError("no surface point could be sampled")
 
@@ -335,5 +320,5 @@ def sweep_analyze(
         g_histogram=dict(sorted(hist.items())),
         theta0_mean=(theta_sum.total / n_theta) if n_theta else None,
         verdict=_classify(ok_rows, max_abs_f1, f1_tol),
-        failure_samples=tuple(r[2] for r in failures[:3]),
+        failure_samples=tuple(failures[:3]),
     )

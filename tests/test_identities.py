@@ -266,6 +266,14 @@ class TestInteractionSums:
         zeros = (F(0),) * 4
         assert I_closed(LAM_1234, zeros) == zeros
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_k_arity_validation(self, n):
+        K = (F(1),) * n
+        with pytest.raises(ValueError, match="K has four entries"):
+            I_closed(LAM_1234, K)
+        with pytest.raises(ValueError, match="K has four entries"):
+            sign_lemma(LAM_1234, K)
+
 
 def _fraction_diag_from_K(lam, K):
     """h_iil = K_l / prod_{j != i} (lam_j - lam_i) over Fraction, as the

@@ -241,9 +241,23 @@ def test_chunk_bounds_clamp_to_items_and_cpus(monkeypatch):
 def test_map_chunks_runs_a_single_chunk_in_process():
     seen = []
 
-    def chunk(tag, start, stop):  # a closure: a worker process could not receive it
-        seen.append((tag, start, stop))
-        return stop - start
+    def item(stream, tag):  # a closure: a worker process could not receive it
+        seen.append(tag)
+        return len(seen)
 
-    assert map_chunks(chunk, 7, 1, "x") == [7]
-    assert seen == [("x", 0, 7)]
+    assert map_chunks(item, 3, 1, 5, "x") == [(0, 1), (1, 2), (2, 3)]
+    assert seen == ["x"] * 3
+
+
+def _odd_child_seed(stream, offset):
+    """Module level, so a worker process can receive it."""
+    return stream.seed + offset if stream.seed % 2 else None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_gives_item_i_its_child_stream(workers, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    root = RngStream(77)
+    expected = [(i, root.split(i).seed + 3) for i in range(40) if root.split(i).seed % 2]
+    assert 0 < len(expected) < 40
+    assert map_chunks(_odd_child_seed, 40, workers, 77, 3) == expected

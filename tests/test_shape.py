@@ -281,6 +281,23 @@ class TestSweep:
         parallel = sweep_analyze(CARTAN_MIN, 24, seed=9, workers=3)
         assert serial == parallel
 
+    def test_planted_failures_are_counted_and_named_by_index(self, monkeypatch):
+        real = shape.sample_level_point
+        calls = []
+
+        def flaky(spec, stream):
+            calls.append(stream)
+            if len(calls) - 1 in (1, 4):
+                raise shape.ProjectionError("planted", residual=1.0)
+            return real(spec, stream)
+
+        monkeypatch.setattr(shape, "sample_level_point", flaky)
+        stats = sweep_analyze(EQUATOR, 20, seed=3)
+        assert len(calls) == 20
+        assert stats.n_failures == 2
+        assert stats.n_points == 18
+        assert stats.failure_samples == ("point 1: planted", "point 4: planted")
+
     def test_unreachable_level_fails_loudly(self):
         bad = LevelSpec(cartan_field(), 3.0)
         with pytest.raises(RuntimeError):
