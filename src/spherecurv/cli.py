@@ -157,8 +157,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     else:
         text = to_csv(report["command"], report["results"])
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 N = 4
@@ -39,24 +40,27 @@ class SymMat4:
         """Build from the 10 upper-triangle entries, row-major."""
         if len(upper) != 10:
             raise ValueError("upper triangle of a 4x4 has 10 entries")
-        m = [[0.0] * N for _ in range(N)]
-        k = 0
-        for i in range(N):
-            for j in range(i, N):
-                m[i][j] = float(upper[k])
-                m[j][i] = float(upper[k])
-                k += 1
-        return cls(tuple(tuple(r) for r in m))
+        u = [float(v) for v in upper]
+        return cls((
+            (u[0], u[1], u[2], u[3]),
+            (u[1], u[4], u[5], u[6]),
+            (u[2], u[5], u[7], u[8]),
+            (u[3], u[6], u[8], u[9]),
+        ))
 
     def entry(self, i: int, j: int) -> float:
         return self.rows[i][j]
 
     def frobenius(self) -> float:
-        return math.sqrt(sum(v * v for row in self.rows for v in row))
+        return math.sqrt(sum([v * v for row in self.rows for v in row]))
+
+
+_IDENTITY = tuple(tuple(float(i == j) for j in range(N)) for i in range(N))
+_OFF_DIAGONAL = tuple((i, j) for i in range(N) for j in range(i + 1, N))
 
 
 def _off_norm(a: list[list[float]]) -> float:
-    return math.sqrt(sum(a[i][j] ** 2 for i in range(N) for j in range(i + 1, N)))
+    return math.sqrt(sum([a[i][j] ** 2 for i, j in _OFF_DIAGONAL]))
 
 
 def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -65,7 +69,7 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
     Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
     """
     a = [list(row) for row in m.rows]
-    v = [[1.0 if i == j else 0.0 for j in range(N)] for i in range(N)]
+    v = [list(row) for row in _IDENTITY]
     threshold = _OFF_FACTOR * max(m.frobenius(), 1e-300)
 
     for _ in range(_SWEEP_CAP):
@@ -94,10 +98,8 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
                     v[k][p] = c * vkp - s * vkq
                     v[k][q] = s * vkp + c * vkq
 
-    pairs = sorted(
-        ((a[k][k], tuple(v[i][k] for i in range(N))) for k in range(N)),
-        key=lambda kv: kv[0],
-    )
+    # Eigenvectors are the columns of v.
+    pairs = sorted(zip([a[k][k] for k in range(N)], zip(*v)), key=itemgetter(0))
     values = []
     vectors = []
     for lam, vec in pairs:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -182,14 +183,13 @@ def eval2(spec: ScalarField, x) -> tuple:
 
 
 def hess_bilinear(hess: Sequence, u: Sequence, v: Sequence):
-    """u^T H v for a Hessian stored as its row-major upper triangle."""
+    """u^T H v for a Hessian stored as its row-major upper triangle.
+
+    Entries equal to 0 are skipped. For finite u and v their terms are zeros
+    of either sign, and adding one never changes the sum: it starts at int 0,
+    so it is never -0.0. An all-zero Hessian gives int 0.
+    """
     acc = 0
-    k = 0
-    for i in range(N_VARS):
-        ui = u[i]
-        acc += hess[k] * ui * v[i]
-        k += 1
-        for j in range(i + 1, N_VARS):
-            acc += hess[k] * (ui * v[j] + u[j] * v[i])
-            k += 1
+    for h, (i, j) in compress(zip(hess, _UPPER), hess):
+        acc += h * u[i] * v[i] if i == j else h * (u[i] * v[j] + u[j] * v[i])
     return acc

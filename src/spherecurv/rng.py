@@ -175,11 +175,27 @@ def draw_rational(stream: RngStream, height: int) -> tuple[Fraction, RngStream]:
     return vals[0], stream
 
 
+def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStream]:
+    """n standard normals via Box-Muller, with the stream after the last.
+
+    Each value consumes two raw outputs, each turned into a uniform float in
+    [0, 1) from its top 53 bits as draw_float does; the counter is walked as
+    a plain int and one stream is built at the end.
+    """
+    seed, counter = stream.seed, stream.counter
+    vals = []
+    for _ in range(n):
+        u1 = (_output(seed, counter + 1) >> 11) * (2.0**-53)
+        u2 = (_output(seed, counter + 2) >> 11) * (2.0**-53)
+        counter += 2
+        # u1 == 0 would make log blow up; the lattice of 53-bit draws makes the
+        # shifted value strictly positive.
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        vals.append(r * math.cos(2.0 * math.pi * u2))
+    return tuple(vals), RngStream(seed, counter)
+
+
 def draw_gaussian(stream: RngStream) -> tuple[float, RngStream]:
-    """Standard normal via Box-Muller; consumes two uniform draws."""
-    u1, s = draw_float(stream, 0.0, 1.0)
-    u2, s = draw_float(s, 0.0, 1.0)
-    # u1 == 0 would make log blow up; the lattice of 53-bit draws makes the
-    # shifted value strictly positive.
-    r = math.sqrt(-2.0 * math.log(1.0 - u1))
-    return r * math.cos(2.0 * math.pi * u2), s
+    """One standard normal: draw_gaussians with n = 1."""
+    vals, stream = draw_gaussians(stream, 1)
+    return vals[0], stream

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .catalog import all_models
@@ -92,9 +93,9 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     """
     p = frame.base.coords
     _, grad, hess = eval2(spec.field, p)
-    gp = sum(g * c for g, c in zip(grad, p))
+    gp = sum(map(mul, grad, p))
     tang = [g - gp * c for g, c in zip(grad, p)]
-    nt = math.sqrt(sum(t * t for t in tang))
+    nt = math.sqrt(sum(map(mul, tang, tang)))
     if nt < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
     upper = []
@@ -183,9 +184,9 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     h = second_form(spec, frame)
     lambdas, _vectors = sym_eigen(h)
     f1 = lambdas[0] + lambdas[1] + lambdas[2] + lambdas[3]
-    f2 = sum(v * v for v in lambdas)
-    f3 = sum(v**3 for v in lambdas)
-    f4 = sum(v**4 for v in lambdas)
+    f2 = sum(map(mul, lambdas, lambdas))
+    f3 = sum([v**3 for v in lambdas])
+    f4 = sum([v**4 for v in lambdas])
     S = f2
     K = lambdas[0] * lambdas[1] * lambdas[2] * lambdas[3]
     R = 12.0 + f1 * f1 - S

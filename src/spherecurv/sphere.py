@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .fields import N_VARS, ScalarField, eval1
-from .rng import RngStream, draw_gaussian
+from .rng import RngStream, draw_gaussians
 
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
@@ -66,7 +67,7 @@ class TangentFrame:
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _norm(a: Sequence[float]) -> float:
@@ -99,26 +100,25 @@ def project_to_level(
     if len(x0) != N_VARS:
         raise ValueError("start point must have 6 components")
     x = [float(c) for c in x0]
-    if _norm(x) == 0.0:
-        raise ValueError("cannot project the origin")
 
-    def residuals(pt: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
+    def residuals(pt: Sequence[float]) -> tuple[float, float, float, tuple[float, ...]]:
+        """(|pt|^2, |pt|^2 - 1, F(pt) - level, grad F(pt))."""
         value, grad = eval1(spec.field, pt)
-        return _dot(pt, pt) - 1.0, value - spec.level, grad
+        xx = _dot(pt, pt)
+        return xx, xx - 1.0, value - spec.level, grad
 
-    c1, c2, grad = residuals(x)
+    xx, c1, c2, grad = residuals(x)
+    if xx == 0.0:
+        raise ValueError("cannot project the origin")
     res = max(abs(c1), abs(c2))
     for _ in range(_MAX_ITER):
         if res <= tol:
             break
         # Directions: current position and field gradient.
-        d1, d2 = x, grad
-        a11 = 2.0 * _dot(x, d1)
-        a12 = 2.0 * _dot(x, d2)
-        a21 = _dot(grad, d1)
-        a22 = _dot(grad, d2)
+        xg, gg = _dot(x, grad), _dot(grad, grad)
+        a11, a12, a21, a22 = 2.0 * xx, 2.0 * xg, xg, gg
         det = a11 * a22 - a12 * a21
-        norm_x = _norm(x)
+        norm_x = math.sqrt(xx)
         if norm_x == 0.0:
             raise ProjectionError("iterate collapsed to the origin", res)
         unit = [c / norm_x for c in x]
@@ -131,11 +131,11 @@ def project_to_level(
         beta = (-a11 * c2 + a21 * c1) / det
         step = 1.0
         for _halving in range(_MAX_HALVINGS):
-            trial = _axpy(_axpy(x, step * alpha, d1), step * beta, d2)
-            t1, t2, tgrad = residuals(trial)
+            trial = _axpy(_axpy(x, step * alpha, x), step * beta, grad)
+            txx, t1, t2, tgrad = residuals(trial)
             tres = max(abs(t1), abs(t2))
             if tres < res or tres <= tol:
-                x, c1, c2, grad, res = trial, t1, t2, tgrad, tres
+                x, xx, c1, c2, grad, res = trial, txx, t1, t2, tgrad, tres
                 break
             step *= 0.5
         else:
@@ -154,7 +154,7 @@ def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
     n = _norm(tang)
     if n < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {n:.3e} below {FOCAL_EPS:.0e}")
-    return tuple(v / n for v in tang)
+    return tuple([v / n for v in tang])
 
 
 def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float, ...], ...]:
@@ -164,26 +164,25 @@ def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float,
     a seed whose residual norm falls below 1e-6 is skipped, so the frame is a
     reproducible function of (p, normal).
     """
-    basis: list[tuple[float, ...]] = []
+    # p and the normal, then the basis vectors as they are found.
     anchors = [tuple(p.coords), tuple(normal)]
     for k in range(N_VARS):
-        if len(basis) == 4:
+        if len(anchors) == N_VARS:
             break
-        seed = [0.0] * N_VARS
-        seed[k] = 1.0
-        vec = seed
-        for anchor in anchors + basis:
-            vec = _axpy(vec, -_dot(vec, anchor), anchor)
+        vec = [0.0] * N_VARS
+        vec[k] = 1.0
         # second pass stabilizes near-dependent seeds
-        for anchor in anchors + basis:
-            vec = _axpy(vec, -_dot(vec, anchor), anchor)
+        for _pass in range(2):
+            for anchor in anchors:
+                t = -sum(map(mul, vec, anchor))
+                vec = [v + t * a for v, a in zip(vec, anchor)]
         n = _norm(vec)
         if n < _SEED_SKIP_EPS:
             continue
-        basis.append(tuple(v / n for v in vec))
-    if len(basis) != 4:
+        anchors.append(tuple([v / n for v in vec]))
+    if len(anchors) != N_VARS:
         raise ValueError("could not complete a tangent 4-frame from coordinate seeds")
-    return tuple(basis)
+    return tuple(anchors[2:])
 
 
 def frame_at(p: SpherePoint, spec: LevelSpec) -> TangentFrame:
@@ -194,15 +193,10 @@ def frame_at(p: SpherePoint, spec: LevelSpec) -> TangentFrame:
 def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
     """Uniform point on the unit 5-sphere via normalized Gaussians."""
     while True:
-        comps = []
-        s = stream
-        for _ in range(N_VARS):
-            g, s = draw_gaussian(s)
-            comps.append(g)
+        comps, stream = draw_gaussians(stream, N_VARS)
         n = _norm(comps)
-        stream = s
         if n > 1e-8:
-            return SpherePoint(tuple(c / n for c in comps)), stream
+            return SpherePoint(tuple([c / n for c in comps])), stream
 
 
 def sample_level_point(

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -188,6 +189,28 @@ class TestAnalyzeCommand:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_output_write_exits_2(self, capsys):
+        code, out, err = _run(capsys, "analyze", "--surface", "equator", "--samples", "3",
+                              "--output", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --output /dev/full: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        path = tmp_path / "report.json"
+        code, out, err = _run(capsys, "analyze", "--surface", "equator", "--samples", "3",
+                              "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --output {path}: Permission denied\n"
+        assert not path.exists()
 
     def test_start_point_next_to_focal_set_projects(self, capsys):
         code, out, _ = _run(capsys, "analyze", "--surface", "cartan", "--t", "pi/8",

@@ -10,6 +10,7 @@ from spherecurv import (
     RngStream,
     draw_float,
     draw_gaussian,
+    draw_gaussians,
     draw_int,
     draw_rational,
     draw_rationals,
@@ -205,6 +206,32 @@ def test_draw_rationals_at_height_beyond_64_bits():
     vals, _ = draw_rationals(RngStream(12), height, 200)
     assert all(abs(q.numerator) <= height and 1 <= q.denominator <= height for q in vals)
     assert max(abs(q.numerator) for q in vals) > 2**66
+
+
+def _reference_draw_gaussian(stream):
+    """One normal the per-value way: two draw_float calls, then Box-Muller."""
+    u1, stream = draw_float(stream, 0.0, 1.0)
+    u2, stream = draw_float(stream, 0.0, 1.0)
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    return r * math.cos(2.0 * math.pi * u2), stream
+
+
+def test_draw_gaussians_matches_successive_single_draws():
+    root = RngStream(161803)
+    starts = [root.split(key) for key in range(300)] + [RngStream(7, counter=2**64 - 3)]
+    for start in starts:
+        for n in range(9):
+            vals, end = draw_gaussians(start, n)
+            single, ref = [], []
+            s = t = start
+            for _ in range(n):
+                v, s = draw_gaussian(s)
+                single.append(v.hex())
+                w, t = _reference_draw_gaussian(t)
+                ref.append(w.hex())
+            assert [v.hex() for v in vals] == single == ref
+            assert end == s == t
+            assert end.counter == (start.counter + 2 * n) % 2**64
 
 
 def test_draw_gaussian_moments():

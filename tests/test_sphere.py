@@ -106,6 +106,7 @@ def test_sample_on_sphere_unit_norm_and_determinism():
     p1, s1 = sample_on_sphere(s)
     p2, _ = sample_on_sphere(s)
     assert p1 == p2
+    assert s1.counter - s.counter == 12  # six normals, two raw outputs each
     assert abs(_norm(p1.coords) - 1.0) <= 1e-12
     p3, _ = sample_on_sphere(s1)
     assert p3 != p1
