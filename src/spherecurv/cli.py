@@ -12,6 +12,7 @@ NO_COLOR is unset.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -90,6 +91,7 @@ def _ok(flag: bool) -> str:
     return _color("ok", "32") if flag else _color("FAIL", "31")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")

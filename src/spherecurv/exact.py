@@ -4,7 +4,7 @@ Rationals are stdlib Fractions: arbitrary precision, always reduced, positive
 denominator, so every arithmetic identity asserted in this package is checked
 with zero rounding error. Surd adds the one extension field we need, numbers
 of the form q*sqrt(r) with q, r rational, closed under the operations used by
-the two-curvature solver.
+the two-curvature solver; it never factors r.
 
 The linear algebra runs on Python ints: each row is scaled by the lcm of its
 denominators, which changes neither the rank nor the solution, and Bareiss
@@ -32,27 +32,14 @@ def as_rational(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-def _square_free_split(n: int) -> tuple[int, int]:
-    """Write n >= 1 as s*s*f with f square-free; returns (s, f)."""
-    s, f, d = 1, n, 2
-    while d * d <= f:
-        dd = d * d
-        while f % dd == 0:
-            f //= dd
-            s *= d
-        d += 1
-    return s, f
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surd:
-    """Exact real coef*sqrt(radicand) with radicand >= 0.
+    """Exact real coef*sqrt(radicand) with radicand a nonnegative rational.
 
-    The radicand is normalized to a square-free integer at construction
-    (sqrt(p/q) = sqrt(p*q)/q, then square factors move into the coefficient),
-    so equal values always have equal representations and rational values
-    always carry radicand 1. Addition is defined for equal radicands only,
-    which is all the solver needs.
+    The radicand is kept as given; only zero has one representation (coef 0,
+    radicand 1). Equality and hashing go by value: a real number is fixed by
+    its sign and its square. Addition is defined when the two radicands
+    differ by a rational square factor, which is all the solver needs.
     """
 
     coef: Fraction
@@ -63,32 +50,27 @@ class Surd:
         rad = as_rational(self.radicand)
         if rad < 0:
             raise ValueError("radicand must be nonnegative")
-        if rad == 0:
-            coef = Fraction(0)
-            rad = Fraction(1)
-        else:
-            s, f = _square_free_split(rad.numerator * rad.denominator)
-            coef = coef * Fraction(s, rad.denominator)
-            rad = Fraction(f)
-        if coef == 0:
-            rad = Fraction(1)
+        if not coef or not rad:
+            coef, rad = Fraction(0), Fraction(1)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "radicand", rad)
 
-    @classmethod
-    def _normalized(cls, coef: Fraction, radicand: Fraction) -> "Surd":
-        """A Surd from a radicand that is already a square-free integer, as
-        every existing Surd's is, without splitting it again."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "coef", coef)
-        object.__setattr__(s, "radicand", radicand if coef != 0 else Fraction(1))
-        return s
+    def _value(self) -> tuple[bool, Fraction]:
+        return self.coef > 0, self.squared()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     def __float__(self) -> float:
         return float(self.coef) * math.sqrt(float(self.radicand))
 
     def __neg__(self) -> "Surd":
-        return Surd._normalized(-self.coef, self.radicand)
+        return Surd(-self.coef, self.radicand)
 
     def __add__(self, other: "Surd") -> "Surd":
         if not isinstance(other, Surd):
@@ -97,12 +79,18 @@ class Surd:
             return other
         if other.coef == 0:
             return self
-        if self.radicand != other.radicand:
-            raise ValueError("sum of surds over different radicands is not a Surd")
-        return Surd._normalized(self.coef + other.coef, self.radicand)
+        if other.radicand != self.radicand:
+            # sqrt(other.radicand) = sqrt(self.radicand) * sqrt(ratio), rational
+            # exactly when the reduced ratio's numerator and denominator are squares.
+            ratio = other.radicand / self.radicand
+            num, den = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
+            if num * num != ratio.numerator or den * den != ratio.denominator:
+                raise ValueError("sum of surds over different radicands is not a Surd")
+            other = Surd(other.coef * Fraction(num, den), self.radicand)
+        return Surd(self.coef + other.coef, self.radicand)
 
     def __rmul__(self, scalar: RationalLike) -> "Surd":
-        return Surd._normalized(as_rational(scalar) * self.coef, self.radicand)
+        return Surd(as_rational(scalar) * self.coef, self.radicand)
 
     def squared(self) -> Fraction:
         return self.coef * self.coef * self.radicand
@@ -120,7 +108,7 @@ def clear_denominators(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
 def _int_rows(matrix: Sequence[Sequence[RationalLike]]) -> list[list[int]]:
     """Each row of a rational matrix scaled by the lcm of its denominators."""
     return [
-        clear_denominators([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row])[0]
+        clear_denominators([v if isinstance(v, (int, Fraction)) else as_rational(v) for v in row])[0]
         for row in matrix
     ]
 
@@ -167,10 +155,13 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     After elimination the last pivot is the determinant det of the scaled
     system, up to the sign of the row swaps, so det * x is an integer
     vector (Cramer's rule); back substitution finds it on ints and divides
-    by det once. Raises ValueError on a singular matrix.
+    by det once. Raises ValueError on a singular matrix or one that is not
+    n x n for n right-hand sides.
     """
     n = len(rhs)
-    aug = _int_rows([[matrix[i][j] for j in range(n)] + [rhs[i]] for i in range(n)])
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"need an {n} x {n} matrix for {n} right-hand sides")
+    aug = _int_rows([[*row, b] for row, b in zip(matrix, rhs)])
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular system")
     det = aug[n - 1][n - 1] if n else 1
@@ -184,6 +175,9 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact fraction-free row reduction."""
+    """Rank of a rational matrix by exact fraction-free row reduction.
+    Raises ValueError on rows of unequal length."""
     rows = _int_rows(matrix)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows differ in length")
     return len(_reduce(rows, len(rows[0]))) if rows else 0

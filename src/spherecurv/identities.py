@@ -93,9 +93,9 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
     """Exact solutions of {k lam + (4-k) mu = 0, k lam^2 + (4-k) mu^2 = S}.
 
     k is the multiplicity of lam. Returns the two sign branches
-    ((lam, mu), (-lam, -mu)) as surds sharing the square-free part of
-    k(4-k)S as radicand, with lam > 0 in the first branch. S = 0 would force
-    lam = mu = 0, a degenerate pair, and is rejected.
+    ((lam, mu), (-lam, -mu)) as surds sharing the radicand k(4-k)S, with
+    lam > 0 in the first branch. S = 0 would force lam = mu = 0, a
+    degenerate pair, and is rejected.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"multiplicity k must be 1, 2 or 3, got {k}")
@@ -104,7 +104,7 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
         raise ValueError("S = 0 collapses both curvatures to zero (degenerate)")
     if S < 0:
         raise ValueError(f"S must be positive, got {S}")
-    # One square-free split; a rational multiple keeps the radicand as it is.
+    # Both are rational multiples of sqrt(k(4-k)S), so they share its radicand.
     root = Surd(1, k * (4 - k) * S)
     lam = Fraction(1, 2 * k) * root
     mu = Fraction(-1, 2 * (4 - k)) * root

@@ -15,6 +15,7 @@ offset of the cotangent ladder when the pattern allows one).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
@@ -219,20 +220,15 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     )
 
 
-class _Kahan:
-    """Compensated accumulator so aggregation order does not leak into sums."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
+def _kahan_sum(values: Sequence[float]) -> float:
+    """Compensated sum, so aggregation order does not leak into the total."""
+    total = carry = 0.0
+    for x in values:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
 
 
 def _sweep_point(stream: RngStream, spec: LevelSpec) -> tuple:
@@ -289,37 +285,20 @@ def sweep_analyze(
         raise RuntimeError("no surface point could be sampled")
 
     max_abs_f1 = max(abs(r[2]) for r in ok_rows)
-    s_sum, f3_sum, theta_sum = _Kahan(), _Kahan(), _Kahan()
-    s_min = math.inf
-    s_max = -math.inf
-    f3_min = math.inf
-    f3_max = -math.inf
-    hist: dict[int, int] = {}
-    n_theta = 0
-    for r in ok_rows:
-        _, _, _f1, s, f3, g, _mults, theta0 = r
-        s_sum.add(s)
-        f3_sum.add(f3)
-        s_min = min(s_min, s)
-        s_max = max(s_max, s)
-        f3_min = min(f3_min, f3)
-        f3_max = max(f3_max, f3)
-        hist[g] = hist.get(g, 0) + 1
-        if theta0 is not None:
-            theta_sum.add(theta0)
-            n_theta += 1
-
+    s_vals = [r[3] for r in ok_rows]
+    f3_vals = [r[4] for r in ok_rows]
+    thetas = [r[7] for r in ok_rows if r[7] is not None]
     return SurfaceStats(
         n_points=len(ok_rows),
         n_failures=len(failures),
         max_abs_f1=max_abs_f1,
-        s_mean=s_sum.total / len(ok_rows),
-        s_min=s_min,
-        s_max=s_max,
-        f3_mean=f3_sum.total / len(ok_rows),
-        f3_spread=f3_max - f3_min,
-        g_histogram=dict(sorted(hist.items())),
-        theta0_mean=(theta_sum.total / n_theta) if n_theta else None,
+        s_mean=_kahan_sum(s_vals) / len(ok_rows),
+        s_min=min(s_vals),
+        s_max=max(s_vals),
+        f3_mean=_kahan_sum(f3_vals) / len(ok_rows),
+        f3_spread=max(f3_vals) - min(f3_vals),
+        g_histogram=dict(sorted(Counter(r[5] for r in ok_rows).items())),
+        theta0_mean=(_kahan_sum(thetas) / len(thetas)) if thetas else None,
         verdict=_classify(ok_rows, max_abs_f1, f1_tol),
         failure_samples=tuple(failures[:3]),
     )

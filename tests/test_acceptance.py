@@ -8,10 +8,12 @@ command or sweep.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 
@@ -42,6 +44,7 @@ from spherecurv import (
 from fieldtools import expanded_quartic, poly_scale
 
 SEED = 0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(num: int, checks: list[tuple[bool, str]]) -> None:
@@ -52,11 +55,13 @@ def _report(num: int, checks: list[tuple[bool, str]]) -> None:
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "spherecurv.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
     )
 
 

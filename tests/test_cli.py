@@ -300,10 +300,12 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["results"][0]["failures"] == 0
 
-    def test_height_beyond_64_bits_exits_0(self, capsys):
-        """Ranges wider than 2^64 used to reject every raw draw and hang."""
+    @pytest.mark.parametrize("identity", ["i-sign", "g2"])
+    def test_height_beyond_64_bits_exits_0(self, capsys, identity):
+        """Ranges wider than 2^64 used to reject every raw draw and hang, and
+        g2 used to factor a radicand that grows with the height squared."""
         code, out, err = _run(
-            capsys, "verify", "--identity", "i-sign", "--trials", "5", "--height", str(2**70)
+            capsys, "verify", "--identity", identity, "--trials", "5", "--height", str(2**70)
         )
         assert code == 0
         report = json.loads(out)

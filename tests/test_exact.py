@@ -26,13 +26,27 @@ def test_as_rational_rejects_float():
 class TestSurd:
     def test_perfect_square_folds_to_rational(self):
         s = Surd(Fraction(1), Fraction(16))
-        assert s.coef == 4
-        assert s.radicand == 1
+        assert s == Surd(Fraction(4))
+        assert s.squared() == 16
+        assert float(s) == 4.0
 
     def test_square_factor_extraction(self):
         s = Surd(Fraction(1, 2), Fraction(12))
-        assert s.coef == 1
-        assert s.radicand == 3
+        assert s == Surd(Fraction(1), Fraction(3))
+        assert s.squared() == 3
+        assert abs(float(s) - 3**0.5) < 1e-15
+
+    def test_equal_values_over_different_radicands(self):
+        a, b = Surd(Fraction(1), Fraction(16)), Surd(Fraction(4))
+        c, d = Surd(Fraction(1, 2), Fraction(12)), Surd(Fraction(1), Fraction(3))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert c == d and hash(c) == hash(d) and len({c, d}) == 1
+        assert a != -a and c != a
+        assert Surd(Fraction(1), Fraction(8)) + Surd(Fraction(1), Fraction(2)) == Surd(
+            Fraction(3), Fraction(2)
+        )
+        with pytest.raises(ValueError):
+            Surd(Fraction(1), Fraction(2)) + Surd(Fraction(1), Fraction(3))
 
     def test_zero_normalizes_radicand(self):
         s = Surd(Fraction(0), Fraction(7))
@@ -80,8 +94,8 @@ class TestSurd:
 
 
 def test_surd_arithmetic_matches_full_normalization():
-    """Negation, sums and scalar multiples skip the square-free split of
-    their operands' radicands; they equal the Surds built with it."""
+    """Negation, sums and scalar multiples equal the Surds built directly
+    from the resulting coefficient and radicand."""
     radicands = [Fraction(1), Fraction(12), Fraction(7, 18), Fraction(50, 3)]
     coefs = [Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5, 7)]
     for r in radicands:
@@ -95,18 +109,6 @@ def test_surd_arithmetic_matches_full_normalization():
                 assert total.radicand == 1 or total.coef != 0
                 assert c2 * a == Surd(c2 * a.coef, a.radicand)
                 assert (0 * a).radicand == 1
-
-
-def test_surd_arithmetic_does_not_split_again(monkeypatch):
-    from spherecurv import exact
-
-    calls = []
-    split = exact._square_free_split
-    monkeypatch.setattr(exact, "_square_free_split", lambda n: calls.append(n) or split(n))
-    lam, mu = Surd(Fraction(1, 2), Fraction(12)), Surd(Fraction(-1, 6), Fraction(12))
-    assert len(calls) == 2
-    assert (1 * lam + 3 * mu).is_zero() and (-lam).coef == -1
-    assert len(calls) == 2
 
 
 def test_solve_linear_known_system():
@@ -143,6 +145,20 @@ def test_matrix_rank_cases():
     assert matrix_rank(full) == 2
     tall = [[Fraction(1)], [Fraction(2)], [Fraction(3)]]
     assert matrix_rank(tall) == 1
+
+
+def test_linear_algebra_rejects_bad_input():
+    with pytest.raises(TypeError):
+        solve_linear([[0.1]], [1])
+    with pytest.raises(TypeError):
+        matrix_rank([[1, 0.5]])
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0, 0], [0, 1, 0]], [1, 2])
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2]], [1, 2])
+    with pytest.raises(ValueError):
+        matrix_rank([[1, 2], [3]])
+    assert solve_linear([["1/2"]], [1]) == [Fraction(2)]
 
 
 def _fraction_reduce(rows, ncols):

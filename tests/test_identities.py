@@ -13,8 +13,8 @@ existed:
   * dpsi at the same data with mixed = 0: gauss_R/2 - sum(I_l)
     = 41 + 4/9 = 373/9.
   * g2_solve(1, 4): radicand 1*3*4 = 12, lam = (1/2)sqrt(12) = sqrt(3),
-    mu = -(1/6)sqrt(12) = -sqrt(1/3). g2_solve(2, 4): radicand 16 folds,
-    lam = 1, mu = -1.
+    mu = -(1/6)sqrt(12) = -sqrt(1/3). g2_solve(2, 4): radicand 16, a
+    perfect square, so lam = (1/4)sqrt(16) = 1, mu = -1.
   * g3 determinant at (p,q,r)=(1,1,2), lams (0,1,2):
     1*1*2*(1-0)(2-0)(2-1) = 4.
 """
@@ -97,8 +97,8 @@ class TestTwoCurvatures:
 
     def test_k2_s4_is_rational(self):
         (lam, mu), _ = g2_solve(2, 4)
-        assert lam == Surd(F(1)) and lam.radicand == 1
-        assert mu == Surd(F(-1))
+        assert lam == Surd(F(1)) and lam.squared() == 1 and float(lam) == 1.0
+        assert mu == Surd(F(-1)) and mu.squared() == 1 and float(mu) == -1.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("S", [F(4), F(7, 5), F(12), F(1, 3)])
