@@ -11,7 +11,8 @@ I_closed, sign_lemma, gauss_R, dpsi_coeff) run on Python ints: the
 quadruple is scaled by the lcm d of its denominators to integers a_i = lam_i d,
 K and the mixed components are cleared the same way, and Fractions are
 built only for the returned values. The definition side never calls the
-closed forms.
+closed forms. The random sweeps draw (numerator, denominator) int pairs
+(rng._rational_walk); the i-sign trial stays on ints from draw to verdict.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -32,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .exact import RationalLike, Surd, as_rational, clear_denominators, matrix_rank, solve_linear
-from .rng import RngStream, draw_int, draw_rational, draw_rationals, map_chunks
+from .rng import RngStream, _rational_walk, draw_int, draw_rational, draw_rationals, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -240,16 +241,17 @@ def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     return tuple(out)
 
 
-def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def _I_cleared(
+    a: Sequence[int], d: int, ks: Sequence[int], k_den: int
+) -> tuple[tuple[int, ...], int]:
     """Numerators of the four closed-form I_l over one positive common denominator.
 
-    With d the lcm of the curvature denominators and a_i = lam_i d the
-    integer quadruple, the brackets and D have degrees 4 and 6, so
-    I_l = -k_l^2 bracket_l(a) d^8 / (k_den^2 D(a)^2), where K_l = k_l / k_den.
+    The curvatures are lam_i = a_i / d and K_l = k_l / k_den, for any
+    positive d and k_den. The brackets and D have degrees 4 and 6 in the
+    integer quadruple a, so I_l = -k_l^2 bracket_l(a) d^8 / (k_den^2 D(a)^2).
     Everything is Python int arithmetic.
     """
-    (a1, a2, a3, a4), d = clear_denominators(lam.lam)
-    ks, k_den = clear_denominators(K)
+    a1, a2, a3, a4 = a
     d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
     brackets = (
         d43 * d42 * d41 * d41 - d43 * d32 * d31 * d31 + d42 * d32 * d21 * d21,
@@ -265,7 +267,8 @@ def _I_cleared(lam: Quadruple, K: Sequence[Fraction]) -> tuple[tuple[int, ...], 
 def I_closed(lam: Quadruple, K: Sequence[RationalLike]) -> Quad:
     """The same four sums in closed form: -K_l^2 / D^2 times a difference
     bracket, D = prod_{i<j} (lam_j - lam_i)."""
-    nums, den = _I_cleared(lam, _four("K", K))
+    a, d = clear_denominators(lam.lam)
+    nums, den = _I_cleared(a, d, *clear_denominators(_four("K", K)))
     return tuple(Fraction(n, den) for n in nums)
 
 
@@ -275,7 +278,13 @@ def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
     The closed forms share a positive denominator, so this reads the signs
     of their integer numerators.
     """
-    nums, _den = _I_cleared(lam, _four("K", K))
+    a, d = clear_denominators(lam.lam)
+    return _sign_lemma_cleared(a, d, *clear_denominators(_four("K", K)))
+
+
+def _sign_lemma_cleared(a: Sequence[int], d: int, ks: Sequence[int], k_den: int) -> bool:
+    """sign_lemma for lam_i = a_i / d and K_l = k_l / k_den."""
+    nums, _den = _I_cleared(a, d, ks, k_den)
     return all(n <= 0 for n in nums)
 
 
@@ -413,6 +422,32 @@ def _square_free_parts(f: list[int]) -> list[list[int]]:
     return parts
 
 
+def _real_root_count(f: list[int]) -> int:
+    """The number of distinct real roots of the integer polynomial f, exactly,
+    by Sturm's theorem (Sturm 1829).
+
+    The Sturm sequence f, f', -rem(f, f'), ... runs on ints: _pseudo_divmod
+    gives lc(b)^k a = q b + r, so the true remainder r / lc(b)^k has the
+    sign of r times that of lc(b)^k, and each term is made primitive, which
+    keeps its sign. The count is the number of sign changes among the
+    leading terms at -infinity minus that at +infinity.
+    """
+    n = len(f) - 1
+    seq = [f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        r = _pseudo_divmod(a, b)[1]
+        if not r:
+            break
+        sign = -1 if b[0] < 0 and (len(a) - len(b)) % 2 == 0 else 1
+        seq.append(_primitive([-sign * c for c in r]))
+
+    def changes(signs: list[int]) -> int:
+        return sum(x * y < 0 for x, y in zip(signs, signs[1:]))
+
+    return changes([p[0] * (-1) ** (len(p) - 1) for p in seq]) - changes([p[0] for p in seq])
+
+
 def _estimates(f: list[int]) -> list[complex]:
     """Float estimates of all roots of the integer polynomial f, by
     Durand-Kerner iteration from a circle that encloses every root
@@ -520,8 +555,12 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     one that refinement cannot resolve, falls back to finding its roots
     numerically with mpmath at `dps` decimal digits; mpf input always takes
     that path, which keeps repeated roots accurate far beyond double
-    precision. Raises ValueError if any root has imaginary part beyond
-    1e-10. Returns the four real roots ascending.
+    precision. Whether such a rational factor's roots are all real is
+    decided exactly, by counting them with a Sturm sequence on ints
+    (`_real_root_count`), however small the imaginary part of a complex
+    pair; mpmath then only names the offending root. For mpf input a root
+    counts as real when its imaginary part is at most 1e-10. Raises
+    ValueError if a root is not real. Returns the four real roots ascending.
 
     mpmath is imported only when the fallback runs, so sweeps whose roots
     are all found exactly never load it.
@@ -545,10 +584,15 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
                 e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
                 polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
             for poly in polys:
-                for rt in _roots([_to_mpf(c) for c in poly]):
-                    if abs(mp.im(rt)) > mp.mpf("1e-10"):
-                        raise ValueError(f"curvature root is not real: {rt}")
-                    out.append(float(mp.re(rt)))
+                roots = _roots([_to_mpf(c) for c in poly])
+                worst = max(roots, key=lambda rt: abs(mp.im(rt)))
+                if rational:
+                    real = _real_root_count(poly) == len(poly) - 1
+                else:
+                    real = abs(mp.im(worst)) <= mp.mpf("1e-10")
+                if not real:
+                    raise ValueError(f"curvature root is not real: {worst}")
+                out += (float(mp.re(rt)) for rt in roots)
     return tuple(sorted(out))
 
 
@@ -581,9 +625,32 @@ def _draw_rationals(
             return vals, stream
 
 
-def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[Quadruple, RngStream]:
-    vals, stream = _draw_rationals(stream, height, 4, distinct=True)
-    return Quadruple(tuple(sorted(vals))), stream
+def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The (numerator, denominator) pairs as integers over the lcm of their
+    denominators, with that lcm."""
+    d = math.lcm(*(den for _num, den in pairs))
+    return [num * (d // den) for num, den in pairs], d
+
+
+def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[list[int], int, RngStream]:
+    """Four distinct rationals of the given height, ascending, as (a, d, stream)
+    with lam_i = a_i / d; d is the lcm of the four drawn denominators.
+
+    All four are redrawn until no two are equal, exactly as
+    _draw_rationals(stream, height, 4, distinct=True) would; distinctness and
+    order are read on the ints, which share the denominator d.
+    """
+    seed, counter = stream.seed, stream.counter
+    while True:
+        pairs, counter = _rational_walk(seed, counter, height, 4)
+        a, d = _cleared_pairs(pairs)
+        if len(set(a)) == 4:
+            a.sort()
+            return a, d, RngStream(seed, counter)
+
+
+def _quadruple(a: Sequence[int], d: int) -> Quadruple:
+    return Quadruple(tuple(Fraction(x, d) for x in a))
 
 
 def _fmt(values) -> list[str]:
@@ -613,7 +680,8 @@ def _trial_g3(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
-    quad, stream = _draw_distinct_quadruple(stream, height)
+    a, d, stream = _draw_distinct_quadruple(stream, height)
+    quad = _quadruple(a, d)
     K_l, stream = draw_rational(stream, height)
     l, stream = draw_int(stream, 0, 3)
     K = tuple(K_l if m == l else Fraction(0) for m in range(4))
@@ -626,7 +694,8 @@ def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
-    quad, stream = _draw_distinct_quadruple(stream, height)
+    a, d, stream = _draw_distinct_quadruple(stream, height)
+    quad = _quadruple(a, d)
     K, stream = _draw_rationals(stream, height, 4)
     direct = I_def(quad, diag_from_K(quad, K))
     closed = I_closed(quad, K)
@@ -636,15 +705,19 @@ def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
-    quad, stream = _draw_distinct_quadruple(stream, height)
-    K, stream = _draw_rationals(stream, height, 4)
-    if not sign_lemma(quad, K):
-        return {"lam": _fmt(quad.lam), "K": _fmt(K)}
+    """The sign lemma on ints from draw to verdict; Fractions are built only
+    to name a counterexample, and Fraction(num, den) reduces as the drawn
+    Fractions do."""
+    a, d, stream = _draw_distinct_quadruple(stream, height)
+    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+    if not _sign_lemma_cleared(a, d, *_cleared_pairs(pairs)):
+        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
     return None
 
 
 def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
-    quad, stream = _draw_distinct_quadruple(stream, height)
+    a, d, stream = _draw_distinct_quadruple(stream, height)
+    quad = _quadruple(a, d)
     K, stream = _draw_rationals(stream, height, 4)
     mixed, stream = _draw_rationals(stream, height, 4)
     table = DerivativeTable(lam=quad, K=K, mixed=mixed)

@@ -149,24 +149,61 @@ def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     return lo + value, RngStream(stream.seed, counter)
 
 
+def _rational_walk(seed: int, counter: int, height: int, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The (numerator, denominator) int pairs of n rationals of the given
+    height, unreduced, with the counter of the last output used.
+
+    Each pair draws its numerator as _below(2 height + 1) - height and then
+    its denominator as _below(height) + 1. For ranges up to 2^64 the
+    SplitMix64 step runs inline on the running state seed + counter GOLDEN;
+    wider ranges go through _below_wide. This is the one rational draw:
+    draw_rationals is its Fraction view and the exact sweeps read the ints.
+    """
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
+    span = 2 * height + 1
+    pairs = []
+    if span > 1 << 64:
+        for _ in range(n):
+            num, counter = _below(seed, counter, span)
+            den, counter = _below(seed, counter, height)
+            pairs.append((num - height, den + 1))
+        return pairs, counter
+    num_limit = (1 << 64) - (1 << 64) % span
+    den_limit = (1 << 64) - (1 << 64) % height
+    state = (seed + counter * _GOLDEN) & _MASK64
+    for _ in range(n):
+        while True:
+            counter += 1
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < num_limit:
+                break
+        num = z % span - height
+        while True:
+            counter += 1
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < den_limit:
+                break
+        pairs.append((num, z % height + 1))
+    return pairs, counter
+
+
 def draw_rationals(stream: RngStream, height: int, n: int) -> tuple[tuple[Fraction, ...], RngStream]:
     """n random reduced fractions, each with |numerator| <= height and
     1 <= denominator <= height, with the stream after the last.
 
-    Each value draws its numerator as draw_int(-height, height) and then its
-    denominator as draw_int(1, height); the counter is walked as a plain int
-    and one stream is built at the end. The bound survives reduction, so the
-    height contract is exact.
+    The Fraction view of _rational_walk: each value draws its numerator as
+    draw_int(-height, height) and then its denominator as draw_int(1, height).
+    The bound survives reduction, so the height contract is exact.
     """
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-    seed, counter = stream.seed, stream.counter
-    vals = []
-    for _ in range(n):
-        num, counter = _below(seed, counter, 2 * height + 1)
-        den, counter = _below(seed, counter, height)
-        vals.append(Fraction(num - height, den + 1))
-    return tuple(vals), RngStream(seed, counter)
+    pairs, counter = _rational_walk(stream.seed, stream.counter, height, n)
+    return tuple(Fraction(num, den) for num, den in pairs), RngStream(stream.seed, counter)
 
 
 def draw_rational(stream: RngStream, height: int) -> tuple[Fraction, RngStream]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from spherecurv import identities
+from spherecurv import identities, rng
 from spherecurv import (
     DerivativeTable,
     IDENTITY_NAMES,
@@ -200,28 +200,37 @@ class TestInteractionSums:
     K_ONES = (F(1), F(1), F(1), F(1))
 
     def test_integer_kernel_matches_fraction_reference(self):
-        """I_closed equals the Fraction closed form, and the integer numerators
-        over their positive denominator carry its signs, zero included, which
-        is all sign_lemma reads. Every third quadruple is rotated out of order;
-        the sums only permute under relabelling, so every bracket stays
-        nonnegative and no real input makes the lemma fail."""
+        """I_closed equals the Fraction closed form. The integer numerators
+        of the sweep's own path, the drawn pairs cleared over the lcm of
+        their unreduced denominators, are the same values over their
+        positive denominator and carry the same signs, zero included, which
+        is all sign_lemma and the i-sign trial read. Every third quadruple
+        is rotated out of order; the sums only permute under relabelling, so
+        every bracket stays nonnegative and no real input makes the lemma
+        fail."""
         root = RngStream(2024)
         zeros = 0
         for i in range(2400):
             stream = root.split(i)
             height = (2, 3, 50, 1000)[i % 4]
-            quad, stream = identities._draw_distinct_quadruple(stream, height)
-            K, stream = identities._draw_rationals(stream, height, 4)
+            a, d, stream = identities._draw_distinct_quadruple(stream, height)
+            pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 4)
             if i % 7 == 0:
-                K = K[:2] + (F(0),) + K[3:]
+                pairs[2] = (0, pairs[2][1])
             if i % 3 == 0:
-                object.__setattr__(quad, "lam", quad.lam[1:] + quad.lam[:1])
+                a = a[1:] + a[:1]
+            quad = Quadruple(tuple(sorted(F(x, d) for x in a)))
+            object.__setattr__(quad, "lam", tuple(F(x, d) for x in a))
+            K = tuple(F(*p) for p in pairs)
             ref = _fraction_I_closed(quad, K)
             assert I_closed(quad, K) == ref
-            nums, den = identities._I_cleared(quad, K)
+            ks, k_den = identities._cleared_pairs(pairs)
+            nums, den = identities._I_cleared(a, d, ks, k_den)
             assert den > 0
+            assert tuple(F(n, den) for n in nums) == ref
             assert [(n > 0) - (n < 0) for n in nums] == [(v > 0) - (v < 0) for v in ref]
-            assert sign_lemma(quad, K) == all(v <= 0 for v in ref)
+            lemma = all(v <= 0 for v in ref)
+            assert sign_lemma(quad, K) == identities._sign_lemma_cleared(a, d, ks, k_den) == lemma
             zeros += ref.count(0)
         assert zeros > 300
 
@@ -497,6 +506,30 @@ class TestRecoverCurvatures:
         with pytest.raises(ValueError):
             recover_curvatures(F(0), F(0), F(0), F(1))
 
+    @pytest.mark.parametrize("eps", [F(1, 10**6), F(1, 10**11), F(1, 10**20)])
+    def test_tiny_complex_pair_rejected(self, eps):
+        """Roots +-1 and +-i eps give (x^2 - 1)(x^2 + eps^2). The input is
+        exact, so the pair is rejected however small eps is; a tolerance on
+        the imaginary parts of numerical roots took it for two real zeros."""
+        with pytest.raises(ValueError, match="not real"):
+            recover_curvatures(F(0), 2 - 2 * eps * eps, F(0), -eps * eps)
+
+    @pytest.mark.parametrize(
+        "f, count",
+        [
+            ([1, 0, -5, 0, 6], 4),  # +-sqrt(2), +-sqrt(3)
+            ([1, 0, 0, 0, 1], 0),
+            ([-1, 0, 1], 2),
+            ([1, -6, 11, -6], 3),
+            ([-2, 0, 0, 5], 1),
+            ([1, 0, -1, 0, 0], 3),  # x^2 (x^2 - 1): distinct roots only
+            ([10**22, 0, 10**22 - 1, 0, -1], 2),  # +-10^-11 and +-i
+            ([3, 7], 1),
+        ],
+    )
+    def test_real_root_count_is_exact(self, f, count):
+        assert identities._real_root_count(f) == count
+
     def test_zero_root_deflation(self):
         roots = recover_curvatures(F(3), F(5), F(9), F(0))
         assert roots == pytest.approx([0.0, 0.0, 1.0, 2.0], abs=1e-9)
@@ -655,6 +688,34 @@ class TestSweeps:
         assert a == b
 
 
+def _reference_distinct_quadruple(stream, height):
+    """The quadruple draw as it was on Fractions: four draw_rationals values,
+    all redrawn until no two are equal, then sorted."""
+    while True:
+        vals, stream = draw_rationals(stream, height, 4)
+        if len(set(vals)) == 4:
+            return Quadruple(tuple(sorted(vals))), stream
+
+
+@pytest.mark.parametrize("height", [2, 3, 1000, 10**6, 2**63, 2**70])
+def test_int_quadruple_draw_matches_fraction_draw(height):
+    """The cleared quadruple, the stream after it and the K draw that
+    follows equal the Fraction draw's; at heights 2 and 3 many quadruples
+    are redrawn for a repeated value."""
+    root = RngStream(2718)
+    redrawn = 0
+    for key in range(350):
+        a, d, stream = identities._draw_distinct_quadruple(root.split(key), height)
+        ref, ref_stream = _reference_distinct_quadruple(root.split(key), height)
+        assert tuple(F(x, d) for x in a) == ref.lam
+        assert stream == ref_stream
+        pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 4)
+        assert tuple(F(*p) for p in pairs) == draw_rationals(ref_stream, height, 4)[0]
+        redrawn += stream.counter > 8
+    if height < 4:
+        assert redrawn > 100
+
+
 _TRIAL2_LAM = ["-1", "0", "1/2", "1"]
 _TRIAL2_K = ["1", "1/2", "0", "1"]
 
@@ -665,7 +726,7 @@ _PLANTED = {
     "g3": ("g3_kernel", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
     "vandermonde": ("diag_from_system", None, {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
     "i-closed": ("I_closed", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
-    "i-sign": ("sign_lemma", False, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
+    "i-sign": ("_sign_lemma_cleared", False, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
     "dpsi": ("dpsi_coeff", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
     "recover": ("recover_curvatures", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
 }

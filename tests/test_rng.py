@@ -16,7 +16,7 @@ from spherecurv import (
     draw_rationals,
     draw_u64,
 )
-from spherecurv.rng import chunk_bounds, map_chunks
+from spherecurv.rng import _rational_walk, chunk_bounds, map_chunks
 
 _MASK = (1 << 64) - 1
 
@@ -137,36 +137,47 @@ def test_draw_rational_height_contract():
         draw_rational(s, 0)
 
 
-def _reference_draw_rational(stream, height):
-    """One rational the per-value way: numerator in [-height, height], then
-    denominator in [1, height], each by rejection on raw 64-bit draws."""
+def _reference_pair(stream, height):
+    """One rational's unreduced (numerator, denominator) the per-value way:
+    numerator in [-height, height], then denominator in [1, height], each by
+    rejection on raw 64-bit draws (several per candidate beyond 2^64)."""
     parts = []
     for lo, hi in ((-height, height), (1, height)):
         n = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % n)
-        raw, stream = draw_u64(stream)
-        while raw >= limit:
+        if n > 2**64:
+            raw, stream = _reference_below_wide(stream, n)
+        else:
+            limit = (1 << 64) - ((1 << 64) % n)
             raw, stream = draw_u64(stream)
+            while raw >= limit:
+                raw, stream = draw_u64(stream)
         parts.append(lo + raw % n)
-    return Fraction(*parts), stream
+    return tuple(parts), stream
 
 
-@pytest.mark.parametrize("height", [1, 2, 3, 1000])
+@pytest.mark.parametrize("height", [1, 2, 3, 1000, 10**6, 2**63, 2**70])
 def test_draw_rationals_matches_successive_single_draws(height):
+    """The int-pair walk draws what the Fraction draws read: its unreduced
+    pairs are the per-value reference's, as Fractions they are draw_rationals
+    and n successive draw_rational calls, and all end on one counter. At
+    2^63 and 2^70 the numerator range exceeds 2^64 and takes several raw
+    outputs per candidate."""
     root = RngStream(271828)
-    for key in range(300):
-        start = root.split(key)
+    starts = [root.split(key) for key in range(300)] + [RngStream(7, counter=2**64 - 3)]
+    for start in starts:
         for n in range(9):
+            pairs, counter = _rational_walk(start.seed, start.counter, height, n)
             vals, end = draw_rationals(start, height, n)
             single, ref = [], []
             s = t = start
             for _ in range(n):
                 v, s = draw_rational(s, height)
                 single.append(v)
-                w, t = _reference_draw_rational(t, height)
+                w, t = _reference_pair(t, height)
                 ref.append(w)
-            assert vals == tuple(single) == tuple(ref)
-            assert end == s == t
+            assert pairs == ref
+            assert tuple(Fraction(*p) for p in pairs) == vals == tuple(single)
+            assert RngStream(start.seed, counter) == end == s == t
     with pytest.raises(ValueError):
         draw_rationals(root, 0, 4)
 
