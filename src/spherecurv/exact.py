@@ -149,19 +149,16 @@ def _reduce(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by fraction-free elimination, exactly.
+def _solve_cleared(aug: list[list[int]]) -> tuple[list[int], int]:
+    """(y, det) with x = y / det the solution of the n x (n + 1) integer
+    augmented system aug, which is reduced in place.
 
-    After elimination the last pivot is the determinant det of the scaled
-    system, up to the sign of the row swaps, so det * x is an integer
-    vector (Cramer's rule); back substitution finds it on ints and divides
-    by det once. Raises ValueError on a singular matrix or one that is not
-    n x n for n right-hand sides.
+    After elimination the last pivot is the determinant det of the system,
+    up to the sign of the row swaps, so det * x is an integer vector
+    (Cramer's rule); back substitution finds it on ints. Raises ValueError
+    on a singular system.
     """
-    n = len(rhs)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"need an {n} x {n} matrix for {n} right-hand sides")
-    aug = _int_rows([[*row, b] for row, b in zip(matrix, rhs)])
+    n = len(aug)
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular system")
     det = aug[n - 1][n - 1] if n else 1
@@ -171,6 +168,20 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
         y[i], rem = divmod(det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
         if rem:
             raise RuntimeError("inexact back substitution (unreachable)")
+    return y, det
+
+
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a square rational system by fraction-free elimination, exactly.
+
+    Each row is scaled to integers and _solve_cleared gives det * x on
+    ints; the solution is divided by det once. Raises ValueError on a
+    singular matrix or one that is not n x n for n right-hand sides.
+    """
+    n = len(rhs)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"need an {n} x {n} matrix for {n} right-hand sides")
+    y, det = _solve_cleared(_int_rows([[*row, b] for row, b in zip(matrix, rhs)]))
     return [Fraction(v, det) for v in y]
 
 

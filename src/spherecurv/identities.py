@@ -5,14 +5,16 @@ four principal curvature functions lambda_1 < ... < lambda_4. The classifying
 argument runs through a chain of algebraic identities in the curvatures and
 the symmetric derivative components h_abc; each identity is implemented here
 in exact arithmetic so it can be checked with zero rounding error at random
-rational inputs. Values go in and come out as Fractions. Inside, the kernels
-of the four-curvature identities (diag_from_K, diag_from_system, I_def,
-I_closed, sign_lemma, gauss_R, dpsi_coeff) run on Python ints: the
-quadruple is scaled by the lcm d of its denominators to integers a_i = lam_i d,
-K and the mixed components are cleared the same way, and Fractions are
-built only for the returned values. The definition side never calls the
-closed forms. The random sweeps draw (numerator, denominator) int pairs
-(rng._rational_walk); the i-sign trial stays on ints from draw to verdict.
+rational inputs. Values go in and come out as Fractions. Inside, each
+public function of the four-curvature identities (diag_from_K,
+diag_from_system, I_def, I_closed, sign_lemma, gauss_R, dpsi_coeff) is a
+thin wrapper over an int core: the quadruple is scaled by a common
+denominator d to integers a_i = lam_i d, K and the mixed components are
+cleared the same way, and Fractions are built only for the returned values.
+The definition side never calls the closed forms. The random sweeps draw
+(numerator, denominator) int pairs (rng._rational_walk), and the
+four-curvature trials hand them to the int cores, so they stay on ints from
+draw to verdict and build Fractions only to name a counterexample.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -32,7 +34,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .exact import RationalLike, Surd, as_rational, clear_denominators, matrix_rank, solve_linear
+# draw_rational and solve_linear are no longer called here; they stay bound
+# under these names because the per-layer tracer in bench/layers.py wraps them.
+from .exact import (
+    RationalLike,
+    Surd,
+    _solve_cleared,
+    as_rational,
+    clear_denominators,
+    matrix_rank,
+    solve_linear,
+)
 from .rng import RngStream, _rational_walk, draw_int, draw_rational, draw_rationals, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -166,26 +178,23 @@ def _cofactors(a: Sequence[int]) -> list[int]:
     return [d21 * d31 * d41, -d21 * d32 * d42, d31 * d32 * d43, -d41 * d42 * d43]
 
 
-def _diag_cleared(
-    lam: Quadruple, K: Sequence[Fraction]
-) -> tuple[int, list[int], list[int], list[int], int]:
-    """(d, a, P, k, k_den) with h_il = k_l d^3 / (k_den P_i).
+def _diag_cleared(a: Sequence[int]) -> list[int]:
+    """The cofactors P of the integer quadruple a, with h_il = k_l d^3 / (k_den P_i).
 
-    With lam_i = a_i / d, prod_{j != i} (lam_j - lam_i) = P_i / d^3, and
-    K_l = k_l / k_den. Column l is k_l d^3 / k_den times (1 / P_i)_i, so the
-    three moment constraints hold for every column exactly when
-    sum_i a_i^m / P_i = 0 for m = 0, 1, 2; they are checked on ints as
-    sum_i a_i^m prod_{j != i} P_j = 0.
+    With lam_i = a_i / d for any positive d, prod_{j != i} (lam_j - lam_i)
+    = P_i / d^3, and K_l = k_l / k_den for any positive k_den. Column l is
+    k_l d^3 / k_den times (1 / P_i)_i, so the three moment constraints hold
+    for every column exactly when sum_i a_i^m / P_i = 0 for m = 0, 1, 2;
+    they are checked on ints as sum_i a_i^m prod_{j != i} P_j = 0. P depends
+    on a alone, so d, k and k_den are left to the caller.
     """
-    a, d = clear_denominators(lam.lam)
     P = _cofactors(a)
-    ks, k_den = clear_denominators(K)
     p0, p1, p2, p3 = P
     rest = (p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2)
     for m in range(3):
         if sum(x**m * r for x, r in zip(a, rest)) != 0:
             raise RuntimeError("moment constraints violated (unreachable)")
-    return d, a, P, ks, k_den
+    return P
 
 
 def diag_from_K(lam: Quadruple, K: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...]:
@@ -195,9 +204,22 @@ def diag_from_K(lam: Quadruple, K: Sequence[RationalLike]) -> tuple[tuple[Fracti
     the prescribed K_l; the constraints are re-verified exactly on every
     call. Computed on Python ints, with one Fraction per entry at the end.
     """
-    d, _a, P, ks, k_den = _diag_cleared(lam, _four("K", K))
+    a, d = clear_denominators(lam.lam)
+    ks, k_den = clear_denominators(_four("K", K))
     d3 = d**3
-    return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in P)
+    return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in _diag_cleared(a))
+
+
+def _diag_system_cleared(a: Sequence[int], d: int, k: int) -> tuple[list[int], int]:
+    """(y, det) with h_il = y_i / (det k_den) for lam_i = a_i / d and
+    K_l = k / k_den, from the moment system alone.
+
+    Equation m is multiplied through by d^m (d^3 for the K equation) and the
+    K equation by k_den, which leaves the matrix integer and scales the
+    solution by k_den.
+    """
+    prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
+    return _solve_cleared([[1, 1, 1, 1, 0], [*a, 0], [v * v for v in a] + [0], [*prods, k * d**3]])
 
 
 def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fraction, ...]:
@@ -210,35 +232,47 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
     a, d = clear_denominators(lam.lam)
-    prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
-    # Equation m in lam_i = a_i / d is multiplied through by d^m (d^3 for the
-    # K equation), which leaves the solution unchanged and the matrix integer.
-    matrix = [[1] * 4, a, [v * v for v in a], prods]
-    rhs = [0, 0, 0, as_rational(K_l) * d**3]
-    return tuple(solve_linear(matrix, rhs))
+    K_l = as_rational(K_l)
+    y, det = _diag_system_cleared(a, d, K_l.numerator)
+    return tuple(Fraction(v, det * K_l.denominator) for v in y)
 
 
 # ---------------------------------------------------------------------------
 # The interaction sums I_l
 
 
+# _OTHERS[l] = the three indices other than l, ascending
+_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _I_def_cleared(
+    a: Sequence[int], d: int, cols: Sequence[tuple[Sequence[int], int]]
+) -> list[tuple[int, int]]:
+    """I_l from its definition as (numerator, denominator), l = 0..3.
+
+    With lam_i = a_i / d and cols[l] = ((n_i, n_j, n_k), c), column l's
+    three entries h_il = n_i / c over one nonzero integer c for the indices
+    i < j < k other than l, the pair (i, j) contributes
+    d^2 n_i n_j (a_l - a_k) / (c^2 prod_{x != l} (a_l - a_x)).
+    """
+    out = []
+    for l, ((ni, nj, nk), c) in enumerate(cols):
+        i, j, k = _OTHERS[l]
+        ei, ej, ek = a[l] - a[i], a[l] - a[j], a[l] - a[k]
+        out.append((d * d * (ni * nj * ek + ni * nk * ej + nj * nk * ei), c * c * ei * ej * ek))
+    return out
+
+
 def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     """I_l = sum over pairs i < j (both != l) of
     h_iil h_jjl / ((lam_l - lam_i)(lam_l - lam_j)).
 
-    On ints: with a_i = lam_i d and column l's three entries h_il = n_i / c_l
-    over one integer c_l, the pair (i, j) with third index k contributes
-    d^2 n_i n_j (a_l - a_k) / (c_l^2 prod_{x != l} (a_l - a_x)).
+    Each column's three entries are cleared over one integer and summed on
+    ints by _I_def_cleared.
     """
     a, d = clear_denominators(lam.lam)
-    out = []
-    for l in range(4):
-        i, j, k = (x for x in range(4) if x != l)
-        (ni, nj, nk), c = clear_denominators((diag[i][l], diag[j][l], diag[k][l]))
-        ei, ej, ek = a[l] - a[i], a[l] - a[j], a[l] - a[k]
-        num = ni * nj * ek + ni * nk * ej + nj * nk * ei
-        out.append(Fraction(d * d * num, c * c * ei * ej * ek))
-    return tuple(out)
+    cols = [clear_denominators([diag[x][l] for x in _OTHERS[l]]) for l in range(4)]
+    return tuple(Fraction(n, den) for n, den in _I_def_cleared(a, d, cols))
 
 
 def _I_cleared(
@@ -288,11 +322,16 @@ def _sign_lemma_cleared(a: Sequence[int], d: int, ks: Sequence[int], k_den: int)
     return all(n <= 0 for n in nums)
 
 
+def _gauss_R_cleared(a: Sequence[int], d: int) -> int:
+    """gauss_R times d^2 for lam_i = a_i / d: 12 + (sum lam)^2 - sum lam^2
+    over the common denominator d^2."""
+    return 12 * d * d + sum(a) ** 2 - sum(x * x for x in a)
+
+
 def gauss_R(lam: Quadruple) -> Fraction:
     """Scalar curvature sum over ordered pairs: sum_{i != j} (1 + lam_i lam_j)."""
     a, d = clear_denominators(lam.lam)
-    # 12 + (sum lam)^2 - sum lam^2 over the common denominator d^2
-    return Fraction(12 * d * d + sum(a) ** 2 - sum(x * x for x in a), d * d)
+    return Fraction(_gauss_R_cleared(a, d), d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +349,23 @@ _PSI_TERMS = (
     (1, 3, 2, 0),
     (2, 3, 0, 1),
 )
+# The positions in mixed of h_ikl and h_jkl for each row of _PSI_TERMS
+_PSI_MIXED = tuple((_mixed_index(i, k, l), _mixed_index(j, k, l)) for i, j, k, l in _PSI_TERMS)
 
 
-def dpsi_coeff(table: DerivativeTable) -> Fraction:
-    """Volume-form coefficient of the exterior derivative of the 3-form
-    psi = sum over the six index pairings of omega_i ^ omega_j ^ omega_kl.
+def _dpsi_cleared(
+    a: Sequence[int], d: int, ks: Sequence[int], k_den: int, ms: Sequence[int], m_den: int
+) -> tuple[int, int]:
+    """dpsi_coeff as (numerator, denominator) for lam_i = a_i / d,
+    K_l = k_l / k_den and mixed = m / m_den, with d, k_den, m_den positive.
 
-    Each term contributes three blocks (derivative on the first leg, on the
-    second leg, on the connection form), assembled independently per term;
-    sectional curvature enters as R_klkl = 1 + lam_k lam_l. The fully mixed
-    components appear with weight -2/((lam_k-lam_m)(lam_l-lam_m)) per term and
-    cancel in the total, which the exact sweep verifies rather than assumes.
-
-    Everything runs on Python ints, with lam_i = a_i / d, K_l = k_l / k_den,
-    mixed = m / m_den, h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i).
-    Three accumulators collect the h h terms over k_den^2 D^2 / d^8, the mixed
+    With h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i), three
+    accumulators collect the h h terms over k_den^2 D^2 / d^8, the mixed
     terms over m_den^2 D / d^2 and the curvature terms over d^2. Each term's
     cofactor, its accumulator's denominator divided by its own, is taken by
     division checked to leave no remainder.
     """
-    d, a, P, ks, k_den = _diag_cleared(table.lam, table.K)
-    ms, m_den = clear_denominators(table.mixed)
+    P = _diag_cleared(a)
     diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
     D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
     D2 = D * D
@@ -351,8 +386,8 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
         return m * m * cof
 
     acc_hh = acc_mixed = acc_curv = 0
-    for i, j, k, l in _PSI_TERMS:
-        m_ikl, m_jkl = ms[_mixed_index(i, k, l)], ms[_mixed_index(j, k, l)]
+    for (i, j, k, l), (x_ikl, x_jkl) in zip(_PSI_TERMS, _PSI_MIXED):
+        m_ikl, m_jkl = ms[x_ikl], ms[x_jkl]
         # derivative on the first 1-form leg
         acc_hh -= hh(k, i, l) + hh(l, i, k)
         acc_mixed -= mixed(m_ikl, i, k, l)
@@ -366,7 +401,24 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     d2 = d * d
     kd, md = k_den * k_den, m_den * m_den
     num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
-    return Fraction(num, kd * md * D2 * d2)
+    return num, kd * md * D2 * d2
+
+
+def dpsi_coeff(table: DerivativeTable) -> Fraction:
+    """Volume-form coefficient of the exterior derivative of the 3-form
+    psi = sum over the six index pairings of omega_i ^ omega_j ^ omega_kl.
+
+    Each term contributes three blocks (derivative on the first leg, on the
+    second leg, on the connection form), assembled independently per term;
+    sectional curvature enters as R_klkl = 1 + lam_k lam_l. The fully mixed
+    components appear with weight -2/((lam_k-lam_m)(lam_l-lam_m)) per term and
+    cancel in the total, which the exact sweep verifies rather than assumes.
+    Everything runs on Python ints in _dpsi_cleared.
+    """
+    a, d = clear_denominators(table.lam.lam)
+    ks, k_den = clear_denominators(table.K)
+    ms, m_den = clear_denominators(table.mixed)
+    return Fraction(*_dpsi_cleared(a, d, ks, k_den, ms, m_den))
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +701,6 @@ def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[list[int],
             return a, d, RngStream(seed, counter)
 
 
-def _quadruple(a: Sequence[int], d: int) -> Quadruple:
-    return Quadruple(tuple(Fraction(x, d) for x in a))
-
-
 def _fmt(values) -> list[str]:
     return [str(v) for v in values]
 
@@ -679,35 +727,42 @@ def _trial_g3(stream: RngStream, height: int) -> dict | None:
     return None
 
 
+# The four-curvature trials run on ints from draw to verdict: the drawn pairs
+# go straight to the int cores, the two sides are compared by
+# cross-multiplication, and Fractions are built only to name a counterexample
+# (Fraction(num, den) reduces, so the strings are those of the drawn values).
+
+
 def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
     a, d, stream = _draw_distinct_quadruple(stream, height)
-    quad = _quadruple(a, d)
-    K_l, stream = draw_rational(stream, height)
-    l, stream = draw_int(stream, 0, 3)
-    K = tuple(K_l if m == l else Fraction(0) for m in range(4))
-    diag = diag_from_K(quad, K)
-    expected = tuple(diag[i][l] for i in range(4))
-    solved = diag_from_system(quad, K_l, l)
-    if solved != expected:
-        return {"lam": _fmt(quad.lam), "K_l": str(K_l), "l": str(l)}
+    [(k, k_den)], counter = _rational_walk(stream.seed, stream.counter, height, 1)
+    l, _stream = draw_int(RngStream(stream.seed, counter), 0, 3)
+    # The system gives h_il = y_i / (det k_den), the closed form k d^3 / (k_den P_i).
+    y, det = _diag_system_cleared(a, d, k)
+    scale = k * d**3 * det
+    if any(v * p != scale for v, p in zip(y, _diag_cleared(a))):
+        return {"lam": _fmt(Fraction(x, d) for x in a), "K_l": str(Fraction(k, k_den)), "l": str(l)}
     return None
 
 
 def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
     a, d, stream = _draw_distinct_quadruple(stream, height)
-    quad = _quadruple(a, d)
-    K, stream = _draw_rationals(stream, height, 4)
-    direct = I_def(quad, diag_from_K(quad, K))
-    closed = I_closed(quad, K)
-    if direct != closed:
-        return {"lam": _fmt(quad.lam), "K": _fmt(K)}
+    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+    ks, k_den = _cleared_pairs(pairs)
+    # Column l of h over k_den P_i P_j P_k: n_x = k_l d^3 prod_{y not in {x, l}} P_y.
+    P = _diag_cleared(a)
+    d3 = d**3
+    cols = []
+    for l, (i, j, k) in enumerate(_OTHERS):
+        n = ks[l] * d3
+        cols.append(((n * P[j] * P[k], n * P[i] * P[k], n * P[i] * P[j]), k_den * P[i] * P[j] * P[k]))
+    closed, den = _I_cleared(a, d, ks, k_den)
+    if any(n * den != c * n_den for (n, n_den), c in zip(_I_def_cleared(a, d, cols), closed)):
+        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
     return None
 
 
 def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
-    """The sign lemma on ints from draw to verdict; Fractions are built only
-    to name a counterexample, and Fraction(num, den) reduces as the drawn
-    Fractions do."""
     a, d, stream = _draw_distinct_quadruple(stream, height)
     pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
     if not _sign_lemma_cleared(a, d, *_cleared_pairs(pairs)):
@@ -717,14 +772,20 @@ def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
 
 def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
     a, d, stream = _draw_distinct_quadruple(stream, height)
-    quad = _quadruple(a, d)
-    K, stream = _draw_rationals(stream, height, 4)
-    mixed, stream = _draw_rationals(stream, height, 4)
-    table = DerivativeTable(lam=quad, K=K, mixed=mixed)
-    lhs = dpsi_coeff(table)
-    rhs = gauss_R(quad) / 2 - sum(I_closed(quad, K))
-    if lhs != rhs:
-        return {"lam": _fmt(quad.lam), "K": _fmt(K), "mixed": _fmt(mixed)}
+    # K, then the mixed components
+    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 8)
+    ks, k_den = _cleared_pairs(pairs[:4])
+    num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_pairs(pairs[4:]))
+    # gauss_R / 2 - sum I_l over 2 d^2 i_den
+    closed, i_den = _I_cleared(a, d, ks, k_den)
+    d2 = d * d
+    rhs = _gauss_R_cleared(a, d) * i_den - 2 * d2 * sum(closed)
+    if num * 2 * d2 * i_den != rhs * den:
+        return {
+            "lam": _fmt(Fraction(x, d) for x in a),
+            "K": _fmt(Fraction(*p) for p in pairs[:4]),
+            "mixed": _fmt(Fraction(*p) for p in pairs[4:]),
+        }
     return None
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from spherecurv import RngStream, Surd, as_rational, draw_rationals, matrix_rank, solve_linear
+from spherecurv import RngStream, Surd, as_rational, draw_rationals, exact, matrix_rank, solve_linear
 
 
 def test_as_rational_accepts_int_str_fraction():
@@ -220,7 +220,8 @@ def _random_matrices(count):
 
 def test_fraction_free_kernels_match_fraction_reference():
     """matrix_rank on every shape and solve_linear on every square matrix
-    (augmented with a right-hand side) equal Gauss-Jordan over Fraction;
+    (augmented with a right-hand side) equal Gauss-Jordan over Fraction, as
+    does _solve_cleared's y / det on the rows scaled to integers;
     singular systems raise ValueError exactly when the reference finds
     fewer than n pivots."""
     singular = deficient = 0
@@ -230,12 +231,17 @@ def test_fraction_free_kernels_match_fraction_reference():
         deficient += rank < min(len(m), len(m[0]))
         if len(m) == len(m[0]):
             ref = _fraction_solve(m, rhs)
+            aug = exact._int_rows([[*row, b] for row, b in zip(m, rhs)])
             if ref is None:
                 singular += 1
                 with pytest.raises(ValueError):
                     solve_linear(m, rhs)
+                with pytest.raises(ValueError):
+                    exact._solve_cleared(aug)
             else:
                 assert solve_linear(m, rhs) == ref
+                y, det = exact._solve_cleared(aug)
+                assert [Fraction(v, det) for v in y] == ref
     assert singular > 50 and deficient > 300
 
 

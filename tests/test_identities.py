@@ -204,27 +204,30 @@ class TestInteractionSums:
         of the sweep's own path, the drawn pairs cleared over the lcm of
         their unreduced denominators, are the same values over their
         positive denominator and carry the same signs, zero included, which
-        is all sign_lemma and the i-sign trial read. Every third quadruple
-        is rotated out of order; the sums only permute under relabelling, so
-        every bracket stays nonnegative and no real input makes the lemma
-        fail."""
+        is all sign_lemma and the i-sign trial read. On the same ints every
+        int core of the definition side (_diag_cleared, _diag_system_cleared,
+        _I_def_cleared fed the trial's product-form columns, _dpsi_cleared,
+        _gauss_R_cleared) equals its public Fraction function and the
+        Fraction reference. Every third quadruple is rotated out of order;
+        the sums only permute under relabelling, so every bracket stays
+        nonnegative and no real input makes the lemma fail."""
         root = RngStream(2024)
         zeros = 0
         for i in range(2400):
             stream = root.split(i)
-            height = (2, 3, 50, 1000)[i % 4]
+            height = (2, 3, 50, 1000, 10**6, 2**70)[i % 6]
             a, d, stream = identities._draw_distinct_quadruple(stream, height)
-            pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 4)
+            pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 8)
             if i % 7 == 0:
                 pairs[2] = (0, pairs[2][1])
             if i % 3 == 0:
                 a = a[1:] + a[:1]
             quad = Quadruple(tuple(sorted(F(x, d) for x in a)))
             object.__setattr__(quad, "lam", tuple(F(x, d) for x in a))
-            K = tuple(F(*p) for p in pairs)
+            K = tuple(F(*p) for p in pairs[:4])
             ref = _fraction_I_closed(quad, K)
             assert I_closed(quad, K) == ref
-            ks, k_den = identities._cleared_pairs(pairs)
+            ks, k_den = identities._cleared_pairs(pairs[:4])
             nums, den = identities._I_cleared(a, d, ks, k_den)
             assert den > 0
             assert tuple(F(n, den) for n in nums) == ref
@@ -232,6 +235,31 @@ class TestInteractionSums:
             lemma = all(v <= 0 for v in ref)
             assert sign_lemma(quad, K) == identities._sign_lemma_cleared(a, d, ks, k_den) == lemma
             zeros += ref.count(0)
+
+            ref_diag = _fraction_diag_from_K(quad, K)
+            assert diag_from_K(quad, K) == ref_diag
+            P = identities._diag_cleared(a)
+            d3 = d**3
+            assert all(F(ks[l] * d3, k_den * P[x]) == ref_diag[x][l] for x in range(4) for l in range(4))
+            l = i % 4
+            y, det = identities._diag_system_cleared(a, d, ks[l])
+            column = tuple(ref_diag[x][l] for x in range(4))
+            assert tuple(F(v, det * k_den) for v in y) == diag_from_system(quad, K[l], l) == column
+            cols = []
+            for c, (u, v, w) in enumerate(identities._OTHERS):
+                n = ks[c] * d3
+                nums_c = (n * P[v] * P[w], n * P[u] * P[w], n * P[u] * P[v])
+                cols.append((nums_c, k_den * P[u] * P[v] * P[w]))
+            ref_def = _fraction_I_def(quad, ref_diag)
+            direct = tuple(F(*v) for v in identities._I_def_cleared(a, d, cols))
+            assert direct == I_def(quad, ref_diag) == ref_def == ref
+            mixed = tuple(F(*p) for p in pairs[4:])
+            ms, m_den = identities._cleared_pairs(pairs[4:])
+            coeff = F(*identities._dpsi_cleared(a, d, ks, k_den, ms, m_den))
+            ref_coeff = _fraction_dpsi_coeff(quad, K, mixed)
+            assert coeff == dpsi_coeff(DerivativeTable(quad, K, mixed)) == ref_coeff
+            R = F(identities._gauss_R_cleared(a, d), d * d)
+            assert R == gauss_R(quad) == _fraction_gauss_R(quad)
         assert zeros > 300
 
     def test_frozen_value(self):
@@ -716,6 +744,85 @@ def test_int_quadruple_draw_matches_fraction_draw(height):
         assert redrawn > 100
 
 
+def _fraction_trial_vandermonde(stream, height):
+    """The vandermonde trial as it was on Fractions, through the public
+    functions; kept as the reference the int trial must equal."""
+    quad, stream = _reference_distinct_quadruple(stream, height)
+    K_l, stream = draw_rational(stream, height)
+    l, stream = rng.draw_int(stream, 0, 3)
+    K = tuple(K_l if m == l else F(0) for m in range(4))
+    diag = diag_from_K(quad, K)
+    if diag_from_system(quad, K_l, l) != tuple(diag[i][l] for i in range(4)):
+        return {"lam": [str(v) for v in quad.lam], "K_l": str(K_l), "l": str(l)}
+    return None
+
+
+def _fraction_trial_i_closed(stream, height):
+    quad, stream = _reference_distinct_quadruple(stream, height)
+    K, stream = draw_rationals(stream, height, 4)
+    if I_def(quad, diag_from_K(quad, K)) != I_closed(quad, K):
+        return {"lam": [str(v) for v in quad.lam], "K": [str(v) for v in K]}
+    return None
+
+
+def _fraction_trial_dpsi(stream, height):
+    quad, stream = _reference_distinct_quadruple(stream, height)
+    K, stream = draw_rationals(stream, height, 4)
+    mixed, stream = draw_rationals(stream, height, 4)
+    if dpsi_coeff(DerivativeTable(quad, K, mixed)) != gauss_R(quad) / 2 - sum(I_closed(quad, K)):
+        return {
+            "lam": [str(v) for v in quad.lam],
+            "K": [str(v) for v in K],
+            "mixed": [str(v) for v in mixed],
+        }
+    return None
+
+
+def _wrong_when_positive(core, pick, spoil):
+    """core, made wrong by spoil on the calls where pick(args) is positive."""
+    return lambda *args: spoil(core(*args)) if pick(args) > 0 else core(*args)
+
+
+# identity -> (Fraction trial, the core both trials reach, the drawn value
+# that picks the calls to spoil, the spoiled result). The value is K_l, K_1 or
+# the first mixed component, whose sign clearing denominators keeps, so both
+# trials see the same fault.
+_FRACTION_TRIALS = {
+    "vandermonde": (
+        _fraction_trial_vandermonde,
+        "_diag_system_cleared",
+        lambda args: args[2],
+        lambda r: ([r[0][0] + 1, *r[0][1:]], r[1]),
+    ),
+    "i-closed": (
+        _fraction_trial_i_closed,
+        "_I_cleared",
+        lambda args: args[2][0],
+        lambda r: ((r[0][0] + 1, *r[0][1:]), r[1]),
+    ),
+    "dpsi": (_fraction_trial_dpsi, "_dpsi_cleared", lambda args: args[4][0], lambda r: (r[0] + 1, r[1])),
+}
+
+
+@pytest.mark.parametrize("height", [2, 3, 1000, 10**6, 2**70])
+@pytest.mark.parametrize("name", sorted(_FRACTION_TRIALS))
+def test_int_trials_match_fraction_trials(name, height, monkeypatch):
+    """With one core planted wrong on about half the inputs, the int trial
+    and the Fraction trial return the same verdict and the same
+    counterexample dict on every stream; the other half run the true core
+    and both pass."""
+    reference, attr, pick, spoil = _FRACTION_TRIALS[name]
+    monkeypatch.setattr(identities, attr, _wrong_when_positive(getattr(identities, attr), pick, spoil))
+    trial = identities._TRIALS[name][0]
+    root = RngStream(1729)
+    failed = 0
+    for key in range(300):
+        found = trial(root.split(key), height)
+        assert found == reference(root.split(key), height)
+        failed += found is not None
+    assert 60 < failed < 240
+
+
 _TRIAL2_LAM = ["-1", "0", "1/2", "1"]
 _TRIAL2_K = ["1", "1/2", "0", "1"]
 
@@ -724,10 +831,10 @@ _TRIAL2_K = ["1", "1/2", "0", "1"]
 # the distinct draws are often redrawn; recover keeps its repeated -1/2.
 _PLANTED = {
     "g3": ("g3_kernel", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
-    "vandermonde": ("diag_from_system", None, {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
-    "i-closed": ("I_closed", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
+    "vandermonde": ("_diag_system_cleared", ([1, 0, 0, 0], 1), {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
+    "i-closed": ("_I_def_cleared", [(1, 1)] * 4, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
     "i-sign": ("_sign_lemma_cleared", False, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
-    "dpsi": ("dpsi_coeff", None, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
+    "dpsi": ("_dpsi_cleared", (0, 1), {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
     "recover": ("recover_curvatures", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
 }
 
