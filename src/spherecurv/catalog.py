@@ -77,14 +77,14 @@ class IsoModel:
     S_expected: int
     field_spec: LevelSpec | None = None
 
-    def distinct_curvatures(self, dps: int = _DEFAULT_DPS) -> list:
-        return [_eval_form(f, dps) for f in self.curvature_forms]
+    def distinct_curvatures(self) -> list:
+        return [_eval_form(f, _DEFAULT_DPS) for f in self.curvature_forms]
 
-    def curvature_multiset(self, dps: int = _DEFAULT_DPS) -> list[float]:
+    def curvature_multiset(self) -> list[float]:
         """All four curvatures with multiplicity, descending."""
         out: list[float] = []
         for m, form in zip(self.multiplicities, self.curvature_forms):
-            out.extend([float(_eval_form(form, dps))] * m)
+            out.extend([float(_eval_form(form, _DEFAULT_DPS))] * m)
         return out
 
     @property

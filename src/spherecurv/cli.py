@@ -22,6 +22,7 @@ from .catalog import all_models, cartan_level, checks_passed, model_check
 from .fields import cartan_field, coordinate_field
 from .identities import IDENTITY_NAMES, run_identity_sweep
 from .report import (
+    REPORT_SCHEMA,
     build_report,
     catalog_payload,
     stats_payload,
@@ -135,21 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args: argparse.Namespace, **extra) -> dict:
-    echo = {
-        "surface": None,
-        "t": None,
-        "level": None,
-        "samples": None,
-        "seed": args.seed,
-        "tol": None,
-        "trials": None,
-        "identity": None,
-        "height": None,
-        "output": args.output,
-        "format": args.format,
-        "workers": args.workers,
-    }
-    echo.update(extra)
+    echo = dict.fromkeys(REPORT_SCHEMA["properties"]["config"]["properties"])
+    echo.update(seed=args.seed, output=args.output, format=args.format, workers=args.workers, **extra)
     return echo
 
 

@@ -313,12 +313,7 @@ def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
     of their integer numerators.
     """
     a, d = clear_denominators(lam.lam)
-    return _sign_lemma_cleared(a, d, *clear_denominators(_four("K", K)))
-
-
-def _sign_lemma_cleared(a: Sequence[int], d: int, ks: Sequence[int], k_den: int) -> bool:
-    """sign_lemma for lam_i = a_i / d and K_l = k_l / k_den."""
-    nums, _den = _I_cleared(a, d, ks, k_den)
+    nums, _den = _I_cleared(a, d, *clear_denominators(_four("K", K)))
     return all(n <= 0 for n in nums)
 
 
@@ -454,35 +449,13 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, a
 
 
-def _square_free_parts(f: list[int]) -> list[list[int]]:
-    """Square-free primitive polynomials whose roots, taken together, are
-    the roots of the integer polynomial f counted with multiplicity.
+def _sturm(f: list[int]) -> list[list[int]]:
+    """The Sturm sequence f, f', -rem(f, f'), ... of the integer polynomial f
+    (Sturm 1829), up to its last nonzero term, which is gcd(f, f') up to sign.
 
-    f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
-    its multiplicity lowered by one, so repeating on the gcd peels one layer
-    of each repeated root at a time. The gcd runs as a primitive
-    pseudo-remainder sequence, so every step stays on integers.
-    """
-    parts = []
-    while len(f) > 1:
-        n = len(f) - 1
-        g, r = f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])
-        while r:
-            g, r = r, _primitive(_pseudo_divmod(g, r)[1])
-        parts.append(_primitive(_pseudo_divmod(f, g)[0]))
-        f = g
-    return parts
-
-
-def _real_root_count(f: list[int]) -> int:
-    """The number of distinct real roots of the integer polynomial f, exactly,
-    by Sturm's theorem (Sturm 1829).
-
-    The Sturm sequence f, f', -rem(f, f'), ... runs on ints: _pseudo_divmod
-    gives lc(b)^k a = q b + r, so the true remainder r / lc(b)^k has the
-    sign of r times that of lc(b)^k, and each term is made primitive, which
-    keeps its sign. The count is the number of sign changes among the
-    leading terms at -infinity minus that at +infinity.
+    It runs on ints: _pseudo_divmod gives lc(b)^k a = q b + r, so the true
+    remainder r / lc(b)^k has the sign of r times that of lc(b)^k, and each
+    term after f is made primitive, which keeps its sign.
     """
     n = len(f) - 1
     seq = [f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])]
@@ -493,6 +466,32 @@ def _real_root_count(f: list[int]) -> int:
             break
         sign = -1 if b[0] < 0 and (len(a) - len(b)) % 2 == 0 else 1
         seq.append(_primitive([-sign * c for c in r]))
+    return seq
+
+
+def _square_free_parts(f: list[int]) -> list[list[int]]:
+    """Square-free primitive polynomials, each possibly negated, whose roots,
+    taken together, are the roots of the integer polynomial f counted with
+    multiplicity.
+
+    f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
+    its multiplicity lowered by one, so repeating on the gcd, the last term
+    of the Sturm sequence, peels one layer of each repeated root at a time.
+    """
+    parts = []
+    while len(f) > 1:
+        g = _sturm(f)[-1]
+        parts.append(_primitive(_pseudo_divmod(f, g)[0]))
+        f = g
+    return parts
+
+
+def _real_root_count(f: list[int]) -> int:
+    """The number of distinct real roots of the integer polynomial f, exactly,
+    by Sturm's theorem: the sign changes among the leading terms of its
+    Sturm sequence at -infinity minus those at +infinity.
+    """
+    seq = _sturm(f)
 
     def changes(signs: list[int]) -> int:
         return sum(x * y < 0 for x, y in zip(signs, signs[1:]))
@@ -667,16 +666,6 @@ class IdentityVerdict:
             raise ValueError("failure count and counterexample presence disagree")
 
 
-def _draw_rationals(
-    stream: RngStream, height: int, n: int, distinct: bool = False
-) -> tuple[tuple[Fraction, ...], RngStream]:
-    """n rationals of the given height; with distinct, redraw all n until no two are equal."""
-    while True:
-        vals, stream = draw_rationals(stream, height, n)
-        if not distinct or len(set(vals)) == n:
-            return vals, stream
-
-
 def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """The (numerator, denominator) pairs as integers over the lcm of their
     denominators, with that lcm."""
@@ -688,9 +677,9 @@ def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[list[int],
     """Four distinct rationals of the given height, ascending, as (a, d, stream)
     with lam_i = a_i / d; d is the lcm of the four drawn denominators.
 
-    All four are redrawn until no two are equal, exactly as
-    _draw_rationals(stream, height, 4, distinct=True) would; distinctness and
-    order are read on the ints, which share the denominator d.
+    All four are redrawn until no two are equal, exactly as redrawing
+    draw_rationals(stream, height, 4) would; distinctness and order are read
+    on the ints, which share the denominator d.
     """
     seed, counter = stream.seed, stream.counter
     while True:
@@ -721,7 +710,10 @@ def _trial_g2(stream: RngStream, height: int) -> dict | None:
 def _trial_g3(stream: RngStream, height: int) -> dict | None:
     choice, stream = draw_int(stream, 0, 2)
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
-    vals, stream = _draw_rationals(stream, height, 3, distinct=True)
+    while True:
+        vals, stream = draw_rationals(stream, height, 3)
+        if len(set(vals)) == 3:
+            break
     if g3_kernel(p, q, r, vals) != 0:
         return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(vals)}
     return None
@@ -765,7 +757,8 @@ def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
 def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
     a, d, stream = _draw_distinct_quadruple(stream, height)
     pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
-    if not _sign_lemma_cleared(a, d, *_cleared_pairs(pairs)):
+    nums, _den = _I_cleared(a, d, *_cleared_pairs(pairs))
+    if any(n > 0 for n in nums):
         return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
     return None
 
@@ -790,7 +783,7 @@ def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_recover(stream: RngStream, height: int) -> dict | None:
-    vals = sorted(_draw_rationals(stream, height, 4)[0])
+    vals = sorted(draw_rationals(stream, height, 4)[0])
     p1 = sum(vals)
     p2 = sum(v * v for v in vals)
     p3 = sum(v**3 for v in vals)
@@ -832,6 +825,8 @@ def run_identity_sweep(
         raise ValueError(f"unknown identity {name!r}; choose from {sorted(_TRIALS)}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     # Height h offers the 2h + 1 integers -h..h and, from h = 2 on, more; at
     # h = 1 those three are all, so a trial needing four would redraw forever.
     trial, exact, needed = _TRIALS[name]

@@ -136,7 +136,7 @@ REPORT_SCHEMA: dict = {
     "required": ["schema_version", "command", "config", "results", "timing"],
     "additionalProperties": False,
     "properties": {
-        "schema_version": {"const": "1"},
+        "schema_version": {"const": SCHEMA_VERSION},
         "command": {"enum": ["analyze", "verify", "catalog"]},
         "config": {
             "type": "object",

@@ -98,23 +98,12 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
     """Uniform integer in [0, n), bias-free via rejection, with the counter of
     the accepted output.
 
-    Up to n = 2^64 a candidate is one raw output. Beyond, it is the next
-    ceil(bits(n) / 64) outputs read as one number, first output most
-    significant, so that it spans at least n and at least half of its range
-    is accepted.
+    A candidate is the next `words` raw outputs read as one number, first
+    output most significant: one up to n = 2^64, and ceil(bits(n) / 64)
+    beyond, so that it spans at least n and at least half of its range is
+    accepted.
     """
-    if n > 1 << 64:
-        return _below_wide(seed, counter, n)
-    limit = (1 << 64) - ((1 << 64) % n)
-    while True:
-        counter += 1
-        raw = _output(seed, counter)
-        if raw < limit:
-            return raw % n, counter
-
-
-def _below_wide(seed: int, counter: int, n: int) -> tuple[int, int]:
-    words = -(-n.bit_length() // 64)
+    words = 1 if n <= 1 << 64 else -(-n.bit_length() // 64)
     span = 1 << (64 * words)
     limit = span - span % n
     while True:
@@ -156,7 +145,7 @@ def _rational_walk(seed: int, counter: int, height: int, n: int) -> tuple[list[t
     Each pair draws its numerator as _below(2 height + 1) - height and then
     its denominator as _below(height) + 1. For ranges up to 2^64 the
     SplitMix64 step runs inline on the running state seed + counter GOLDEN;
-    wider ranges go through _below_wide. This is the one rational draw:
+    wider ranges go through _below. This is the one rational draw:
     draw_rationals is its Fraction view and the exact sweeps read the ints.
     """
     if height < 1:

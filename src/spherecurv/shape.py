@@ -139,13 +139,16 @@ def misfit_derivatives(vals: Sequence[float], g: int, theta: float) -> tuple[flo
 def fit_theta0(distinct: Sequence[float]) -> tuple[float, float]:
     """Least-squares angle offset for lambda_k = cot((k-1)pi/g + theta0).
 
-    `distinct` holds the g distinct curvature values in strictly descending
-    order. Returns (theta0, residual) where residual is the root of the
-    summed squared misfit. For g = 1 the ladder is the single value
-    cot(theta0) = 0, so theta0 = pi/2 and the residual is |lambda|.
+    `distinct` holds the g >= 1 distinct curvature values, finite and in
+    strictly descending order; ValueError otherwise. Returns (theta0,
+    residual) where residual is the root of the summed squared misfit. For
+    g = 1 the ladder is the single value cot(theta0) = 0, so theta0 = pi/2
+    and the residual is |lambda|.
     """
     vals = [float(v) for v in distinct]
     g = len(vals)
+    if not vals or not all(map(math.isfinite, vals)):
+        raise ValueError("distinct curvatures must be a nonempty list of finite values")
     if any(a <= b for a, b in zip(vals, vals[1:])):
         raise ValueError("distinct curvatures must be strictly descending")
     if g == 1:

@@ -319,6 +319,28 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+
+_CONFIG_KEYS = [
+    "surface", "t", "level", "samples", "seed", "tol",
+    "trials", "identity", "height", "output", "format", "workers",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog",),
+        ("analyze", "--surface", "equator", "--samples", "5"),
+        ("verify", "--identity", "g2", "--trials", "5"),
+    ],
+)
+def test_config_keys_keep_their_order(capsys, argv):
+    """Every command echoes all twelve config keys, in one fixed order."""
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert list(json.loads(out)["config"]) == _CONFIG_KEYS
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",

@@ -21,6 +21,7 @@ existed:
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -233,7 +234,7 @@ class TestInteractionSums:
             assert tuple(F(n, den) for n in nums) == ref
             assert [(n > 0) - (n < 0) for n in nums] == [(v > 0) - (v < 0) for v in ref]
             lemma = all(v <= 0 for v in ref)
-            assert sign_lemma(quad, K) == identities._sign_lemma_cleared(a, d, ks, k_den) == lemma
+            assert sign_lemma(quad, K) == all(n <= 0 for n in nums) == lemma
             zeros += ref.count(0)
 
             ref_diag = _fraction_diag_from_K(quad, K)
@@ -385,11 +386,14 @@ def _definition_side_inputs(count):
     for n in range(count):
         stream = root.split(n)
         height = (2, 1000, 10**6)[n % 3]
-        vals, stream = identities._draw_rationals(stream, height, 4, distinct=True)
+        while True:
+            vals, stream = draw_rationals(stream, height, 4)
+            if len(set(vals)) == 4:
+                break
         if n % 5 == 0 and F(0) not in vals:
             vals = (F(0),) + vals[1:]
-        K, stream = identities._draw_rationals(stream, height, 4)
-        mixed, stream = identities._draw_rationals(stream, height, 4)
+        K, stream = draw_rationals(stream, height, 4)
+        mixed, stream = draw_rationals(stream, height, 4)
         if n % 7 == 0:
             K = K[:n % 4] + (F(0),) + K[n % 4 + 1:]
         if n % 4 == 1:
@@ -662,6 +666,115 @@ class TestRecoverCurvatures:
         assert verdict.failures == 0
 
 
+
+def _reference_square_free_parts(f):
+    """The square-free split with a gcd loop of its own and no sign
+    correction; the split must equal it up to the sign of each part."""
+    parts = []
+    while len(f) > 1:
+        n = len(f) - 1
+        g, r = f, identities._primitive([c * (n - i) for i, c in enumerate(f[:-1])])
+        while r:
+            g, r = r, identities._primitive(identities._pseudo_divmod(g, r)[1])
+        parts.append(identities._primitive(identities._pseudo_divmod(f, g)[0]))
+        f = g
+    return parts
+
+
+def _reference_real_root_count(f):
+    """Sturm's count with a remainder loop of its own."""
+    n = len(f) - 1
+    seq = [f, identities._primitive([c * (n - i) for i, c in enumerate(f[:-1])])]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        r = identities._pseudo_divmod(a, b)[1]
+        if not r:
+            break
+        sign = -1 if b[0] < 0 and (len(a) - len(b)) % 2 == 0 else 1
+        seq.append(identities._primitive([-sign * c for c in r]))
+
+    def changes(signs):
+        return sum(x * y < 0 for x, y in zip(signs, signs[1:]))
+
+    return changes([p[0] * (-1) ** (len(p) - 1) for p in seq]) - changes([p[0] for p in seq])
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_factor(r):
+    """A rational root, a zero root, a real pair (mostly irrational) or a
+    complex pair, as an integer factor."""
+    kind = r.randrange(4)
+    if kind == 0:
+        return [r.randint(1, 4), r.randint(-6, 6)]
+    if kind == 1:
+        return [1, 0]
+    b = r.randint(-3, 3)
+    if kind == 2:
+        return [1, b, -r.choice((1, 2, 3, 5, 7))]
+    return [1, b, b * b // 4 + r.randint(1, 5)]
+
+
+def _seeded_polynomial(r, degree):
+    """An integer polynomial of the given degree from seeded factors, each
+    repeated up to three times, with a leading coefficient of either sign."""
+    f = [r.choice((-3, -2, -1, 1, 2, 3))]
+    while len(f) <= degree:
+        factor = _seeded_factor(r)
+        for _ in range(r.randint(1, 3)):
+            if len(f) + len(factor) - 2 <= degree:
+                f = _poly_mul(f, factor)
+    return f
+
+
+def test_square_free_parts_and_root_count_match_reference():
+    """On seeded polynomials of degree 1 to 8 the split gives the
+    reference's parts up to sign, and the real-root count of the polynomial
+    and of each part is the reference's."""
+    r = random.Random(1829)
+    repeated = 0
+    for i in range(1500):
+        f = _seeded_polynomial(r, 1 + i % 8)
+        parts = identities._square_free_parts(f)
+        ref = _reference_square_free_parts(f)
+        assert len(parts) == len(ref)
+        assert all(p in (q, [-c for c in q]) for p, q in zip(parts, ref))
+        for g in [f, *parts]:
+            assert identities._real_root_count(g) == _reference_real_root_count(g)
+        repeated += len(parts) > 1
+    assert repeated > 300
+
+
+def _recover_outcomes(quartics):
+    out = []
+    for f in quartics:
+        a1, a2, a3, a4 = (F(c, f[0]) for c in f[1:])
+        e1, e2, e3 = -a1, a2, -a3
+        try:
+            out.append(recover_curvatures(e1, e1 * e1 - 2 * e2, e1**3 - 3 * e1 * e2 + 3 * e3, a4))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_recover_matches_reference_split_and_count(monkeypatch):
+    """recover_curvatures returns identical floats, or raises the same
+    ValueError, when the reference split and count stand in for its own."""
+    r = random.Random(4711)
+    quartics = [_seeded_polynomial(r, 4) for _ in range(400)]
+    got = _recover_outcomes(quartics)
+    monkeypatch.setattr(identities, "_square_free_parts", _reference_square_free_parts)
+    monkeypatch.setattr(identities, "_real_root_count", _reference_real_root_count)
+    assert got == _recover_outcomes(quartics)
+    assert 50 < sum(isinstance(v, str) for v in got) < 350
+
+
 class TestSweeps:
     def test_identity_names(self):
         assert IDENTITY_NAMES == (
@@ -696,6 +809,12 @@ class TestSweeps:
         assert verdict.failures == 0
         assert verdict.first_counterexample is None
         assert verdict.exact is (name != "recover")
+
+    @pytest.mark.parametrize("height", [0, -5])
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_height_below_one_rejected(self, name, height):
+        with pytest.raises(ValueError, match=f"^height must be >= 1, got {height}$"):
+            run_identity_sweep(name, 5, seed=0, height=height)
 
     @pytest.mark.parametrize("name", ["vandermonde", "i-closed", "i-sign", "dpsi"])
     def test_height_without_four_distinct_values_rejected(self, name):
@@ -833,7 +952,7 @@ _PLANTED = {
     "g3": ("g3_kernel", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
     "vandermonde": ("_diag_system_cleared", ([1, 0, 0, 0], 1), {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
     "i-closed": ("_I_def_cleared", [(1, 1)] * 4, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
-    "i-sign": ("_sign_lemma_cleared", False, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
+    "i-sign": ("_I_cleared", ((1, 1, 1, 1), 1), {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
     "dpsi": ("_dpsi_cleared", (0, 1), {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
     "recover": ("recover_curvatures", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
 }

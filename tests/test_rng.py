@@ -196,7 +196,7 @@ def _reference_below_wide(stream, n):
             return raw % n, stream
 
 
-@pytest.mark.parametrize("hi", [2**64, 2**64 + 1, 2**70, 3**90, 2**128 + 7])
+@pytest.mark.parametrize("hi", [2**64, 2**64 + 1, 2**70, 3**90, 2**128, 2**128 + 7])
 def test_draw_int_beyond_64_bits(hi):
     """A range of more than 2^64 values draws several raw outputs and stays
     in range; a range of exactly 2^64 values still takes one output."""

@@ -133,6 +133,13 @@ class TestThetaFit:
         with pytest.raises(ValueError):
             fit_theta0([1.0, 2.0])  # ascending, not descending
 
+    @pytest.mark.parametrize(
+        "vals", [[], [math.nan], [math.nan, 0.0], [math.inf, 1.0], [1.0, -math.inf], [-math.inf]]
+    )
+    def test_empty_or_non_finite_input_rejected(self, vals):
+        with pytest.raises(ValueError, match="finite"):
+            fit_theta0(vals)
+
     @pytest.mark.parametrize("g", [2, 4])
     def test_random_ladders_recover_theta(self, g):
         rng = random.Random(100 + g)
