@@ -6,15 +6,16 @@ argument runs through a chain of algebraic identities in the curvatures and
 the symmetric derivative components h_abc; each identity is implemented here
 in exact arithmetic so it can be checked with zero rounding error at random
 rational inputs. Values go in and come out as Fractions. Inside, each
-public function of the four-curvature identities (diag_from_K,
-diag_from_system, I_def, I_closed, sign_lemma, gauss_R, dpsi_coeff) is a
-thin wrapper over an int core: the quadruple is scaled by a common
-denominator d to integers a_i = lam_i d, K and the mixed components are
-cleared the same way, and Fractions are built only for the returned values.
-The definition side never calls the closed forms. The random sweeps draw
-(numerator, denominator) int pairs (rng._rational_walk), and the
-four-curvature trials hand them to the int cores, so they stay on ints from
-draw to verdict and build Fractions only to name a counterexample.
+public function (g2_solve, g3_kernel, the rational path of
+recover_curvatures, and diag_from_K, diag_from_system, I_def, I_closed,
+sign_lemma, gauss_R, dpsi_coeff of the four-curvature identities) is a thin
+wrapper over an int core: the curvatures are scaled by a common denominator
+d to integers a_i = lam_i d, K and the mixed components are cleared the
+same way, and Fractions are built only for the returned values. The
+definition side never calls the closed forms. The random sweeps draw
+(numerator, denominator) int pairs (rng._rational_walk), and every trial
+hands them to the int cores, so it stays on ints from draw to verdict and
+builds Fractions only to name a counterexample.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -34,18 +35,20 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-# draw_rational and solve_linear are no longer called here; they stay bound
-# under these names because the per-layer tracer in bench/layers.py wraps them.
+# draw_rational, solve_linear and matrix_rank are no longer called here; they
+# stay bound under these names because the per-layer tracer in bench/layers.py
+# wraps them.
 from .exact import (
     RationalLike,
     Surd,
+    _reduce,
     _solve_cleared,
     as_rational,
     clear_denominators,
     matrix_rank,
     solve_linear,
 )
-from .rng import RngStream, _rational_walk, draw_int, draw_rational, draw_rationals, map_chunks
+from .rng import RngStream, _rational_walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -102,13 +105,24 @@ def _mixed_index(a: int, b: int, c: int) -> int:
 # Two distinct curvatures
 
 
+def _g2_cleared(k: int, num: int, den: int) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    """(branches, c, rad_num, rad_den) for S = num / den with num, den > 0.
+
+    Both curvatures are rational multiples of sqrt(rad), rad = k(4-k)S =
+    rad_num / rad_den: lam = sqrt(rad) / (2k) and mu = -sqrt(rad) / (2(4-k)).
+    Branch (l, m) is lam = (l / c) sqrt(rad), mu = (m / c) sqrt(rad) over
+    their one denominator c = 2k(4-k).
+    """
+    return ((4 - k, -k), (k - 4, k)), 2 * k * (4 - k), k * (4 - k) * num, den
+
+
 def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Surd]]:
     """Exact solutions of {k lam + (4-k) mu = 0, k lam^2 + (4-k) mu^2 = S}.
 
     k is the multiplicity of lam. Returns the two sign branches
     ((lam, mu), (-lam, -mu)) as surds sharing the radicand k(4-k)S, with
     lam > 0 in the first branch. S = 0 would force lam = mu = 0, a
-    degenerate pair, and is rejected.
+    degenerate pair, and is rejected. The values come from _g2_cleared.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"multiplicity k must be 1, 2 or 3, got {k}")
@@ -117,11 +131,9 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
         raise ValueError("S = 0 collapses both curvatures to zero (degenerate)")
     if S < 0:
         raise ValueError(f"S must be positive, got {S}")
-    # Both are rational multiples of sqrt(k(4-k)S), so they share its radicand.
-    root = Surd(1, k * (4 - k) * S)
-    lam = Fraction(1, 2 * k) * root
-    mu = Fraction(-1, 2 * (4 - k)) * root
-    return (lam, mu), (-lam, -mu)
+    branches, c, rad_num, rad_den = _g2_cleared(k, S.numerator, S.denominator)
+    rad = Fraction(rad_num, rad_den)
+    return tuple((Surd(Fraction(l, c), rad), Surd(Fraction(m, c), rad)) for l, m in branches)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +166,26 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     la, mu, sig = (as_rational(v) for v in lams)
     if la == mu or la == sig or mu == sig:
         raise ValueError("curvature values must be pairwise distinct")
+    return _g3_kernel_cleared(p, q, r, clear_denominators((la, mu, sig))[0])
 
-    m = g3_matrix(p, q, r, (la, mu, sig))
+
+def _g3_kernel_cleared(p: int, q: int, r: int, a: Sequence[int]) -> int:
+    """g3_kernel for the values a_i / d, from the integers a alone.
+
+    Row m of g3_matrix scaled by d^m is integer and has the same rank; its
+    determinant is d^3 times the matrix's, and the factored form on a is
+    p q r (a2-a1)(a3-a1)(a3-a2), so the cross-check holds on ints.
+    """
+    a1, a2, a3 = a
+    m = [[p, q, r], [p * a1, q * a2, r * a3], [p * a1 * a1, q * a2 * a2, r * a3 * a3]]
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    det_factored = p * q * r * (mu - la) * (sig - la) * (sig - mu)
-    if det != det_factored:
+    if det != p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2):
         raise RuntimeError("determinant factorization mismatch (unreachable)")
-    return 3 - matrix_rank(m)
+    return 3 - len(_reduce(m, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +614,60 @@ def _elementary(p1, p2, p3):
     return p1, (p1 * p1 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
 
 
+def _numeric_roots(polys: list[list], dps: int, exact: bool) -> list[float]:
+    """The roots of each polynomial in polys by mpmath at dps digits, as floats.
+
+    Raises ValueError naming the root farthest off the real axis when one
+    polynomial's roots are not all real: for an integer polynomial (exact)
+    that is decided by its Sturm count, for mpf coefficients by an
+    imaginary part above 1e-10.
+    """
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(dps):
+        for poly in polys:
+            roots = _roots([_to_mpf(c) for c in poly])
+            worst = max(roots, key=lambda rt: abs(mp.im(rt)))
+            if exact:
+                real = _real_root_count(poly) == len(poly) - 1
+            else:
+                real = abs(mp.im(worst)) <= mp.mpf("1e-10")
+            if not real:
+                raise ValueError(f"curvature root is not real: {worst}")
+            out += (float(mp.re(rt)) for rt in roots)
+    return out
+
+
+def _recover_cleared(f: list[int], dps: int = 50) -> tuple[float, ...]:
+    """The roots of the primitive integer polynomial f, ascending, as floats:
+    the rational path of recover_curvatures.
+
+    f is split into square-free factors. A factor whose roots are all
+    rational gives their correctly rounded floats; any other goes to
+    mpmath at dps digits and raises ValueError unless its roots are real.
+    """
+    out = []
+    polys = []
+    for poly in _square_free_parts(f):
+        exact = _rational_roots(poly)
+        if exact is None:
+            polys.append(poly)
+        else:
+            out += map(float, exact)
+    if polys:
+        out += _numeric_roots(polys, dps, True)
+    return tuple(sorted(out))
+
+
 def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, float, float]:
     """Curvature quadruple from power sums p1, p2, p3 and product e4.
 
     Newton's identities convert the power sums to elementary symmetric
-    functions of a quartic. Exact rational input (int or Fraction) is split
-    exactly into square-free integer factors, so repeated curvatures become
-    simple roots, and each factor's roots are first sought exactly: float
+    functions of a quartic. Exact rational input (int or Fraction) goes to
+    _recover_cleared as a primitive integer quartic. It is split exactly
+    into square-free integer factors, so repeated curvatures become simple
+    roots, and each factor's roots are first sought exactly: float
     estimates refined on integers and kept only where the factor vanishes
     (`_rational_roots`), each returned as the correctly rounded float of
     the rational root. Only a factor with an irrational or complex root, or
@@ -616,35 +684,14 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     mpmath is imported only when the fallback runs, so sweeps whose roots
     are all found exactly never load it.
     """
-    out = []
-    polys = []
-    rational = all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4))
-    if rational:
+    if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
-        for poly in _square_free_parts(_primitive([1, -e1, e2, -e3, e4])):
-            exact = _rational_roots(poly)
-            if exact is None:
-                polys.append(poly)
-            else:
-                out += map(float, exact)
-    if polys or not rational:
-        import mpmath as mp
+        return _recover_cleared(_primitive([1, -e1, e2, -e3, e4]), dps)
+    import mpmath as mp
 
-        with mp.workdps(dps):
-            if not rational:
-                e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
-                polys = [[1, -e1, e2, -e3, _to_mpf(e4)]]
-            for poly in polys:
-                roots = _roots([_to_mpf(c) for c in poly])
-                worst = max(roots, key=lambda rt: abs(mp.im(rt)))
-                if rational:
-                    real = _real_root_count(poly) == len(poly) - 1
-                else:
-                    real = abs(mp.im(worst)) <= mp.mpf("1e-10")
-                if not real:
-                    raise ValueError(f"curvature root is not real: {worst}")
-                out += (float(mp.re(rt)) for rt in roots)
-    return tuple(sorted(out))
+    with mp.workdps(dps):
+        e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
+        return tuple(sorted(_numeric_roots([[1, -e1, e2, -e3, _to_mpf(e4)]], dps, False)))
 
 
 # ---------------------------------------------------------------------------
@@ -698,24 +745,28 @@ def _trial_g2(stream: RngStream, height: int) -> dict | None:
     k, stream = draw_int(stream, 1, 3)
     num, stream = draw_int(stream, 1, height)
     den, stream = draw_int(stream, 1, height)
-    S = Fraction(num, den)
-    for lam, mu in g2_solve(k, S):
-        linear = k * lam + (4 - k) * mu
-        quadratic = k * lam.squared() + (4 - k) * mu.squared()
-        if not linear.is_zero() or quadratic != S:
-            return {"k": str(k), "S": str(S)}
+    # lam = (l / c) sqrt(rad) and mu = (m / c) sqrt(rad), so k lam^2 + (4-k) mu^2
+    # is (k l^2 + (4-k) m^2) rad_num / (c^2 rad_den), compared with num / den.
+    branches, c, rad_num, rad_den = _g2_cleared(k, num, den)
+    for l, m in branches:
+        quadratic = (k * l * l + (4 - k) * m * m) * rad_num * den
+        if k * l + (4 - k) * m != 0 or quadratic != num * c * c * rad_den:
+            return {"k": str(k), "S": str(Fraction(num, den))}
     return None
 
 
 def _trial_g3(stream: RngStream, height: int) -> dict | None:
     choice, stream = draw_int(stream, 0, 2)
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
+    # All three are redrawn until no two are equal, read on ints that share d.
+    counter = stream.counter
     while True:
-        vals, stream = draw_rationals(stream, height, 3)
-        if len(set(vals)) == 3:
+        pairs, counter = _rational_walk(stream.seed, counter, height, 3)
+        a, d = _cleared_pairs(pairs)
+        if len(set(a)) == 3:
             break
-    if g3_kernel(p, q, r, vals) != 0:
-        return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(vals)}
+    if _g3_kernel_cleared(p, q, r, a) != 0:
+        return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(Fraction(x, d) for x in a)}
     return None
 
 
@@ -783,15 +834,21 @@ def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
 
 
 def _trial_recover(stream: RngStream, height: int) -> dict | None:
-    vals = sorted(draw_rationals(stream, height, 4)[0])
-    p1 = sum(vals)
-    p2 = sum(v * v for v in vals)
-    p3 = sum(v**3 for v in vals)
-    e4 = vals[0] * vals[1] * vals[2] * vals[3]
-    roots = recover_curvatures(p1, p2, p3, e4)
-    worst = max(abs(r - float(v)) for r, v in zip(roots, vals))
+    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+    a, d = _cleared_pairs(pairs)
+    a.sort()
+    p1 = sum(a)
+    p2 = sum(x * x for x in a)
+    p3 = sum(x**3 for x in a)
+    # Newton's identities for lam_i = a_i / d, times 6 d^4
+    d2 = d * d
+    s3 = p1**3 - 3 * p1 * p2 + 2 * p3
+    quartic = [6 * d2 * d2, -6 * p1 * d2 * d, 3 * (p1 * p1 - p2) * d2, -s3 * d, 6 * math.prod(a)]
+    roots = _recover_cleared(_primitive(quartic))
+    # int / int is correctly rounded, as float(Fraction(x, d)) is
+    worst = max(abs(rt - x / d) for rt, x in zip(roots, a))
     if worst > 1e-9:
-        return {"lam": _fmt(vals), "max_error": repr(worst)}
+        return {"lam": _fmt(Fraction(x, d) for x in a), "max_error": repr(worst)}
     return None
 
 

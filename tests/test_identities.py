@@ -46,6 +46,7 @@ from spherecurv import (
     gauss_R,
     I_closed,
     I_def,
+    matrix_rank,
     recover_curvatures,
     run_identity_sweep,
     sign_lemma,
@@ -92,6 +93,9 @@ class TestTwoCurvatures:
         (lam, mu), (nlam, nmu) = g2_solve(1, 4)
         assert lam == Surd(F(1), F(3))
         assert mu == Surd(F(-1), F(1, 3))
+        assert (lam.coef, lam.radicand) == (F(1, 2), F(12))
+        assert (mu.coef, mu.radicand) == (F(-1, 6), F(12))
+        assert (nlam.coef, nmu.coef, nmu.radicand) == (F(-1, 2), F(1, 6), F(12))
         assert nlam == -lam and nmu == -mu
         assert float(lam) == pytest.approx(math.sqrt(3), abs=1e-15)
         assert float(mu) == pytest.approx(-1 / math.sqrt(3), abs=1e-15)
@@ -110,6 +114,23 @@ class TestTwoCurvatures:
         first_lam = g2_solve(k, S)[0][0]
         assert first_lam.coef > 0
 
+    @pytest.mark.parametrize("height", [2, 3, 1000, 10**6, 2**70])
+    def test_int_core_keeps_the_surd_fields(self, height):
+        """g2_solve returns Surds with the coef and radicand fields of the
+        Fraction solver, and _g2_cleared on the unreduced draw gives the
+        same values."""
+        root = RngStream(1618)
+        for key in range(200):
+            k, stream = rng.draw_int(root.split(key), 1, 3)
+            num, stream = rng.draw_int(stream, 1, height)
+            den, _stream = rng.draw_int(stream, 1, height)
+            ref = _fraction_g2_solve(k, F(num, den))
+            fields = [(s.coef, s.radicand) for branch in ref for s in branch]
+            assert [(s.coef, s.radicand) for branch in g2_solve(k, F(num, den)) for s in branch] == fields
+            branches, c, rad_num, rad_den = identities._g2_cleared(k, num, den)
+            rad = F(rad_num, rad_den)
+            assert [(F(v, c), rad) for branch in branches for v in branch] == fields
+
     def test_validation(self):
         with pytest.raises(ValueError):
             g2_solve(0, 4)
@@ -119,6 +140,14 @@ class TestTwoCurvatures:
             g2_solve(1, 0)
         with pytest.raises(ValueError):
             g2_solve(1, -3)
+
+
+def _fraction_g2_solve(k, S):
+    """The two branches of g2_solve as they were built on Fractions and Surds."""
+    root = Surd(1, k * (4 - k) * S)
+    lam = F(1, 2 * k) * root
+    mu = F(-1, 2 * (4 - k)) * root
+    return (lam, mu), (-lam, -mu)
 
 
 class TestThreeCurvatures:
@@ -138,6 +167,32 @@ class TestThreeCurvatures:
             g3_kernel(1, 1, 1, (F(0), F(1), F(2)))
         with pytest.raises(ValueError):
             g3_kernel(1, 1, 2, (F(1), F(1), F(2)))
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 1000, 10**6, 2**70])
+    def test_int_core_matches_public(self, height):
+        """On seeded draws g3_kernel, its int core on the values cleared
+        over the lcm of their unreduced denominators and the rank of the
+        Fraction matrix agree; repeated values and bad multiplicities still
+        raise."""
+        root = RngStream(2357)
+        repeated = 0
+        for key in range(150):
+            pairs, _counter = rng._rational_walk(root.split(key).seed, 0, height, 3)
+            a, d = identities._cleared_pairs(pairs)
+            vals = [F(*pair) for pair in pairs]
+            pqr = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[key % 3]
+            if len(set(a)) < 3:
+                with pytest.raises(ValueError, match="distinct"):
+                    g3_kernel(*pqr, vals)
+                repeated += 1
+                continue
+            assert g3_kernel(*pqr, vals) == identities._g3_kernel_cleared(*pqr, a) == 0
+            assert matrix_rank(g3_matrix(*pqr, vals)) == 3
+            for bad in ((0, 2, 2), (1, 1, 1), (2, 2, 1), (-1, 3, 2), (1.0, 1, 2)):
+                with pytest.raises(ValueError, match="multiplicit"):
+                    g3_kernel(*bad, vals)
+        if height < 4:
+            assert repeated > 20
 
 
 class TestDiagonalTable:
@@ -775,6 +830,67 @@ def test_recover_matches_reference_split_and_count(monkeypatch):
     assert 50 < sum(isinstance(v, str) for v in got) < 350
 
 
+def _fraction_recover_front_end(p1, p2, p3, e4, dps=50):
+    """recover_curvatures on rational input as it was, with the quartic
+    built from Fraction power sums; kept as the reference its int core
+    must equal."""
+    out = []
+    polys = []
+    e1, e2, e3 = identities._elementary(*(F(v) for v in (p1, p2, p3)))
+    for poly in identities._square_free_parts(identities._primitive([1, -e1, e2, -e3, e4])):
+        exact = identities._rational_roots(poly)
+        if exact is None:
+            polys.append(poly)
+        else:
+            out += map(float, exact)
+    if polys:
+        with mp.workdps(dps):
+            for poly in polys:
+                roots = identities._roots([identities._to_mpf(c) for c in poly])
+                worst = max(roots, key=lambda rt: abs(mp.im(rt)))
+                if identities._real_root_count(poly) != len(poly) - 1:
+                    raise ValueError(f"curvature root is not real: {worst}")
+                out += (float(mp.re(rt)) for rt in roots)
+    return tuple(sorted(out))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_recover_core_matches_fraction_front_end(monkeypatch):
+    """On seeded rational quadruples up to height 2**70, a quarter of them
+    with a repeated value, and on seeded quartics with irrational and
+    complex roots, recover_curvatures returns the floats, or raises the
+    ValueError, of the Fraction front end. The recover trial hands its int
+    core the primitive quartic of the Fraction power sums."""
+    handed = []
+    core = identities._recover_cleared
+    monkeypatch.setattr(identities, "_recover_cleared", lambda f, *dps: handed.append(f) or core(f, *dps))
+    cases = []
+    for i in range(240):
+        height = (1, 2, 3, 1000, 10**6, 2**70)[i % 6]
+        stream = RngStream(8128).split(i)
+        assert identities._trial_recover(stream, height) is None
+        vals = sorted(draw_rationals(stream, height, 4)[0])
+        e1, e2, e3 = identities._elementary(sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals))
+        assert handed.pop() == identities._primitive([1, -e1, e2, -e3, math.prod(vals)])
+        if i % 4 == 0:
+            vals[1 + i % 3] = vals[i % 3]
+        cases.append((sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals), math.prod(vals)))
+    r = random.Random(6174)
+    for f in [_seeded_polynomial(r, 4) for _ in range(150)]:
+        a1, a2, a3, a4 = (F(c, f[0]) for c in f[1:])
+        cases.append((-a1, a1 * a1 - 2 * a2, -(a1**3) + 3 * a1 * a2 - 3 * a3, a4))
+    outcomes = [_outcome(recover_curvatures, *case) for case in cases]
+    assert outcomes == [_outcome(_fraction_recover_front_end, *case) for case in cases]
+    errors = sum(isinstance(v, str) for v in outcomes)
+    assert all(isinstance(v, tuple) for v in outcomes[:240]) and 20 < errors < 130
+
+
 class TestSweeps:
     def test_identity_names(self):
         assert IDENTITY_NAMES == (
@@ -897,16 +1013,69 @@ def _fraction_trial_dpsi(stream, height):
     return None
 
 
+def _fraction_trial_g2(stream, height):
+    """The g2 trial as it was on Fractions and Surds, through g2_solve."""
+    k, stream = rng.draw_int(stream, 1, 3)
+    num, stream = rng.draw_int(stream, 1, height)
+    den, stream = rng.draw_int(stream, 1, height)
+    S = F(num, den)
+    for lam, mu in g2_solve(k, S):
+        linear = k * lam + (4 - k) * mu
+        quadratic = k * lam.squared() + (4 - k) * mu.squared()
+        if not linear.is_zero() or quadratic != S:
+            return {"k": str(k), "S": str(S)}
+    return None
+
+
+def _fraction_trial_g3(stream, height):
+    choice, stream = rng.draw_int(stream, 0, 2)
+    p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
+    while True:
+        vals, stream = draw_rationals(stream, height, 3)
+        if len(set(vals)) == 3:
+            break
+    if g3_kernel(p, q, r, vals) != 0:
+        return {"p": str(p), "q": str(q), "r": str(r), "lams": [str(v) for v in vals]}
+    return None
+
+
+def _fraction_trial_recover(stream, height):
+    vals = sorted(draw_rationals(stream, height, 4)[0])
+    p1 = sum(vals)
+    p2 = sum(v * v for v in vals)
+    p3 = sum(v**3 for v in vals)
+    e4 = vals[0] * vals[1] * vals[2] * vals[3]
+    roots = recover_curvatures(p1, p2, p3, e4)
+    worst = max(abs(r - float(v)) for r, v in zip(roots, vals))
+    if worst > 1e-9:
+        return {"lam": [str(v) for v in vals], "max_error": repr(worst)}
+    return None
+
+
 def _wrong_when_positive(core, pick, spoil):
     """core, made wrong by spoil on the calls where pick(args) is positive."""
     return lambda *args: spoil(core(*args)) if pick(args) > 0 else core(*args)
 
 
 # identity -> (Fraction trial, the core both trials reach, the drawn value
-# that picks the calls to spoil, the spoiled result). The value is K_l, K_1 or
-# the first mixed component, whose sign clearing denominators keeps, so both
-# trials see the same fault.
+# that picks the calls to spoil, the spoiled result). The value is S - 1
+# (num - den), the first curvature, K_l, K_1, the first mixed component or
+# minus the sum of the curvatures (the quartic's second coefficient), whose
+# sign clearing denominators keeps, so both trials see the same fault.
 _FRACTION_TRIALS = {
+    "g2": (
+        _fraction_trial_g2,
+        "_g2_cleared",
+        lambda args: args[1] - args[2],
+        lambda r: (r[0], r[1], r[2] + 1, r[3]),
+    ),
+    "g3": (_fraction_trial_g3, "_g3_kernel_cleared", lambda args: args[3][0], lambda r: r + 1),
+    "recover": (
+        _fraction_trial_recover,
+        "_recover_cleared",
+        lambda args: -args[0][1],
+        lambda r: tuple(1.25 * x for x in r),
+    ),
     "vandermonde": (
         _fraction_trial_vandermonde,
         "_diag_system_cleared",
@@ -949,12 +1118,13 @@ _TRIAL2_K = ["1", "1/2", "0", "1"]
 # counterexample of trial 2 at seed 7). Height 2 offers 7 distinct values, so
 # the distinct draws are often redrawn; recover keeps its repeated -1/2.
 _PLANTED = {
-    "g3": ("g3_kernel", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
+    "g2": ("_g2_cleared", (((1, 1), (-1, -1)), 1, 1, 1), {"k": "3", "S": "2"}),
+    "g3": ("_g3_kernel_cleared", 1, {"p": "2", "q": "1", "r": "1", "lams": ["1", "0", "-2"]}),
     "vandermonde": ("_diag_system_cleared", ([1, 0, 0, 0], 1), {"lam": _TRIAL2_LAM, "K_l": "1", "l": "1"}),
     "i-closed": ("_I_def_cleared", [(1, 1)] * 4, {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
     "i-sign": ("_I_cleared", ((1, 1, 1, 1), 1), {"lam": _TRIAL2_LAM, "K": _TRIAL2_K}),
     "dpsi": ("_dpsi_cleared", (0, 1), {"lam": _TRIAL2_LAM, "K": _TRIAL2_K, "mixed": ["2", "-1", "1", "2"]}),
-    "recover": ("recover_curvatures", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
+    "recover": ("_recover_cleared", (0.0,) * 4, {"lam": ["-1/2", "-1/2", "0", "2"], "max_error": "2.0"}),
 }
 
 
