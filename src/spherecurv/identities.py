@@ -569,7 +569,10 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
     for z in estimates:
         if not math.isfinite(z.real):
             return None
-        m = round(Fraction(z.real) * lc)
+        # m = round(z.real * lc), half to even, on ints
+        num, den = z.real.as_integer_ratio()
+        q, r = divmod(num * lc, den)
+        m = q + (2 * r > den or (2 * r == den and q % 2 == 1))
         for _ in range(64):
             v = dv = 0
             for c in scaled:

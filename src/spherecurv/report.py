@@ -64,67 +64,46 @@ def to_json(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_escape(cell: str) -> str:
-    if any(c in cell for c in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+# The catalog CSV is a projection: it leaves out curvature_forms, field and level.
+_CATALOG_COLUMNS = ("name", "g", "multiplicities", "curvatures", "S", "R", "theta0", "all_passed")
 
 
-def _csv_line(cells: Sequence[str]) -> str:
-    return ",".join(_csv_escape(c) for c in cells)
+def _cell(value) -> str:
+    """One CSV cell, formatted by the value's JSON type."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None or isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, list):
+        return ";".join(map(_cell, value))
+    if isinstance(value, dict):
+        return json.dumps(value)
+    return str(value)
 
 
 def to_csv(command: str, results) -> str:
-    """CSV projection of the results block; one row per logical record."""
+    """CSV projection of the results block, one row per record. Analyze and
+    verify columns are the required fields of their REPORT_SCHEMA entry."""
+    import csv
+    import io
+
     if command == "analyze":
-        head = [
-            "n_points", "n_failures", "max_abs_f1", "s_mean", "s_min", "s_max",
-            "f3_mean", "f3_spread", "g_histogram", "theta0_mean", "verdict",
-        ]
+        columns = REPORT_SCHEMA["$defs"]["analyze_results"]["required"]
         hist = ";".join(f"{k}:{v}" for k, v in sorted(results["g_histogram"].items()))
-        row = [
-            str(results["n_points"]),
-            str(results["n_failures"]),
-            fmt_float(results["max_abs_f1"]),
-            fmt_float(results["s_mean"]),
-            fmt_float(results["s_min"]),
-            fmt_float(results["s_max"]),
-            fmt_float(results["f3_mean"]),
-            fmt_float(results["f3_spread"]),
-            hist,
-            fmt_float(results["theta0_mean"]),
-            results["verdict"],
-        ]
-        return _csv_line(head) + "\n" + _csv_line(row) + "\n"
-    if command == "verify":
-        head = ["identity", "trials", "failures", "exact", "first_counterexample"]
-        lines = [_csv_line(head)]
-        for v in results:
-            cex = json.dumps(v["first_counterexample"]) if v["first_counterexample"] else ""
-            lines.append(
-                _csv_line([v["identity"], str(v["trials"]), str(v["failures"]),
-                           str(v["exact"]).lower(), cex])
-            )
-        return "\n".join(lines) + "\n"
-    if command == "catalog":
-        head = ["name", "g", "multiplicities", "curvatures", "S", "R", "theta0", "all_passed"]
-        lines = [_csv_line(head)]
-        for entry in results:
-            m = entry["model"]
-            lines.append(
-                _csv_line([
-                    m["name"],
-                    str(m["g"]),
-                    ";".join(str(x) for x in m["multiplicities"]),
-                    ";".join(fmt_float(x) for x in m["curvatures"]),
-                    fmt_float(m["S"]),
-                    fmt_float(m["R"]),
-                    fmt_float(m["theta0"]),
-                    str(entry["all_passed"]).lower(),
-                ])
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown command {command!r}")
+        rows = [dict(results, g_histogram=hist)]
+    elif command == "verify":
+        columns = REPORT_SCHEMA["$defs"]["verify_results"]["items"]["required"]
+        rows = results
+    elif command == "catalog":
+        columns = _CATALOG_COLUMNS
+        rows = [dict(entry["model"], all_passed=entry["all_passed"]) for entry in results]
+    else:
+        raise ValueError(f"unknown command {command!r}")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return out.getvalue()
 
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}

@@ -31,6 +31,7 @@ from .sphere import (
     ProjectionError,
     SpherePoint,
     TangentFrame,
+    _tangential_gradient,
     frame_at,
     sample_level_point,
 )
@@ -94,9 +95,7 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     """
     p = frame.base.coords
     _, grad, hess = eval2(spec.field, p)
-    gp = sum(map(mul, grad, p))
-    tang = [g - gp * c for g, c in zip(grad, p)]
-    nt = math.sqrt(sum(map(mul, tang, tang)))
+    gp, _, nt = _tangential_gradient(grad, p)
     if nt < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
     upper = []

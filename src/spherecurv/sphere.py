@@ -78,10 +78,11 @@ def _axpy(a: Sequence[float], t: float, b: Sequence[float]) -> list[float]:
     return [x + t * y for x, y in zip(a, b)]
 
 
-def _tangential(vec: Sequence[float], p: Sequence[float]) -> list[float]:
-    """Component of vec orthogonal to p (p assumed unit)."""
-    t = _dot(vec, p)
-    return [v - t * c for v, c in zip(vec, p)]
+def _tangential_gradient(grad: Sequence[float], p: Sequence[float]) -> tuple:
+    """(<grad, p>, P grad, |P grad|), P the projection orthogonal to unit p."""
+    gp = _dot(grad, p)
+    tang = [g - gp * c for g, c in zip(grad, p)]
+    return gp, tang, _norm(tang)
 
 
 def project_to_level(
@@ -122,7 +123,7 @@ def project_to_level(
         if norm_x == 0.0:
             raise ProjectionError("iterate collapsed to the origin", res)
         unit = [c / norm_x for c in x]
-        tangential_grad = _norm(_tangential(grad, unit))
+        tangential_grad = _tangential_gradient(grad, unit)[2]
         if abs(det) < 1e-300 or tangential_grad < FOCAL_EPS:
             raise FocalPointError(
                 f"degenerate tangential gradient ({tangential_grad:.3e}) during projection"
@@ -150,8 +151,7 @@ def project_to_level(
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
     """Unit normal of the level surface inside the sphere: PgradF/|PgradF|."""
     _, grad = eval1(spec.field, p.coords)
-    tang = _tangential(grad, p.coords)
-    n = _norm(tang)
+    _, tang, n = _tangential_gradient(grad, p.coords)
     if n < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {n:.3e} below {FOCAL_EPS:.0e}")
     return tuple([v / n for v in tang])
@@ -199,11 +199,7 @@ def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
             return SpherePoint(tuple([c / n for c in comps])), stream
 
 
-def sample_level_point(
-    spec: LevelSpec,
-    stream: RngStream,
-    tol: float = 1e-12,
-) -> tuple[SpherePoint, RngStream]:
+def sample_level_point(spec: LevelSpec, stream: RngStream) -> tuple[SpherePoint, RngStream]:
     """One random point of the level surface: sphere sample then projection."""
     start, stream = sample_on_sphere(stream)
-    return project_to_level(start.coords, spec, tol=tol), stream
+    return project_to_level(start.coords, spec), stream

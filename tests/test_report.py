@@ -21,6 +21,7 @@ from spherecurv import (
     to_json,
 )
 from spherecurv.report import (
+    _cell,
     catalog_payload,
     fmt_float,
     stats_payload,
@@ -236,3 +237,32 @@ class TestCsv:
     def test_unknown_command_rejected(self):
         with pytest.raises(ValueError):
             to_csv("explode", {})
+
+    def test_analyze_columns_follow_the_schema(self, monkeypatch):
+        """A field added to the schema's required list reaches the CSV header
+        and row with no further change to the report code."""
+        required = REPORT_SCHEMA["$defs"]["analyze_results"]["required"]
+        monkeypatch.setitem(
+            REPORT_SCHEMA["$defs"]["analyze_results"], "required", [*required, "extra"]
+        )
+        payload = dict(stats_payload(STATS), extra=[1.5, True])
+        head, row = _rows(to_csv("analyze", payload))
+        assert head[-1] == "extra"
+        assert row[-1] == "1.5;true"
+        assert head[:-1] == required
+
+
+class TestCell:
+    def test_bool_before_int(self):
+        assert (_cell(True), _cell(False), _cell(1), _cell(0)) == ("true", "false", "1", "0")
+
+    def test_floats_and_none(self):
+        assert _cell(-0.0) == "-0"
+        assert _cell(0.1) == "0.10000000000000001"
+        assert _cell(None) == ""
+
+    def test_nested_list(self):
+        assert _cell([1, [2.0, None], False, "x"]) == "1;2;;false;x"
+
+    def test_dict_is_json(self):
+        assert _cell({"k": "1", "n": [1, 2]}) == '{"k": "1", "n": [1, 2]}'

@@ -26,6 +26,7 @@ from spherecurv import (
     fit_theta0,
     frame_at,
     polynomial_field,
+    project_to_level,
     sample_level_point,
     second_form,
     sweep_analyze,
@@ -319,5 +320,5 @@ def test_default_tolerances():
     assert inspect.signature(sweep_analyze).parameters["f1_tol"].default == 1e-8
     assert shape.S_TOL == 1e-6
     assert shape.CLUSTER_TOL == 1e-4
-    assert inspect.signature(sample_level_point).parameters["tol"].default == 1e-12
+    assert inspect.signature(project_to_level).parameters["tol"].default == 1e-12
     assert shape.MAX_FAILURE_FRACTION == 0.10

@@ -115,7 +115,7 @@ def test_sample_on_sphere_unit_norm_and_determinism():
 def test_sample_level_point_hits_surface():
     s = RngStream(99)
     for _ in range(10):
-        p, s = sample_level_point(QUARTIC_HALF, s, tol=1e-12)
+        p, s = sample_level_point(QUARTIC_HALF, s)
         assert abs(_norm(p.coords) - 1.0) <= 1e-12
         assert abs(QUARTIC_HALF.residual(p.coords)) <= 1e-12
 
