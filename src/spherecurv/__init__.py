@@ -2,6 +2,8 @@
 the closed-form constant-curvature models, and exact rational verification of
 the algebraic identities behind their classification."""
 
+import types
+
 from .catalog import (
     CheckResult,
     IsoModel,
@@ -24,7 +26,6 @@ from .fields import (
     eval2,
     hess_bilinear,
     polynomial_field,
-    polynomial_product,
 )
 from .identities import (
     IDENTITY_NAMES,
@@ -38,7 +39,6 @@ from .identities import (
     dpsi_coeff,
     g2_solve,
     g3_kernel,
-    g3_matrix,
     gauss_R,
     recover_curvatures,
     run_identity_sweep,
@@ -47,13 +47,11 @@ from .identities import (
 from .report import REPORT_SCHEMA, SCHEMA_VERSION, build_report, to_csv, to_json
 from .rng import (
     RngStream,
-    draw_float,
     draw_gaussian,
     draw_gaussians,
     draw_int,
     draw_rational,
     draw_rationals,
-    draw_u64,
 )
 from .shape import (
     VERDICTS,
@@ -80,77 +78,8 @@ from .sphere import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "CurvatureReport",
-    "DerivativeTable",
-    "FocalPointError",
-    "IDENTITY_NAMES",
-    "I_closed",
-    "I_def",
-    "IdentityVerdict",
-    "IsoModel",
-    "LevelSpec",
-    "N_VARS",
-    "ProjectionError",
-    "Quadruple",
-    "REPORT_SCHEMA",
-    "RngStream",
-    "SCHEMA_VERSION",
-    "ScalarField",
-    "SpherePoint",
-    "Surd",
-    "SurfaceStats",
-    "SymMat4",
-    "TangentFrame",
-    "VERDICTS",
-    "all_models",
-    "as_rational",
-    "build_report",
-    "cartan_field",
-    "cartan_level",
-    "cartan_model",
-    "checks_passed",
-    "clifford_model",
-    "coordinate_field",
-    "curvature_report",
-    "diag_from_K",
-    "diag_from_system",
-    "dpsi_coeff",
-    "draw_float",
-    "draw_gaussian",
-    "draw_gaussians",
-    "draw_int",
-    "draw_rational",
-    "draw_rationals",
-    "draw_u64",
-    "equator_model",
-    "eval1",
-    "eval2",
-    "fit_theta0",
-    "frame_at",
-    "g2_solve",
-    "g3_kernel",
-    "g3_matrix",
-    "gauss_R",
-    "hess_bilinear",
-    "matrix_rank",
-    "model_check",
-    "polynomial_field",
-    "polynomial_product",
-    "project_to_level",
-    "recover_curvatures",
-    "run_identity_sweep",
-    "sample_level_point",
-    "sample_on_sphere",
-    "second_form",
-    "sign_lemma",
-    "solve_linear",
-    "surface_normal",
-    "sweep_analyze",
-    "sym_eigen",
-    "tangent_basis",
-    "to_csv",
-    "to_json",
-    "__version__",
-]
+# Every public name imported above, except the submodules, then the version.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+) + ["__version__"]

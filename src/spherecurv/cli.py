@@ -242,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     runners = {"analyze": _run_analyze, "verify": _run_verify, "catalog": _run_catalog}
     try:
+        if args.output == "":
+            raise ConfigError("--output needs a path, got ''")
         if args.output and (os.path.isdir(args.output)
                             or not os.path.isdir(os.path.dirname(os.path.abspath(args.output)))):
             raise ConfigError(f"--output is a directory or in a missing one: {args.output!r}")

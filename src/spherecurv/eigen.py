@@ -48,9 +48,6 @@ class SymMat4:
             (u[3], u[6], u[8], u[9]),
         ))
 
-    def entry(self, i: int, j: int) -> float:
-        return self.rows[i][j]
-
     def frobenius(self) -> float:
         return math.sqrt(sum([v * v for row in self.rows for v in row]))
 

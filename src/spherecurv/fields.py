@@ -146,11 +146,6 @@ def polynomial_field(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> Scalar
     return ScalarField(kind=POLYNOMIAL, coeffs=_normalize(coeffs))
 
 
-def polynomial_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Exact product of two fields (coefficient convolution)."""
-    return polynomial_field(_convolve(f.coeffs, g.coeffs))
-
-
 def _check_point(x) -> None:
     if len(x) != N_VARS:
         raise ValueError(f"point must have {N_VARS} components, got {len(x)}")

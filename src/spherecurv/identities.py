@@ -32,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 # draw_rational, solve_linear and matrix_rank are no longer called here; they
@@ -89,13 +88,6 @@ class DerivativeTable:
         object.__setattr__(self, "K", _four("K", self.K))
         object.__setattr__(self, "mixed", _four("mixed", self.mixed))
 
-    @cached_property
-    def diag(self) -> tuple[tuple[Fraction, ...], ...]:
-        return diag_from_K(self.lam, self.K)
-
-    def mixed_component(self, a: int, b: int, c: int) -> Fraction:
-        return self.mixed[_mixed_index(a, b, c)]
-
 
 def _mixed_index(a: int, b: int, c: int) -> int:
     return _MIXED_KEYS.index(tuple(sorted((a, b, c))))
@@ -140,15 +132,6 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
 # Three distinct curvatures
 
 
-def g3_matrix(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> list[list[Fraction]]:
-    la, mu, sig = (as_rational(v) for v in lams)
-    return [
-        [Fraction(p), Fraction(q), Fraction(r)],
-        [p * la, q * mu, r * sig],
-        [p * la * la, q * mu * mu, r * sig * sig],
-    ]
-
-
 def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     """Kernel dimension of the three-curvature differential constraint system.
 
@@ -172,9 +155,9 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
 def _g3_kernel_cleared(p: int, q: int, r: int, a: Sequence[int]) -> int:
     """g3_kernel for the values a_i / d, from the integers a alone.
 
-    Row m of g3_matrix scaled by d^m is integer and has the same rank; its
-    determinant is d^3 times the matrix's, and the factored form on a is
-    p q r (a2-a1)(a3-a1)(a3-a2), so the cross-check holds on ints.
+    Row m of the system's matrix, (p la^m, q mu^m, r sig^m), scaled by d^m
+    is the integer moment row (p a1^m, q a2^m, r a3^m) of the same rank; its
+    determinant factors as p q r (a2-a1)(a3-a1)(a3-a2), checked on ints.
     """
     a1, a2, a3 = a
     m = [[p, q, r], [p * a1, q * a2, r * a3], [p * a1 * a1, q * a2 * a2, r * a3 * a3]]

@@ -115,21 +115,6 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
             return raw % n, counter
 
 
-def draw_u64(stream: RngStream) -> tuple[int, RngStream]:
-    """The stream's next raw 64-bit output, with the advanced stream."""
-    counter = stream.counter + 1
-    return _output(stream.seed, counter), RngStream(stream.seed, counter)
-
-
-def draw_float(stream: RngStream, lo: float, hi: float) -> tuple[float, RngStream]:
-    """Uniform float in [lo, hi) from the top 53 bits of one raw draw."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"invalid float range [{lo}, {hi})")
-    raw, nxt = draw_u64(stream)
-    u = (raw >> 11) * (2.0**-53)
-    return lo + (hi - lo) * u, nxt
-
-
 def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     """Uniform integer in [lo, hi], bias-free via rejection."""
     if lo > hi:
@@ -205,8 +190,8 @@ def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStr
     """n standard normals via Box-Muller, with the stream after the last.
 
     Each value consumes two raw outputs, each turned into a uniform float in
-    [0, 1) from its top 53 bits as draw_float does; the counter is walked as
-    a plain int and one stream is built at the end.
+    [0, 1) as its top 53 bits times 2^-53; the counter is walked as a plain
+    int and one stream is built at the end.
     """
     seed, counter = stream.seed, stream.counter
     vals = []

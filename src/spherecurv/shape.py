@@ -271,12 +271,14 @@ def sweep_analyze(
     """Sample n surface points and aggregate their curvature invariants.
 
     f1_tol is the largest max |f1| (four times the mean curvature) still
-    treated as minimal. Raises RuntimeError when more than
+    treated as minimal; ValueError unless it is positive and finite. Raises RuntimeError when more than
     MAX_FAILURE_FRACTION of the projections fail; individual failures below
     that are counted and the first few messages kept.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if not (f1_tol > 0.0 and math.isfinite(f1_tol)):
+        raise ValueError(f"f1_tol must be a positive finite number, got {f1_tol!r}")
 
     rows = [(i, *row) for i, row in map_chunks(_sweep_point, n, workers, seed, spec)]
     ok_rows = [r for r in rows if r[1]]

@@ -94,12 +94,14 @@ def project_to_level(
 
     Each step solves the linearized pair of constraints inside the 2-plane
     spanned by the current position and the field gradient, with step halving
-    when a full step would grow the residual. Raises ProjectionError when the
-    residual target is not met and FocalPointError when the iteration lands
-    where the tangential gradient vanishes.
+    when a full step would grow the residual. Raises ValueError unless tol is
+    positive and finite, ProjectionError when the residual target tol is not
+    met, and FocalPointError when an iterate's tangential gradient vanishes.
     """
     if len(x0) != N_VARS:
         raise ValueError("start point must have 6 components")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     x = [float(c) for c in x0]
 
     def residuals(pt: Sequence[float]) -> tuple[float, float, float, tuple[float, ...]]:

@@ -1,8 +1,12 @@
-"""Shared helpers: explicit polynomial forms of the built-in quartic."""
+"""Shared helpers: explicit polynomial forms of the built-in quartic, and
+the raw and uniform-float draws that the random references read."""
 
+import math
 from fractions import Fraction
 
-from spherecurv import N_VARS, ScalarField, polynomial_field, polynomial_product
+from spherecurv import N_VARS, RngStream, ScalarField, polynomial_field
+from spherecurv.fields import _convolve
+from spherecurv.rng import _output
 
 # Upper-triangle Hessian layout: row i holds columns i..5.
 UPPER = [(i, j) for i in range(N_VARS) for j in range(i, N_VARS)]
@@ -20,6 +24,26 @@ def _monomial(index: int, degree: int = 1) -> tuple[int, ...]:
     exps = [0] * 6
     exps[index] = degree
     return tuple(exps)
+
+
+def draw_u64(stream: RngStream) -> tuple[int, RngStream]:
+    """The stream's next raw 64-bit output, with the advanced stream."""
+    counter = stream.counter + 1
+    return _output(stream.seed, counter), RngStream(stream.seed, counter)
+
+
+def draw_float(stream: RngStream, lo: float, hi: float) -> tuple[float, RngStream]:
+    """Uniform float in [lo, hi) from the top 53 bits of one raw draw."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+        raise ValueError(f"invalid float range [{lo}, {hi})")
+    raw, nxt = draw_u64(stream)
+    u = (raw >> 11) * (2.0**-53)
+    return lo + (hi - lo) * u, nxt
+
+
+def polynomial_product(f: ScalarField, g: ScalarField) -> ScalarField:
+    """Exact product of two fields (coefficient convolution)."""
+    return polynomial_field(_convolve(f.coeffs, g.coeffs))
 
 
 def poly_sum(*fields: ScalarField) -> ScalarField:

@@ -190,6 +190,17 @@ class TestAnalyzeCommand:
         assert out == ""
         assert "error:" in err
 
+    def test_empty_output_path_exits_2(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_identity_sweep", never)
+        code, out, err = _run(capsys, "verify", "--identity", "g2", "--trials", "3",
+                              "--output", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --output needs a path, got ''\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_output_write_exits_2(self, capsys):
         code, out, err = _run(capsys, "analyze", "--surface", "equator", "--samples", "3",

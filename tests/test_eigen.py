@@ -43,11 +43,11 @@ def test_symmetry_is_enforced():
 
 def test_from_upper_layout():
     m = SymMat4.from_upper([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    assert m.entry(0, 0) == 1
-    assert m.entry(0, 3) == 4
-    assert m.entry(3, 0) == 4
-    assert m.entry(1, 2) == 6
-    assert m.entry(3, 3) == 10
+    assert m.rows[0][0] == 1
+    assert m.rows[0][3] == 4
+    assert m.rows[3][0] == 4
+    assert m.rows[1][2] == 6
+    assert m.rows[3][3] == 10
 
 
 def test_identity_spectrum():
@@ -82,7 +82,7 @@ def test_reconstruction_and_orthogonality(seed):
     for i in range(4):
         for j in range(4):
             rebuilt = sum(vals[k] * vecs[k][i] * vecs[k][j] for k in range(4))
-            assert abs(rebuilt - m.entry(i, j)) <= tol
+            assert abs(rebuilt - m.rows[i][j]) <= tol
     for a in range(4):
         for b in range(4):
             dot = sum(vecs[a][i] * vecs[b][i] for i in range(4))
@@ -93,7 +93,7 @@ def test_reconstruction_and_orthogonality(seed):
 def test_trace_and_determinant_invariants(seed):
     m = _random_symmetric(seed + 1000)
     vals, _ = sym_eigen(m)
-    trace = sum(m.entry(i, i) for i in range(4))
+    trace = sum(m.rows[i][i] for i in range(4))
     scale = 1.0 + m.frobenius()
     assert abs(sum(vals) - trace) <= 1e-12 * scale
     prod = vals[0] * vals[1] * vals[2] * vals[3]

@@ -11,15 +11,13 @@ from spherecurv import (
     RngStream,
     cartan_field,
     coordinate_field,
-    draw_float,
     draw_rational,
     eval1,
     eval2,
     hess_bilinear,
     polynomial_field,
-    polynomial_product,
 )
-from fieldtools import UPPER, expanded_quartic, hess_matrix
+from fieldtools import UPPER, draw_float, expanded_quartic, hess_matrix, polynomial_product
 
 # Central differences: gradient error ~ h^2 + eps/h, second-derivative error
 # ~ h^2 + eps/h^2, so each order gets its own near-optimal step.

@@ -42,7 +42,6 @@ from spherecurv import (
     draw_rationals,
     g2_solve,
     g3_kernel,
-    g3_matrix,
     gauss_R,
     I_closed,
     I_def,
@@ -150,9 +149,20 @@ def _fraction_g2_solve(k, S):
     return (lam, mu), (-lam, -mu)
 
 
+def _g3_matrix(p, q, r, lams):
+    """The three-curvature system's Fraction matrix, rows (p, q, r) times
+    1, lam and lam^2."""
+    la, mu, sig = (F(v) for v in lams)
+    return [
+        [F(p), F(q), F(r)],
+        [p * la, q * mu, r * sig],
+        [p * la * la, q * mu * mu, r * sig * sig],
+    ]
+
+
 class TestThreeCurvatures:
     def test_matrix_determinant_frozen(self):
-        m = g3_matrix(1, 1, 2, (F(0), F(1), F(2)))
+        m = _g3_matrix(1, 1, 2, (F(0), F(1), F(2)))
         assert _det3(m) == 4
 
     def test_kernel_always_trivial(self):
@@ -187,7 +197,7 @@ class TestThreeCurvatures:
                 repeated += 1
                 continue
             assert g3_kernel(*pqr, vals) == identities._g3_kernel_cleared(*pqr, a) == 0
-            assert matrix_rank(g3_matrix(*pqr, vals)) == 3
+            assert matrix_rank(_g3_matrix(*pqr, vals)) == 3
             for bad in ((0, 2, 2), (1, 1, 1), (2, 2, 1), (-1, 3, 2), (1.0, 1, 2)):
                 with pytest.raises(ValueError, match="multiplicit"):
                     g3_kernel(*bad, vals)
@@ -410,8 +420,8 @@ def _fraction_dpsi_coeff(lam, K, mixed):
     for i, j, k, l in identities._PSI_TERMS:
         dki, dli, dkj, dlj = ls[k] - ls[i], ls[l] - ls[i], ls[k] - ls[j], ls[l] - ls[j]
         dkl = ls[k] - ls[l]
-        m_ikl = table.mixed_component(i, k, l)
-        m_jkl = table.mixed_component(j, k, l)
+        m_ikl = table.mixed[identities._mixed_index(i, k, l)]
+        m_jkl = table.mixed[identities._mixed_index(j, k, l)]
         block_a = -(
             diag[i][k] * diag[l][k] / (dki * dkl)
             + diag[i][l] * diag[k][l] / (dli * -dkl)
@@ -506,17 +516,6 @@ def test_gauss_r_small_cases():
 class TestDerivativeTable:
     LAM = LAM_1234
     K = (F(1), F(2), F(3), F(4))
-
-    def test_mixed_component_lookup(self):
-        table = DerivativeTable(self.LAM, self.K, (F(10), F(20), F(30), F(40)))
-        assert table.mixed_component(2, 1, 0) == 10
-        assert table.mixed_component(3, 1, 0) == 20
-        assert table.mixed_component(0, 2, 3) == 30
-        assert table.mixed_component(3, 2, 1) == 40
-
-    def test_diag_is_cached_closed_form(self):
-        table = DerivativeTable(self.LAM, self.K, (F(0),) * 4)
-        assert table.diag == diag_from_K(self.LAM, self.K)
 
     def test_arity_validation(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from spherecurv import N_VARS, coordinate_field, eval1, eval2, polynomial_field, polynomial_product
-from fieldtools import UPPER, hess_matrix, poly_scale, poly_sum
+from spherecurv import N_VARS, coordinate_field, eval1, eval2, polynomial_field
+from fieldtools import UPPER, hess_matrix, poly_scale, poly_sum, polynomial_product
 
 
 def _monomial(*pairs):

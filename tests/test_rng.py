@@ -8,15 +8,14 @@ import pytest
 
 from spherecurv import (
     RngStream,
-    draw_float,
     draw_gaussian,
     draw_gaussians,
     draw_int,
     draw_rational,
     draw_rationals,
-    draw_u64,
 )
 from spherecurv.rng import _rational_walk, chunk_bounds, map_chunks
+from fieldtools import draw_float, draw_u64
 
 _MASK = (1 << 64) - 1
 

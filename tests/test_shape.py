@@ -61,7 +61,7 @@ def test_equator_second_form_vanishes():
         h = second_form(EQUATOR, frame_at(p, EQUATOR))
         for i in range(4):
             for j in range(4):
-                assert abs(h.entry(i, j)) <= 1e-13
+                assert abs(h.rows[i][j]) <= 1e-13
 
 
 def test_sphere_product_one_three_curvatures():
@@ -314,6 +314,17 @@ class TestSweep:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             sweep_analyze(EQUATOR, 0, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
+    def test_f1_tol_must_be_positive_and_finite(self, bad, monkeypatch):
+        """A NaN threshold would make non_isoparametric unreachable, since
+        max|f1| > nan is always False; the check runs before any sampling."""
+        def never(*args):
+            raise AssertionError("sampled before f1_tol was checked")
+
+        monkeypatch.setattr(shape, "map_chunks", never)
+        with pytest.raises(ValueError, match="f1_tol"):
+            sweep_analyze(CARTAN_MIN, 8, seed=1, f1_tol=bad)
 
 
 def test_default_tolerances():

@@ -132,6 +132,14 @@ def test_projection_rejects_bad_input():
         project_to_level((1.0, 0.0), EQUATOR)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_projection_tol_must_be_positive_and_finite(bad):
+    """At tol = inf the start point, 0.40 off the level, would come back
+    unprojected; at nan the stall check would never fire."""
+    with pytest.raises(ValueError, match="tol"):
+        project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF, tol=bad)
+
+
 def test_quadric_level_projection():
     quadric = LevelSpec(
         polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 1}),
