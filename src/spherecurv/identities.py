@@ -78,13 +78,19 @@ _MIXED_KEYS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 @dataclass(frozen=True)
 class DerivativeTable:
-    """Curvatures plus the free derivative data (K column gains and mixed h)."""
+    """Curvatures plus the free derivative data (K column gains and mixed h).
+
+    lam given as a plain sequence is passed through Quadruple, so its
+    exactness and ordering checks apply.
+    """
 
     lam: Quadruple
     K: Quad
     mixed: Quad  # h_123, h_124, h_134, h_234
 
     def __post_init__(self) -> None:
+        if not isinstance(self.lam, Quadruple):
+            object.__setattr__(self, "lam", Quadruple(self.lam))
         object.__setattr__(self, "K", _four("K", self.K))
         object.__setattr__(self, "mixed", _four("mixed", self.mixed))
 
@@ -135,18 +141,22 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
 def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     """Kernel dimension of the three-curvature differential constraint system.
 
-    Multiplicities p, q, r are positive with p + q + r = 4, curvature values
-    distinct. The determinant factors as p q r (mu-la)(sig-la)(sig-mu), which
-    is nonzero exactly when the values are distinct, so the kernel dimension
-    is always 0 for admissible input; both the cofactor determinant and the
-    factored form are computed and cross-checked on every call.
+    Multiplicities p, q, r are positive with p + q + r = 4, and lams holds
+    three distinct curvature values. The determinant factors as
+    p q r (mu-la)(sig-la)(sig-mu), which is nonzero exactly when the values
+    are distinct, so the kernel dimension is always 0 for admissible input;
+    both the cofactor determinant and the factored form are computed and
+    cross-checked on every call.
     """
     for name, m in (("p", p), ("q", q), ("r", r)):
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"multiplicity {name} must be a positive integer, got {m}")
     if p + q + r != 4:
         raise ValueError(f"multiplicities must sum to 4, got {p}+{q}+{r}")
-    la, mu, sig = (as_rational(v) for v in lams)
+    vals = tuple(as_rational(v) for v in lams)
+    if len(vals) != 3:
+        raise ValueError(f"lams has three entries, got {len(vals)}")
+    la, mu, sig = vals
     if la == mu or la == sig or mu == sig:
         raise ValueError("curvature values must be pairwise distinct")
     return _g3_kernel_cleared(p, q, r, clear_denominators((la, mu, sig))[0])
@@ -348,8 +358,39 @@ _PSI_TERMS = (
     (1, 3, 2, 0),
     (2, 3, 0, 1),
 )
-# The positions in mixed of h_ikl and h_jkl for each row of _PSI_TERMS
-_PSI_MIXED = tuple((_mixed_index(i, k, l), _mixed_index(j, k, l)) for i, j, k, l in _PSI_TERMS)
+# The three blocks of every term as (weight, kind, c p q) in the term's own
+# letters. ("hh", c, p, q) stands for h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
+# and ("mixed", x, k, l) for h_xkl^2 / ((lam_k - lam_x)(lam_l - lam_x)).
+_PSI_BLOCKS = (
+    # derivative on the first 1-form leg
+    (-1, "hh", "kil"), (-1, "hh", "lik"), (-1, "mixed", "ikl"),
+    # derivative on the second 1-form leg (enters the total negatively)
+    (-1, "hh", "kjl"), (-1, "hh", "ljk"), (-1, "mixed", "jkl"),
+    # derivative on the connection form; its curvature term is added apart
+    (1, "hh", "ikl"), (1, "hh", "jkl"), (-1, "mixed", "ikl"), (-1, "mixed", "jkl"),
+)
+
+
+def _collect_psi_terms() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The blocks of all six terms with like terms collected, as the tables
+    ((c, p, q, weight), ...) for h h and ((x, k, l, position in mixed,
+    weight), ...) for mixed, with p < q, k < l and no zero weight.
+
+    An h h value depends on c and {p, q} only, and a mixed one on x and
+    {k, l} only, so each key sums the weights of every block entry it names.
+    """
+    tables: dict[str, dict[tuple[int, int, int], int]] = {"hh": {}, "mixed": {}}
+    for term in _PSI_TERMS:
+        at = dict(zip("ijkl", term))
+        for weight, kind, letters in _PSI_BLOCKS:
+            c, p, q = (at[s] for s in letters)
+            key = (c, min(p, q), max(p, q))
+            tables[kind][key] = tables[kind].get(key, 0) + weight
+    hh, mixed = (sorted((key, w) for key, w in t.items() if w) for t in tables.values())
+    return tuple((*key, w) for key, w in hh), tuple((*key, _mixed_index(*key), w) for key, w in mixed)
+
+
+_DPSI_HH, _DPSI_MIXED = _collect_psi_terms()
 
 
 def _dpsi_cleared(
@@ -360,43 +401,32 @@ def _dpsi_cleared(
 
     With h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i), three
     accumulators collect the h h terms over k_den^2 D^2 / d^8, the mixed
-    terms over m_den^2 D / d^2 and the curvature terms over d^2. Each term's
-    cofactor, its accumulator's denominator divided by its own, is taken by
-    division checked to leave no remainder.
+    terms over m_den^2 D / d^2 and the curvature terms over d^2. The h h and
+    mixed terms are the collected tables _DPSI_HH and _DPSI_MIXED, so each
+    distinct value is computed once and enters with its summed weight. Its
+    cofactor, the accumulator's denominator divided by the value's own, is
+    taken by division checked to leave no remainder, once per key.
     """
     P = _diag_cleared(a)
     diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
     D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
     D2 = D * D
-
-    def hh(c: int, p: int, q: int) -> int:
+    acc_hh = 0
+    for c, p, q, w in _DPSI_HH:
         # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
         #   = k_c^2 d^8 / (k_den^2 P_p P_q diff_cp diff_cq)
         cof, rem = divmod(D2, P[p] * P[q] * diff[c][p] * diff[c][q])
         if rem:
             raise RuntimeError("h h denominator does not divide D^2 (unreachable)")
-        return ks[c] * ks[c] * cof
-
-    def mixed(m: int, x: int, k: int, l: int) -> int:
+        acc_hh += w * ks[c] * ks[c] * cof
+    acc_mixed = 0
+    for x, k, l, n, w in _DPSI_MIXED:
         # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 diff_kx diff_lx)
         cof, rem = divmod(D, diff[k][x] * diff[l][x])
         if rem:
             raise RuntimeError("mixed denominator does not divide D (unreachable)")
-        return m * m * cof
-
-    acc_hh = acc_mixed = acc_curv = 0
-    for (i, j, k, l), (x_ikl, x_jkl) in zip(_PSI_TERMS, _PSI_MIXED):
-        m_ikl, m_jkl = ms[x_ikl], ms[x_jkl]
-        # derivative on the first 1-form leg
-        acc_hh -= hh(k, i, l) + hh(l, i, k)
-        acc_mixed -= mixed(m_ikl, i, k, l)
-        # derivative on the second 1-form leg (enters the total negatively)
-        acc_hh -= hh(k, j, l) + hh(l, j, k)
-        acc_mixed -= mixed(m_jkl, j, k, l)
-        # derivative on the connection form, including the curvature term
-        acc_hh += hh(i, k, l) + hh(j, k, l)
-        acc_mixed -= mixed(m_ikl, i, k, l) + mixed(m_jkl, j, k, l)
-        acc_curv += d * d + a[k] * a[l]
+        acc_mixed += w * ms[n] * ms[n] * cof
+    acc_curv = sum(d * d + a[k] * a[l] for _i, _j, k, l in _PSI_TERMS)
     d2 = d * d
     kd, md = k_den * k_den, m_den * m_den
     num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
@@ -408,11 +438,15 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     psi = sum over the six index pairings of omega_i ^ omega_j ^ omega_kl.
 
     Each term contributes three blocks (derivative on the first leg, on the
-    second leg, on the connection form), assembled independently per term;
-    sectional curvature enters as R_klkl = 1 + lam_k lam_l. The fully mixed
-    components appear with weight -2/((lam_k-lam_m)(lam_l-lam_m)) per term and
-    cancel in the total, which the exact sweep verifies rather than assumes.
-    Everything runs on Python ints in _dpsi_cleared.
+    second leg, on the connection form); sectional curvature enters as
+    R_klkl = 1 + lam_k lam_l. Like terms of the six terms' blocks are
+    collected once, at import (_collect_psi_terms). The h h part is then
+    minus the sums of I_def: weight -1 on each of the 12 values with c not
+    in {p, q}. Each fully mixed component h_xkl enters as
+    -2 h_xkl^2 sum_x 1/((lam_k-lam_x)(lam_l-lam_x)), the sum running over
+    the three indices of the component; that is 0 by the three-point
+    partial-fraction identity, and the exact sweep checks it rather than
+    assuming it. Everything runs on Python ints in _dpsi_cleared.
     """
     a, d = clear_denominators(table.lam.lam)
     ks, k_den = clear_denominators(table.K)

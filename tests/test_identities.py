@@ -178,6 +178,11 @@ class TestThreeCurvatures:
         with pytest.raises(ValueError):
             g3_kernel(1, 1, 2, (F(1), F(1), F(2)))
 
+    @pytest.mark.parametrize("lams", [(), (F(1), F(2)), (F(1), F(2), F(3), F(4))])
+    def test_lams_arity_validation(self, lams):
+        with pytest.raises(ValueError, match=f"lams has three entries, got {len(lams)}"):
+            g3_kernel(1, 1, 2, lams)
+
     @pytest.mark.parametrize("height", [1, 2, 3, 1000, 10**6, 2**70])
     def test_int_core_matches_public(self, height):
         """On seeded draws g3_kernel, its int core on the values cleared
@@ -523,6 +528,17 @@ class TestDerivativeTable:
         with pytest.raises(ValueError):
             DerivativeTable(self.LAM, (F(1),) * 4, (F(0),) * 5)
 
+    def test_plain_sequence_lam_goes_through_quadruple(self):
+        table = DerivativeTable((F(1), F(2), 3, "4"), (F(1),) * 4, (F(0),) * 4)
+        assert table.lam == self.LAM
+        assert dpsi_coeff(table) == F(373, 9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DerivativeTable((F(2), F(1), F(3), F(4)), self.K, (F(0),) * 4)
+        with pytest.raises(ValueError, match="a quadruple has four entries"):
+            DerivativeTable((F(1), F(2), F(3)), self.K, (F(0),) * 4)
+        with pytest.raises(TypeError, match="exactness"):
+            DerivativeTable((1.0, 2.0, 3.0, 4.0), self.K, (F(0),) * 4)
+
 
 class TestDivergenceCoefficient:
     def test_frozen_value_zero_mixed(self):
@@ -555,6 +571,103 @@ class TestDivergenceCoefficient:
         base = DerivativeTable(LAM_1234, (F(1),) * 4, (F(0),) * 4)
         bumped = DerivativeTable(LAM_1234, (F(1),) * 4, (F(5), F(-3), F(1, 7), F(2)))
         assert dpsi_coeff(base) == dpsi_coeff(bumped)
+
+
+# The three blocks of one psi term (i, j, k, l) as _fraction_dpsi_coeff
+# reads them: (sign of the block in the total, its entries as (sign, kind,
+# c p q) in the term's letters). hh c p q is h_pc h_qc / ((lam_c - lam_p)
+# (lam_c - lam_q)), mixed x k l is h_xkl^2 / ((lam_k - lam_x)(lam_l - lam_x));
+# block_c's curvature term is left out.
+_FRACTION_PSI_BLOCKS = (
+    (-1, ((1, "hh", "kil"), (1, "hh", "lik"), (1, "mixed", "ikl"))),
+    (-1, ((1, "hh", "kjl"), (1, "hh", "ljk"), (1, "mixed", "jkl"))),
+    (1, ((1, "hh", "ikl"), (1, "hh", "jkl"), (-1, "mixed", "ikl"), (-1, "mixed", "jkl"))),
+)
+_TRIPLES = list(itertools.combinations(range(4), 3))  # the order of DerivativeTable.mixed
+
+
+def _expanded_psi_weights():
+    """{(c, p, q): weight} for h h and {(x, k, l): weight} for mixed, p < q
+    and k < l, summed over the six terms' blocks, zero weights dropped."""
+    hh, mixed = {}, {}
+    for term in identities._PSI_TERMS:
+        at = dict(zip("ijkl", term))
+        for block_sign, entries in _FRACTION_PSI_BLOCKS:
+            for sign, kind, letters in entries:
+                c, p, q = (at[x] for x in letters)
+                table = hh if kind == "hh" else mixed
+                key = (c, min(p, q), max(p, q))
+                table[key] = table.get(key, 0) + block_sign * sign
+    return ({key: w for key, w in t.items() if w} for t in (hh, mixed))
+
+
+class TestCollectedPsiTerms:
+    def test_tables_match_the_expanded_blocks(self):
+        hh, mixed = _expanded_psi_weights()
+        assert len(identities._DPSI_HH) == len(hh)
+        assert {(c, p, q): w for c, p, q, w in identities._DPSI_HH} == hh
+        assert len(identities._DPSI_MIXED) == len(mixed)
+        assert {(x, k, l): w for x, k, l, _n, w in identities._DPSI_MIXED} == mixed
+        for x, k, l, n, _w in identities._DPSI_MIXED:
+            assert n == _TRIPLES.index(tuple(sorted((x, k, l))))
+
+    @pytest.mark.parametrize("table", ["_DPSI_HH", "_DPSI_MIXED"])
+    def test_sweep_catches_every_wrong_weight(self, monkeypatch, table):
+        """An h h weight set to 0, or a mixed weight moved by one, makes the
+        dpsi sweep fail; tried on every key in turn."""
+        rows = getattr(identities, table)
+        assert run_identity_sweep("dpsi", 200, seed=5).failures == 0
+        for r, row in enumerate(rows):
+            w = row[-1]
+            bad = (*row[:-1], 0 if table == "_DPSI_HH" else w + 1)
+            monkeypatch.setattr(identities, table, rows[:r] + (bad,) + rows[r + 1:])
+            assert run_identity_sweep("dpsi", 200, seed=5).failures > 0, row
+
+    def test_mixed_division_is_checked(self, monkeypatch):
+        """A planted mixed key whose denominator (a_1 - a_0)^2 = 49 does not
+        divide D = 1008 at lam = (0, 7, 8, 9) raises. The h h division is
+        held the same way by test_wrong_moment_or_cofactor_raises."""
+        monkeypatch.setattr(identities, "_DPSI_MIXED", identities._DPSI_MIXED + ((0, 1, 1, 0, -2),))
+        lam = Quadruple((F(0), F(7), F(8), F(9)))
+        with pytest.raises(RuntimeError, match="mixed denominator does not divide"):
+            dpsi_coeff(DerivativeTable(lam, (F(1),) * 4, (F(1),) * 4))
+
+    def test_hh_keys_are_the_pairs_of_I_def(self):
+        """The h h part is minus the I_def sums: one key per (l, {p, q}) with
+        p, q the pairs of indices other than l, each of weight -1."""
+        pairs = {
+            (l, p, q) for l, others in enumerate(identities._OTHERS) for p, q in itertools.combinations(others, 2)
+        }
+        assert len(pairs) == 12
+        assert all(c not in (p, q) for c, p, q in pairs)
+        assert {(c, p, q): w for c, p, q, w in identities._DPSI_HH} == dict.fromkeys(pairs, -1)
+
+    @pytest.mark.parametrize("height", [2, 1000, 2**70])
+    def test_mixed_terms_cancel_by_the_three_point_identity(self, height):
+        """Certificate for the mixed part. Each 3-set {x, k, l} has the keys
+        (x, {k, l}) for all three of its points, with one weight, -2, and the
+        same component of mixed, so the set contributes
+        -2 m^2 sum_x D / ((a_k - a_x)(a_l - a_x)). That sum is 0 on ints:
+        sum_x 1 / ((a_k - a_x)(a_l - a_x)) = 0 for any three distinct values."""
+        by_set = {}
+        for x, k, l, n, w in identities._DPSI_MIXED:
+            by_set.setdefault(n, []).append((x, k, l, w))
+        assert sorted(by_set) == [0, 1, 2, 3]
+        for n, keys in by_set.items():
+            assert sorted(x for x, _k, _l, _w in keys) == list(_TRIPLES[n])
+            assert all({x, k, l} == set(_TRIPLES[n]) for x, k, l, _w in keys)
+            assert {w for _x, _k, _l, w in keys} == {-2}
+        root = RngStream(6007)
+        for i in range(300):
+            a, _d, _stream = identities._draw_distinct_quadruple(root.split(i), height)
+            D = math.prod(a[q] - a[p] for p, q in itertools.combinations(range(4), 2))
+            for n, keys in by_set.items():
+                total = 0
+                for x, k, l, w in keys:
+                    cof, rem = divmod(D, (a[k] - a[x]) * (a[l] - a[x]))
+                    assert rem == 0
+                    total += w * cof
+                assert total == 0
 
 
 class TestRecoverCurvatures:
