@@ -28,7 +28,6 @@ Index conventions (0-based internally, matching the docstrings' 1-based math):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -466,12 +465,11 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def _primitive(p: list) -> list[int]:
-    """Integer polynomial with coprime coefficients and the roots of the
-    rational polynomial p; coefficients leading first."""
-    ints, _den = clear_denominators(p)
-    g = math.gcd(*ints) or 1
-    return [c // g for c in ints]
+def _primitive(p: list[int]) -> list[int]:
+    """The integer polynomial p divided by the gcd of its coefficients, so
+    they are coprime; coefficients leading first."""
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -515,10 +513,13 @@ def _square_free_parts(f: list[int]) -> list[list[int]]:
     f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
     its multiplicity lowered by one, so repeating on the gcd, the last term
     of the Sturm sequence, peels one layer of each repeated root at a time.
+    A constant gcd means f is square-free, and f itself is the last part.
     """
     parts = []
     while len(f) > 1:
         g = _sturm(f)[-1]
+        if len(g) == 1:
+            return parts + [_primitive(f)]
         parts.append(_primitive(_pseudo_divmod(f, g)[0]))
         f = g
     return parts
@@ -537,32 +538,27 @@ def _real_root_count(f: list[int]) -> int:
     return changes([p[0] * (-1) ** (len(p) - 1) for p in seq]) - changes([p[0] for p in seq])
 
 
-def _estimates(f: list[int]) -> list[complex]:
-    """Float estimates of all roots of the integer polynomial f, by
-    Durand-Kerner iteration from a circle that encloses every root
-    (Fujiwara's bound)."""
-    n = len(f) - 1
+def _largest_root(f: list[int]) -> float:
+    """A float estimate of the largest root of the integer polynomial f,
+    when all its roots are real.
+
+    Newton's method starts at Fujiwara's bound, above every root, so on a
+    real-rooted polynomial it falls monotonically to the largest one; it
+    stops where it no longer falls. A complex root is not rational, so for
+    a polynomial with one _rational_roots fails its exact check whatever
+    value comes back.
+    """
     c = [x / f[0] for x in f[1:]]
-    radius = 2 * max(abs(x) ** (1 / k) for k, x in enumerate(c, 1))
-    # Turned off the real axis by 0.4 rad: a start closed under conjugation
-    # would stay so through every step on real coefficients.
-    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    x = 2 * max(abs(a) ** (1 / k) for k, a in enumerate(c, 1))
     for _ in range(100):
-        moved = False
-        for k, zk in enumerate(z):
-            v = 1.0
-            for x in c:
-                v = v * zk + x
-            d = 1.0
-            for j, zj in enumerate(z):
-                if j != k:
-                    d *= zk - zj
-            step = v / d
-            z[k] = zk - step
-            moved = moved or abs(step) > 1e-9 * max(1.0, abs(zk))
-        if not moved:
+        v, dv = 1.0, 0.0
+        for a in c:
+            v, dv = v * x + a, dv * x + v
+        lower = x - v / dv
+        if not lower < x:
             break
-    return z
+        x = lower
+    return x
 
 
 def _rational_roots(f: list[int]) -> list[Fraction] | None:
@@ -570,24 +566,24 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
     are rational; None when they cannot all be found that way.
 
     By the rational root theorem a rational root p/q of f has q | lc(f), so
-    it is m / lc(f) for an integer m, a root of phi(m) = lc^n f(m / lc).
-    Each float estimate is rounded to that integer grid and refined there
-    by Newton's method with every step rounded to an integer; m is kept
-    only where phi(m) is exactly 0. Distinct kept values number at most
-    deg f, and when there are that many they are all the roots.
+    it is m / lc for an integer m, a root of phi(m) = lc^n f(m / lc). The
+    float estimate of the largest root (_largest_root) is rounded to that
+    integer grid and refined there by Newton's method with every step
+    rounded to an integer, until phi(m) is exactly 0. Then q t - p divides
+    f over the integers (Gauss's lemma), and the quotient is searched
+    next; an exact division leaves no rounding behind to hide a close
+    root. The last root, of a linear quotient, is read off.
     """
-    lc = f[0]
-    scaled = [c * lc**k for k, c in enumerate(f)]
-    try:
-        estimates = _estimates(f)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    found = set()
-    for z in estimates:
-        if not math.isfinite(z.real):
+    roots = []
+    while len(f) > 2:
+        # an infinite or nan estimate raises OverflowError or ValueError here
+        try:
+            num, den = _largest_root(f).as_integer_ratio()
+        except (OverflowError, ValueError, ZeroDivisionError):
             return None
-        # m = round(z.real * lc), half to even, on ints
-        num, den = z.real.as_integer_ratio()
+        lc = f[0]
+        scaled = [c * lc**k for k, c in enumerate(f)]
+        # m = round(num / den * lc), half to even, on ints
         q, r = divmod(num * lc, den)
         m = q + (2 * r > den or (2 * r == den and q % 2 == 1))
         for _ in range(64):
@@ -596,16 +592,19 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
                 dv = dv * m + v
                 v = v * m + c
             if v == 0:
-                found.add(m)
                 break
             # the integer nearest to the Newton step v / dv
             step = (2 * v + dv) // (2 * dv) if dv else 0
             if step == 0:
-                break
+                return None
             m -= step
-    if len(found) < len(f) - 1:
-        return None
-    return [Fraction(m, lc) for m in found]
+        else:
+            return None
+        root = Fraction(m, lc)
+        roots.append(root)
+        acc = 0
+        f = [acc := (c + root.numerator * acc) // root.denominator for c in f[:-1]]
+    return roots + [Fraction(-f[1], f[0])]
 
 
 def _roots(coeffs: list) -> list:
@@ -687,26 +686,27 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     functions of a quartic. Exact rational input (int or Fraction) goes to
     _recover_cleared as a primitive integer quartic. It is split exactly
     into square-free integer factors, so repeated curvatures become simple
-    roots, and each factor's roots are first sought exactly: float
-    estimates refined on integers and kept only where the factor vanishes
-    (`_rational_roots`), each returned as the correctly rounded float of
-    the rational root. Only a factor with an irrational or complex root, or
-    one that refinement cannot resolve, falls back to finding its roots
-    numerically with mpmath at `dps` decimal digits; mpf input always takes
-    that path, which keeps repeated roots accurate far beyond double
-    precision. Whether such a rational factor's roots are all real is
-    decided exactly, by counting them with a Sturm sequence on ints
-    (`_real_root_count`), however small the imaginary part of a complex
-    pair; mpmath then only names the offending root. For mpf input a root
-    counts as real when its imaginary part is at most 1e-10. Raises
-    ValueError if a root is not real. Returns the four real roots ascending.
+    roots, and each factor's roots are first sought exactly: a real float
+    estimate of its largest root, refined on integers until the factor
+    vanishes and then divided out exactly (`_rational_roots`), each given
+    as the correctly rounded float of the rational root. Only a factor
+    with an irrational or complex root, or one that refinement cannot
+    resolve, falls back to finding its roots numerically with mpmath at
+    `dps` decimal digits; mpf input always takes that path, which keeps
+    repeated roots accurate far beyond double precision. Whether such a
+    rational factor's roots are all real is decided exactly, by counting
+    them with a Sturm sequence on ints (`_real_root_count`), however small
+    the imaginary part of a complex pair; mpmath then only names the
+    offending root. For mpf input a root counts as real when its imaginary
+    part is at most 1e-10. Raises ValueError if a root is not real. Returns
+    the four real roots ascending.
 
     mpmath is imported only when the fallback runs, so sweeps whose roots
     are all found exactly never load it.
     """
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
-        return _recover_cleared(_primitive([1, -e1, e2, -e3, e4]), dps)
+        return _recover_cleared(_primitive(clear_denominators([1, -e1, e2, -e3, e4])[0]), dps)
     import mpmath as mp
 
     with mp.workdps(dps):

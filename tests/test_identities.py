@@ -28,6 +28,7 @@ import mpmath as mp
 import pytest
 
 from spherecurv import identities, rng
+from spherecurv.exact import clear_denominators
 from spherecurv import (
     DerivativeTable,
     IDENTITY_NAMES,
@@ -767,7 +768,7 @@ class TestRecoverCurvatures:
 
     # 10^9 is beyond what float estimates resolve alone: the leading
     # coefficient of a factor reaches about 10^36 there.
-    @pytest.mark.parametrize("height", [1, 2, 1000, 10**6, 10**9])
+    @pytest.mark.parametrize("height", [1, 2, 1000, 10**6, 10**9, 10**11])
     def test_rational_input_is_solved_exactly(self, height, monkeypatch):
         """Rational curvatures, repeats included, come back as the correctly
         rounded floats of the exact values without any mpmath root finding."""
@@ -786,6 +787,38 @@ class TestRecoverCurvatures:
             p3 = sum(v**3 for v in vals)
             e4 = vals[0] * vals[1] * vals[2] * vals[3]
             assert recover_curvatures(p1, p2, p3, e4) == tuple(float(v) for v in sorted(vals))
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            (F(999998, 999999), F(999999, 10**6), F(-3, 7), F(5, 2)),
+            (F(-123457, 999983), F(500001, 999979), F(999998, 999999), F(999999, 10**6)),
+            # a pair next to 0 and 2: float deflation by the root 2 buries it
+            (F(0), F(1, 10**6), F(1, 999999), F(2)),
+        ],
+    )
+    def test_close_rational_pair_is_solved_exactly(self, vals, monkeypatch):
+        """Two roots 1/(d1 d2) apart at height 10^6 are closer than float
+        estimates resolve; each is found exactly all the same."""
+
+        def no_mpmath(*args, **kwargs):
+            raise AssertionError("mpmath root finding reached")
+
+        monkeypatch.setattr(mp, "polyroots", no_mpmath)
+        monkeypatch.setattr(mp, "eig", no_mpmath)
+        p1 = sum(vals)
+        p2 = sum(v * v for v in vals)
+        p3 = sum(v**3 for v in vals)
+        assert recover_curvatures(p1, p2, p3, math.prod(vals)) == tuple(float(v) for v in sorted(vals))
+
+    @pytest.mark.parametrize("f", [[1, 0, 1], [1, -2, 5], [1, 0, 0, 0, 1]])
+    def test_complex_factor_has_no_rational_roots(self, f):
+        assert identities._rational_roots(f) is None
+
+    def test_square_free_parts_are_primitive(self):
+        """A constant gcd(f, f') leaves f whole, made primitive."""
+        assert identities._square_free_parts([3, -3]) == [[1, -1]]
+        assert identities._square_free_parts([2, 0, -10, 0, 8]) == [[1, 0, -5, 0, 4]]
 
     def test_rational_roots_are_verified_exactly(self):
         """Roots are kept only where the factor vanishes exactly: the
@@ -949,7 +982,7 @@ def _fraction_recover_front_end(p1, p2, p3, e4, dps=50):
     out = []
     polys = []
     e1, e2, e3 = identities._elementary(*(F(v) for v in (p1, p2, p3)))
-    for poly in identities._square_free_parts(identities._primitive([1, -e1, e2, -e3, e4])):
+    for poly in identities._square_free_parts(identities._primitive(clear_denominators([1, -e1, e2, -e3, e4])[0])):
         exact = identities._rational_roots(poly)
         if exact is None:
             polys.append(poly)
@@ -989,7 +1022,7 @@ def test_recover_core_matches_fraction_front_end(monkeypatch):
         assert identities._trial_recover(stream, height) is None
         vals = sorted(draw_rationals(stream, height, 4)[0])
         e1, e2, e3 = identities._elementary(sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals))
-        assert handed.pop() == identities._primitive([1, -e1, e2, -e3, math.prod(vals)])
+        assert handed.pop() == identities._primitive(clear_denominators([1, -e1, e2, -e3, math.prod(vals)])[0])
         if i % 4 == 0:
             vals[1 + i % 3] = vals[i % 3]
         cases.append((sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals), math.prod(vals)))
