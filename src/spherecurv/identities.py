@@ -562,20 +562,26 @@ def _largest_root(f: list[int]) -> float:
 
 
 def _rational_roots(f: list[int]) -> list[Fraction] | None:
-    """The roots of the square-free integer polynomial f, exactly, when all
-    are rational; None when they cannot all be found that way.
+    """The roots of the integer polynomial f, exactly and with multiplicity,
+    when all are rational; None when they cannot all be found that way.
 
-    By the rational root theorem a rational root p/q of f has q | lc(f), so
-    it is m / lc for an integer m, a root of phi(m) = lc^n f(m / lc). The
-    float estimate of the largest root (_largest_root) is rounded to that
-    integer grid and refined there by Newton's method with every step
-    rounded to an integer, until phi(m) is exactly 0. Then q t - p divides
-    f over the integers (Gauss's lemma), and the quotient is searched
-    next; an exact division leaves no rounding behind to hide a close
-    root. The last root, of a linear quotient, is read off.
+    Trailing zero coefficients are roots 0, read off first. By the rational
+    root theorem a rational root p/q of f has q | lc(f), so it is m / lc for
+    an integer m, a root of phi(m) = lc^n f(m / lc). The float estimate of
+    the largest root (_largest_root) is rounded to that integer grid and
+    refined there by Newton's method with every step rounded to an integer,
+    until phi(m) is exactly 0. Then q t - p divides f over the integers
+    (Gauss's lemma), and the quotient is searched next, so a repeated root
+    is found once for each time it divides f; an exact division leaves no
+    rounding behind to hide a close root. A quadratic quotient is solved in
+    closed form, its roots rational exactly when its discriminant is a
+    square; a linear one is read off.
     """
     roots = []
-    while len(f) > 2:
+    while len(f) > 1 and f[-1] == 0:
+        f = f[:-1]
+        roots.append(Fraction(0))
+    while len(f) > 3:
         # an infinite or nan estimate raises OverflowError or ValueError here
         try:
             num, den = _largest_root(f).as_integer_ratio()
@@ -604,7 +610,14 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
         roots.append(root)
         acc = 0
         f = [acc := (c + root.numerator * acc) // root.denominator for c in f[:-1]]
-    return roots + [Fraction(-f[1], f[0])]
+    if len(f) == 3:
+        a, b, c = f
+        disc = b * b - 4 * a * c
+        s = math.isqrt(max(disc, 0))
+        if s * s != disc:
+            return None
+        return roots + [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    return roots + [Fraction(-c, f[0]) for c in f[1:]]
 
 
 def _roots(coeffs: list) -> list:
@@ -662,10 +675,15 @@ def _recover_cleared(f: list[int], dps: int = 50) -> tuple[float, ...]:
     """The roots of the primitive integer polynomial f, ascending, as floats:
     the rational path of recover_curvatures.
 
-    f is split into square-free factors. A factor whose roots are all
+    The roots of f are first sought exactly, repeats included; when all are
+    rational they come back as their correctly rounded floats. Otherwise f
+    is split into square-free factors. A factor whose roots are all
     rational gives their correctly rounded floats; any other goes to
     mpmath at dps digits and raises ValueError unless its roots are real.
     """
+    exact = _rational_roots(f)
+    if exact is not None:
+        return tuple(sorted(map(float, exact)))
     out = []
     polys = []
     for poly in _square_free_parts(f):
@@ -684,12 +702,14 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
 
     Newton's identities convert the power sums to elementary symmetric
     functions of a quartic. Exact rational input (int or Fraction) goes to
-    _recover_cleared as a primitive integer quartic. It is split exactly
-    into square-free integer factors, so repeated curvatures become simple
-    roots, and each factor's roots are first sought exactly: a real float
-    estimate of its largest root, refined on integers until the factor
-    vanishes and then divided out exactly (`_rational_roots`), each given
-    as the correctly rounded float of the rational root. Only a factor
+    _recover_cleared as a primitive integer quartic, whose roots are first
+    sought exactly, repeats included: a real float estimate of the largest
+    root, refined on integers until the quartic vanishes and then divided
+    out exactly, with a quadratic quotient solved in closed form
+    (`_rational_roots`), each root given as the correctly rounded float of
+    the rational. Only a quartic without a full rational factorisation is
+    split exactly into square-free integer factors, so repeated curvatures
+    become simple roots, and each factor is searched the same way. A factor
     with an irrational or complex root, or one that refinement cannot
     resolve, falls back to finding its roots numerically with mpmath at
     `dps` decimal digits; mpf input always takes that path, which keeps

@@ -830,6 +830,66 @@ class TestRecoverCurvatures:
         assert identities._rational_roots([10**30, 0, -(2 * 10**30 + 1)]) is None
         assert sorted(identities._rational_roots([6, -5, -8, 3])) == [F(-1), F(1, 3), F(3, 2)]
 
+    @pytest.mark.parametrize(
+        "f, roots",
+        [
+            ([1, -2, 1], [1, 1]),  # (t - 1)^2
+            ([81, -108, 54, -12, 1], [F(1, 3)] * 4),  # (3t - 1)^4
+            ([1, 0, 0, 0, 0], [0] * 4),  # t^4: the quotient is a constant
+            ([2, 5, 0, 0, 0], [F(-5, 2), 0, 0, 0]),  # t^3 (2t + 5)
+            ([1, 2, -3, -4, 4], [-2, -2, 1, 1]),  # (t - 1)^2 (t + 2)^2
+            ([4, -4, 1], [F(1, 2)] * 2),  # a quadratic with discriminant 0
+        ],
+    )
+    def test_rational_roots_keep_multiplicity(self, f, roots):
+        """The whole polynomial needs no square-free split: zero roots are
+        read off, and each repeated root is found and divided out once for
+        each time it divides f."""
+        assert sorted(identities._rational_roots(f)) == roots
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            [1, 1, -1],  # discriminant 5
+            [3, 0, -1],  # discriminant 12
+            [2, 1, 3],  # discriminant -23
+            [1, -9, 18, 18, -40],  # (t - 5)(t - 4)(t^2 - 2): the tail is t^2 - 2
+        ],
+    )
+    def test_quadratic_tail_needs_a_square_discriminant(self, f):
+        assert identities._rational_roots(f) is None
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 1000, 2**70])
+    def test_sweep_needs_no_square_free_split(self, height, monkeypatch):
+        """Drawn quadruples, repeated values included at small heights, are
+        recovered exactly from the whole quartic."""
+
+        def no_split(f):
+            raise AssertionError("square-free split reached")
+
+        monkeypatch.setattr(identities, "_square_free_parts", no_split)
+        assert run_identity_sweep("recover", 300, 19, height).failures == 0
+
+    def test_partly_irrational_quartic_is_split(self, monkeypatch):
+        """(t - 1)^2 (t^2 - 2) has no full rational factorisation, so it is
+        split and its factor (t - 1)(t^2 - 2) goes to mpmath."""
+        calls = {"split": 0, "polyroots": 0}
+        split, polyroots = identities._square_free_parts, mp.polyroots
+
+        def counted_split(f):
+            calls["split"] += 1
+            return split(f)
+
+        def counted_polyroots(*args, **kwargs):
+            calls["polyroots"] += 1
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "_square_free_parts", counted_split)
+        monkeypatch.setattr(mp, "polyroots", counted_polyroots)
+        r2 = math.sqrt(2)
+        assert recover_curvatures(2, 6, 2, -2) == (-r2, 1.0, 1.0, r2)
+        assert calls == {"split": 1, "polyroots": 1}
+
     with mp.workdps(60):
         P3_TRIPLE = 8 * mp.sqrt(3) / 3
 
