@@ -25,6 +25,7 @@ from .fields import (
     eval1,
     eval2,
     hess_bilinear,
+    hess_terms,
     polynomial_field,
 )
 from .identities import (

@@ -49,15 +49,22 @@ class SymMat4:
         ))
 
     def frobenius(self) -> float:
-        return math.sqrt(sum([v * v for row in self.rows for v in row]))
+        (r00, r01, r02, r03), (r10, r11, r12, r13) = self.rows[:2]
+        (r20, r21, r22, r23), (r30, r31, r32, r33) = self.rows[2:]
+        return math.sqrt(
+            0 + r00 * r00 + r01 * r01 + r02 * r02 + r03 * r03
+            + r10 * r10 + r11 * r11 + r12 * r12 + r13 * r13
+            + r20 * r20 + r21 * r21 + r22 * r22 + r23 * r23
+            + r30 * r30 + r31 * r31 + r32 * r32 + r33 * r33
+        )
 
 
 _IDENTITY = tuple(tuple(float(i == j) for j in range(N)) for i in range(N))
-_OFF_DIAGONAL = tuple((i, j) for i in range(N) for j in range(i + 1, N))
 
 
 def _off_norm(a: list[list[float]]) -> float:
-    return math.sqrt(sum([a[i][j] ** 2 for i, j in _OFF_DIAGONAL]))
+    (_, a01, a02, a03), (_, _, a12, a13), (_, _, _, a23), _ = a
+    return math.sqrt(0 + a01**2 + a02**2 + a03**2 + a12**2 + a13**2 + a23**2)
 
 
 def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:

@@ -177,14 +177,20 @@ def eval2(spec: ScalarField, x) -> tuple:
     return out[0], tuple(out[1:1 + N_VARS]), tuple(out[1 + N_VARS:])
 
 
-def hess_bilinear(hess: Sequence, u: Sequence, v: Sequence):
-    """u^T H v for a Hessian stored as its row-major upper triangle.
+def hess_terms(hess: Sequence) -> tuple:
+    """The entries of a row-major upper-triangle Hessian that are not 0,
+    each as (h, (i, j)); hess_bilinear reads them."""
+    return tuple(compress(zip(hess, _UPPER), hess))
+
+
+def hess_bilinear(terms: Sequence, u: Sequence, v: Sequence):
+    """u^T H v for H given by hess_terms(hess), its nonzero upper entries.
 
     Entries equal to 0 are skipped. For finite u and v their terms are zeros
     of either sign, and adding one never changes the sum: it starts at int 0,
     so it is never -0.0. An all-zero Hessian gives int 0.
     """
     acc = 0
-    for h, (i, j) in compress(zip(hess, _UPPER), hess):
+    for h, (i, j) in terms:
         acc += h * u[i] * v[i] if i == j else h * (u[i] * v[j] + u[j] * v[i])
     return acc

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Sequence
 
 from .catalog import all_models
 from .eigen import SymMat4, sym_eigen
-from .fields import eval2, hess_bilinear
+from .fields import eval2, hess_bilinear, hess_terms
 from .rng import RngStream, map_chunks
 from .sphere import (
     FOCAL_EPS,
@@ -98,12 +97,13 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     gp, _, nt = _tangential_gradient(grad, p)
     if nt < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
+    terms = hess_terms(hess)
     upper = []
     for a in range(4):
         ea = frame.vectors[a]
         for b in range(a, 4):
             eb = frame.vectors[b]
-            val = hess_bilinear(hess, ea, eb)
+            val = hess_bilinear(terms, ea, eb)
             if a == b:
                 val -= gp
             upper.append(val / nt)
@@ -186,12 +186,13 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     frame = frame_at(point, spec)
     h = second_form(spec, frame)
     lambdas, _vectors = sym_eigen(h)
-    f1 = lambdas[0] + lambdas[1] + lambdas[2] + lambdas[3]
-    f2 = sum(map(mul, lambdas, lambdas))
-    f3 = sum([v**3 for v in lambdas])
-    f4 = sum([v**4 for v in lambdas])
+    l0, l1, l2, l3 = lambdas
+    f1 = l0 + l1 + l2 + l3
+    f2 = 0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    f3 = 0 + l0**3 + l1**3 + l2**3 + l3**3
+    f4 = 0 + l0**4 + l1**4 + l2**4 + l3**4
     S = f2
-    K = lambdas[0] * lambdas[1] * lambdas[2] * lambdas[3]
+    K = l0 * l1 * l2 * l3
     R = 12.0 + f1 * f1 - S
 
     groups = _cluster(lambdas)

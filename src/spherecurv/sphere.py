@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 from .fields import N_VARS, ScalarField, eval1
@@ -23,6 +22,8 @@ _MAX_ITER = 50  # Newton steps per projection
 # Step halvings per Newton step. Start points next to the focal set of the
 # quartic need more than a few: one with F ~ 5e-5 needs 7.
 _MAX_HALVINGS = 12
+# Gram-Schmidt seeds of tangent_basis: the coordinate vectors e_1..e_6.
+_SEEDS = tuple(tuple(float(i == k) for i in range(N_VARS)) for k in range(N_VARS))
 
 
 class FocalPointError(ValueError):
@@ -67,21 +68,24 @@ class TangentFrame:
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(map(mul, a, b))
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return 0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
 
 
 def _norm(a: Sequence[float]) -> float:
-    return math.sqrt(_dot(a, a))
-
-
-def _axpy(a: Sequence[float], t: float, b: Sequence[float]) -> list[float]:
-    return [x + t * y for x, y in zip(a, b)]
+    a0, a1, a2, a3, a4, a5 = a
+    return math.sqrt(0 + a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5)
 
 
 def _tangential_gradient(grad: Sequence[float], p: Sequence[float]) -> tuple:
     """(<grad, p>, P grad, |P grad|), P the projection orthogonal to unit p."""
-    gp = _dot(grad, p)
-    tang = [g - gp * c for g, c in zip(grad, p)]
+    g0, g1, g2, g3, g4, g5 = grad
+    p0, p1, p2, p3, p4, p5 = p
+    gp = 0 + g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 + g5 * p5
+    tang = (
+        g0 - gp * p0, g1 - gp * p1, g2 - gp * p2, g3 - gp * p3, g4 - gp * p4, g5 - gp * p5
+    )
     return gp, tang, _norm(tang)
 
 
@@ -102,29 +106,28 @@ def project_to_level(
         raise ValueError("start point must have 6 components")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    x = [float(c) for c in x0]
-
-    def residuals(pt: Sequence[float]) -> tuple[float, float, float, tuple[float, ...]]:
-        """(|pt|^2, |pt|^2 - 1, F(pt) - level, grad F(pt))."""
-        value, grad = eval1(spec.field, pt)
-        xx = _dot(pt, pt)
-        return xx, xx - 1.0, value - spec.level, grad
-
-    xx, c1, c2, grad = residuals(x)
+    x = tuple([float(c) for c in x0])
+    level = spec.level
+    value, grad = eval1(spec.field, x)
+    p0, p1, p2, p3, p4, p5 = x
+    xx = 0 + p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4 + p5 * p5
     if xx == 0.0:
         raise ValueError("cannot project the origin")
+    c1, c2 = xx - 1.0, value - level
     res = max(abs(c1), abs(c2))
     for _ in range(_MAX_ITER):
         if res <= tol:
             break
         # Directions: current position and field gradient.
-        xg, gg = _dot(x, grad), _dot(grad, grad)
+        g0, g1, g2, g3, g4, g5 = grad
+        xg = 0 + p0 * g0 + p1 * g1 + p2 * g2 + p3 * g3 + p4 * g4 + p5 * g5
+        gg = 0 + g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5
         a11, a12, a21, a22 = 2.0 * xx, 2.0 * xg, xg, gg
         det = a11 * a22 - a12 * a21
         norm_x = math.sqrt(xx)
         if norm_x == 0.0:
             raise ProjectionError("iterate collapsed to the origin", res)
-        unit = [c / norm_x for c in x]
+        unit = (p0 / norm_x, p1 / norm_x, p2 / norm_x, p3 / norm_x, p4 / norm_x, p5 / norm_x)
         tangential_grad = _tangential_gradient(grad, unit)[2]
         if abs(det) < 1e-300 or tangential_grad < FOCAL_EPS:
             raise FocalPointError(
@@ -134,11 +137,18 @@ def project_to_level(
         beta = (-a11 * c2 + a21 * c1) / det
         step = 1.0
         for _halving in range(_MAX_HALVINGS):
-            trial = _axpy(_axpy(x, step * alpha, x), step * beta, grad)
-            txx, t1, t2, tgrad = residuals(trial)
+            # trial = (x + step alpha x) + step beta grad
+            sa, sb = step * alpha, step * beta
+            y0, y1, y2 = p0 + sa * p0 + sb * g0, p1 + sa * p1 + sb * g1, p2 + sa * p2 + sb * g2
+            y3, y4, y5 = p3 + sa * p3 + sb * g3, p4 + sa * p4 + sb * g4, p5 + sa * p5 + sb * g5
+            trial = (y0, y1, y2, y3, y4, y5)
+            tvalue, tgrad = eval1(spec.field, trial)
+            txx = 0 + y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4 + y5 * y5
+            t1, t2 = txx - 1.0, tvalue - level
             tres = max(abs(t1), abs(t2))
             if tres < res or tres <= tol:
-                x, xx, c1, c2, grad, res = trial, txx, t1, t2, tgrad, tres
+                p0, p1, p2, p3, p4, p5 = trial
+                xx, c1, c2, grad, res = txx, t1, t2, tgrad, tres
                 break
             step *= 0.5
         else:
@@ -147,7 +157,7 @@ def project_to_level(
         raise ProjectionError(
             f"projection stalled at residual {res:.3e} (target {tol:.1e})", res
         )
-    return SpherePoint(tuple(x))
+    return SpherePoint((p0, p1, p2, p3, p4, p5))
 
 
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
@@ -166,22 +176,24 @@ def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float,
     a seed whose residual norm falls below 1e-6 is skipped, so the frame is a
     reproducible function of (p, normal).
     """
+    if len(normal) != N_VARS:
+        raise ValueError(f"normal must have {N_VARS} components, got {len(normal)}")
     # p and the normal, then the basis vectors as they are found.
     anchors = [tuple(p.coords), tuple(normal)]
-    for k in range(N_VARS):
+    for seed in _SEEDS:
         if len(anchors) == N_VARS:
             break
-        vec = [0.0] * N_VARS
-        vec[k] = 1.0
+        v0, v1, v2, v3, v4, v5 = seed
         # second pass stabilizes near-dependent seeds
         for _pass in range(2):
-            for anchor in anchors:
-                t = -sum(map(mul, vec, anchor))
-                vec = [v + t * a for v, a in zip(vec, anchor)]
-        n = _norm(vec)
+            for a0, a1, a2, a3, a4, a5 in anchors:
+                t = -(0 + v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
+                v0, v1, v2 = v0 + t * a0, v1 + t * a1, v2 + t * a2
+                v3, v4, v5 = v3 + t * a3, v4 + t * a4, v5 + t * a5
+        n = math.sqrt(0 + v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4 + v5 * v5)
         if n < _SEED_SKIP_EPS:
             continue
-        anchors.append(tuple([v / n for v in vec]))
+        anchors.append((v0 / n, v1 / n, v2 / n, v3 / n, v4 / n, v5 / n))
     if len(anchors) != N_VARS:
         raise ValueError("could not complete a tangent 4-frame from coordinate seeds")
     return tuple(anchors[2:])

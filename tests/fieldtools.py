@@ -1,5 +1,6 @@
-"""Shared helpers: explicit polynomial forms of the built-in quartic, and
-the raw and uniform-float draws that the random references read."""
+"""Shared helpers: explicit polynomial forms of the built-in quartic, the
+raw and uniform-float draws that the random references read, and the sum
+that the float-kernel references use."""
 
 import math
 from fractions import Fraction
@@ -10,6 +11,15 @@ from spherecurv.rng import _output
 
 # Upper-triangle Hessian layout: row i holds columns i..5.
 UPPER = [(i, j) for i in range(N_VARS) for j in range(i, N_VARS)]
+
+
+def left_sum(terms):
+    """sum() as Python 3.11 computes it: left to right from int 0. Later
+    versions compensate float sums; the float kernels do not."""
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
 
 
 def hess_matrix(hess):

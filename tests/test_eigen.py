@@ -1,10 +1,14 @@
 """Jacobi eigensolver checked by reconstruction, invariants, and known spectra."""
 
 import math
+import random
+from operator import itemgetter
 
 import pytest
 
 from spherecurv import RngStream, SymMat4, draw_gaussian, sym_eigen
+
+from fieldtools import left_sum
 
 
 def _random_symmetric(seed: int, scale: float = 1.0) -> SymMat4:
@@ -132,3 +136,68 @@ def test_repeated_eigenvalue_pair():
         for b in range(a + 1, 4):
             dot = sum(vecs[a][i] * vecs[b][i] for i in range(4))
             assert abs(dot) <= 1e-12
+
+
+def _ref_sym_eigen(m):
+    """sym_eigen with the Frobenius and off-diagonal norms as loop-form sums,
+    before they were written out, kept as the reference."""
+    a = [list(row) for row in m.rows]
+    v = [[float(i == j) for j in range(4)] for i in range(4)]
+    off = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    frobenius = math.sqrt(left_sum([x * x for row in m.rows for x in row]))
+    threshold = 1e-14 * max(frobenius, 1e-300)
+    for _ in range(100):
+        if math.sqrt(left_sum([a[i][j] ** 2 for i, j in off])) <= threshold:
+            break
+        for p, q in off:
+            apq = a[p][q]
+            if abs(apq) <= threshold * 1e-2:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            for k in range(4):
+                akp, akq = a[k][p], a[k][q]
+                a[k][p] = c * akp - s * akq
+                a[k][q] = s * akp + c * akq
+            for k in range(4):
+                apk, aqk = a[p][k], a[q][k]
+                a[p][k] = c * apk - s * aqk
+                a[q][k] = s * apk + c * aqk
+            for k in range(4):
+                vkp, vkq = v[k][p], v[k][q]
+                v[k][p] = c * vkp - s * vkq
+                v[k][q] = s * vkp + c * vkq
+    pairs = sorted(zip([a[k][k] for k in range(4)], zip(*v)), key=itemgetter(0))
+    values, vectors = [], []
+    for lam, vec in pairs:
+        for comp in vec:
+            if abs(comp) > 1e-12:
+                if comp < 0:
+                    vec = tuple(-c for c in vec)
+                break
+        values.append(lam)
+        vectors.append(vec)
+    return frobenius, tuple(values), tuple(vectors)
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(_hex(v) for v in value)
+
+
+def test_kernels_match_the_loop_form_bit_for_bit():
+    """3000 seeded matrices with signed zeros, sparse rows and repeated
+    entries: Frobenius norm, eigenvalues and eigenvectors by float.hex."""
+    rng = random.Random("sym-eigen-kernels")
+    for n in range(3000):
+        upper = [rng.choice((0.0, -0.0, 1.0, -2.5)) if rng.random() < 0.2 else rng.gauss(0.0, 1.0)
+                 for _ in range(10)]
+        if n % 7 == 0:
+            upper = [rng.choice((0.0, -0.0)) for _ in range(10)]
+            upper[rng.randrange(10)] = rng.gauss(0.0, 1.0)
+        m = SymMat4.from_upper(upper)
+        values, vectors = sym_eigen(m)
+        assert _hex((m.frobenius(), values, vectors)) == _hex(_ref_sym_eigen(m)), n

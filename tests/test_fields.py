@@ -15,6 +15,7 @@ from spherecurv import (
     eval1,
     eval2,
     hess_bilinear,
+    hess_terms,
     polynomial_field,
 )
 from fieldtools import UPPER, draw_float, expanded_quartic, hess_matrix, polynomial_product
@@ -163,7 +164,7 @@ def test_hess_bilinear_matches_full_matrix():
     u = (1, 2, 0, 0, 3, 0)
     v = (0, 1, 0, 0, -2, 1)
     full = sum(mat[a][b] * u[a] * v[b] for a in range(N_VARS) for b in range(N_VARS))
-    assert hess_bilinear(hess, u, v) == full
+    assert hess_bilinear(hess_terms(hess), u, v) == full
 
 
 def _dense_hess_bilinear(hess, u, v):
@@ -214,7 +215,7 @@ def test_zero_skipping_hess_bilinear_matches_dense_form(kind):
         v = u if n % 4 == 0 else _gauss_with_zeros(rng)
         _, _, hess = eval2(fields[n % len(fields)], x)
         zero_entries += sum(1 for h in hess if h == 0)
-        got, ref = hess_bilinear(hess, u, v), _dense_hess_bilinear(hess, u, v)
+        got, ref = hess_bilinear(hess_terms(hess), u, v), _dense_hess_bilinear(hess, u, v)
         assert got == ref
         assert float(got).hex() == float(ref).hex()
     assert zero_entries > 0

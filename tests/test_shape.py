@@ -11,6 +11,8 @@ gradient) as well as the magnitudes:
 import inspect
 import math
 import random
+from itertools import compress
+from operator import mul
 
 import pytest
 
@@ -22,7 +24,9 @@ from spherecurv import (
     cartan_level,
     coordinate_field,
     curvature_report,
+    SymMat4,
     draw_gaussian,
+    eval2,
     fit_theta0,
     frame_at,
     polynomial_field,
@@ -35,6 +39,8 @@ from spherecurv import (
 )
 from spherecurv import shape
 from spherecurv.shape import misfit_derivatives
+
+from fieldtools import UPPER, left_sum
 
 SQ3 = math.sqrt(3.0)
 
@@ -325,6 +331,70 @@ class TestSweep:
         monkeypatch.setattr(shape, "map_chunks", never)
         with pytest.raises(ValueError, match="f1_tol"):
             sweep_analyze(CARTAN_MIN, 8, seed=1, f1_tol=bad)
+
+
+# second_form and the power sums before their kernels were written out
+# component by component, with the zero filter run per (a, b) pair, kept as
+# references.
+
+
+def _ref_hess_bilinear(hess, u, v):
+    acc = 0
+    for h, (i, j) in compress(zip(hess, UPPER), hess):
+        acc += h * u[i] * v[i] if i == j else h * (u[i] * v[j] + u[j] * v[i])
+    return acc
+
+
+def _ref_second_form(spec, frame):
+    p = frame.base.coords
+    _, grad, hess = eval2(spec.field, p)
+    gp = left_sum(map(mul, grad, p))
+    tang = [g - gp * c for g, c in zip(grad, p)]
+    nt = math.sqrt(left_sum(map(mul, tang, tang)))
+    upper = []
+    for a in range(4):
+        for b in range(a, 4):
+            val = _ref_hess_bilinear(hess, frame.vectors[a], frame.vectors[b])
+            if a == b:
+                val -= gp
+            upper.append(val / nt)
+    return SymMat4.from_upper(upper)
+
+
+def _ref_power_sums(lambdas):
+    return (
+        lambdas[0] + lambdas[1] + lambdas[2] + lambdas[3],
+        left_sum(map(mul, lambdas, lambdas)),
+        left_sum([v**3 for v in lambdas]),
+        left_sum([v**4 for v in lambdas]),
+        lambdas[0] * lambdas[1] * lambdas[2] * lambdas[3],
+    )
+
+
+KERNEL_SURFACES = {
+    "equator": (EQUATOR, 1000),
+    "cartan-pi/8": (CARTAN_MIN, 300),
+    "cartan-0.3": (LevelSpec(cartan_field(), cartan_level(0.3)), 300),
+    "quadric": (M13, 200),
+}
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("surface", sorted(KERNEL_SURFACES))
+def test_second_form_and_power_sums_match_the_loop_forms_bit_for_bit(surface):
+    """Every entry by float.hex, so signed zeros count, at seeded points."""
+    spec, n = KERNEL_SURFACES[surface]
+    for i in range(n):
+        point, _ = sample_level_point(spec, RngStream(2021).split(i))
+        frame = frame_at(point, spec)
+        got, ref = second_form(spec, frame), _ref_second_form(spec, frame)
+        assert [_hex(row) for row in got.rows] == [_hex(row) for row in ref.rows], i
+        rep = curvature_report(spec, point)
+        assert _hex(rep.lambdas) == _hex(sym_eigen(got)[0]), i
+        assert _hex((rep.f1, rep.f2, rep.f3, rep.f4, rep.K)) == _hex(_ref_power_sums(rep.lambdas)), i
 
 
 def test_default_tolerances():
