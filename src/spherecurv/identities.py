@@ -12,10 +12,11 @@ sign_lemma, gauss_R, dpsi_coeff of the four-curvature identities) is a thin
 wrapper over an int core: the curvatures are scaled by a common denominator
 d to integers a_i = lam_i d, K and the mixed components are cleared the
 same way, and Fractions are built only for the returned values. The
-definition side never calls the closed forms. The random sweeps draw
-(numerator, denominator) int pairs (rng._rational_walk), and every trial
-hands them to the int cores, so it stays on ints from draw to verdict and
-builds Fractions only to name a counterexample.
+definition side never calls the closed forms. Each trial of the random
+sweeps gets its child stream as an int seed and walks the counter as an
+int, drawing integers (rng._below) and (numerator, denominator) int pairs
+(rng._rational_walk) that it hands to the int cores, so it stays on ints
+from draw to verdict and builds Fractions only to name a counterexample.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-# draw_rational, solve_linear and matrix_rank are no longer called here; they
-# stay bound under these names because the per-layer tracer in bench/layers.py
-# wraps them.
+# draw_int, draw_rational, solve_linear and matrix_rank are no longer called
+# here (the trials draw through _below and _rational_walk); they stay bound
+# under these names because the per-layer tracer in bench/layers.py wraps them.
 from .exact import (
     RationalLike,
     Surd,
@@ -46,7 +47,7 @@ from .exact import (
     matrix_rank,
     solve_linear,
 )
-from .rng import RngStream, _rational_walk, draw_int, draw_rational, map_chunks
+from .rng import _below, _rational_walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -760,31 +761,36 @@ def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in pairs], d
 
 
-def _draw_distinct_quadruple(stream: RngStream, height: int) -> tuple[list[int], int, RngStream]:
-    """Four distinct rationals of the given height, ascending, as (a, d, stream)
-    with lam_i = a_i / d; d is the lcm of the four drawn denominators.
+def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list[int], int, int]:
+    """Four distinct rationals of the given height, ascending, as (a, d,
+    counter) with lam_i = a_i / d; d is the lcm of the four drawn
+    denominators, and counter is that of the last output used.
 
     All four are redrawn until no two are equal, exactly as redrawing
-    draw_rationals(stream, height, 4) would; distinctness and order are read
-    on the ints, which share the denominator d.
+    draw_rationals(RngStream(seed, counter), height, 4) would; distinctness
+    and order are read on the ints, which share the denominator d.
     """
-    seed, counter = stream.seed, stream.counter
     while True:
         pairs, counter = _rational_walk(seed, counter, height, 4)
         a, d = _cleared_pairs(pairs)
         if len(set(a)) == 4:
             a.sort()
-            return a, d, RngStream(seed, counter)
+            return a, d, counter
 
 
 def _fmt(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _trial_g2(stream: RngStream, height: int) -> dict | None:
-    k, stream = draw_int(stream, 1, 3)
-    num, stream = draw_int(stream, 1, height)
-    den, stream = draw_int(stream, 1, height)
+# Each trial draws from the stream (seed, 0) that map_chunks hands it, walking
+# the counter as an int: _below(seed, counter, n) is draw_int(0, n - 1).
+
+
+def _trial_g2(seed: int, height: int) -> dict | None:
+    k, counter = _below(seed, 0, 3)
+    num, counter = _below(seed, counter, height)
+    den, _counter = _below(seed, counter, height)
+    k, num, den = k + 1, num + 1, den + 1
     # lam = (l / c) sqrt(rad) and mu = (m / c) sqrt(rad), so k lam^2 + (4-k) mu^2
     # is (k l^2 + (4-k) m^2) rad_num / (c^2 rad_den), compared with num / den.
     branches, c, rad_num, rad_den = _g2_cleared(k, num, den)
@@ -795,13 +801,12 @@ def _trial_g2(stream: RngStream, height: int) -> dict | None:
     return None
 
 
-def _trial_g3(stream: RngStream, height: int) -> dict | None:
-    choice, stream = draw_int(stream, 0, 2)
+def _trial_g3(seed: int, height: int) -> dict | None:
+    choice, counter = _below(seed, 0, 3)
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
     # All three are redrawn until no two are equal, read on ints that share d.
-    counter = stream.counter
     while True:
-        pairs, counter = _rational_walk(stream.seed, counter, height, 3)
+        pairs, counter = _rational_walk(seed, counter, height, 3)
         a, d = _cleared_pairs(pairs)
         if len(set(a)) == 3:
             break
@@ -816,10 +821,10 @@ def _trial_g3(stream: RngStream, height: int) -> dict | None:
 # (Fraction(num, den) reduces, so the strings are those of the drawn values).
 
 
-def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
-    a, d, stream = _draw_distinct_quadruple(stream, height)
-    [(k, k_den)], counter = _rational_walk(stream.seed, stream.counter, height, 1)
-    l, _stream = draw_int(RngStream(stream.seed, counter), 0, 3)
+def _trial_vandermonde(seed: int, height: int) -> dict | None:
+    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
+    [(k, k_den)], counter = _rational_walk(seed, counter, height, 1)
+    l, _counter = _below(seed, counter, 4)
     # The system gives h_il = y_i / (det k_den), the closed form k d^3 / (k_den P_i).
     y, det = _diag_system_cleared(a, d, k)
     scale = k * d**3 * det
@@ -828,9 +833,9 @@ def _trial_vandermonde(stream: RngStream, height: int) -> dict | None:
     return None
 
 
-def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
-    a, d, stream = _draw_distinct_quadruple(stream, height)
-    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+def _trial_i_closed(seed: int, height: int) -> dict | None:
+    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
+    pairs, _counter = _rational_walk(seed, counter, height, 4)
     ks, k_den = _cleared_pairs(pairs)
     # Column l of h over k_den P_i P_j P_k: n_x = k_l d^3 prod_{y not in {x, l}} P_y.
     P = _diag_cleared(a)
@@ -845,19 +850,19 @@ def _trial_i_closed(stream: RngStream, height: int) -> dict | None:
     return None
 
 
-def _trial_i_sign(stream: RngStream, height: int) -> dict | None:
-    a, d, stream = _draw_distinct_quadruple(stream, height)
-    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+def _trial_i_sign(seed: int, height: int) -> dict | None:
+    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
+    pairs, _counter = _rational_walk(seed, counter, height, 4)
     nums, _den = _I_cleared(a, d, *_cleared_pairs(pairs))
     if any(n > 0 for n in nums):
         return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
     return None
 
 
-def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
-    a, d, stream = _draw_distinct_quadruple(stream, height)
+def _trial_dpsi(seed: int, height: int) -> dict | None:
+    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     # K, then the mixed components
-    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 8)
+    pairs, _counter = _rational_walk(seed, counter, height, 8)
     ks, k_den = _cleared_pairs(pairs[:4])
     num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_pairs(pairs[4:]))
     # gauss_R / 2 - sum I_l over 2 d^2 i_den
@@ -873,8 +878,8 @@ def _trial_dpsi(stream: RngStream, height: int) -> dict | None:
     return None
 
 
-def _trial_recover(stream: RngStream, height: int) -> dict | None:
-    pairs, _counter = _rational_walk(stream.seed, stream.counter, height, 4)
+def _trial_recover(seed: int, height: int) -> dict | None:
+    pairs, _counter = _rational_walk(seed, 0, height, 4)
     a, d = _cleared_pairs(pairs)
     a.sort()
     p1 = sum(a)
@@ -893,7 +898,7 @@ def _trial_recover(stream: RngStream, height: int) -> dict | None:
 
 
 # name -> (trial, exact comparison, distinct rationals one trial draws)
-_TRIALS: dict[str, tuple[Callable[[RngStream, int], dict | None], bool, int]] = {
+_TRIALS: dict[str, tuple[Callable[[int, int], dict | None], bool, int]] = {
     "g2": (_trial_g2, True, 0),
     "g3": (_trial_g3, True, 3),
     "vandermonde": (_trial_vandermonde, True, 4),
@@ -915,8 +920,9 @@ def run_identity_sweep(
 ) -> IdentityVerdict:
     """Run `trials` independent random instances of one identity.
 
-    Trial i draws its inputs from child stream i of the seed (rng.map_chunks),
-    so results are identical for any worker count.
+    Trial i draws its inputs from child stream i of the seed, handed to it as
+    an int seed by rng.map_chunks, so results are identical for any worker
+    count.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; choose from {sorted(_TRIALS)}")

@@ -2,13 +2,17 @@
 
 The generator is SplitMix64 (Steele, Lea, Flood 2014): output i of a stream
 with seed s is mix64(s + (i+1)*GOLDEN) where mix64 is the published finalizer.
-Every draw is a pure function of (seed, counter), so streams are values:
-drawing returns the drawn scalar together with the advanced stream, and any
-stream can be split into an independent child without touching the parent.
-All arithmetic is 64-bit wrapping integer arithmetic, identical on every
-platform. `map_chunks` is the one sweep driver: it hands item i of a sweep
-the child stream `RngStream(seed).split(i)`, so cutting the index range into
-chunks for worker processes cannot change the results.
+Every draw is a pure function of (seed, counter), so two plain ints carry
+all of a stream's state. The walkers (_below, _rational_walk and the
+Box-Muller loop of draw_gaussians) take and return them as ints and run the
+SplitMix64 step inline on the running state seed + counter GOLDEN. The
+RngStream value API sits on top: drawing returns the drawn scalar together
+with the advanced stream, and any stream can be split into an independent
+child without touching the parent. All arithmetic is 64-bit wrapping integer
+arithmetic, identical on every platform. `map_chunks` is the one sweep
+driver: it hands item i of a sweep the int seed `_child_seed(seed, i)` of
+child stream `RngStream(seed).split(i)`, at counter 0, so cutting the index
+range into chunks for worker processes cannot change the results.
 """
 
 from __future__ import annotations
@@ -48,8 +52,13 @@ class RngStream:
 
     def split(self, key: int) -> "RngStream":
         """Derive an independent child stream from an integer key."""
-        child_seed = _mix64(self.seed ^ _mix64(((key & _MASK64) + 1) * _GOLDEN))
-        return RngStream(seed=child_seed, counter=0)
+        return RngStream(_child_seed(self.seed, key))
+
+
+def _child_seed(seed: int, key: int) -> int:
+    """Seed of the child stream split from the stream `seed` under `key`;
+    both are read modulo 2^64."""
+    return _mix64(seed ^ _mix64(((key & _MASK64) + 1) * _GOLDEN))
 
 
 def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
@@ -62,19 +71,20 @@ def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _map_chunk(fn, seed: int, start: int, stop: int, *args) -> list[tuple]:
-    """The (i, result) pairs of map_chunks for i in [start, stop)."""
-    root = RngStream(seed)
+    """The (i, result) pairs of map_chunks for i in [start, stop), each item
+    handed the int seed of its child stream."""
     out = []
     for i in range(start, stop):
-        result = fn(root.split(i), *args)
+        result = fn(_child_seed(seed, i), *args)
         if result is not None:
             out.append((i, result))
     return out
 
 
 def map_chunks(fn, n: int, workers: int, seed: int, *args) -> list[tuple]:
-    """(i, fn(RngStream(seed).split(i), *args)) for each i in range(n) whose
-    result is not None, in index order.
+    """(i, fn(_child_seed(seed, i), *args)) for each i in range(n) whose
+    result is not None, in index order: item i gets the seed of child stream
+    RngStream(seed).split(i) as an int, and draws from it at counter 0.
 
     range(n) is cut into contiguous chunks by chunk_bounds; they run in a
     process pool, or in this process when there is one chunk.
@@ -101,18 +111,30 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
     A candidate is the next `words` raw outputs read as one number, first
     output most significant: one up to n = 2^64, and ceil(bits(n) / 64)
     beyond, so that it spans at least n and at least half of its range is
-    accepted.
+    accepted. With one word the SplitMix64 step runs inline on the running
+    state seed + counter GOLDEN.
     """
-    words = 1 if n <= 1 << 64 else -(-n.bit_length() // 64)
-    span = 1 << (64 * words)
-    limit = span - span % n
+    if n > 1 << 64:
+        words = -(-n.bit_length() // 64)
+        span = 1 << (64 * words)
+        limit = span - span % n
+        while True:
+            raw = 0
+            for _ in range(words):
+                counter += 1
+                raw = raw << 64 | _output(seed, counter)
+            if raw < limit:
+                return raw % n, counter
+    limit = (1 << 64) - (1 << 64) % n
+    state = (seed + counter * _GOLDEN) & _MASK64
     while True:
-        raw = 0
-        for _ in range(words):
-            counter += 1
-            raw = raw << 64 | _output(seed, counter)
-        if raw < limit:
-            return raw % n, counter
+        counter += 1
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        z ^= z >> 31
+        if z < limit:
+            return z % n, counter
 
 
 def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
@@ -190,20 +212,26 @@ def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStr
     """n standard normals via Box-Muller, with the stream after the last.
 
     Each value consumes two raw outputs, each turned into a uniform float in
-    [0, 1) as its top 53 bits times 2^-53; the counter is walked as a plain
-    int and one stream is built at the end.
+    [0, 1) as its top 53 bits times 2^-53. The SplitMix64 step runs inline on
+    the running state, and one stream is built at the end.
     """
     seed, counter = stream.seed, stream.counter
+    state = (seed + counter * _GOLDEN) & _MASK64
     vals = []
     for _ in range(n):
-        u1 = (_output(seed, counter + 1) >> 11) * (2.0**-53)
-        u2 = (_output(seed, counter + 2) >> 11) * (2.0**-53)
-        counter += 2
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        u1 = ((z ^ (z >> 31)) >> 11) * (2.0**-53)
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        u2 = ((z ^ (z >> 31)) >> 11) * (2.0**-53)
         # u1 == 0 would make log blow up; the lattice of 53-bit draws makes the
         # shifted value strictly positive.
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         vals.append(r * math.cos(2.0 * math.pi * u2))
-    return tuple(vals), RngStream(seed, counter)
+    return tuple(vals), RngStream(seed, counter + 2 * n)
 
 
 def draw_gaussian(stream: RngStream) -> tuple[float, RngStream]:

@@ -234,11 +234,12 @@ def _kahan_sum(values: Sequence[float]) -> float:
     return total
 
 
-def _sweep_point(stream: RngStream, spec: LevelSpec) -> tuple:
+def _sweep_point(seed: int, spec: LevelSpec) -> tuple:
     """(True, f1, S, f3, g, multiplicities, theta0) at the point drawn from
-    stream, or (False, message) when no point can be sampled there."""
+    the stream RngStream(seed), or (False, message) when no point can be
+    sampled there."""
     try:
-        point, _ = sample_level_point(spec, stream)
+        point, _ = sample_level_point(spec, RngStream(seed))
         rep = curvature_report(spec, point)
     except (FocalPointError, ProjectionError) as exc:
         return (False, str(exc))

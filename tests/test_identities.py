@@ -286,10 +286,10 @@ class TestInteractionSums:
         root = RngStream(2024)
         zeros = 0
         for i in range(2400):
-            stream = root.split(i)
+            seed = root.split(i).seed
             height = (2, 3, 50, 1000, 10**6, 2**70)[i % 6]
-            a, d, stream = identities._draw_distinct_quadruple(stream, height)
-            pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 8)
+            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            pairs, _counter = rng._rational_walk(seed, counter, height, 8)
             if i % 7 == 0:
                 pairs[2] = (0, pairs[2][1])
             if i % 3 == 0:
@@ -660,7 +660,7 @@ class TestCollectedPsiTerms:
             assert {w for _x, _k, _l, w in keys} == {-2}
         root = RngStream(6007)
         for i in range(300):
-            a, _d, _stream = identities._draw_distinct_quadruple(root.split(i), height)
+            a, _d, _counter = identities._draw_distinct_quadruple(root.split(i).seed, 0, height)
             D = math.prod(a[q] - a[p] for p, q in itertools.combinations(range(4), 2))
             for n, keys in by_set.items():
                 total = 0
@@ -1079,7 +1079,7 @@ def test_recover_core_matches_fraction_front_end(monkeypatch):
     for i in range(240):
         height = (1, 2, 3, 1000, 10**6, 2**70)[i % 6]
         stream = RngStream(8128).split(i)
-        assert identities._trial_recover(stream, height) is None
+        assert identities._trial_recover(stream.seed, height) is None
         vals = sorted(draw_rationals(stream, height, 4)[0])
         e1, e2, e3 = identities._elementary(sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals))
         assert handed.pop() == identities._primitive(clear_denominators([1, -e1, e2, -e3, math.prod(vals)])[0])
@@ -1173,13 +1173,14 @@ def test_int_quadruple_draw_matches_fraction_draw(height):
     root = RngStream(2718)
     redrawn = 0
     for key in range(350):
-        a, d, stream = identities._draw_distinct_quadruple(root.split(key), height)
+        seed = root.split(key).seed
+        a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
         ref, ref_stream = _reference_distinct_quadruple(root.split(key), height)
         assert tuple(F(x, d) for x in a) == ref.lam
-        assert stream == ref_stream
-        pairs, _counter = rng._rational_walk(stream.seed, stream.counter, height, 4)
+        assert (seed, counter) == (ref_stream.seed, ref_stream.counter)
+        pairs, _counter = rng._rational_walk(seed, counter, height, 4)
         assert tuple(F(*p) for p in pairs) == draw_rationals(ref_stream, height, 4)[0]
-        redrawn += stream.counter > 8
+        redrawn += counter > 8
     if height < 4:
         assert redrawn > 100
 
@@ -1201,6 +1202,14 @@ def _fraction_trial_i_closed(stream, height):
     quad, stream = _reference_distinct_quadruple(stream, height)
     K, stream = draw_rationals(stream, height, 4)
     if I_def(quad, diag_from_K(quad, K)) != I_closed(quad, K):
+        return {"lam": [str(v) for v in quad.lam], "K": [str(v) for v in K]}
+    return None
+
+
+def _fraction_trial_i_sign(stream, height):
+    quad, stream = _reference_distinct_quadruple(stream, height)
+    K, stream = draw_rationals(stream, height, 4)
+    if not sign_lemma(quad, K):
         return {"lam": [str(v) for v in quad.lam], "K": [str(v) for v in K]}
     return None
 
@@ -1266,7 +1275,8 @@ def _wrong_when_positive(core, pick, spoil):
 # that picks the calls to spoil, the spoiled result). The value is S - 1
 # (num - den), the first curvature, K_l, K_1, the first mixed component or
 # minus the sum of the curvatures (the quartic's second coefficient), whose
-# sign clearing denominators keeps, so both trials see the same fault.
+# sign clearing denominators keeps, so both trials see the same fault. For
+# i-sign the spoiled I_1 numerator is made positive, so the lemma fails.
 _FRACTION_TRIALS = {
     "g2": (
         _fraction_trial_g2,
@@ -1293,6 +1303,12 @@ _FRACTION_TRIALS = {
         lambda args: args[2][0],
         lambda r: ((r[0][0] + 1, *r[0][1:]), r[1]),
     ),
+    "i-sign": (
+        _fraction_trial_i_sign,
+        "_I_cleared",
+        lambda args: args[2][0],
+        lambda r: ((abs(r[0][0]) + 1, *r[0][1:]), r[1]),
+    ),
     "dpsi": (_fraction_trial_dpsi, "_dpsi_cleared", lambda args: args[4][0], lambda r: (r[0] + 1, r[1])),
 }
 
@@ -1303,14 +1319,16 @@ def test_int_trials_match_fraction_trials(name, height, monkeypatch):
     """With one core planted wrong on about half the inputs, the int trial
     and the Fraction trial return the same verdict and the same
     counterexample dict on every stream; the other half run the true core
-    and both pass."""
+    and both pass. The int trial gets the child stream as an int seed, as
+    map_chunks hands it; the Fraction trial draws through the public
+    RngStream API, so this also checks the int walks against it."""
     reference, attr, pick, spoil = _FRACTION_TRIALS[name]
     monkeypatch.setattr(identities, attr, _wrong_when_positive(getattr(identities, attr), pick, spoil))
     trial = identities._TRIALS[name][0]
     root = RngStream(1729)
     failed = 0
     for key in range(300):
-        found = trial(root.split(key), height)
+        found = trial(root.split(key).seed, height)
         assert found == reference(root.split(key), height)
         failed += found is not None
     assert 60 < failed < 240

@@ -195,20 +195,34 @@ def _reference_below_wide(stream, n):
             return raw % n, stream
 
 
-@pytest.mark.parametrize("hi", [2**64, 2**64 + 1, 2**70, 3**90, 2**128, 2**128 + 7])
+def _reference_below(stream, n):
+    """Uniform integer in [0, n) the per-value way: up to 2^64 one raw draw
+    per candidate, rejected at or above the largest multiple of n."""
+    if n > 2**64:
+        return _reference_below_wide(stream, n)
+    limit = 2**64 - 2**64 % n
+    while True:
+        raw, stream = draw_u64(stream)
+        if raw < limit:
+            return raw % n, stream
+
+
+@pytest.mark.parametrize(
+    "hi", [1, 3, 2**64 - 1, 2**64, 2**64 + 1, 2**70, 3**90, 2**128, 2**128 + 7]
+)
 def test_draw_int_beyond_64_bits(hi):
-    """A range of more than 2^64 values draws several raw outputs and stays
-    in range; a range of exactly 2^64 values still takes one output."""
+    """draw_int over hi values equals the per-value reference on _output,
+    on child streams and from a counter about to wrap: a range of more than
+    2^64 values draws several raw outputs, one of up to 2^64 values takes
+    one output per candidate, and every value stays in range."""
     root = RngStream(4040)
     top = 0
-    for key in range(200):
-        start = root.split(key)
+    for start in [root.split(key) for key in range(200)] + [RngStream(7, counter=2**64 - 3)]:
         v, end = draw_int(start, 0, hi - 1)
         assert 0 <= v < hi
-        ref, ref_end = _reference_below_wide(start, hi) if hi > 2**64 else draw_u64(start)
-        assert (v, end) == (ref, ref_end)
+        assert (v, end) == _reference_below(start, hi)
         top = max(top, v)
-    assert top > hi // 2
+    assert top == hi - 1 if hi < 4 else top > hi // 2
 
 
 def test_draw_rationals_at_height_beyond_64_bits():
@@ -286,9 +300,9 @@ def test_map_chunks_runs_a_single_chunk_in_process():
     assert seen == ["x"] * 3
 
 
-def _odd_child_seed(stream, offset):
+def _odd_child_seed(seed, offset):
     """Module level, so a worker process can receive it."""
-    return stream.seed + offset if stream.seed % 2 else None
+    return seed + offset if seed % 2 else None
 
 
 @pytest.mark.parametrize("workers", [1, 2])
