@@ -13,18 +13,29 @@ are built in, and arbitrary tables can be given directly:
 
 The kind is only a label for reports. At construction each field is
 differentiated once into 6 gradient tables and 21 upper-triangle Hessian
-tables; evaluation multiplies out the monomials those tables use once per
-call and sums each table. Integral coefficients are kept as int, so rational
-points give exact Fractions and float points give floats.
+tables, compiled into one plan over a shared monomial chain. Integral
+coefficients are kept as int, so rational points give exact Fractions and
+float points give floats.
+
+eval1 and eval2 run straight-line Python generated from that plan on a
+field's first evaluation: one multiplication per monomial, then each table
+as one sum written out left to right from int 0. That is the order in which
+sum() adds floats on Python 3.11, and the golden statistics hold its bits;
+from 3.12 on sum() compensates float sums, so a written-out sum keeps the
+same bits on every supported Python. Coefficients are bound by name, not
+written as literals, so int, Fraction and float coefficients act as
+themselves. The generated functions are cached per process under the
+coefficient table with each coefficient's type, shared by equal fields and
+left out of a field's pickled state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import Mapping, Sequence
 
 N_VARS = 6
@@ -90,6 +101,27 @@ class ScalarField:
         hess = tuple(_derivative(grad[i], j) for i, j in _UPPER)
         object.__setattr__(self, "_plan", _compile((self.coeffs,) + grad + hess))
 
+    @cached_property
+    def _evaluators(self) -> tuple:
+        """(eval1, eval2) functions of the point for this table, generated on
+        first use.
+
+        The cache key holds each coefficient's type, so a table with 1.0
+        never gets the functions built for an equal-comparing 1.
+        """
+        key = tuple((exps, type(c), c) for exps, c in self.coeffs)
+        fns = _EVALUATORS.get(key)
+        if fns is None:
+            fns = _EVALUATORS[key] = _generate(self._plan)
+        return fns
+
+    def __getstate__(self) -> dict:
+        """Pickled state without the generated functions, which do not
+        pickle; each process generates or looks up its own."""
+        state = dict(self.__dict__)
+        state.pop("_evaluators", None)
+        return state
+
     def describe(self) -> dict:
         """JSON-friendly summary used in reports."""
         out: dict = {"kind": self.kind}
@@ -154,27 +186,68 @@ def _check_point(x) -> None:
             raise ValueError("non-finite point component")
 
 
-def _run(spec: ScalarField, x, n_tables: int) -> list:
-    """The first n_tables of value, gradient and Hessian tables at x."""
-    _check_point(x)
-    chain, plans = spec._plan
-    mono = [1]
-    for parent, var in chain:
-        mono.append(mono[parent] * x[var])
-    get = mono.__getitem__
-    return [sum(map(mul, cs, map(get, ks))) if ks else 0 for cs, ks in plans[:n_tables]]
+# Evaluators generated from a coefficient table, shared by every field with
+# that table in this process; see ScalarField._evaluators.
+_EVALUATORS: dict = {}
+
+
+def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str:
+    """Source of `name(x)`: the tables in plans at the point x, straight-line.
+
+    First _check_point's checks: it runs when x does not have 6 components,
+    or when some x_i - x_i is not 0, as it is for a float x_i only when x_i
+    is not finite. Then one assignment per monomial that the tables use,
+    `m{k} = m{parent} * x{var}` from `m0 = 1`, and each table as one sum
+    left to right from int 0, `0 + c * m + c * m + ...`; a table without
+    terms is the int 0. cname maps (type, value) of each coefficient to the
+    name it is bound by.
+    """
+    need = {k for _, ks in plans for k in ks}
+    for k in range(len(chain), 0, -1):
+        if k in need:
+            need.add(chain[k - 1][0])
+    sums = [" + ".join(["0"] + [f"{cname[type(c), c]} * m{k}" for c, k in zip(cs, ks)])
+            for cs, ks in plans]
+    lines = [
+        f"def {name}(x):",
+        f"    if len(x) != {N_VARS}:",
+        "        _check_point(x)",
+        f"    {', '.join(f'x{i}' for i in range(N_VARS))} = x",
+        f"    if {' or '.join(f'x{i} - x{i}' for i in range(N_VARS))}:",
+        "        _check_point(x)",
+        "    m0 = 1",
+    ]
+    lines += [f"    m{k} = m{parent} * x{var}"
+              for k, (parent, var) in enumerate(chain, 1) if k in need]
+    tables = (sums[1:1 + N_VARS], sums[1 + N_VARS:])
+    parts = [sums[0]] + [f"({', '.join(t)},)" for t in tables if t]
+    lines.append(f"    return {', '.join(parts)}")
+    return "\n".join(lines) + "\n"
+
+
+def _generate(plan: tuple) -> tuple:
+    """(eval1, eval2) for a compiled plan, as functions of the point alone."""
+    chain, plans = plan
+    cname: dict = {}
+    for cs, _ in plans:
+        for c in cs:
+            cname.setdefault((type(c), c), f"c{len(cname)}")
+    namespace = {n: c for (_, c), n in cname.items()}
+    namespace["_check_point"] = _check_point
+    source = (_evaluator_source("eval1", chain, plans[:1 + N_VARS], cname)
+              + _evaluator_source("eval2", chain, plans, cname))
+    exec(compile(source, "<spherecurv.fields evaluators>", "exec"), namespace)
+    return namespace["eval1"], namespace["eval2"]
 
 
 def eval1(spec: ScalarField, x) -> tuple:
     """(value, gradient) of the field at x (6 floats or Fractions)."""
-    out = _run(spec, x, 1 + N_VARS)
-    return out[0], tuple(out[1:])
+    return spec._evaluators[0](x)
 
 
 def eval2(spec: ScalarField, x) -> tuple:
     """(value, gradient, Hessian upper triangle) of the field at x."""
-    out = _run(spec, x, 1 + N_VARS + len(_UPPER))
-    return out[0], tuple(out[1:1 + N_VARS]), tuple(out[1 + N_VARS:])
+    return spec._evaluators[1](x)
 
 
 def hess_terms(hess: Sequence) -> tuple:

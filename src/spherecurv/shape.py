@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .catalog import all_models
@@ -196,7 +198,9 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     R = 12.0 + f1 * f1 - S
 
     groups = _cluster(lambdas)
-    distinct_desc = tuple(sum(grp) / len(grp) for grp in reversed(groups))
+    # Each mean's sum runs left to right from int 0 on every Python, as sum()
+    # does on 3.11; from 3.12 on sum() compensates float sums.
+    distinct_desc = tuple(reduce(add, grp, 0) / len(grp) for grp in reversed(groups))
     mults_desc = tuple(len(grp) for grp in reversed(groups))
     g = len(groups)
 

@@ -1,6 +1,7 @@
 """Shared helpers: explicit polynomial forms of the built-in quartic, the
-raw and uniform-float draws that the random references read, and the sum
-that the float-kernel references use."""
+raw and uniform-float draws that the random references read, the sum that
+the float-kernel references use, and the plan interpreter that the
+generated field evaluators are checked against."""
 
 import math
 from fractions import Fraction
@@ -20,6 +21,18 @@ def left_sum(terms):
     for t in terms:
         acc = acc + t
     return acc
+
+
+def run_plan(spec: ScalarField, x, n_tables: int) -> list:
+    """The first n_tables of value, gradient and Hessian tables at x, by
+    walking the field's compiled plan: each monomial is its parent times one
+    coordinate, from the constant 1, and each table is summed left to right
+    from int 0. fields.eval1 and eval2 must give these results bit for bit."""
+    chain, plans = spec._plan
+    mono = [1]
+    for parent, var in chain:
+        mono.append(mono[parent] * x[var])
+    return [left_sum(c * mono[k] for c, k in zip(cs, ks)) for cs, ks in plans[:n_tables]]
 
 
 def hess_matrix(hess):
