@@ -506,24 +506,10 @@ def _sturm(f: list[int]) -> list[list[int]]:
     return seq
 
 
-def _square_free_parts(f: list[int]) -> list[list[int]]:
-    """Square-free primitive polynomials, each possibly negated, whose roots,
-    taken together, are the roots of the integer polynomial f counted with
-    multiplicity.
-
-    f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
-    its multiplicity lowered by one, so repeating on the gcd, the last term
-    of the Sturm sequence, peels one layer of each repeated root at a time.
-    A constant gcd means f is square-free, and f itself is the last part.
-    """
-    parts = []
-    while len(f) > 1:
-        g = _sturm(f)[-1]
-        if len(g) == 1:
-            return parts + [_primitive(f)]
-        parts.append(_primitive(_pseudo_divmod(f, g)[0]))
-        f = g
-    return parts
+def _changes(values) -> int:
+    """The sign changes in a sequence of ints, zeros dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _real_root_count(f: list[int]) -> int:
@@ -532,11 +518,7 @@ def _real_root_count(f: list[int]) -> int:
     Sturm sequence at -infinity minus those at +infinity.
     """
     seq = _sturm(f)
-
-    def changes(signs: list[int]) -> int:
-        return sum(x * y < 0 for x, y in zip(signs, signs[1:]))
-
-    return changes([p[0] * (-1) ** (len(p) - 1) for p in seq]) - changes([p[0] for p in seq])
+    return _changes(p[0] * (-1) ** (len(p) - 1) for p in seq) - _changes(p[0] for p in seq)
 
 
 def _largest_root(f: list[int]) -> float:
@@ -562,9 +544,16 @@ def _largest_root(f: list[int]) -> float:
     return x
 
 
-def _rational_roots(f: list[int]) -> list[Fraction] | None:
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p / q in lowest terms."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
     """The roots of the integer polynomial f, exactly and with multiplicity,
-    when all are rational; None when they cannot all be found that way.
+    as reduced (p, q) int pairs, when all are rational; None when they
+    cannot all be found that way.
 
     Trailing zero coefficients are roots 0, read off first. By the rational
     root theorem a rational root p/q of f has q | lc(f), so it is m / lc for
@@ -581,7 +570,7 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
     roots = []
     while len(f) > 1 and f[-1] == 0:
         f = f[:-1]
-        roots.append(Fraction(0))
+        roots.append((0, 1))
     while len(f) > 3:
         # an infinite or nan estimate raises OverflowError or ValueError here
         try:
@@ -607,18 +596,18 @@ def _rational_roots(f: list[int]) -> list[Fraction] | None:
             m -= step
         else:
             return None
-        root = Fraction(m, lc)
-        roots.append(root)
+        p, q = _reduced(m, lc)
+        roots.append((p, q))
         acc = 0
-        f = [acc := (c + root.numerator * acc) // root.denominator for c in f[:-1]]
+        f = [acc := (c + p * acc) // q for c in f[:-1]]
     if len(f) == 3:
         a, b, c = f
         disc = b * b - 4 * a * c
         s = math.isqrt(max(disc, 0))
         if s * s != disc:
             return None
-        return roots + [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
-    return roots + [Fraction(-c, f[0]) for c in f[1:]]
+        return roots + [_reduced(-b - s, 2 * a), _reduced(-b + s, 2 * a)]
+    return roots + [_reduced(-c, f[0]) for c in f[1:]]
 
 
 def _roots(coeffs: list) -> list:
@@ -647,55 +636,72 @@ def _elementary(p1, p2, p3):
     return p1, (p1 * p1 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
 
 
-def _numeric_roots(polys: list[list], dps: int, exact: bool) -> list[float]:
-    """The roots of each polynomial in polys by mpmath at dps digits, as floats.
+def _value(p: list[int], num: int, den: int) -> int:
+    """den^deg(p) p(num / den) on ints; for den > 0 it has the sign of p(num / den)."""
+    v, w = 0, 1
+    for c in p:
+        v, w = v * num + c * w, w * den
+    return v
 
-    Raises ValueError naming the root farthest off the real axis when one
-    polynomial's roots are not all real: for an integer polynomial (exact)
-    that is decided by its Sturm count, for mpf coefficients by an
-    imaginary part above 1e-10.
+
+def _to_float(num: int, den: int) -> float:
+    """num / den correctly rounded, +-inf beyond the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _real_roots(f: list[int], dps: int) -> list[float]:
+    """The roots of the integer polynomial f, with multiplicity, as correctly
+    rounded floats; ValueError when one is not real.
+
+    s = f / g, g = gcd(f, f') the last term of _sturm(f), has each root of f
+    once. Unless they are all real (_real_root_count), mpmath at dps digits
+    names the one farthest off the real axis. Sturm counts of s on dyadic
+    intervals (lo, hi] split (-b, b], b a power of two above the roots of
+    every Sturm term, until each root has its own. Each is halved until hi
+    is the root, as a tie between two floats ends, or both ends round to
+    one float, the correctly rounded root since rounding is monotone. g
+    gives the repeated roots. Counts never run on f, all of whose Sturm
+    terms vanish at a repeated root.
     """
-    import mpmath as mp
+    roots = []
+    while len(f) > 1:
+        g = _sturm(f)[-1]
+        s = _primitive(_pseudo_divmod(f, g)[0]) if len(g) > 1 else f
+        if _real_root_count(s) != len(s) - 1:
+            import mpmath as mp
 
-    out = []
-    with mp.workdps(dps):
-        for poly in polys:
-            roots = _roots([_to_mpf(c) for c in poly])
-            worst = max(roots, key=lambda rt: abs(mp.im(rt)))
-            if exact:
-                real = _real_root_count(poly) == len(poly) - 1
-            else:
-                real = abs(mp.im(worst)) <= mp.mpf("1e-10")
-            if not real:
+            with mp.workdps(dps):
+                worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
                 raise ValueError(f"curvature root is not real: {worst}")
-            out += (float(mp.re(rt)) for rt in roots)
-    return out
+        seq = _sturm(s)
+        b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
+        # (lo / 2^e, hi / 2^e] with the sign changes at its ends
+        todo = [(-b, b, 0, _changes(_value(p, -b, 1) for p in seq), _changes(_value(p, b, 1) for p in seq))]
+        while todo:
+            lo, hi, e, vlo, vhi = todo.pop()
+            den = 1 << e
+            if vlo - vhi == 1:
+                x = _to_float(lo if _value(s, hi, den) else hi, den)
+                if x == _to_float(hi, den):
+                    roots.append(x)
+                    continue
+            mid = lo + hi
+            vmid = _changes(_value(p, mid, 2 * den) for p in seq)
+            halves = (2 * lo, mid, e + 1, vlo, vmid), (mid, 2 * hi, e + 1, vmid, vhi)
+            todo += [h for h in halves if h[3] > h[4]]
+        f = g
+    return roots
 
 
 def _recover_cleared(f: list[int], dps: int = 50) -> tuple[float, ...]:
-    """The roots of the primitive integer polynomial f, ascending, as floats:
-    the rational path of recover_curvatures.
-
-    The roots of f are first sought exactly, repeats included; when all are
-    rational they come back as their correctly rounded floats. Otherwise f
-    is split into square-free factors. A factor whose roots are all
-    rational gives their correctly rounded floats; any other goes to
-    mpmath at dps digits and raises ValueError unless its roots are real.
-    """
+    """The roots of the primitive integer polynomial f, ascending, as
+    correctly rounded floats: the rational path of recover_curvatures."""
     exact = _rational_roots(f)
-    if exact is not None:
-        return tuple(sorted(map(float, exact)))
-    out = []
-    polys = []
-    for poly in _square_free_parts(f):
-        exact = _rational_roots(poly)
-        if exact is None:
-            polys.append(poly)
-        else:
-            out += map(float, exact)
-    if polys:
-        out += _numeric_roots(polys, dps, True)
-    return tuple(sorted(out))
+    # int / int is correctly rounded, as float(Fraction(p, q)) is
+    return tuple(sorted(_real_roots(f, dps) if exact is None else (p / q for p, q in exact)))
 
 
 def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, float, float]:
@@ -703,27 +709,16 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
 
     Newton's identities convert the power sums to elementary symmetric
     functions of a quartic. Exact rational input (int or Fraction) goes to
-    _recover_cleared as a primitive integer quartic, whose roots are first
-    sought exactly, repeats included: a real float estimate of the largest
-    root, refined on integers until the quartic vanishes and then divided
-    out exactly, with a quadratic quotient solved in closed form
-    (`_rational_roots`), each root given as the correctly rounded float of
-    the rational. Only a quartic without a full rational factorisation is
-    split exactly into square-free integer factors, so repeated curvatures
-    become simple roots, and each factor is searched the same way. A factor
-    with an irrational or complex root, or one that refinement cannot
-    resolve, falls back to finding its roots numerically with mpmath at
-    `dps` decimal digits; mpf input always takes that path, which keeps
-    repeated roots accurate far beyond double precision. Whether such a
-    rational factor's roots are all real is decided exactly, by counting
-    them with a Sturm sequence on ints (`_real_root_count`), however small
-    the imaginary part of a complex pair; mpmath then only names the
-    offending root. For mpf input a root counts as real when its imaginary
-    part is at most 1e-10. Raises ValueError if a root is not real. Returns
-    the four real roots ascending.
-
-    mpmath is imported only when the fallback runs, so sweeps whose roots
-    are all found exactly never load it.
+    _recover_cleared as a primitive integer quartic, and each root comes
+    back correctly rounded: found exactly when all are rational
+    (`_rational_roots`), else isolated by Sturm counts and bisected on ints
+    (`_real_roots`), which decide exactly whether all are real. Other input
+    is solved by mpmath at `dps` decimal digits, keeping repeated roots
+    accurate far beyond double precision; a root is real when its imaginary
+    part is at most 1e-10. Raises ValueError, naming the root farthest off
+    the real axis, if a root is not real. Returns the four real roots
+    ascending. mpmath is loaded only for input that is not rational or to
+    name a non-real root.
     """
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
@@ -732,7 +727,11 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
 
     with mp.workdps(dps):
         e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
-        return tuple(sorted(_numeric_roots([[1, -e1, e2, -e3, _to_mpf(e4)]], dps, False)))
+        roots = _roots([_to_mpf(c) for c in (1, -e1, e2, -e3, e4)])
+        worst = max(roots, key=lambda rt: abs(mp.im(rt)))
+        if not abs(mp.im(worst)) <= mp.mpf("1e-10"):
+            raise ValueError(f"curvature root is not real: {worst}")
+        return tuple(sorted(float(mp.re(rt)) for rt in roots))
 
 
 # ---------------------------------------------------------------------------

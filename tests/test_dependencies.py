@@ -46,9 +46,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_exact_sweeps_and_analyze_load_no_mpmath():
-    """mpmath is imported only by the catalog checks and the root-finding
-    fallback, which rational recover trials at height 1000 never reach;
-    no identity's sweep imports it."""
+    """mpmath is imported only by the catalog checks, by recover_curvatures
+    for input that is not rational and to name a non-real root; no
+    identity's sweep imports it."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
@@ -59,6 +59,25 @@ def test_exact_sweeps_and_analyze_load_no_mpmath():
         "    for name in IDENTITY_NAMES:\n"
         "        main(['verify', '--identity', name, '--trials', '30'])\n"
         "    main(['analyze', '--surface', 'equator', '--samples', '20'])\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_rational_recover_with_irrational_roots_loads_no_mpmath():
+    """Rational input whose real roots are irrational, repeated ones
+    included, is solved on ints without loading mpmath."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys\n"
+        "from spherecurv import recover_curvatures\n"
+        "for p in [(0, 12, 0, 1), (2, 6, 2, -2), (0, 10, 0, 6)]:\n"
+        "    recover_curvatures(*p)\n"
         "print('mpmath' in sys.modules)\n"
     )
     proc = subprocess.run(

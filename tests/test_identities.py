@@ -19,11 +19,13 @@ existed:
     1*1*2*(1-0)(2-0)(2-1) = 4.
 """
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import check_golden
 import mpmath as mp
 import pytest
 
@@ -54,6 +56,14 @@ from spherecurv import (
 
 F = Fraction
 LAM_1234 = Quadruple((F(1), F(2), F(3), F(4)))
+
+
+def _forbid_mpmath_roots(monkeypatch):
+    def no_mpmath(*args, **kwargs):
+        raise AssertionError("mpmath root finding reached")
+
+    monkeypatch.setattr(mp, "polyroots", no_mpmath)
+    monkeypatch.setattr(mp, "eig", no_mpmath)
 
 
 def _det3(m):
@@ -672,12 +682,14 @@ class TestCollectedPsiTerms:
 
 
 class TestRecoverCurvatures:
-    def test_symmetric_double_pair(self):
-        """Roots {+-(sqrt(2)+1), +-(sqrt(2)-1)} give p1=p3=0, p2=12, e4=1."""
-        roots = recover_curvatures(F(0), F(12), F(0), F(1))
-        r2 = math.sqrt(2)
-        expected = sorted([-(r2 + 1), -(r2 - 1), r2 - 1, r2 + 1])
-        assert roots == pytest.approx(expected, abs=1e-9)
+    def test_symmetric_double_pair(self, monkeypatch):
+        """Roots {+-(sqrt(2)+1), +-(sqrt(2)-1)} give p1=p3=0, p2=12, e4=1;
+        they come back correctly rounded without mpmath root finding."""
+        with mp.workdps(100):
+            r2 = mp.sqrt(2)
+            expected = sorted(float(x) for x in (-(r2 + 1), -(r2 - 1), r2 - 1, r2 + 1))
+        _forbid_mpmath_roots(monkeypatch)
+        assert recover_curvatures(F(0), F(12), F(0), F(1)) == tuple(expected)
 
     def test_triple_root_with_high_precision_input(self):
         """Triple root -1/sqrt(3) next to sqrt(3) needs precise p3."""
@@ -752,8 +764,8 @@ class TestRecoverCurvatures:
 
     @pytest.mark.parametrize("vals", REPEATED + [(-2, F(1, 3), F(1, 3), 5), (0, 0, 7, 7)])
     def test_rational_repeated_roots_are_split_exactly(self, vals, monkeypatch):
-        """Exact input is split into square-free factors before root finding,
-        so the companion-matrix fallback is never taken."""
+        """Exact input with repeated roots is solved on ints, so the
+        companion-matrix fallback is never taken."""
 
         def no_fallback(*args, **kwargs):
             raise AssertionError("companion-matrix fallback taken")
@@ -815,11 +827,6 @@ class TestRecoverCurvatures:
     def test_complex_factor_has_no_rational_roots(self, f):
         assert identities._rational_roots(f) is None
 
-    def test_square_free_parts_are_primitive(self):
-        """A constant gcd(f, f') leaves f whole, made primitive."""
-        assert identities._square_free_parts([3, -3]) == [[1, -1]]
-        assert identities._square_free_parts([2, 0, -10, 0, 8]) == [[1, 0, -5, 0, 4]]
-
     def test_rational_roots_are_verified_exactly(self):
         """Roots are kept only where the factor vanishes exactly: the
         irrational roots +-sqrt(2), +-sqrt(3) round to four distinct
@@ -828,7 +835,7 @@ class TestRecoverCurvatures:
         assert identities._rational_roots([1, 0, -5, 0, 6]) is None
         assert identities._rational_roots([1, 0, -2]) is None
         assert identities._rational_roots([10**30, 0, -(2 * 10**30 + 1)]) is None
-        assert sorted(identities._rational_roots([6, -5, -8, 3])) == [F(-1), F(1, 3), F(3, 2)]
+        assert sorted(F(p, q) for p, q in identities._rational_roots([6, -5, -8, 3])) == [F(-1), F(1, 3), F(3, 2)]
 
     @pytest.mark.parametrize(
         "f, roots",
@@ -844,8 +851,10 @@ class TestRecoverCurvatures:
     def test_rational_roots_keep_multiplicity(self, f, roots):
         """The whole polynomial needs no square-free split: zero roots are
         read off, and each repeated root is found and divided out once for
-        each time it divides f."""
-        assert sorted(identities._rational_roots(f)) == roots
+        each time it divides f. Each comes back as a reduced int pair."""
+        pairs = identities._rational_roots(f)
+        assert all(math.gcd(p, q) == 1 for p, q in pairs)
+        assert sorted(F(p, q) for p, q in pairs) == roots
 
     @pytest.mark.parametrize(
         "f",
@@ -862,33 +871,22 @@ class TestRecoverCurvatures:
     @pytest.mark.parametrize("height", [1, 2, 3, 1000, 2**70])
     def test_sweep_needs_no_square_free_split(self, height, monkeypatch):
         """Drawn quadruples, repeated values included at small heights, are
-        recovered exactly from the whole quartic."""
+        recovered exactly from the whole quartic, without the Sturm
+        fallback."""
 
-        def no_split(f):
-            raise AssertionError("square-free split reached")
+        def no_fallback(f, dps):
+            raise AssertionError("Sturm fallback reached")
 
-        monkeypatch.setattr(identities, "_square_free_parts", no_split)
+        monkeypatch.setattr(identities, "_real_roots", no_fallback)
         assert run_identity_sweep("recover", 300, 19, height).failures == 0
 
     def test_partly_irrational_quartic_is_split(self, monkeypatch):
-        """(t - 1)^2 (t^2 - 2) has no full rational factorisation, so it is
-        split and its factor (t - 1)(t^2 - 2) goes to mpmath."""
-        calls = {"split": 0, "polyroots": 0}
-        split, polyroots = identities._square_free_parts, mp.polyroots
-
-        def counted_split(f):
-            calls["split"] += 1
-            return split(f)
-
-        def counted_polyroots(*args, **kwargs):
-            calls["polyroots"] += 1
-            return polyroots(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "_square_free_parts", counted_split)
-        monkeypatch.setattr(mp, "polyroots", counted_polyroots)
+        """(t - 1)^2 (t^2 - 2) has no full rational factorisation. Its
+        square-free part (t - 1)(t^2 - 2) and gcd(f, f') = t - 1 are solved
+        on ints, without mpmath root finding."""
+        _forbid_mpmath_roots(monkeypatch)
         r2 = math.sqrt(2)
         assert recover_curvatures(2, 6, 2, -2) == (-r2, 1.0, 1.0, r2)
-        assert calls == {"split": 1, "polyroots": 1}
 
     with mp.workdps(60):
         P3_TRIPLE = 8 * mp.sqrt(3) / 3
@@ -903,6 +901,9 @@ class TestRecoverCurvatures:
         ],
     )
     def test_fallback_reaches_mpmath(self, p, dps, raises, monkeypatch):
+        """mpmath finds the roots of mpf input and names a non-real root.
+        Rational input with irrational real roots never reaches it and
+        returns the roots of a 100-digit reference, rounded."""
         calls = itertools.count()
         polyroots = mp.polyroots
 
@@ -915,8 +916,38 @@ class TestRecoverCurvatures:
             with pytest.raises(ValueError, match="not real"):
                 recover_curvatures(*p, dps=dps)
         else:
-            recover_curvatures(*p, dps=dps)
-        assert next(calls) >= 1
+            got = recover_curvatures(*p, dps=dps)
+        rational = all(isinstance(v, F) for v in p)
+        assert (next(calls) >= 1) == (raises or not rational)
+        if rational and not raises:
+            e1, e2, e3 = identities._elementary(*p[:3])
+            with mp.workdps(100):
+                ref = polyroots([identities._to_mpf(c) for c in (1, -e1, e2, -e3, p[3])])
+            assert got == tuple(sorted(float(mp.re(rt)) for rt in ref))
+
+    @pytest.mark.parametrize("roots", sorted(check_golden.RECOVER))
+    def test_far_apart_and_tie_roots_are_correctly_rounded(self, roots, monkeypatch):
+        """Rational input whose roots span hundreds of orders of magnitude,
+        lie beyond the double range or sit halfway between two doubles (1 +
+        3 2^-53, rounded half to even) comes back correctly rounded, on
+        ints; the table tests/check_golden.py checks on other interpreters
+        holds the same floats."""
+        inputs, want = check_golden.RECOVER[roots]
+        with mp.workdps(250):
+            r2, r3 = mp.sqrt(2), mp.sqrt(3)
+            exact = {
+                "+-sqrt2 +- 1": [-(r2 + 1), -(r2 - 1), r2 - 1, r2 + 1],
+                "1 twice, +-sqrt2": [-r2, 1, 1, r2],
+                "+-sqrt2, +-sqrt3": [-r3, -r2, r2, r3],
+                "+-sqrt2 twice": [-r2, -r2, r2, r2],
+                "+-sqrt2, +-sqrt2 10^100": [-r2 * 10**100, -r2, r2, r2 * 10**100],
+                "+-1, +-sqrt2 10^-60": [-1, -r2 / 10**60, r2 / 10**60, 1],
+                "the tie, 3, +-sqrt2": [-r2, float(check_golden.TIE), r2, 3],
+                "1, 2, 3, 10^400": [1, 2, 3, mp.mpf(10) ** 400],
+            }[roots]
+            assert tuple(float(x).hex() for x in exact) == want
+        _forbid_mpmath_roots(monkeypatch)
+        assert tuple(x.hex() for x in recover_curvatures(*inputs)) == want
 
     @pytest.mark.parametrize("height, trials", [(1, 20), (2, 40)])
     def test_sweep_at_small_heights(self, height, trials):
@@ -925,6 +956,26 @@ class TestRecoverCurvatures:
         verdict = run_identity_sweep("recover", trials, 0, height)
         assert verdict.failures == 0
 
+
+
+def _square_free_parts(f: list[int]) -> list[list[int]]:
+    """Square-free primitive polynomials, each possibly negated, whose roots,
+    taken together, are the roots of the integer polynomial f counted with
+    multiplicity.
+
+    f / gcd(f, f') has each root of f once and gcd(f, f') has every root with
+    its multiplicity lowered by one, so repeating on the gcd, the last term
+    of the Sturm sequence, peels one layer of each repeated root at a time.
+    A constant gcd means f is square-free, and f itself is the last part.
+    """
+    parts = []
+    while len(f) > 1:
+        g = identities._sturm(f)[-1]
+        if len(g) == 1:
+            return parts + [identities._primitive(f)]
+        parts.append(identities._primitive(identities._pseudo_divmod(f, g)[0]))
+        f = g
+    return parts
 
 
 def _reference_square_free_parts(f):
@@ -994,30 +1045,26 @@ def _seeded_polynomial(r, degree):
 
 
 def test_square_free_parts_and_root_count_match_reference():
-    """On seeded polynomials of degree 1 to 8 the split gives the
-    reference's parts up to sign, and the real-root count of the polynomial
-    and of each part is the reference's."""
+    """On seeded polynomials of degree 1 to 8 the real-root count of the
+    polynomial and of each part of the reference split is the reference's."""
     r = random.Random(1829)
     repeated = 0
     for i in range(1500):
         f = _seeded_polynomial(r, 1 + i % 8)
-        parts = identities._square_free_parts(f)
-        ref = _reference_square_free_parts(f)
-        assert len(parts) == len(ref)
-        assert all(p in (q, [-c for c in q]) for p, q in zip(parts, ref))
+        parts = _reference_square_free_parts(f)
         for g in [f, *parts]:
             assert identities._real_root_count(g) == _reference_real_root_count(g)
         repeated += len(parts) > 1
     assert repeated > 300
 
 
-def _recover_outcomes(quartics):
+def _recover_outcomes(quartics, recover=recover_curvatures):
     out = []
     for f in quartics:
         a1, a2, a3, a4 = (F(c, f[0]) for c in f[1:])
         e1, e2, e3 = -a1, a2, -a3
         try:
-            out.append(recover_curvatures(e1, e1 * e1 - 2 * e2, e1**3 - 3 * e1 * e2 + 3 * e3, a4))
+            out.append(recover(e1, e1 * e1 - 2 * e2, e1**3 - 3 * e1 * e2 + 3 * e3, a4))
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -1025,29 +1072,33 @@ def _recover_outcomes(quartics):
 
 def test_recover_matches_reference_split_and_count(monkeypatch):
     """recover_curvatures returns identical floats, or raises the same
-    ValueError, when the reference split and count stand in for its own."""
+    ValueError, when the reference count stands in for its own, and so does
+    the square-free split with mpmath that it replaced, run on the
+    reference split and count."""
     r = random.Random(4711)
     quartics = [_seeded_polynomial(r, 4) for _ in range(400)]
     got = _recover_outcomes(quartics)
-    monkeypatch.setattr(identities, "_square_free_parts", _reference_square_free_parts)
     monkeypatch.setattr(identities, "_real_root_count", _reference_real_root_count)
     assert got == _recover_outcomes(quartics)
+    split = functools.partial(_fraction_recover_front_end, split=_reference_square_free_parts)
+    assert got == _recover_outcomes(quartics, split)
     assert 50 < sum(isinstance(v, str) for v in got) < 350
 
 
-def _fraction_recover_front_end(p1, p2, p3, e4, dps=50):
+def _fraction_recover_front_end(p1, p2, p3, e4, dps=50, split=_square_free_parts):
     """recover_curvatures on rational input as it was, with the quartic
-    built from Fraction power sums; kept as the reference its int core
-    must equal."""
+    built from Fraction power sums, split into square-free parts and solved
+    by mpmath where a part's roots are not all rational; kept as the
+    reference its int core and the Sturm fallback must equal."""
     out = []
     polys = []
     e1, e2, e3 = identities._elementary(*(F(v) for v in (p1, p2, p3)))
-    for poly in identities._square_free_parts(identities._primitive(clear_denominators([1, -e1, e2, -e3, e4])[0])):
+    for poly in split(identities._primitive(clear_denominators([1, -e1, e2, -e3, e4])[0])):
         exact = identities._rational_roots(poly)
         if exact is None:
             polys.append(poly)
         else:
-            out += map(float, exact)
+            out += (p / q for p, q in exact)
     if polys:
         with mp.workdps(dps):
             for poly in polys:
@@ -1094,6 +1145,27 @@ def test_recover_core_matches_fraction_front_end(monkeypatch):
     assert outcomes == [_outcome(_fraction_recover_front_end, *case) for case in cases]
     errors = sum(isinstance(v, str) for v in outcomes)
     assert all(isinstance(v, tuple) for v in outcomes[:240]) and 20 < errors < 130
+
+
+def test_real_roots_are_correctly_rounded():
+    """On seeded real-rooted polynomials of degree 1 to 8, many with a
+    repeated irrational factor, the Sturm fallback returns the roots of a
+    100-digit reference (mpmath on each square-free part), rounded."""
+    r = random.Random(2029)
+    checked = repeated_irrational = 0
+    for i in range(800):
+        f = _seeded_polynomial(r, 1 + i % 8)
+        parts = _square_free_parts(f)
+        if any(identities._real_root_count(p) != len(p) - 1 for p in parts):
+            with pytest.raises(ValueError, match="not real"):
+                identities._real_roots(f, 50)
+            continue
+        with mp.workdps(100):
+            ref = sorted(float(mp.re(rt)) for p in parts for rt in identities._roots([mp.mpf(c) for c in p]))
+        assert sorted(identities._real_roots(f, 50)) == ref
+        checked += 1
+        repeated_irrational += any(identities._rational_roots(p) is None for p in parts[1:])
+    assert checked > 300 and repeated_irrational > 50
 
 
 class TestSweeps:
