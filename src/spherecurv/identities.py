@@ -512,15 +512,6 @@ def _changes(values) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _real_root_count(f: list[int]) -> int:
-    """The number of distinct real roots of the integer polynomial f, exactly,
-    by Sturm's theorem: the sign changes among the leading terms of its
-    Sturm sequence at -infinity minus those at +infinity.
-    """
-    seq = _sturm(f)
-    return _changes(p[0] * (-1) ** (len(p) - 1) for p in seq) - _changes(p[0] for p in seq)
-
-
 def _largest_root(f: list[int]) -> float:
     """A float estimate of the largest root of the integer polynomial f,
     when all its roots are real.
@@ -657,39 +648,46 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
     rounded floats; ValueError when one is not real.
 
     s = f / g, g = gcd(f, f') the last term of _sturm(f), has each root of f
-    once. Unless they are all real (_real_root_count), mpmath at dps digits
-    names the one farthest off the real axis. Sturm counts of s on dyadic
-    intervals (lo, hi] split (-b, b], b a power of two above the roots of
-    every Sturm term, until each root has its own. Each is halved until hi
-    is the root, as a tie between two floats ends, or both ends round to
-    one float, the correctly rounded root since rounding is monotone. g
-    gives the repeated roots. Counts never run on f, all of whose Sturm
-    terms vanish at a repeated root.
+    once. Sturm counts of s on dyadic intervals (lo, hi] split (-b, b], b a
+    power of two above the roots of every Sturm term, until each root has its
+    own; at +-b each term has the sign of its leading term, as at +-infinity,
+    so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
+    farthest off the real axis. An interval with one root is halved by the
+    sign of s alone until hi is the root, as a tie between two floats ends,
+    or both ends round to one float, the correctly rounded root since
+    rounding is monotone. g gives the repeated roots. Counts never run on f,
+    all of whose Sturm terms vanish at a repeated root.
     """
     roots = []
     while len(f) > 1:
-        g = _sturm(f)[-1]
-        s = _primitive(_pseudo_divmod(f, g)[0]) if len(g) > 1 else f
-        if _real_root_count(s) != len(s) - 1:
+        seq = _sturm(f)
+        g, s = seq[-1], f
+        if len(g) > 1:
+            s = _primitive(_pseudo_divmod(f, g)[0])
+            seq = _sturm(s)
+        b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
+        vlo, vhi = (_changes(_value(p, x, 1) for p in seq) for x in (-b, b))
+        if vlo - vhi != len(s) - 1:
             import mpmath as mp
 
             with mp.workdps(dps):
                 worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
                 raise ValueError(f"curvature root is not real: {worst}")
-        seq = _sturm(s)
-        b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
         # (lo / 2^e, hi / 2^e] with the sign changes at its ends
-        todo = [(-b, b, 0, _changes(_value(p, -b, 1) for p in seq), _changes(_value(p, b, 1) for p in seq))]
+        todo = [(-b, b, 0, vlo, vhi)]
         while todo:
             lo, hi, e, vlo, vhi = todo.pop()
             den = 1 << e
+            mid = lo + hi
             if vlo - vhi == 1:
-                x = _to_float(lo if _value(s, hi, den) else hi, den)
+                shi = _value(s, hi, den)
+                x = _to_float(lo if shi else hi, den)
                 if x == _to_float(hi, den):
                     roots.append(x)
                     continue
-            mid = lo + hi
-            vmid = _changes(_value(p, mid, 2 * den) for p in seq)
+                vmid = vlo if _value(s, mid, 2 * den) * shi < 0 else vhi
+            else:
+                vmid = _changes(_value(p, mid, 2 * den) for p in seq)
             halves = (2 * lo, mid, e + 1, vlo, vmid), (mid, 2 * hi, e + 1, vmid, vhi)
             todo += [h for h in halves if h[3] > h[4]]
         f = g

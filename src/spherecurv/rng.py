@@ -198,6 +198,8 @@ def draw_rationals(stream: RngStream, height: int, n: int) -> tuple[tuple[Fracti
     draw_int(-height, height) and then its denominator as draw_int(1, height).
     The bound survives reduction, so the height contract is exact.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     pairs, counter = _rational_walk(stream.seed, stream.counter, height, n)
     return tuple(Fraction(num, den) for num, den in pairs), RngStream(stream.seed, counter)
 
@@ -215,6 +217,8 @@ def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStr
     [0, 1) as its top 53 bits times 2^-53. The SplitMix64 step runs inline on
     the running state, and one stream is built at the end.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     seed, counter = stream.seed, stream.counter
     state = (seed + counter * _GOLDEN) & _MASK64
     vals = []

@@ -43,11 +43,6 @@ class LevelSpec:
     field: ScalarField
     level: float
 
-    def residual(self, x: Sequence[float]) -> float:
-        """max of the two constraint residuals at x."""
-        value, _ = eval1(self.field, x)
-        return max(abs(_dot(x, x) - 1.0), abs(value - self.level))
-
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -65,12 +60,6 @@ class TangentFrame:
     base: SpherePoint
     normal: tuple[float, ...]
     vectors: tuple[tuple[float, ...], ...]
-
-
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    a0, a1, a2, a3, a4, a5 = a
-    b0, b1, b2, b3, b4, b5 = b
-    return 0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
 
 
 def _norm(a: Sequence[float]) -> float:

@@ -740,7 +740,11 @@ class TestRecoverCurvatures:
         ],
     )
     def test_real_root_count_is_exact(self, f, count):
-        assert identities._real_root_count(f) == count
+        """f has count distinct real roots: the Sturm fallback rejects it
+        exactly when it has a non-real one, else returns count distinct
+        floats."""
+        assert _reference_real_root_count(f) == count
+        _check_real_roots_count(f, count)
 
     def test_zero_root_deflation(self):
         roots = recover_curvatures(F(3), F(5), F(9), F(0))
@@ -888,6 +892,42 @@ class TestRecoverCurvatures:
         r2 = math.sqrt(2)
         assert recover_curvatures(2, 6, 2, -2) == (-r2, 1.0, 1.0, r2)
 
+    @pytest.mark.parametrize("p, builds", [((0, 12, 0, 1), 1), ((0, 10, 0, 6), 1), ((2, 6, 2, -2), 3)])
+    def test_one_sturm_pass_per_square_free_part(self, p, builds, monkeypatch):
+        """The Sturm fallback builds one sequence per square-free part s,
+        and one for f where gcd(f, f') is not constant (else f's is s's).
+        Terms other than s are evaluated only at +-b and at the midpoints of
+        intervals holding two roots or more: once a root has an interval of
+        its own, each halving evaluates s alone. The roots are those of a
+        100-digit reference, rounded."""
+        sturm, value = identities._sturm, identities._value
+        events = []  # each Sturm sequence built, and (polynomial, point) of each evaluation
+
+        def recording_value(q, num, den):
+            events.append((q, F(num, den)))
+            return value(q, num, den)
+
+        monkeypatch.setattr(identities, "_sturm", lambda f: events.append(sturm(f)) or events[-1])
+        monkeypatch.setattr(identities, "_value", recording_value)
+        got = recover_curvatures(*p)
+        assert sum(isinstance(ev, list) for ev in events) == builds
+        others = {}  # part s -> points where a term other than s is evaluated
+        for ev in events:
+            if isinstance(ev, list):
+                s = ev[0]
+            else:
+                points = others.setdefault(tuple(s), set())
+                if ev[0] != s:
+                    points.add(ev[1])
+        ref = []
+        for s, points in others.items():
+            with mp.workdps(100):
+                roots = [float(mp.re(rt)) for rt in mp.polyroots(s)]
+            b = max(points)
+            assert points == {-b, b} | _multi_root_midpoints(roots, b)
+            ref += roots
+        assert got == tuple(sorted(ref))
+
     with mp.workdps(60):
         P3_TRIPLE = 8 * mp.sqrt(3) / 3
 
@@ -1010,6 +1050,19 @@ def _reference_real_root_count(f):
     return changes([p[0] * (-1) ** (len(p) - 1) for p in seq]) - changes([p[0] for p in seq])
 
 
+def _multi_root_midpoints(roots, b):
+    """The midpoints of the dyadic intervals (lo, hi] that bisection of
+    (-b, b] splits while they hold two of the distinct roots or more."""
+    out, todo = set(), [(F(-b), F(b))]
+    while todo:
+        lo, hi = todo.pop()
+        if sum(lo < r <= hi for r in roots) > 1:
+            mid = (lo + hi) / 2
+            out.add(mid)
+            todo += [(lo, mid), (mid, hi)]
+    return out
+
+
 def _poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
@@ -1044,16 +1097,29 @@ def _seeded_polynomial(r, degree):
     return f
 
 
+def _check_real_roots_count(f, count):
+    """_real_roots(f) raises "not real" when fewer than all the distinct
+    roots of f are real, count being how many are, and else returns count
+    distinct floats."""
+    distinct = len(_reference_square_free_parts(f)[0]) - 1
+    if count < distinct:
+        with pytest.raises(ValueError, match="not real"):
+            identities._real_roots(f, 50)
+    else:
+        assert count == distinct and len(set(identities._real_roots(f, 50))) == count
+
+
 def test_square_free_parts_and_root_count_match_reference():
-    """On seeded polynomials of degree 1 to 8 the real-root count of the
-    polynomial and of each part of the reference split is the reference's."""
+    """On seeded polynomials of degree 1 to 8 the Sturm fallback on the
+    polynomial and on each part of the reference split agrees with the
+    reference's real-root count."""
     r = random.Random(1829)
     repeated = 0
     for i in range(1500):
         f = _seeded_polynomial(r, 1 + i % 8)
         parts = _reference_square_free_parts(f)
         for g in [f, *parts]:
-            assert identities._real_root_count(g) == _reference_real_root_count(g)
+            _check_real_roots_count(g, _reference_real_root_count(g))
         repeated += len(parts) > 1
     assert repeated > 300
 
@@ -1070,16 +1136,13 @@ def _recover_outcomes(quartics, recover=recover_curvatures):
     return out
 
 
-def test_recover_matches_reference_split_and_count(monkeypatch):
-    """recover_curvatures returns identical floats, or raises the same
-    ValueError, when the reference count stands in for its own, and so does
+def test_recover_matches_reference_split_and_count():
+    """recover_curvatures returns the floats, or raises the ValueError, of
     the square-free split with mpmath that it replaced, run on the
     reference split and count."""
     r = random.Random(4711)
     quartics = [_seeded_polynomial(r, 4) for _ in range(400)]
     got = _recover_outcomes(quartics)
-    monkeypatch.setattr(identities, "_real_root_count", _reference_real_root_count)
-    assert got == _recover_outcomes(quartics)
     split = functools.partial(_fraction_recover_front_end, split=_reference_square_free_parts)
     assert got == _recover_outcomes(quartics, split)
     assert 50 < sum(isinstance(v, str) for v in got) < 350
@@ -1104,7 +1167,7 @@ def _fraction_recover_front_end(p1, p2, p3, e4, dps=50, split=_square_free_parts
             for poly in polys:
                 roots = identities._roots([identities._to_mpf(c) for c in poly])
                 worst = max(roots, key=lambda rt: abs(mp.im(rt)))
-                if identities._real_root_count(poly) != len(poly) - 1:
+                if _reference_real_root_count(poly) != len(poly) - 1:
                     raise ValueError(f"curvature root is not real: {worst}")
                 out += (float(mp.re(rt)) for rt in roots)
     return tuple(sorted(out))
@@ -1156,7 +1219,7 @@ def test_real_roots_are_correctly_rounded():
     for i in range(800):
         f = _seeded_polynomial(r, 1 + i % 8)
         parts = _square_free_parts(f)
-        if any(identities._real_root_count(p) != len(p) - 1 for p in parts):
+        if any(_reference_real_root_count(p) != len(p) - 1 for p in parts):
             with pytest.raises(ValueError, match="not real"):
                 identities._real_roots(f, 50)
             continue

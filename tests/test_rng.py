@@ -181,6 +181,12 @@ def test_draw_rationals_matches_successive_single_draws(height):
         draw_rationals(root, 0, 4)
 
 
+def test_draw_rationals_rejects_a_negative_count():
+    """n = -3 once returned no values and the stream unmoved, without complaint."""
+    with pytest.raises(ValueError, match=r"n must be >= 0, got -3"):
+        draw_rationals(RngStream(1, 5), 10, -3)
+
+
 def _reference_below_wide(stream, n):
     """Uniform integer in [0, n) for n > 2^64: ceil(bits / 64) raw draws read
     as one number, first draw most significant, by rejection."""
@@ -256,6 +262,13 @@ def test_draw_gaussians_matches_successive_single_draws():
             assert [v.hex() for v in vals] == single == ref
             assert end == s == t
             assert end.counter == (start.counter + 2 * n) % 2**64
+
+
+def test_draw_gaussians_rejects_a_negative_count():
+    """n = -1 once moved the stream two outputs back, so the next draw
+    repeated two outputs already drawn."""
+    with pytest.raises(ValueError, match=r"n must be >= 0, got -1"):
+        draw_gaussians(RngStream(1, 5), -1)
 
 
 def test_draw_gaussian_moments():
