@@ -121,25 +121,33 @@ def _reduce(rows: list[list[int]], ncols: int) -> list[int]:
     f the row's entry under it, y the pivot row's entry above x, and prev the
     previous pivot (1 at first). By Sylvester's identity every entry is then
     a minor of the input, so the division is exact (Bareiss 1968); it is
-    checked all the same. Returns the pivot columns in order, so their count
-    is the rank.
+    checked all the same, unless prev is 1. Returns the pivot columns in
+    order, so their count is the rank.
     """
     pivots: list[int] = []
     prev = 1
+    n = len(rows)
     for col in range(ncols):
         rank = len(pivots)
-        if rank == len(rows):
+        if rank == n:
             break
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+        for pivot in range(rank, n):
+            if rows[pivot][col]:
+                break
+        else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         p = prow[col]
-        for r in range(rank + 1, len(rows)):
+        for r in range(rank + 1, n):
             row = rows[r]
             f = row[col]
             row[col] = 0
+            if prev == 1:
+                # dividing by 1 is exact
+                for c in range(col + 1, len(row)):
+                    row[c] = p * row[c] - f * prow[c]
+                continue
             for c in range(col + 1, len(row)):
                 row[c], rem = divmod(p * row[c] - f * prow[c], prev)
                 if rem:
@@ -165,7 +173,10 @@ def _solve_cleared(aug: list[list[int]]) -> tuple[list[int], int]:
     y = [0] * n
     for i in reversed(range(n)):
         row = aug[i]
-        y[i], rem = divmod(det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        acc = det * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i], rem = divmod(acc, row[i])
         if rem:
             raise RuntimeError("inexact back substitution (unreachable)")
     return y, det

@@ -170,12 +170,10 @@ def _g3_kernel_cleared(p: int, q: int, r: int, a: Sequence[int]) -> int:
     determinant factors as p q r (a2-a1)(a3-a1)(a3-a2), checked on ints.
     """
     a1, a2, a3 = a
-    m = [[p, q, r], [p * a1, q * a2, r * a3], [p * a1 * a1, q * a2 * a2, r * a3 * a3]]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    x1, x2, x3 = p * a1, q * a2, r * a3
+    y1, y2, y3 = x1 * a1, x2 * a2, x3 * a3
+    m = [[p, q, r], [x1, x2, x3], [y1, y2, y3]]
+    det = p * (x2 * y3 - x3 * y2) - q * (x1 * y3 - x3 * y1) + r * (x1 * y2 - x2 * y1)
     if det != p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2):
         raise RuntimeError("determinant factorization mismatch (unreachable)")
     return 3 - len(_reduce(m, 3))
@@ -204,10 +202,14 @@ def _diag_cleared(a: Sequence[int]) -> list[int]:
     """
     P = _cofactors(a)
     p0, p1, p2, p3 = P
-    rest = (p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2)
-    for m in range(3):
-        if sum(x**m * r for x, r in zip(a, rest)) != 0:
-            raise RuntimeError("moment constraints violated (unreachable)")
+    a0, a1, a2, a3 = a
+    r0, r1, r2, r3 = p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2
+    if (
+        r0 + r1 + r2 + r3
+        or a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3
+        or a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2 + a3 * a3 * r3
+    ):
+        raise RuntimeError("moment constraints violated (unreachable)")
     return P
 
 
@@ -232,8 +234,10 @@ def _diag_system_cleared(a: Sequence[int], d: int, k: int) -> tuple[list[int], i
     K equation by k_den, which leaves the matrix integer and scales the
     solution by k_den.
     """
-    prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
-    return _solve_cleared([[1, 1, 1, 1, 0], [*a, 0], [v * v for v in a] + [0], [*prods, k * d**3]])
+    a0, a1, a2, a3 = a
+    squares = [a0 * a0, a1 * a1, a2 * a2, a3 * a3, 0]
+    k_row = [a1 * a2 * a3, a0 * a2 * a3, a0 * a1 * a3, a0 * a1 * a2, k * d**3]
+    return _solve_cleared([[1, 1, 1, 1, 0], [a0, a1, a2, a3, 0], squares, k_row])
 
 
 def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fraction, ...]:
@@ -653,10 +657,12 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
     own; at +-b each term has the sign of its leading term, as at +-infinity,
     so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
     farthest off the real axis. An interval with one root is halved by the
-    sign of s alone until hi is the root, as a tie between two floats ends,
-    or both ends round to one float, the correctly rounded root since
-    rounding is monotone. g gives the repeated roots. Counts never run on f,
-    all of whose Sturm terms vanish at a repeated root.
+    sign of s at the midpoint against its sign at hi, which is carried to
+    the next step, so each halving evaluates s once, until hi is the root,
+    as a tie between two floats ends, or both ends round to one float, the
+    correctly rounded root since rounding is monotone. g gives the repeated
+    roots. Counts never run on f, all of whose Sturm terms vanish at a
+    repeated root.
     """
     roots = []
     while len(f) > 1:
@@ -678,16 +684,22 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
         while todo:
             lo, hi, e, vlo, vhi = todo.pop()
             den = 1 << e
-            mid = lo + hi
             if vlo - vhi == 1:
                 shi = _value(s, hi, den)
-                x = _to_float(lo if shi else hi, den)
-                if x == _to_float(hi, den):
-                    roots.append(x)
-                    continue
-                vmid = vlo if _value(s, mid, 2 * den) * shi < 0 else vhi
-            else:
-                vmid = _changes(_value(p, mid, 2 * den) for p in seq)
+                while True:
+                    x = _to_float(lo if shi else hi, den)
+                    if x == _to_float(hi, den):
+                        roots.append(x)
+                        break
+                    mid, den = lo + hi, 2 * den
+                    smid = _value(s, mid, den)
+                    if smid * shi < 0:
+                        lo, hi = mid, 2 * hi
+                    else:
+                        lo, hi, shi = 2 * lo, mid, smid
+                continue
+            mid = lo + hi
+            vmid = _changes(_value(p, mid, 2 * den) for p in seq)
             halves = (2 * lo, mid, e + 1, vlo, vmid), (mid, 2 * hi, e + 1, vmid, vhi)
             todo += [h for h in halves if h[3] > h[4]]
         f = g

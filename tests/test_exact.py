@@ -1,5 +1,6 @@
 """Exact arithmetic building blocks: rational coercion, surds, linear solves."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -258,3 +259,117 @@ def test_bareiss_cases():
     assert matrix_rank([[1, 2, 3, 4], [2, 4, 6, 8], [F(1, 2), 1, F(3, 2), 2]]) == 1
     assert matrix_rank([[1, 2], [2, 4], [3, 6], [0, 0]]) == 1
     assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+
+
+def _reference_reduce(rows, ncols):
+    """exact._reduce as it was before the straight-line rewrite, verbatim."""
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            row[col] = 0
+            for c in range(col + 1, len(row)):
+                row[c], rem = divmod(p * row[c] - f * prow[c], prev)
+                if rem:
+                    raise RuntimeError("inexact Bareiss division (unreachable)")
+        prev = p
+        pivots.append(col)
+    return pivots
+
+
+def _reference_solve_cleared(aug):
+    """exact._solve_cleared as it was before the straight-line rewrite,
+    verbatim apart from calling _reference_reduce."""
+    n = len(aug)
+    if len(_reference_reduce(aug, n)) < n:
+        raise ValueError("singular system")
+    det = aug[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = aug[i]
+        y[i], rem = divmod(det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        if rem:
+            raise RuntimeError("inexact back substitution (unreachable)")
+    return y, det
+
+
+def _seeded_int_matrix(r, rows, cols, n):
+    """A rows x cols integer matrix; case n picks entries from {-1, 0, 1}
+    (mostly 0), from -1000..1000 or from +-2^70, replaces a row by an
+    integer combination of two others (every third case), and zeroes the
+    first entry of row 0 (every fourth), which forces a swap at column 0
+    whenever another row has a nonzero one."""
+    style = n % 3
+    def entry():
+        if style == 0:
+            return r.choice((-1, 0, 0, 0, 1))
+        bound = 1000 if style == 1 else 2**70
+        return r.randint(-bound, bound)
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if n % 3 == 0 and rows >= 3:
+        c1, c2 = r.randint(-3, 3), r.randint(-3, 3)
+        m[n % rows] = [c1 * a + c2 * b for a, b in zip(m[(n + 1) % rows], m[(n + 2) % rows])]
+    if n % 4 == 0 and rows and cols:
+        m[0][0] = 0
+    return m
+
+
+def test_reduce_and_solve_cleared_match_the_loops_they_replace():
+    """_reduce and _solve_cleared give the reference loops' pivots, reduced
+    rows and (y, det), and the same singular ValueError, on seeded integer
+    matrices of every shape from 0 x 0 to 5 x 7 (wide augmented ones
+    included), reduced over every column count; the cases include swaps at
+    column 0, rank deficiency and later pivots of +1 and -1 with rows left
+    to eliminate, where the previous pivot is +-1 part-way through."""
+    r = random.Random(25)
+    swaps = deficient = later_one = later_minus_one = singular = 0
+    shapes = [(rows, cols) for rows in range(6) for cols in range(8)]
+    for n in range(3000):
+        rows, cols = shapes[n % len(shapes)]
+        m = _seeded_int_matrix(r, rows, cols, n // len(shapes))
+        ncols = r.randint(0, cols)
+        got, want = [row[:] for row in m], [row[:] for row in m]
+        pivots = exact._reduce(got, ncols)
+        assert pivots == _reference_reduce(want, ncols) and got == want, m
+        swaps += ncols > 0 and rows > 1 and m[0][0] == 0 and any(row[0] for row in m)
+        deficient += len(pivots) < min(rows, ncols)
+        for k in range(1, len(pivots) - 1):
+            if k + 2 < rows:
+                later_one += got[k][pivots[k]] == 1
+                later_minus_one += got[k][pivots[k]] == -1
+        aug = _seeded_int_matrix(r, rows, rows + 1, n // len(shapes))
+        try:
+            want = _reference_solve_cleared([row[:] for row in aug])
+        except ValueError as exc:
+            singular += 1
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                exact._solve_cleared([row[:] for row in aug])
+        else:
+            assert exact._solve_cleared([row[:] for row in aug]) == want, aug
+    assert exact._reduce([], 0) == [] and exact._solve_cleared([]) == ([], 1)
+    assert exact._solve_cleared([[-3, 6]]) == ([6], -3)
+    assert swaps > 300 and deficient > 250 and singular > 700
+    assert later_one > 15 and later_minus_one > 15
+
+
+def test_inexact_divisions_raise():
+    """The remainder checks of the elimination and of back substitution
+    still raise. Integer input never reaches them (Sylvester's identity
+    makes every division exact), so Fraction entries stand in: a minor
+    with a denominator leaves a remainder."""
+    third = Fraction(1, 3)
+    with pytest.raises(RuntimeError, match="inexact Bareiss division"):
+        exact._reduce([[2, 0, 0], [0, 1, 0], [0, 0, third]], 3)
+    with pytest.raises(RuntimeError, match="inexact back substitution"):
+        exact._solve_cleared([[2, third]])

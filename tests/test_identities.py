@@ -251,6 +251,47 @@ class TestDiagonalTable:
         with pytest.raises(ValueError):
             diag_from_system(LAM_1234, F(1), 4)
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_each_moment_sum_is_checked(self, m, monkeypatch):
+        """A planted P that breaks moment sum m alone, sum_i a_i^m
+        prod_{j != i} P_j, makes _diag_cleared raise. P_i = L / w_i for an
+        integer w with sum_i a_i^k w_i = 0 at the two other k and not at m,
+        since prod_{j != i} P_j is then prod(P) w_i / L."""
+        a = [0, 1, 2, 3]
+        broken = [k == m for k in range(3)]
+        w = next(
+            w
+            for w in itertools.product([v for v in range(-4, 5) if v], repeat=4)
+            if [sum(x**k * v for x, v in zip(a, w)) != 0 for k in range(3)] == broken
+        )
+        P = [math.lcm(*w) // v for v in w]
+        rest = [math.prod(P[j] for j in range(4) if j != i) for i in range(4)]
+        assert [sum(x**k * r for x, r in zip(a, rest)) != 0 for k in range(3)] == broken
+        monkeypatch.setattr(identities, "_cofactors", lambda a: list(P))
+        with pytest.raises(RuntimeError, match="moment constraints violated"):
+            identities._diag_cleared(a)
+
+    @pytest.mark.parametrize("height", [2, 1000, 2**70])
+    def test_system_matches_math_prod_reference(self, height, monkeypatch):
+        """_diag_system_cleared hands _solve_cleared the moment system as
+        built with math.prod, and returns its (y, det), on seeded drawn
+        quadruples."""
+        systems = []
+        solve = identities._solve_cleared
+        monkeypatch.setattr(
+            identities, "_solve_cleared", lambda aug: systems.append([r[:] for r in aug]) or solve(aug)
+        )
+        root = RngStream(25)
+        for n in range(300):
+            seed = root.split(n).seed
+            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            [(k, _k_den)], _counter = rng._rational_walk(seed, counter, height, 1)
+            prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
+            ref = [[1, 1, 1, 1, 0], [*a, 0], [v * v for v in a] + [0], [*prods, k * d**3]]
+            got = identities._diag_system_cleared(a, d, k)
+            assert systems.pop() == ref
+            assert got == solve(ref)
+
     def test_k_arity_validation(self):
         with pytest.raises(ValueError):
             diag_from_K(LAM_1234, (F(1), F(0), F(0)))
@@ -927,6 +968,29 @@ class TestRecoverCurvatures:
             assert points == {-b, b} | _multi_root_midpoints(roots, b)
             ref += roots
         assert got == tuple(sorted(ref))
+
+    @pytest.mark.parametrize("f", [[1, 0, -6, 0, 1], [1, 0, -5, 0, 6], [1, -1, -2, 2], [1, 0, -4, 0, 4]])
+    def test_one_value_call_per_halving(self, f, monkeypatch):
+        """Once a root has an interval of its own, each halving evaluates s
+        once, at the midpoint, and carries the sign at hi from the step
+        before. Within one Sturm pass the only (polynomial, point) pairs
+        evaluated twice are then the first hi of each one-root interval,
+        one per root. The roots are those of a 100-digit reference,
+        rounded."""
+        sturm, value = identities._sturm, identities._value
+        passes = []  # the evaluations after each Sturm sequence is built
+
+        def recording_value(q, num, den):
+            passes[-1].append((tuple(q), F(num, den)))
+            return value(q, num, den)
+
+        monkeypatch.setattr(identities, "_sturm", lambda g: passes.append([]) or sturm(g))
+        monkeypatch.setattr(identities, "_value", recording_value)
+        got = identities._real_roots(f, 50)
+        assert sum(len(calls) - len(set(calls)) for calls in passes) == len(got)
+        with mp.workdps(100):
+            ref = [float(mp.re(rt)) for p in _square_free_parts(f) for rt in mp.polyroots(p)]
+        assert sorted(got) == sorted(ref)
 
     with mp.workdps(60):
         P3_TRIPLE = 8 * mp.sqrt(3) / 3
