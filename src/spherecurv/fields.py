@@ -136,11 +136,16 @@ def _normalize(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> Table:
     """Sorted table without zero terms; integral coefficients become int."""
     norm = []
     for exps, c in sorted(coeffs.items()):
-        if len(exps) != N_VARS or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple: {exps}")
+        if len(exps) != N_VARS:
+            raise ValueError(f"bad exponent tuple: {exps} has {len(exps)} entries, not {N_VARS}")
+        # a float or bool exponent would be truncated or read as 0 / 1
+        if any(type(e) is not int for e in exps):
+            raise TypeError(f"bad exponent tuple: {exps}; exponents must be ints")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple: {exps}; exponents must be nonnegative")
         c = Fraction(c)
         if c != 0:
-            norm.append((tuple(int(e) for e in exps), int(c) if c.denominator == 1 else c))
+            norm.append((tuple(exps), int(c) if c.denominator == 1 else c))
     return tuple(norm)
 
 
@@ -158,6 +163,8 @@ def _unit(i: int, degree: int = 1) -> tuple[int, ...]:
 
 
 def coordinate_field(index: int) -> ScalarField:
+    if type(index) is not int:
+        raise TypeError(f"coordinate index must be an int, got {index!r}")
     if not 0 <= index < N_VARS:
         raise ValueError(f"coordinate index out of range: {index}")
     return ScalarField(kind=COORDINATE, coeffs=((_unit(index), 1),), index=index)

@@ -397,6 +397,102 @@ def _collect_psi_terms() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
 _DPSI_HH, _DPSI_MIXED = _collect_psi_terms()
 
 
+def _diff(x: int, y: int) -> tuple[int, str]:
+    """(sign, name) with a_x - a_y = sign * name in the dpsi kernel, whose
+    locals e{i}{j} = a_i - a_j have i > j; "0" when x = y."""
+    if x == y:
+        return 1, "0"
+    return (1, f"e{x}{y}") if x > y else (-1, f"e{y}{x}")
+
+
+def _combination(terms: Sequence[tuple[int, str]]) -> str:
+    """The int sum of weight * name over terms, written out."""
+    out = ""
+    for w, name in terms:
+        if w:
+            mag = name if abs(w) == 1 else f"{abs(w)} * {name}"
+            out += (" - " if w < 0 else " + ") + mag if out else ("-" if w < 0 else "") + mag
+    return out or "0"
+
+
+def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]) -> str:
+    """Source of `_dpsi_kernel(a, P, d, ks, k_den, ms, m_den)`, the body of
+    _dpsi_cleared for the collected tables hh and mixed, straight-line.
+
+    Each key gets one divmod, commented with its kind and key, and its own
+    remainder check. The sign of every difference a_x - a_y with x < y is
+    folded into the key's weight, which is exact because a remainder is 0
+    for a divisor exactly when it is 0 for its negative. The products of two
+    cofactors and of two differences are bound once, and each k_c^2 and
+    m_n^2 multiplies the weighted sum of its group's quotients.
+    """
+    lines = [
+        "def _dpsi_kernel(a, P, d, ks, k_den, ms, m_den):",
+        "    a0, a1, a2, a3 = a",
+        "    p0, p1, p2, p3 = P",
+        "    e10, e20, e30 = a1 - a0, a2 - a0, a3 - a0",
+        "    e21, e31, e32 = a2 - a1, a3 - a1, a3 - a2",
+        "    D = e10 * e20 * e30 * e21 * e31 * e32",
+        "    D2 = D * D",
+    ]
+    bound: set[str] = set()
+    quotients: list[str] = []
+    # {index: [(weight with the signs folded in, quotient name), ...]} for
+    # the k_c of the h h keys and the m_n of the mixed keys
+    k_groups: dict[int, list] = {}
+    m_groups: dict[int, list] = {}
+
+    def product(u: str, v: str) -> str:
+        """The name bound to u * v, bound on first use; "0" for a zero factor."""
+        if "0" in (u, v):
+            return "0"
+        name = "_".join(sorted((u, v)))
+        if name not in bound:
+            bound.add(name)
+            lines.append(f"    {name} = {u} * {v}")
+        return name
+
+    def quotient(kind: str, key: tuple, dividend: str, divisor: str, message: str) -> str:
+        q = f"q{len(quotients)}"
+        quotients.append(q)
+        lines.append(f"    {q}, r = divmod({dividend}, {divisor})  # {kind} {key}")
+        lines.append("    if r:")
+        lines.append(f"        raise RuntimeError({message!r})")
+        return q
+
+    for c, p, q, w in hh:
+        # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
+        #   = k_c^2 d^8 / (k_den^2 P_p P_q (a_c - a_p)(a_c - a_q))
+        (sp, ep), (sq, eq) = _diff(c, p), _diff(c, q)
+        divisor = f"{product(f'p{p}', f'p{q}')} * {product(ep, eq)}"
+        name = quotient("hh", (c, p, q), "D2", divisor, "h h denominator does not divide D^2 (unreachable)")
+        k_groups.setdefault(c, []).append((w * sp * sq, name))
+    for x, k, l, n, w in mixed:
+        # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 (a_k - a_x)(a_l - a_x))
+        (sk, ek), (sl, el) = _diff(k, x), _diff(l, x)
+        name = quotient("mixed", (x, k, l), "D", product(ek, el), "mixed denominator does not divide D (unreachable)")
+        m_groups.setdefault(n, []).append((w * sk * sl, name))
+    for acc, v, groups in (("acc_hh", "k", k_groups), ("acc_mixed", "m", m_groups)):
+        parts = [f"{v}{i} * {v}{i} * ({_combination(terms)})" for i, terms in groups.items()]
+        lines.append(f"    {v}0, {v}1, {v}2, {v}3 = {v}s")
+        lines.append(f"    {acc} = {' + '.join(parts) or '0'}")
+    curv = " + ".join(f"a{k} * a{l}" for _i, _j, k, l in _PSI_TERMS)
+    lines += [
+        "    d2 = d * d",
+        f"    acc_curv = {len(_PSI_TERMS)} * d2 + {curv}",
+        "    kd, md = k_den * k_den, m_den * m_den",
+        "    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2",
+        "    return num, kd * md * D2 * d2",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# (hh table, mixed table, kernel) for the tables the kernel was generated
+# from; _dpsi_cleared generates it on first use and again whenever either
+# module table is replaced by another object.
+_dpsi_kernel: tuple = (None, None, None)
+
+
 def _dpsi_cleared(
     a: Sequence[int], d: int, ks: Sequence[int], k_den: int, ms: Sequence[int], m_den: int
 ) -> tuple[int, int]:
@@ -409,32 +505,19 @@ def _dpsi_cleared(
     mixed terms are the collected tables _DPSI_HH and _DPSI_MIXED, so each
     distinct value is computed once and enters with its summed weight. Its
     cofactor, the accumulator's denominator divided by the value's own, is
-    taken by division checked to leave no remainder, once per key.
+    taken by division checked to leave no remainder, once per key. The keys
+    run in straight-line code generated from the two tables (_dpsi_source)
+    on first use, and again when a table is replaced.
     """
-    P = _diag_cleared(a)
-    diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
-    D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
-    D2 = D * D
-    acc_hh = 0
-    for c, p, q, w in _DPSI_HH:
-        # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
-        #   = k_c^2 d^8 / (k_den^2 P_p P_q diff_cp diff_cq)
-        cof, rem = divmod(D2, P[p] * P[q] * diff[c][p] * diff[c][q])
-        if rem:
-            raise RuntimeError("h h denominator does not divide D^2 (unreachable)")
-        acc_hh += w * ks[c] * ks[c] * cof
-    acc_mixed = 0
-    for x, k, l, n, w in _DPSI_MIXED:
-        # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 diff_kx diff_lx)
-        cof, rem = divmod(D, diff[k][x] * diff[l][x])
-        if rem:
-            raise RuntimeError("mixed denominator does not divide D (unreachable)")
-        acc_mixed += w * ms[n] * ms[n] * cof
-    acc_curv = sum(d * d + a[k] * a[l] for _i, _j, k, l in _PSI_TERMS)
-    d2 = d * d
-    kd, md = k_den * k_den, m_den * m_den
-    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
-    return num, kd * md * D2 * d2
+    global _dpsi_kernel
+    hh, mixed, kernel = _dpsi_kernel
+    if hh is not _DPSI_HH or mixed is not _DPSI_MIXED:
+        namespace: dict = {}
+        source = _dpsi_source(_DPSI_HH, _DPSI_MIXED)
+        exec(compile(source, "<spherecurv.identities dpsi kernel>", "exec"), namespace)
+        kernel = namespace["_dpsi_kernel"]
+        _dpsi_kernel = (_DPSI_HH, _DPSI_MIXED, kernel)
+    return kernel(a, _diag_cleared(a), d, ks, k_den, ms, m_den)
 
 
 def dpsi_coeff(table: DerivativeTable) -> Fraction:
@@ -657,10 +740,11 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
     own; at +-b each term has the sign of its leading term, as at +-infinity,
     so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
     farthest off the real axis. An interval with one root is halved by the
-    sign of s at the midpoint against its sign at hi, which is carried to
-    the next step, so each halving evaluates s once, until hi is the root,
+    sign of s at the midpoint against its sign at hi, until hi is the root,
     as a tie between two floats ends, or both ends round to one float, the
-    correctly rounded root since rounding is monotone. g gives the repeated
+    correctly rounded root since rounding is monotone. The sign at hi comes
+    from the Sturm count that isolated the interval and then from the
+    halving before, so s is evaluated once per point. g gives the repeated
     roots. Counts never run on f, all of whose Sturm terms vanish at a
     repeated root.
     """
@@ -672,20 +756,21 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
             s = _primitive(_pseudo_divmod(f, g)[0])
             seq = _sturm(s)
         b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
-        vlo, vhi = (_changes(_value(p, x, 1) for p in seq) for x in (-b, b))
+        at_hi = [_value(p, b, 1) for p in seq]
+        vlo, vhi = _changes(_value(p, -b, 1) for p in seq), _changes(at_hi)
         if vlo - vhi != len(s) - 1:
             import mpmath as mp
 
             with mp.workdps(dps):
                 worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
                 raise ValueError(f"curvature root is not real: {worst}")
-        # (lo / 2^e, hi / 2^e] with the sign changes at its ends
-        todo = [(-b, b, 0, vlo, vhi)]
+        # (lo / 2^e, hi / 2^e] with the sign changes at its ends and a value
+        # of s at hi with the sign of s(hi / 2^e); seq[0] is s
+        todo = [(-b, b, 0, vlo, vhi, at_hi[0])]
         while todo:
-            lo, hi, e, vlo, vhi = todo.pop()
+            lo, hi, e, vlo, vhi, shi = todo.pop()
             den = 1 << e
             if vlo - vhi == 1:
-                shi = _value(s, hi, den)
                 while True:
                     x = _to_float(lo if shi else hi, den)
                     if x == _to_float(hi, den):
@@ -699,8 +784,9 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
                         lo, hi, shi = 2 * lo, mid, smid
                 continue
             mid = lo + hi
-            vmid = _changes(_value(p, mid, 2 * den) for p in seq)
-            halves = (2 * lo, mid, e + 1, vlo, vmid), (mid, 2 * hi, e + 1, vmid, vhi)
+            at_mid = [_value(p, mid, 2 * den) for p in seq]
+            vmid = _changes(at_mid)
+            halves = (2 * lo, mid, e + 1, vlo, vmid, at_mid[0]), (mid, 2 * hi, e + 1, vmid, vhi, shi)
             todo += [h for h in halves if h[3] > h[4]]
         f = g
     return roots
@@ -770,6 +856,13 @@ def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in pairs], d
 
 
+def _cleared_four(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """_cleared_pairs for exactly four pairs, written out."""
+    (n0, d0), (n1, d1), (n2, d2), (n3, d3) = pairs
+    d = math.lcm(d0, d1, d2, d3)
+    return [n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), n3 * (d // d3)], d
+
+
 def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list[int], int, int]:
     """Four distinct rationals of the given height, ascending, as (a, d,
     counter) with lam_i = a_i / d; d is the lcm of the four drawn
@@ -781,7 +874,7 @@ def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list
     """
     while True:
         pairs, counter = _rational_walk(seed, counter, height, 4)
-        a, d = _cleared_pairs(pairs)
+        a, d = _cleared_four(pairs)
         if len(set(a)) == 4:
             a.sort()
             return a, d, counter
@@ -845,7 +938,7 @@ def _trial_vandermonde(seed: int, height: int) -> dict | None:
 def _trial_i_closed(seed: int, height: int) -> dict | None:
     a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     pairs, _counter = _rational_walk(seed, counter, height, 4)
-    ks, k_den = _cleared_pairs(pairs)
+    ks, k_den = _cleared_four(pairs)
     # Column l of h over k_den P_i P_j P_k: n_x = k_l d^3 prod_{y not in {x, l}} P_y.
     P = _diag_cleared(a)
     d3 = d**3
@@ -862,7 +955,7 @@ def _trial_i_closed(seed: int, height: int) -> dict | None:
 def _trial_i_sign(seed: int, height: int) -> dict | None:
     a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     pairs, _counter = _rational_walk(seed, counter, height, 4)
-    nums, _den = _I_cleared(a, d, *_cleared_pairs(pairs))
+    nums, _den = _I_cleared(a, d, *_cleared_four(pairs))
     if any(n > 0 for n in nums):
         return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
     return None
@@ -872,8 +965,8 @@ def _trial_dpsi(seed: int, height: int) -> dict | None:
     a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     # K, then the mixed components
     pairs, _counter = _rational_walk(seed, counter, height, 8)
-    ks, k_den = _cleared_pairs(pairs[:4])
-    num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_pairs(pairs[4:]))
+    ks, k_den = _cleared_four(pairs[:4])
+    num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_four(pairs[4:]))
     # gauss_R / 2 - sum I_l over 2 d^2 i_den
     closed, i_den = _I_cleared(a, d, ks, k_den)
     d2 = d * d
@@ -889,7 +982,7 @@ def _trial_dpsi(seed: int, height: int) -> dict | None:
 
 def _trial_recover(seed: int, height: int) -> dict | None:
     pairs, _counter = _rational_walk(seed, 0, height, 4)
-    a, d = _cleared_pairs(pairs)
+    a, d = _cleared_four(pairs)
     a.sort()
     p1 = sum(a)
     p2 = sum(x * x for x in a)

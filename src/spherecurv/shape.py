@@ -141,7 +141,8 @@ def fit_theta0(distinct: Sequence[float]) -> tuple[float, float]:
     """Least-squares angle offset for lambda_k = cot((k-1)pi/g + theta0).
 
     `distinct` holds the g >= 1 distinct curvature values, finite and in
-    strictly descending order; ValueError otherwise. Returns (theta0,
+    strictly descending order; ValueError otherwise, and also when the
+    misfit leaves the float range. Returns (theta0,
     residual) where residual is the root of the summed squared misfit. For
     g = 1 the ladder is the single value cot(theta0) = 0, so theta0 = pi/2
     and the residual is |lambda|.
@@ -159,9 +160,13 @@ def fit_theta0(distinct: Sequence[float]) -> tuple[float, float]:
 
     def misfit(theta: float) -> float:
         acc = 0.0
-        for k, lam in enumerate(vals):
-            angle = theta + k * step
-            acc += (lam - math.cos(angle) / math.sin(angle)) ** 2
+        # float ** raises OverflowError where * would give inf
+        try:
+            for k, lam in enumerate(vals):
+                angle = theta + k * step
+                acc += (lam - math.cos(angle) / math.sin(angle)) ** 2
+        except OverflowError:
+            raise ValueError(f"distinct curvatures too large for the ladder fit: {vals}") from None
         return acc
 
     # A coarse scan pins the basin; Newton on the misfit's derivative polishes

@@ -43,6 +43,12 @@ class LevelSpec:
     field: ScalarField
     level: float
 
+    def __post_init__(self) -> None:
+        # max() in the projection's residual drops a NaN, so a NaN level
+        # would hand back the start point unprojected
+        if isinstance(self.level, float) and not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
+
 
 @dataclass(frozen=True)
 class SpherePoint:

@@ -103,6 +103,36 @@ def test_polynomial_field_rejects_bad_exponents():
         polynomial_field({(1, 0, 0, 0, 0, -1): 1})
 
 
+# exponent tuple -> (exception, message) for polynomial_field; a float or
+# bool exponent was once truncated by int() or read as 0 / 1
+_BAD_EXPONENTS = [
+    ((1, 0, 0), ValueError, "3 entries"),
+    ((0,) * 7, ValueError, "7 entries"),
+    ((1, 0, 0, 0, 0, -1), ValueError, "nonnegative"),
+    ((1.5, 0, 0, 0, 0, 0), TypeError, "must be ints"),
+    ((1.0, 0, 0, 0, 0, 0), TypeError, "must be ints"),
+    ((True, 0, 0, 0, 0, 0), TypeError, "must be ints"),
+    ((0, 0, 0, 0, 0, False), TypeError, "must be ints"),
+    ((Fraction(2), 0, 0, 0, 0, 0), TypeError, "must be ints"),
+    ((0, 0, 0, 0, 0, float("nan")), TypeError, "must be ints"),
+]
+
+
+@pytest.mark.parametrize("exps, error, message", _BAD_EXPONENTS)
+def test_polynomial_field_rejects_exponents_that_are_not_plain_ints(exps, error, message):
+    with pytest.raises(error, match=message):
+        polynomial_field({exps: 1})
+
+
+@pytest.mark.parametrize("index, error", [
+    (True, TypeError), (False, TypeError), (1.0, TypeError), (2.5, TypeError),
+    (Fraction(1), TypeError), (-1, ValueError), (6, ValueError),
+])
+def test_coordinate_field_rejects_an_index_that_is_not_a_plain_int(index, error):
+    with pytest.raises(error, match="coordinate index"):
+        coordinate_field(index)
+
+
 def test_polynomial_product_difference_of_squares():
     x_plus_y = polynomial_field({(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1})
     x_minus_y = polynomial_field({(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): -1})

@@ -722,6 +722,99 @@ class TestCollectedPsiTerms:
                 assert total == 0
 
 
+def _loop_dpsi_cleared(a, d, ks, k_den, ms, m_den):
+    """identities._dpsi_cleared as it was before its keys were generated as
+    straight-line code: one loop over each collected table, one checked
+    division per key. The reference for the generated kernel."""
+    P = identities._diag_cleared(a)
+    diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
+    D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
+    D2 = D * D
+    acc_hh = 0
+    for c, p, q, w in identities._DPSI_HH:
+        # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
+        #   = k_c^2 d^8 / (k_den^2 P_p P_q diff_cp diff_cq)
+        cof, rem = divmod(D2, P[p] * P[q] * diff[c][p] * diff[c][q])
+        if rem:
+            raise RuntimeError("h h denominator does not divide D^2 (unreachable)")
+        acc_hh += w * ks[c] * ks[c] * cof
+    acc_mixed = 0
+    for x, k, l, n, w in identities._DPSI_MIXED:
+        # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 diff_kx diff_lx)
+        cof, rem = divmod(D, diff[k][x] * diff[l][x])
+        if rem:
+            raise RuntimeError("mixed denominator does not divide D (unreachable)")
+        acc_mixed += w * ms[n] * ms[n] * cof
+    acc_curv = sum(d * d + a[k] * a[l] for _i, _j, k, l in identities._PSI_TERMS)
+    d2 = d * d
+    kd, md = k_den * k_den, m_den * m_den
+    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
+    return num, kd * md * D2 * d2
+
+
+class TestGeneratedDpsiKernel:
+    @pytest.mark.parametrize("height", [2, 1000, 10**9, 2**70])
+    def test_matches_the_loop_form_on_drawn_input(self, height):
+        """(num, den) equals the loop form's exactly, with some K and mixed
+        entries 0 and every third quadruple rotated out of order, so some
+        differences a_x - a_y with x > y are negative."""
+        root = RngStream(26026)
+        for i in range(400):
+            seed = root.split(i).seed
+            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            pairs, _counter = rng._rational_walk(seed, counter, height, 8)
+            if i % 5 == 0:
+                pairs[i % 8] = (0, pairs[i % 8][1])
+            if i % 3 == 0:
+                a = a[1:] + a[:1]
+            ks, k_den = identities._cleared_pairs(pairs[:4])
+            ms, m_den = identities._cleared_pairs(pairs[4:])
+            args = (a, d, ks, k_den, ms, m_den)
+            assert identities._dpsi_cleared(*args) == _loop_dpsi_cleared(*args)
+
+    @pytest.mark.parametrize("base", [(0, 1, 2, 3), (-2, -1, 0, 1), (-1, 0, 1, 2), (5, 6, 7, 8)])
+    def test_matches_the_loop_form_at_unit_differences(self, base):
+        """Consecutive integers, whose differences are +-1, in every order."""
+        for a in itertools.permutations(base):
+            for d, ks, k_den, ms, m_den in [
+                (1, [1, 1, 1, 1], 1, [1, 1, 1, 1], 1),
+                (3, [2, -1, 0, 5], 7, [-1, 4, 0, 3], 2),
+                (1, [0, 0, 0, 0], 1, [0, 0, 0, 0], 1),
+            ]:
+                args = (list(a), d, ks, k_den, ms, m_den)
+                assert identities._dpsi_cleared(*args) == _loop_dpsi_cleared(*args)
+
+    def test_source_names_each_shipped_key_once(self):
+        source = identities._dpsi_source(identities._DPSI_HH, identities._DPSI_MIXED)
+        keys = [f"# hh {(c, p, q)}\n" for c, p, q, _w in identities._DPSI_HH]
+        keys += [f"# mixed {(x, k, l)}\n" for x, k, l, _n, _w in identities._DPSI_MIXED]
+        assert len(set(keys)) == 24
+        assert all(source.count(key) == 1 for key in keys)
+        assert source.count("divmod(") == 24
+        assert source.count("    if r:\n        raise RuntimeError(") == 24
+
+    def test_equal_tables_give_identical_source(self):
+        hh, mixed = identities._DPSI_HH, identities._DPSI_MIXED
+        copies = tuple(tuple(row) for row in hh), tuple(list(mixed))
+        assert copies[0] is not hh and copies[1] is not mixed
+        assert identities._dpsi_source(*copies) == identities._dpsi_source(hh, mixed)
+
+    def test_kernel_follows_the_module_tables(self, monkeypatch):
+        """Replacing a table regenerates the kernel on the next call, and
+        putting the original back regenerates it again."""
+        args = ([0, 1, 3, 7], 2, [1, 2, 3, 4], 5, [1, -1, 2, 3], 7)
+        before = identities._dpsi_cleared(*args)
+        kernel = identities._dpsi_kernel[2]
+        hh = identities._DPSI_HH
+        monkeypatch.setattr(identities, "_DPSI_HH", hh[1:])
+        changed = identities._dpsi_cleared(*args)
+        assert changed == _loop_dpsi_cleared(*args) != before
+        assert identities._dpsi_kernel[2] is not kernel
+        monkeypatch.setattr(identities, "_DPSI_HH", hh)
+        assert identities._dpsi_cleared(*args) == before
+        assert identities._dpsi_kernel[:2] == (hh, identities._DPSI_MIXED)
+
+
 class TestRecoverCurvatures:
     def test_symmetric_double_pair(self, monkeypatch):
         """Roots {+-(sqrt(2)+1), +-(sqrt(2)-1)} give p1=p3=0, p2=12, e4=1;
@@ -973,10 +1066,10 @@ class TestRecoverCurvatures:
     def test_one_value_call_per_halving(self, f, monkeypatch):
         """Once a root has an interval of its own, each halving evaluates s
         once, at the midpoint, and carries the sign at hi from the step
-        before. Within one Sturm pass the only (polynomial, point) pairs
-        evaluated twice are then the first hi of each one-root interval,
-        one per root. The roots are those of a 100-digit reference,
-        rounded."""
+        before; the first sign at hi comes from the Sturm count that
+        isolated the interval. Within one Sturm pass no (polynomial, point)
+        pair is then evaluated twice. The roots are those of a 100-digit
+        reference, rounded."""
         sturm, value = identities._sturm, identities._value
         passes = []  # the evaluations after each Sturm sequence is built
 
@@ -987,7 +1080,7 @@ class TestRecoverCurvatures:
         monkeypatch.setattr(identities, "_sturm", lambda g: passes.append([]) or sturm(g))
         monkeypatch.setattr(identities, "_value", recording_value)
         got = identities._real_roots(f, 50)
-        assert sum(len(calls) - len(set(calls)) for calls in passes) == len(got)
+        assert sum(len(calls) - len(set(calls)) for calls in passes) == 0
         with mp.workdps(100):
             ref = [float(mp.re(rt)) for p in _square_free_parts(f) for rt in mp.polyroots(p)]
         assert sorted(got) == sorted(ref)

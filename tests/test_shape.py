@@ -147,6 +147,11 @@ class TestThetaFit:
         with pytest.raises(ValueError, match="finite"):
             fit_theta0(vals)
 
+    @pytest.mark.parametrize("vals", [[1e308, -1e308], [1e200, -1e200], [1e300, 0.0, -1.0, -1e300]])
+    def test_misfit_beyond_the_float_range_raises_value_error(self, vals):
+        with pytest.raises(ValueError, match="too large"):
+            fit_theta0(vals)
+
     @pytest.mark.parametrize("g", [2, 4])
     def test_random_ladders_recover_theta(self, g):
         rng = random.Random(100 + g)

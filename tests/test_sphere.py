@@ -151,6 +151,19 @@ def test_projection_tol_must_be_positive_and_finite(bad):
         project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF, tol=bad)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_is_rejected(level):
+    """A NaN level once projected every start to itself, unprojected, since
+    the residual test drops a NaN; the spec now refuses it."""
+    with pytest.raises(ValueError, match="level must be finite"):
+        LevelSpec(cartan_field(), level)
+
+
+@pytest.mark.parametrize("level", [0, 0.5, -0.25, 2.0])
+def test_finite_levels_are_accepted(level):
+    assert LevelSpec(cartan_field(), level).level == level
+
+
 def test_quadric_level_projection():
     quadric = LevelSpec(
         polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 1}),
