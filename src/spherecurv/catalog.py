@@ -178,8 +178,12 @@ def model_check(model: IsoModel, dps: int = _DEFAULT_DPS) -> list[CheckResult]:
     """Re-verify every structural invariant of a model at high precision.
 
     Closed forms are evaluated at `dps` digits; analytic identities must hold
-    to 10^-(dps-10), integer identities exactly.
+    to 10^-(dps-10), integer identities exactly. ValueError when dps < 20:
+    the tolerance would then exceed 1e-10, loose enough to pass a model
+    with a wrong curvature.
     """
+    if dps < 20:
+        raise ValueError(f"dps must be >= 20, so that the tolerance 10^-(dps-10) is at most 1e-10; got {dps}")
     import mpmath as mp
 
     results: list[CheckResult] = []

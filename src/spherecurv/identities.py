@@ -599,27 +599,61 @@ def _changes(values) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+def _samuelson_bound(f: list[int]) -> float:
+    """The Laguerre-Samuelson bound on the roots of the integer polynomial f
+    of degree n >= 2, rounded up: when all n roots are real, the float it
+    returns is at or above the float of each.
+
+    Real roots lie within sigma sqrt(n - 1) of their mean (Samuelson 1968),
+    and the mean and variance are read from the two leading coefficients
+    alone. On ints, with lc > 0, n^2 lc^2 sigma^2 = D = (n - 1) f_1^2 - 2 n lc
+    f_2, and the bound (sqrt((n - 1) D) - f_1) / (n lc) is taken with the
+    square root rounded up, then rounded to a float by int / int, which is
+    monotone. D < 0 shows a root that is not real: math.isqrt raises
+    ValueError.
+    """
+    lc, f1, f2 = f[0], f[1], f[2]
+    if lc < 0:
+        lc, f1, f2 = -lc, -f1, -f2
+    n = len(f) - 1
+    t = (n - 1) * ((n - 1) * f1 * f1 - 2 * n * lc * f2)
+    s = math.isqrt(t)
+    return (s + (s * s != t) - f1) / (n * lc)
+
+
 def _largest_root(f: list[int]) -> float:
     """A float estimate of the largest root of the integer polynomial f,
     when all its roots are real.
 
-    Newton's method starts at Fujiwara's bound, above every root, so on a
-    real-rooted polynomial it falls monotonically to the largest one; it
-    stops where it no longer falls. A complex root is not rational, so for
-    a polynomial with one _rational_roots fails its exact check whatever
-    value comes back.
+    Newton's method starts at the Laguerre-Samuelson bound, above every root,
+    so on a real-rooted polynomial it falls monotonically to the largest
+    one; it stops where it no longer falls, or where the value or the slope
+    is 0.0, as on a start that is exactly a multiple root. A complex root is
+    not rational, so for a polynomial with one _rational_roots fails its
+    exact check whatever value comes back, or at once when the bound's
+    ValueError shows the complex pair.
     """
     c = [x / f[0] for x in f[1:]]
-    x = 2 * max(abs(a) ** (1 / k) for k, a in enumerate(c, 1))
+    x = _samuelson_bound(f)
     for _ in range(100):
         v, dv = 1.0, 0.0
         for a in c:
             v, dv = v * x + a, dv * x + v
+        if not (v and dv):
+            break
         lower = x - v / dv
         if not lower < x:
             break
         x = lower
     return x
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of the integer polynomials a and b, primitive and of either
+    sign, by pseudo-remainders."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def _reduced(p: int, q: int) -> tuple[int, int]:
@@ -636,45 +670,63 @@ def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
     Trailing zero coefficients are roots 0, read off first. By the rational
     root theorem a rational root p/q of f has q | lc(f), so it is m / lc for
     an integer m, a root of phi(m) = lc^n f(m / lc). The float estimate of
-    the largest root (_largest_root) is rounded to that integer grid and
-    refined there by Newton's method with every step rounded to an integer,
-    until phi(m) is exactly 0. Then q t - p divides f over the integers
-    (Gauss's lemma), and the quotient is searched next, so a repeated root
-    is found once for each time it divides f; an exact division leaves no
-    rounding behind to hide a close root. A quadratic quotient is solved in
-    closed form, its roots rational exactly when its discriminant is a
-    square; a linear one is read off.
+    the largest root (_largest_root) is rounded to that integer grid, and
+    f is tested exactly at the point, reduced to p/q. Only when the test
+    misses is the estimate refined on the grid, by Newton's method on phi
+    with every step rounded to an integer, until phi(m) is exactly 0. Then
+    q t - p divides f over the integers (Gauss's lemma), and the quotient is
+    searched next, so a repeated root is found once for each time it
+    divides f; an exact division leaves no rounding behind to hide a close
+    root. A quadratic quotient is solved in closed form, its roots rational
+    exactly when its discriminant is a square; a linear one is read off.
+
+    Newton's steps shrink only linearly at a repeated root, and round to 0
+    next to an irrational one. When the refinement stalls, f = s g with g =
+    gcd(f, f') and s = f / g, and both parts are searched; a constant g
+    means f has no repeated root to blame, and the search fails.
     """
     roots = []
     while len(f) > 1 and f[-1] == 0:
         f = f[:-1]
         roots.append((0, 1))
     while len(f) > 3:
-        # an infinite or nan estimate raises OverflowError or ValueError here
+        # an infinite or nan estimate raises OverflowError or ValueError here,
+        # and so does a bound that shows a complex pair
         try:
             num, den = _largest_root(f).as_integer_ratio()
-        except (OverflowError, ValueError, ZeroDivisionError):
+        except (OverflowError, ValueError):
             return None
         lc = f[0]
-        scaled = [c * lc**k for k, c in enumerate(f)]
         # m = round(num / den * lc), half to even, on ints
         q, r = divmod(num * lc, den)
         m = q + (2 * r > den or (2 * r == den and q % 2 == 1))
-        for _ in range(64):
-            v = dv = 0
-            for c in scaled:
-                dv = dv * m + v
-                v = v * m + c
-            if v == 0:
-                break
-            # the integer nearest to the Newton step v / dv
-            step = (2 * v + dv) // (2 * dv) if dv else 0
-            if step == 0:
-                return None
-            m -= step
-        else:
-            return None
         p, q = _reduced(m, lc)
+        # q^n f(p / q), as _value gives it
+        v, w = 0, 1
+        for c in f:
+            v, w = v * p + c * w, w * q
+        if v:
+            scaled = [c * lc**k for k, c in enumerate(f)]
+            for _ in range(64):
+                v = dv = 0
+                for c in scaled:
+                    dv = dv * m + v
+                    v = v * m + c
+                if v == 0:
+                    break
+                # the integer nearest to the Newton step v / dv
+                step = (2 * v + dv) // (2 * dv) if dv else 0
+                if step == 0:
+                    break
+                m -= step
+            if v:
+                n = len(f) - 1
+                g = _gcd(f, [c * (n - i) for i, c in enumerate(f[:-1])])
+                if len(g) == 1:
+                    return None
+                parts = [_rational_roots(h) for h in (_primitive(_pseudo_divmod(f, g)[0]), g)]
+                return None if None in parts else roots + parts[0] + parts[1]
+            p, q = _reduced(m, lc)
         roots.append((p, q))
         acc = 0
         f = [acc := (c + p * acc) // q for c in f[:-1]]
@@ -739,7 +791,8 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
     power of two above the roots of every Sturm term, until each root has its
     own; at +-b each term has the sign of its leading term, as at +-infinity,
     so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
-    farthest off the real axis. An interval with one root is halved by the
+    farthest off the real axis, found again at more digits when its
+    imaginary part reads 0 at dps. An interval with one root is halved by the
     sign of s at the midpoint against its sign at hi, until hi is the root,
     as a tie between two floats ends, or both ends round to one float, the
     correctly rounded root since rounding is monotone. The sign at hi comes
@@ -761,8 +814,17 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
         if vlo - vhi != len(s) - 1:
             import mpmath as mp
 
+            # When the worst root's imaginary part reads 0 at dps digits, the
+            # coefficients' spread hid the pair, so it is named again at as
+            # many more digits as the largest coefficient has; either way the
+            # message is written at dps digits.
+            digits = math.ceil(max(abs(c).bit_length() for c in s) * math.log10(2))
             with mp.workdps(dps):
-                worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
+                for prec in (dps, dps + digits):
+                    with mp.workdps(prec):
+                        worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
+                    if mp.im(worst):
+                        break
                 raise ValueError(f"curvature root is not real: {worst}")
         # (lo / 2^e, hi / 2^e] with the sign changes at its ends and a value
         # of s at hi with the sign of s(hi / 2^e); seq[0] is s
@@ -984,16 +1046,19 @@ def _trial_recover(seed: int, height: int) -> dict | None:
     pairs, _counter = _rational_walk(seed, 0, height, 4)
     a, d = _cleared_four(pairs)
     a.sort()
-    p1 = sum(a)
-    p2 = sum(x * x for x in a)
-    p3 = sum(x**3 for x in a)
+    a0, a1, a2, a3 = a
+    s0, s1, s2, s3 = a0 * a0, a1 * a1, a2 * a2, a3 * a3
+    p1 = a0 + a1 + a2 + a3
+    p2 = s0 + s1 + s2 + s3
+    p3 = s0 * a0 + s1 * a1 + s2 * a2 + s3 * a3
     # Newton's identities for lam_i = a_i / d, times 6 d^4
     d2 = d * d
-    s3 = p1**3 - 3 * p1 * p2 + 2 * p3
-    quartic = [6 * d2 * d2, -6 * p1 * d2 * d, 3 * (p1 * p1 - p2) * d2, -s3 * d, 6 * math.prod(a)]
-    roots = _recover_cleared(_primitive(quartic))
+    q2 = 3 * (p1 * p1 - p2)
+    q3 = p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3
+    quartic = [6 * d2 * d2, -6 * p1 * d2 * d, q2 * d2, -q3 * d, 6 * a0 * a1 * a2 * a3]
+    r0, r1, r2, r3 = _recover_cleared(_primitive(quartic))
     # int / int is correctly rounded, as float(Fraction(x, d)) is
-    worst = max(abs(rt - x / d) for rt, x in zip(roots, a))
+    worst = max(abs(r0 - a0 / d), abs(r1 - a1 / d), abs(r2 - a2 / d), abs(r3 - a3 / d))
     if worst > 1e-9:
         return {"lam": _fmt(Fraction(x, d) for x in a), "max_error": repr(worst)}
     return None

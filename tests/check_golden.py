@@ -6,13 +6,14 @@ curvatures of RECOVER, checked without pytest.
 For interpreters that have no pytest or mpmath installed: a stand-in
 `pytest` module lets test_float_golden import, and each of its RUNS is swept
 at one and two workers and compared with GOLDEN by float.hex, as the test
-does. Each RECOVER input, rational with irrational or far-apart roots, goes
-through recover_curvatures and is compared by float.hex with its correctly
+does. Each RECOVER input, rational with irrational, far-apart or repeated
+rational roots, goes through recover_curvatures and is compared by float.hex with its correctly
 rounded roots; test_identities checks those against closed forms. Prints
 one line per sweep and per input and exits 1 when any differs.
 """
 
 import dataclasses
+import math
 import sys
 import types
 from fractions import Fraction
@@ -32,6 +33,12 @@ from spherecurv import recover_curvatures, sweep_analyze  # noqa: E402
 
 # 1 + 3 2^-53, halfway between two doubles
 TIE = Fraction(2**53 + 3, 2**53)
+
+
+def _power_sums(*lams):
+    """(p1, p2, p3, e4) of the curvatures lams."""
+    return sum(lams), sum(x * x for x in lams), sum(x**3 for x in lams), math.prod(lams)
+
 
 # roots -> ((p1, p2, p3, e4), float.hex of the roots, ascending)
 RECOVER = {
@@ -66,6 +73,14 @@ RECOVER = {
     "1, 2, 3, 10^400": (
         (6 + 10**400, 14 + 10**800, 36 + 10**1200, 6 * 10**400),
         ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.8000000000000p+1", "inf"),
+    ),
+    "-445/363, -707/879 twice, 193/15": (
+        _power_sums(Fraction(-445, 363), Fraction(-707, 879), Fraction(-707, 879), Fraction(193, 15)),
+        ("-0x1.39d44685fe96fp+0", "-0x1.9bd03c93f32f8p-1", "-0x1.9bd03c93f32f8p-1", "0x1.9bbbbbbbbbbbcp+3"),
+    ),
+    "1/3 four times": (
+        _power_sums(*[Fraction(1, 3)] * 4),
+        ("0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.5555555555555p-2"),
     ),
 }
 

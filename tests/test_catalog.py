@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -157,3 +158,25 @@ def test_sampled_curvatures_match_model_multiset(model):
             abs(a - b) for a, b in zip(sorted(-v for v in got), expected)
         )
         assert min(direct, flipped) <= 1e-6
+
+
+def _planted_cartan():
+    """The cartan model with -3 in place of cot(7 pi / 8)."""
+    model = cartan_model()
+    return dataclasses.replace(model, curvature_forms=model.curvature_forms[:3] + (("rational", Fraction(-3)),))
+
+
+@pytest.mark.parametrize("dps", [5, 10, 19])
+def test_model_check_rejects_a_loose_tolerance(dps):
+    """Below 20 digits the tolerance 10^-(dps-10) exceeds 1e-10; at dps 5
+    and 10 the planted wrong model passed."""
+    with pytest.raises(ValueError, match="dps must be >= 20"):
+        model_check(_planted_cartan(), dps=dps)
+
+
+@pytest.mark.parametrize("dps", [20, 30])
+def test_planted_wrong_curvature_fails_at_every_allowed_dps(dps):
+    results = model_check(_planted_cartan(), dps=dps)
+    failed = {r.name for r in results if not r.passed}
+    assert {"minimality", "cot_ladder"} <= failed
+    assert checks_passed(model_check(cartan_model(), dps=dps))

@@ -20,9 +20,12 @@ existed:
 """
 
 import functools
+import inspect
 import itertools
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import check_golden
@@ -1141,6 +1144,8 @@ class TestRecoverCurvatures:
                 "+-1, +-sqrt2 10^-60": [-1, -r2 / 10**60, r2 / 10**60, 1],
                 "the tie, 3, +-sqrt2": [-r2, float(check_golden.TIE), r2, 3],
                 "1, 2, 3, 10^400": [1, 2, 3, mp.mpf(10) ** 400],
+                "-445/363, -707/879 twice, 193/15": [F(-445, 363), F(-707, 879), F(-707, 879), F(193, 15)],
+                "1/3 four times": [F(1, 3)] * 4,
             }[roots]
             assert tuple(float(x).hex() for x in exact) == want
         _forbid_mpmath_roots(monkeypatch)
@@ -1386,6 +1391,131 @@ def test_real_roots_are_correctly_rounded():
         checked += 1
         repeated_irrational += any(identities._rational_roots(p) is None for p in parts[1:])
     assert checked > 300 and repeated_irrational > 50
+
+
+def _no_fallback(f, dps):
+    raise AssertionError("Sturm fallback reached")
+
+
+def _float_newton_evaluations(run):
+    """(searches, polynomial evaluations) of _largest_root while run() runs,
+    counted by a line tracer on the first statement of its Newton loop."""
+    lines, first = inspect.getsourcelines(identities._largest_root)
+    [evaluation] = [first + i for i, line in enumerate(lines) if line.strip() == "v, dv = 1.0, 0.0"]
+    code = identities._largest_root.__code__
+    counts = [0, 0]
+
+    def local(frame, event, arg):
+        counts[1] += event == "line" and frame.f_lineno == evaluation
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is code:
+            counts[0] += 1
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+class TestRootSearch:
+    """The exact search of _rational_roots: its float start, its exact check
+    and the square-free retry that keeps repeated rational roots off the
+    Sturm fallback."""
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 4, 10])
+    def test_drawn_trials_never_reach_the_fallback(self, height, monkeypatch):
+        """Small heights draw many repeated curvatures; each stalled search
+        is split into f / gcd(f, f') and gcd(f, f') and solved exactly."""
+        monkeypatch.setattr(identities, "_real_roots", _no_fallback)
+        assert run_identity_sweep("recover", 2000, 27, height).failures == 0
+
+    @pytest.mark.parametrize("height", [10**3, 10**6, 10**9, 10**11])
+    def test_repeated_rational_roots_need_no_fallback(self, height, monkeypatch):
+        """The 80 quadruples of test_rational_input_is_solved_exactly, a
+        quarter of them with a repeated value, are all solved by the exact
+        search, and come back as the correctly rounded floats."""
+        monkeypatch.setattr(identities, "_real_roots", _no_fallback)
+        for i in range(80):
+            vals = sorted(draw_rationals(RngStream(606).split(i), height, 4)[0])
+            if i % 4 == 0:
+                vals[1 + i % 3] = vals[i % 3]
+            sums = sum(vals), sum(v * v for v in vals), sum(v**3 for v in vals), math.prod(vals)
+            assert recover_curvatures(*sums) == tuple(float(v) for v in vals)
+
+    def test_float_newton_steps_per_search(self):
+        """From the Laguerre-Samuelson start a search evaluates the
+        polynomial 7.7 times on average over these trials; from Fujiwara's
+        bound it took 11.87."""
+        searches, evaluations = _float_newton_evaluations(lambda: run_identity_sweep("recover", 3000, 7, 1000))
+        assert searches > 5900 and searches <= evaluations <= 8.5 * searches
+
+    def test_start_is_at_or_above_every_root(self):
+        """On seeded integer polynomials of degree 2 to 8 with known rational
+        roots, repeats included, the start is at or above the float of the
+        largest root, even where the bound is tight (degree 2, or all roots
+        but the largest equal), and the search recovers every root. The
+        square root in the bound rounds up: for t^2 - 2 it is sqrt 2 itself."""
+        assert identities._samuelson_bound([1, 0, -2]) >= math.sqrt(2)
+        r = random.Random(1968)
+        tight = 0
+        for i in range(700):
+            degree = 2 + i % 7
+            f, roots = [r.choice((-3, -2, -1, 1, 2, 3))], []
+            while len(roots) < degree:
+                root = F(r.randint(-20, 20), r.randint(1, 6))
+                for _ in range(min(r.randint(1, 3), degree - len(roots))):
+                    roots.append(root)
+                    f = _poly_mul(f, [root.denominator, -root.numerator])
+            roots.sort()
+            start = identities._samuelson_bound(f)
+            assert start >= float(roots[-1])
+            tight += start == float(roots[-1])
+            assert sorted(F(p, q) for p, q in identities._rational_roots(f)) == roots
+        assert tight > 100
+
+    @pytest.mark.parametrize("f", [[1, 0, 1], [1, 0, 0, 0, 1], [2, 1, 1, 5, 3]])
+    def test_negative_variance_shows_a_complex_pair(self, f):
+        """(n - 1) f_1^2 < 2 n lc f_2 makes the roots' variance negative, so
+        they cannot all be real; x^4 + 1 has variance 0 and is caught by the
+        exact check instead."""
+        n = len(f) - 1
+        if (n - 1) * f[1] ** 2 < 2 * n * f[0] * f[2]:
+            with pytest.raises(ValueError):
+                identities._samuelson_bound(f)
+        assert identities._rational_roots(f) is None
+
+    def test_complex_pair_at_1e300_is_named_off_the_axis(self):
+        """Power sums all 1e300 leave three roots near 1e300 y, y a root of
+        y^3 - y^2 + y/2 - 1/6, and one near 6e-600. At 50 digits mpmath read
+        the pair's imaginary part as 0.0, so the message named a real-looking
+        root; the retry at more digits names the pair's 1e300 Im(y)."""
+        with pytest.raises(ValueError, match="not real") as info:
+            recover_curvatures(*(F(1e300),) * 4)
+        imag = float(re.fullmatch(r"curvature root is not real: \(\S+ [-+] (\S+)j\)", str(info.value))[1])
+        with mp.workdps(30):
+            y = max(mp.polyroots([1, -1, mp.mpf(1) / 2, -mp.mpf(1) / 6]), key=lambda rt: abs(mp.im(rt)))
+        assert imag / 1e300 == pytest.approx(abs(float(mp.im(y))), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, root",
+        [
+            ((F(0), F(0), F(0), F(1)), "-0.70710678118654752440084436210484903928483593768847 + "
+             "0.70710678118654752440084436210484903928483593768847j"),
+            ((F(0), F(12), F(0), F(-1)), "0.0 - 0.40283701439711238630270863972505619513387084074359j"),
+        ],
+        ids=["x^4 + 1", "x^4 - 6x^2 - 1"],
+    )
+    def test_message_with_a_nonzero_imaginary_part_is_unchanged(self, p, root):
+        with pytest.raises(ValueError) as info:
+            recover_curvatures(*p)
+        assert str(info.value) == f"curvature root is not real: ({root})"
 
 
 class TestSweeps:
