@@ -5,13 +5,16 @@ arithmetic, and bit-for-bit deterministic because the rotation order is fixed.
 Convergence threshold is 1e-14 times the Frobenius norm, capped at 100 sweeps.
 Output is fully normalized: eigenvalues ascending, each eigenvector scaled so
 its first component of magnitude above 1e-12 is positive.
+
+Symmetry is checked where rows come in: `SymMat4(rows)` rejects rows that
+are not 4x4 or not exactly symmetric. `SymMat4.from_upper` writes each entry
+below the diagonal as its mirror, so it checks only the count of 10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 N = 4
@@ -23,7 +26,8 @@ _SIGN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SymMat4:
-    """Symmetric 4x4 of floats; exact symmetry is enforced at construction."""
+    """Symmetric 4x4 of floats. SymMat4(rows) checks the shape and exact
+    symmetry of rows; from_upper builds symmetric rows and skips that check."""
 
     rows: tuple[tuple[float, ...], ...]
 
@@ -40,13 +44,16 @@ class SymMat4:
         """Build from the 10 upper-triangle entries, row-major."""
         if len(upper) != 10:
             raise ValueError("upper triangle of a 4x4 has 10 entries")
-        u = [float(v) for v in upper]
-        return cls((
-            (u[0], u[1], u[2], u[3]),
-            (u[1], u[4], u[5], u[6]),
-            (u[2], u[5], u[7], u[8]),
-            (u[3], u[6], u[8], u[9]),
+        u0, u1, u2, u3, u4, u5, u6, u7, u8, u9 = map(float, upper)
+        m = object.__new__(cls)
+        # symmetric by construction, so __post_init__'s check is skipped
+        object.__setattr__(m, "rows", (
+            (u0, u1, u2, u3),
+            (u1, u4, u5, u6),
+            (u2, u5, u7, u8),
+            (u3, u6, u8, u9),
         ))
+        return m
 
     def frobenius(self) -> float:
         (r00, r01, r02, r03), (r10, r11, r12, r13) = self.rows[:2]
@@ -102,11 +109,14 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
                     v[k][p] = c * vkp - s * vkq
                     v[k][q] = s * vkp + c * vkq
 
-    # Eigenvectors are the columns of v.
-    pairs = sorted(zip([a[k][k] for k in range(N)], zip(*v)), key=itemgetter(0))
+    # Eigenvectors are the columns of v, taken by ascending diagonal; the
+    # sort is stable, so tied values keep their column order.
+    diag = [a[0][0], a[1][1], a[2][2], a[3][3]]
+    v0, v1, v2, v3 = v
     values = []
     vectors = []
-    for lam, vec in pairs:
+    for k in sorted(range(N), key=diag.__getitem__):
+        lam, vec = diag[k], (v0[k], v1[k], v2[k], v3[k])
         for comp in vec:
             if abs(comp) > _SIGN_EPS:
                 if comp < 0:

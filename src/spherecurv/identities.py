@@ -648,21 +648,13 @@ def _largest_root(f: list[int]) -> float:
     return x
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """A gcd of the integer polynomials a and b, primitive and of either
-    sign, by pseudo-remainders."""
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return a
-
-
 def _reduced(p: int, q: int) -> tuple[int, int]:
     """p / q in lowest terms."""
     g = math.gcd(p, q)
     return p // g, q // g
 
 
-def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
+def _rational_roots(f: list[int], sturm: dict | None = None) -> list[tuple[int, int]] | None:
     """The roots of the integer polynomial f, exactly and with multiplicity,
     as reduced (p, q) int pairs, when all are rational; None when they
     cannot all be found that way.
@@ -683,7 +675,10 @@ def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
     Newton's steps shrink only linearly at a repeated root, and round to 0
     next to an irrational one. When the refinement stalls, f = s g with g =
     gcd(f, f') and s = f / g, and both parts are searched; a constant g
-    means f has no repeated root to blame, and the search fails.
+    means f has no repeated root to blame, and the search fails. g is the
+    last term of _sturm(f), and when a dict `sturm` is given, the sequence
+    is stored in it under tuple(f), so that _real_roots need not build it
+    again.
     """
     roots = []
     while len(f) > 1 and f[-1] == 0:
@@ -720,11 +715,13 @@ def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
                     break
                 m -= step
             if v:
-                n = len(f) - 1
-                g = _gcd(f, [c * (n - i) for i, c in enumerate(f[:-1])])
+                seq = _sturm(f)
+                if sturm is not None:
+                    sturm[tuple(f)] = seq
+                g = seq[-1]
                 if len(g) == 1:
                     return None
-                parts = [_rational_roots(h) for h in (_primitive(_pseudo_divmod(f, g)[0]), g)]
+                parts = [_rational_roots(h, sturm) for h in (_primitive(_pseudo_divmod(f, g)[0]), g)]
                 return None if None in parts else roots + parts[0] + parts[1]
             p, q = _reduced(m, lc)
         roots.append((p, q))
@@ -761,6 +758,32 @@ def _roots(coeffs: list) -> list:
     return [mp.mpc(r) for r in found] + [mp.mpc(0)] * zero_roots
 
 
+def _is_root(coeffs: list, r) -> bool:
+    """Whether the mpc r is a root of the mpf polynomial coeffs (leading
+    first) up to a relative 1e-10: |f(r)| is at most 1e-10 times the sum of
+    |c_k r^(n - k)|, the size of the terms that cancel in it."""
+    value = size = 0
+    a = abs(r)
+    for c in coeffs:
+        value, size = value * r + c, size * a + abs(c)
+    return abs(value) <= 1e-10 * size
+
+
+def _scaled_roots(coeffs: list) -> list:
+    """_roots of an mpf polynomial with its variable scaled by 2^e, at or
+    above Fujiwara's bound 2 max |c_k / c_0|^(1/k) on the roots, so that
+    mpmath solves for roots in the unit disc, the largest of them within a
+    factor 2n of its rim. mpmath tests convergence, and rounds small parts
+    to 0, against an absolute tolerance, so roots far from 1 can come back
+    as points that are not roots. Scaling by a power of two is exact."""
+    import mpmath as mp
+
+    lead = mp.mag(coeffs[0])
+    e = 1 + max(-((lead - mp.mag(c)) // k) for k, c in enumerate(coeffs[1:], 1) if c)
+    scale = mp.ldexp(1, e)
+    return [r * scale for r in _roots([mp.ldexp(c, -e * k) for k, c in enumerate(coeffs)])]
+
+
 def _elementary(p1, p2, p3):
     """e1, e2, e3 from the power sums p1, p2, p3 (Newton's identities)."""
     return p1, (p1 * p1 - p2) / 2, (p1**3 - 3 * p1 * p2 + 2 * p3) / 6
@@ -782,7 +805,7 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _real_roots(f: list[int], dps: int) -> list[float]:
+def _real_roots(f: list[int], dps: int, sturm: dict | None = None) -> list[float]:
     """The roots of the integer polynomial f, with multiplicity, as correctly
     rounded floats; ValueError when one is not real.
 
@@ -792,22 +815,24 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
     own; at +-b each term has the sign of its leading term, as at +-infinity,
     so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
     farthest off the real axis, found again at more digits when its
-    imaginary part reads 0 at dps. An interval with one root is halved by the
+    imaginary part reads 0 at dps, and with s scaled when it is not a root. An interval with one root is halved by the
     sign of s at the midpoint against its sign at hi, until hi is the root,
     as a tie between two floats ends, or both ends round to one float, the
     correctly rounded root since rounding is monotone. The sign at hi comes
     from the Sturm count that isolated the interval and then from the
     halving before, so s is evaluated once per point. g gives the repeated
     roots. Counts never run on f, all of whose Sturm terms vanish at a
-    repeated root.
+    repeated root. A sequence that `sturm` holds under tuple(p), as
+    _rational_roots leaves it, is not built again.
     """
+    sturm = sturm or {}
     roots = []
     while len(f) > 1:
-        seq = _sturm(f)
+        seq = sturm.get(tuple(f)) or _sturm(f)
         g, s = seq[-1], f
         if len(g) > 1:
             s = _primitive(_pseudo_divmod(f, g)[0])
-            seq = _sturm(s)
+            seq = sturm.get(tuple(s)) or _sturm(s)
         b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
         at_hi = [_value(p, b, 1) for p in seq]
         vlo, vhi = _changes(_value(p, -b, 1) for p in seq), _changes(at_hi)
@@ -817,12 +842,16 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
             # When the worst root's imaginary part reads 0 at dps digits, the
             # coefficients' spread hid the pair, so it is named again at as
             # many more digits as the largest coefficient has; either way the
-            # message is written at dps digits.
+            # message is written at dps digits. A worst root off the axis that
+            # fails _is_root is found again with s scaled (_scaled_roots).
             digits = math.ceil(max(abs(c).bit_length() for c in s) * math.log10(2))
             with mp.workdps(dps):
                 for prec in (dps, dps + digits):
                     with mp.workdps(prec):
-                        worst = max(_roots([_to_mpf(c) for c in s]), key=lambda rt: abs(mp.im(rt)))
+                        coeffs = [_to_mpf(c) for c in s]
+                        worst = max(_roots(coeffs), key=lambda rt: abs(mp.im(rt)))
+                        if mp.im(worst) and not _is_root(coeffs, worst):
+                            worst = max(_scaled_roots(coeffs), key=lambda rt: abs(mp.im(rt)))
                     if mp.im(worst):
                         break
                 raise ValueError(f"curvature root is not real: {worst}")
@@ -857,9 +886,10 @@ def _real_roots(f: list[int], dps: int) -> list[float]:
 def _recover_cleared(f: list[int], dps: int = 50) -> tuple[float, ...]:
     """The roots of the primitive integer polynomial f, ascending, as
     correctly rounded floats: the rational path of recover_curvatures."""
-    exact = _rational_roots(f)
+    sturm: dict = {}
+    exact = _rational_roots(f, sturm)
     # int / int is correctly rounded, as float(Fraction(p, q)) is
-    return tuple(sorted(_real_roots(f, dps) if exact is None else (p / q for p, q in exact)))
+    return tuple(sorted(_real_roots(f, dps, sturm) if exact is None else (p / q for p, q in exact)))
 
 
 def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, float, float]:
@@ -874,9 +904,11 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     is solved by mpmath at `dps` decimal digits, keeping repeated roots
     accurate far beyond double precision; a root is real when its imaginary
     part is at most 1e-10. Raises ValueError, naming the root farthest off
-    the real axis, if a root is not real. Returns the four real roots
-    ascending. mpmath is loaded only for input that is not rational or to
-    name a non-real root.
+    the real axis, if a root is not real. The roots returned, or the one
+    named, must pass a re-check (`_is_root`); where they fail, the quartic
+    is solved again with its variable scaled by a power of two
+    (`_scaled_roots`). Returns the four real roots ascending. mpmath is
+    loaded only for input that is not rational or to name a non-real root.
     """
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
@@ -885,9 +917,15 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
 
     with mp.workdps(dps):
         e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
-        roots = _roots([_to_mpf(c) for c in (1, -e1, e2, -e3, e4)])
-        worst = max(roots, key=lambda rt: abs(mp.im(rt)))
-        if not abs(mp.im(worst)) <= mp.mpf("1e-10"):
+        coeffs = [_to_mpf(c) for c in (1, -e1, e2, -e3, e4)]
+        for solve in (_roots, _scaled_roots):
+            roots = solve(coeffs)
+            worst = max(roots, key=lambda rt: abs(mp.im(rt)))
+            real = abs(mp.im(worst)) <= mp.mpf("1e-10")
+            # the roots returned, or the one named, must be roots
+            if all(_is_root(coeffs, rt) for rt in (roots if real else [worst])):
+                break
+        if not real:
             raise ValueError(f"curvature root is not real: {worst}")
         return tuple(sorted(float(mp.re(rt)) for rt in roots))
 

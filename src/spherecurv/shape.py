@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .catalog import all_models
 from .eigen import SymMat4, sym_eigen
-from .fields import eval2, hess_bilinear, hess_terms
+from .fields import eval2, hess_terms
 from .rng import RngStream, map_chunks
 from .sphere import (
     FOCAL_EPS,
@@ -101,11 +101,15 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
     terms = hess_terms(hess)
     upper = []
+    vectors = frame.vectors
     for a in range(4):
-        ea = frame.vectors[a]
+        ea = vectors[a]
         for b in range(a, 4):
-            eb = frame.vectors[b]
-            val = hess_bilinear(terms, ea, eb)
+            eb = vectors[b]
+            # hess_bilinear(terms, ea, eb), in place and in its term order
+            val = 0
+            for h, (i, j) in terms:
+                val += h * ea[i] * eb[i] if i == j else h * (ea[i] * eb[j] + ea[j] * eb[i])
             if a == b:
                 val -= gp
             upper.append(val / nt)
@@ -151,10 +155,10 @@ def fit_theta0(distinct: Sequence[float]) -> tuple[float, float]:
     g = len(vals)
     if not vals or not all(map(math.isfinite, vals)):
         raise ValueError("distinct curvatures must be a nonempty list of finite values")
-    if any(a <= b for a, b in zip(vals, vals[1:])):
-        raise ValueError("distinct curvatures must be strictly descending")
     if g == 1:
         return math.pi / 2, abs(vals[0])
+    if any(a <= b for a, b in zip(vals, vals[1:])):
+        raise ValueError("distinct curvatures must be strictly descending")
 
     step = math.pi / g
 

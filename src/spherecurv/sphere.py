@@ -84,6 +84,28 @@ def _tangential_gradient(grad: Sequence[float], p: Sequence[float]) -> tuple:
     return gp, tang, _norm(tang)
 
 
+def _focal_certified(xx: float, xg: float, gg: float) -> bool:
+    """True when the projection's focal check provably passes: the norm
+    that _tangential_gradient(grad, x / sqrt(xx)) computes is at least
+    FOCAL_EPS. xx, xg and gg are x.x, x.grad and grad.grad, each summed left
+    to right from int 0 as project_to_level forms them.
+
+    Exactly, T^2 = |P grad|^2 = gg - xg^2 / xx. Let u = 2^-53. With xx in
+    (1e-100, 1e100), a term that underflows is negligible next to the bounds
+    below, and each 6-term sum is within 6u / (1 - 6u) of its value, for xg
+    relative to |x| |grad|. The product, quotient and difference round once
+    each, so the computed gg - xg * xg / xx is within 30u gg of T^2, and
+    passing the test gives T^2 > 3.99e-20 + 0.99e-12 gg: T > 1.99e-10 and
+    T > 0.99e-6 |grad|. The norm the check computes rounds the square root
+    of xx, the unit vector, the dot product and the subtractions, which
+    moves it at most 20u |grad| < 3e-9 T from T, then the last sum and the
+    square root, a relative 4u more: it is above 1.98e-10 > FOCAL_EPS.
+    An inf or nan in gg or xg * xg makes the test false, so such an iterate
+    takes the full check.
+    """
+    return 1e-100 < xx < 1e100 and gg - xg * xg / xx > 4e-20 + 1e-12 * gg
+
+
 def project_to_level(
     x0: Sequence[float],
     spec: LevelSpec,
@@ -119,15 +141,18 @@ def project_to_level(
         gg = 0 + g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5
         a11, a12, a21, a22 = 2.0 * xx, 2.0 * xg, xg, gg
         det = a11 * a22 - a12 * a21
-        norm_x = math.sqrt(xx)
-        if norm_x == 0.0:
+        if xx == 0.0:
             raise ProjectionError("iterate collapsed to the origin", res)
-        unit = (p0 / norm_x, p1 / norm_x, p2 / norm_x, p3 / norm_x, p4 / norm_x, p5 / norm_x)
-        tangential_grad = _tangential_gradient(grad, unit)[2]
-        if abs(det) < 1e-300 or tangential_grad < FOCAL_EPS:
-            raise FocalPointError(
-                f"degenerate tangential gradient ({tangential_grad:.3e}) during projection"
-            )
+        # The unit vector and its tangential gradient only where the
+        # certificate cannot show that the focal check passes.
+        if abs(det) < 1e-300 or not _focal_certified(xx, xg, gg):
+            norm_x = math.sqrt(xx)
+            unit = (p0 / norm_x, p1 / norm_x, p2 / norm_x, p3 / norm_x, p4 / norm_x, p5 / norm_x)
+            tangential_grad = _tangential_gradient(grad, unit)[2]
+            if abs(det) < 1e-300 or tangential_grad < FOCAL_EPS:
+                raise FocalPointError(
+                    f"degenerate tangential gradient ({tangential_grad:.3e}) during projection"
+                )
         alpha = (-c1 * a22 + c2 * a12) / det
         beta = (-a11 * c2 + a21 * c1) / det
         step = 1.0
@@ -158,10 +183,10 @@ def project_to_level(
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
     """Unit normal of the level surface inside the sphere: PgradF/|PgradF|."""
     _, grad = eval1(spec.field, p.coords)
-    _, tang, n = _tangential_gradient(grad, p.coords)
+    _, (t0, t1, t2, t3, t4, t5), n = _tangential_gradient(grad, p.coords)
     if n < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {n:.3e} below {FOCAL_EPS:.0e}")
-    return tuple([v / n for v in tang])
+    return (t0 / n, t1 / n, t2 / n, t3 / n, t4 / n, t5 / n)
 
 
 def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float, ...], ...]:

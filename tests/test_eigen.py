@@ -45,6 +45,45 @@ def test_symmetry_is_enforced():
                       (0.0, 0.0, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("rows", [
+    ((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ((0.0,) * 4,) * 5,
+    (),
+], ids=["3x4", "4x3", "ragged", "5x4", "empty"])
+def test_direct_rows_must_be_4x4(rows):
+    with pytest.raises(ValueError, match="4x4"):
+        SymMat4(rows=rows)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_direct_rows_must_be_exactly_symmetric(i, j):
+    """One entry below the diagonal one ulp off its mirror is rejected."""
+    rows = [[float(min(r, c)) for c in range(4)] for r in range(4)]
+    rows[j][i] = math.nextafter(rows[i][j], math.inf)
+    with pytest.raises(ValueError, match=f"asymmetric entries at \\({i},{j}\\)"):
+        SymMat4(rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("n", [0, 9, 11, 16])
+def test_from_upper_needs_ten_entries(n):
+    with pytest.raises(ValueError, match="10 entries"):
+        SymMat4.from_upper([1.0] * n)
+
+
+def test_from_upper_equals_checked_rows():
+    """from_upper skips the symmetry check, and builds the same value that
+    the checked constructor accepts: floats, mirrored, equal and hashing
+    alike."""
+    upper = [1, -2.5, 0.0, -0.0, 3, 4.25, 5, 6, 7, 8]
+    m = SymMat4.from_upper(upper)
+    checked = SymMat4(rows=m.rows)
+    assert m == checked and hash(m) == hash(checked)
+    assert all(type(x) is float for row in m.rows for x in row)
+    assert all(m.rows[i][j] == m.rows[j][i] for i in range(4) for j in range(4))
+
+
 def test_from_upper_layout():
     m = SymMat4.from_upper([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     assert m.rows[0][0] == 1

@@ -1503,6 +1503,51 @@ class TestRootSearch:
             y = max(mp.polyroots([1, -1, mp.mpf(1) / 2, -mp.mpf(1) / 6]), key=lambda rt: abs(mp.im(rt)))
         assert imag / 1e300 == pytest.approx(abs(float(mp.im(y))), rel=1e-12)
 
+    def test_float_power_sums_at_1e300_name_a_complex_root(self):
+        """The float input returned (0.0, 0.0, 0.0, 1e300), which are not its
+        roots: mpmath's absolute tolerance at the 1e300 scale stopped on
+        points that are not roots. The re-check sends it to the scaled
+        solve, which names the pair at 1e300 y, as the Fraction input does."""
+        with pytest.raises(ValueError, match="not real") as info:
+            recover_curvatures(1e300, 1e300, 1e300, 1e300)
+        imag = float(re.fullmatch(r"curvature root is not real: \(\S+ [-+] (\S+)j\)", str(info.value))[1])
+        with mp.workdps(30):
+            y = max(mp.polyroots([1, -1, mp.mpf(1) / 2, -mp.mpf(1) / 6]), key=lambda rt: abs(mp.im(rt)))
+        assert imag / 1e300 == pytest.approx(abs(float(mp.im(y))), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300])
+    def test_tiny_complex_roots_are_named_as_roots(self, scale):
+        """Power sums all `scale` leave four roots of modulus about
+        scale^(1/4), off the axis at 45 degrees. At 50 digits mpmath named
+        (-1.7e-601 + 9.1e-301j) for 1e-300, which is not a root; the name
+        fails the re-check, and the scaled solve names one of the four."""
+        p = (F(scale),) * 4
+        with pytest.raises(ValueError, match="not real") as info:
+            recover_curvatures(*p)
+        root = complex(str(info.value).removeprefix("curvature root is not real: ").replace(" ", ""))
+        e1, e2, e3 = identities._elementary(*p[:3])
+        with mp.workdps(1000):
+            roots = mp.polyroots([identities._to_mpf(c) for c in (1, -e1, e2, -e3, p[3])],
+                                 maxsteps=500, extraprec=2000)
+        assert min(abs(complex(r) - root) for r in roots) <= 1e-12 * abs(root)
+        assert abs(root.real) == pytest.approx(abs(root.imag), rel=1e-9)
+
+    @pytest.mark.parametrize("f", [[1, 0, -6, 0, 1], [1, 0, -5, 0, 6]], ids=["x^4-6x^2+1", "x^4-5x^2+6"])
+    def test_stalled_search_hands_its_gcd_to_the_fallback(self, f, monkeypatch):
+        """Integer Newton stalls on these square-free quartics; the Sturm
+        sequence that gives gcd(f, f') is built once, in the search, and the
+        fallback isolates the roots with it: one pseudo-remainder per term
+        after f', where the search's gcd once added as many again."""
+        terms = len(identities._sturm(f))
+        sturm, pseudo_divmod = identities._sturm, identities._pseudo_divmod
+        built, divisions = [], []
+        monkeypatch.setattr(identities, "_sturm", lambda p: built.append(p) or sturm(p))
+        monkeypatch.setattr(identities, "_pseudo_divmod", lambda a, b: divisions.append(a) or pseudo_divmod(a, b))
+        got = identities._recover_cleared(f)
+        assert len(built) == 1 and len(divisions) == terms - 2
+        with mp.workdps(100):
+            assert got == tuple(sorted(float(mp.re(r)) for r in mp.polyroots(f)))
+
     @pytest.mark.parametrize(
         "p, root",
         [

@@ -1,6 +1,7 @@
 """Constraint projection, frames, and sampling on the unit 5-sphere."""
 
 import math
+import random
 from operator import mul
 
 import pytest
@@ -24,7 +25,8 @@ from spherecurv import (
     surface_normal,
     tangent_basis,
 )
-from spherecurv.sphere import _MAX_HALVINGS, _MAX_ITER, FOCAL_EPS
+from spherecurv import sphere
+from spherecurv.sphere import _MAX_HALVINGS, _MAX_ITER, FOCAL_EPS, _focal_certified, _tangential_gradient
 
 from fieldtools import left_sum
 
@@ -326,3 +328,110 @@ def test_projection_outcome_and_error_text_match_the_loop_form(start, level, kin
     got = _outcome(project_to_level, start, spec)
     assert got[0] == kind
     assert got == _outcome(_ref_project_to_level, start, spec)
+
+
+# The focal certificate of the projection: where it passes, the tangential
+# gradient norm that the full check computes is at least FOCAL_EPS.
+
+
+def _check_norm(x, grad):
+    """(xx, xg, gg) as project_to_level forms them, and the norm its full
+    focal check computes through the unit vector."""
+    xx, xg, gg = (left_sum(map(mul, a, b)) for a, b in ((x, x), (x, grad), (grad, grad)))
+    unit = tuple(c / math.sqrt(xx) for c in x)
+    return (xx, xg, gg), _tangential_gradient(grad, unit)[2]
+
+
+def _straddling_pair(rng, tangential):
+    """A near-unit x and a gradient whose component orthogonal to x has
+    norm about `tangential`, beside a radial part of random size."""
+    x = [rng.gauss(0.0, 1.0) for _ in range(N_VARS)]
+    n = math.sqrt(sum(c * c for c in x))
+    scale = 1.0 + rng.uniform(-1e-3, 1e-3)
+    x = [c / n * scale for c in x]
+    v = [rng.gauss(0.0, 1.0) for _ in range(N_VARS)]
+    t = sum(a * b for a, b in zip(v, x)) / sum(c * c for c in x)
+    v = [a - t * b for a, b in zip(v, x)]
+    nv = math.sqrt(sum(c * c for c in v))
+    radial = rng.choice((0.0, 10.0 ** rng.uniform(-12, 12)))
+    return x, [radial * a + tangential * b / nv for a, b in zip(x, v)]
+
+
+def test_focal_certificate_never_passes_a_focal_iterate():
+    """10^4 seeded pairs: half with a tangential part log-uniform from 1e-12
+    to 1e-7 beside a radial part up to 1e12 (where rounding swamps the
+    tangential part), half fully random at scales 1e-6 to 1e6. Every pair
+    the certificate passes has a computed norm of at least FOCAL_EPS, and
+    both outcomes of the full check occur among the pairs it does not pass."""
+    rng = random.Random(28)
+    passed = fallback_focal = fallback_clear = 0
+    for i in range(10_000):
+        if i % 2:
+            x, grad = _straddling_pair(rng, 10.0 ** rng.uniform(-12, -7))
+        else:
+            x = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-1, 1) for _ in range(N_VARS)]
+            grad = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-6, 6) for _ in range(N_VARS)]
+        sums, norm = _check_norm(x, grad)
+        if _focal_certified(*sums):
+            assert norm >= FOCAL_EPS, (x, grad)
+            passed += 1
+        elif norm < FOCAL_EPS:
+            fallback_focal += 1
+        else:
+            fallback_clear += 1
+    assert passed > 5000 and fallback_focal > 500 and fallback_clear > 500
+
+
+@pytest.mark.parametrize("radial", [0.0, 1e-30, 1e-12, 1.0])
+def test_focal_certificate_at_its_threshold(radial):
+    """Pairs planted across both thresholds: a tangential part t from 0.5 to
+    4 FOCAL_EPS along e_2 at x = e_1. With no radial part the certificate
+    passes exactly where t^2 > 4e-20 (1 + 1e-12) + rounding, so near t =
+    2 FOCAL_EPS; a unit radial part keeps it from passing at all, since
+    1e-12 gg is far above t^2."""
+    x = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    outcomes = []
+    for k in range(351):
+        t = FOCAL_EPS * (0.5 + k / 100)
+        sums, norm = _check_norm(x, (radial, t, 0.0, 0.0, 0.0, 0.0))
+        certified = _focal_certified(*sums)
+        assert not certified or norm >= FOCAL_EPS, t
+        outcomes.append(certified)
+    if radial <= 1e-12:
+        first = outcomes.index(True)
+        assert all(outcomes[first:]) and not any(outcomes[:first])
+        assert 2.0 * FOCAL_EPS <= FOCAL_EPS * (0.5 + first / 100) <= 2.02 * FOCAL_EPS
+    else:
+        assert not any(outcomes)
+
+
+@pytest.mark.parametrize("x, grad", [
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0, 0.0, 0.0)),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0, 0.0, 0.0)),
+    ((1e40, 0.0, 0.0, 0.0, 0.0, 0.0), (1e150, 1e-10, 0.0, 0.0, 0.0, 0.0)),
+    ((math.nan, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0, 0.0, 0.0)),
+    ((1e-60, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+    ((1e60, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+], ids=["gg-inf", "inf-inf", "nan", "xg-squared-overflows", "x-nan", "xx-tiny", "xx-huge"])
+def test_focal_certificate_defers_non_finite_and_extreme_input(x, grad):
+    """An inf or nan in gg or xg * xg, or x.x outside (1e-100, 1e100), makes
+    the certificate fail, so the full check runs."""
+    xx, xg, gg = (left_sum(map(mul, a, b)) for a, b in ((x, x), (x, grad), (grad, grad)))
+    assert not _focal_certified(xx, xg, gg)
+
+
+def test_equator_projection_needs_no_full_focal_check(monkeypatch):
+    """On the equator every Newton iterate is certified, so the unit vector
+    and its tangential gradient are never formed there."""
+    calls = []
+
+    def counted(grad, p):
+        calls.append(p)
+        return _tangential_gradient(grad, p)
+
+    monkeypatch.setattr(sphere, "_tangential_gradient", counted)
+    for i in range(200):
+        start, _ = sample_on_sphere(RngStream(2828).split(i))
+        project_to_level(start.coords, EQUATOR)
+    assert calls == []
