@@ -24,7 +24,6 @@ from .fields import (
     coordinate_field,
     eval1,
     eval2,
-    hess_bilinear,
     hess_terms,
     polynomial_field,
 )

@@ -9,8 +9,8 @@ Four members, indexed by the number g of distinct curvatures:
          cot(pi/8 + (k-1)pi/4), all multiplicities 1, S = 12
 
 Curvatures are stored as exact closed forms and evaluated on demand with
-mpmath at any requested precision; model_check re-verifies every structural
-invariant at 50+ digits rather than trusting the constructor.
+mpmath; model_check re-verifies every structural invariant at 60 digits
+rather than trusting the constructor.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ class IsoModel:
 
     def distinct_curvatures(self) -> list:
         return [_eval_form(f, _DEFAULT_DPS) for f in self.curvature_forms]
-
-    def curvature_multiset(self) -> list[float]:
-        """All four curvatures with multiplicity, descending."""
-        out: list[float] = []
-        for m, form in zip(self.multiplicities, self.curvature_forms):
-            out.extend([float(_eval_form(form, _DEFAULT_DPS))] * m)
-        return out
 
     @property
     def theta0(self) -> float | None:
@@ -174,16 +167,14 @@ class CheckResult:
     detail: str
 
 
-def model_check(model: IsoModel, dps: int = _DEFAULT_DPS) -> list[CheckResult]:
+def model_check(model: IsoModel) -> list[CheckResult]:
     """Re-verify every structural invariant of a model at high precision.
 
-    Closed forms are evaluated at `dps` digits; analytic identities must hold
-    to 10^-(dps-10), integer identities exactly. ValueError when dps < 20:
-    the tolerance would then exceed 1e-10, loose enough to pass a model
-    with a wrong curvature.
+    Closed forms are evaluated at dps + 10 digits, dps = _DEFAULT_DPS = 50;
+    analytic identities must hold to 10^-(dps-10) = 1e-40, integer
+    identities exactly.
     """
-    if dps < 20:
-        raise ValueError(f"dps must be >= 20, so that the tolerance 10^-(dps-10) is at most 1e-10; got {dps}")
+    dps = _DEFAULT_DPS
     import mpmath as mp
 
     results: list[CheckResult] = []

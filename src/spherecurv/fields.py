@@ -259,18 +259,5 @@ def eval2(spec: ScalarField, x) -> tuple:
 
 def hess_terms(hess: Sequence) -> tuple:
     """The entries of a row-major upper-triangle Hessian that are not 0,
-    each as (h, (i, j)); hess_bilinear reads them."""
+    each as (h, (i, j)); shape.second_form sums its bilinear forms over them."""
     return tuple(compress(zip(hess, _UPPER), hess))
-
-
-def hess_bilinear(terms: Sequence, u: Sequence, v: Sequence):
-    """u^T H v for H given by hess_terms(hess), its nonzero upper entries.
-
-    Entries equal to 0 are skipped. For finite u and v their terms are zeros
-    of either sign, and adding one never changes the sum: it starts at int 0,
-    so it is never -0.0. An all-zero Hessian gives int 0.
-    """
-    acc = 0
-    for h, (i, j) in terms:
-        acc += h * u[i] * v[i] if i == j else h * (u[i] * v[j] + u[j] * v[i])
-    return acc

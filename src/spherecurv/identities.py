@@ -29,6 +29,7 @@ Index conventions (0-based internally, matching the docstrings' 1-based math):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .exact import (
     matrix_rank,
     solve_linear,
 )
-from .rng import _below, _rational_walk, draw_int, draw_rational, map_chunks
+from .rng import _below, _rational_walk, _require_int, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -487,10 +488,14 @@ def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]
     return "\n".join(lines) + "\n"
 
 
-# (hh table, mixed table, kernel) for the tables the kernel was generated
-# from; _dpsi_cleared generates it on first use and again whenever either
-# module table is replaced by another object.
-_dpsi_kernel: tuple = (None, None, None)
+@functools.cache
+def _dpsi_kernel() -> Callable:
+    """The straight-line dpsi kernel (_dpsi_source) for the module tables
+    _DPSI_HH and _DPSI_MIXED, compiled on the first dpsi call."""
+    namespace: dict = {}
+    source = _dpsi_source(_DPSI_HH, _DPSI_MIXED)
+    exec(compile(source, "<spherecurv.identities dpsi kernel>", "exec"), namespace)
+    return namespace["_dpsi_kernel"]
 
 
 def _dpsi_cleared(
@@ -506,18 +511,9 @@ def _dpsi_cleared(
     distinct value is computed once and enters with its summed weight. Its
     cofactor, the accumulator's denominator divided by the value's own, is
     taken by division checked to leave no remainder, once per key. The keys
-    run in straight-line code generated from the two tables (_dpsi_source)
-    on first use, and again when a table is replaced.
+    run in straight-line code generated from the two tables (_dpsi_kernel).
     """
-    global _dpsi_kernel
-    hh, mixed, kernel = _dpsi_kernel
-    if hh is not _DPSI_HH or mixed is not _DPSI_MIXED:
-        namespace: dict = {}
-        source = _dpsi_source(_DPSI_HH, _DPSI_MIXED)
-        exec(compile(source, "<spherecurv.identities dpsi kernel>", "exec"), namespace)
-        kernel = namespace["_dpsi_kernel"]
-        _dpsi_kernel = (_DPSI_HH, _DPSI_MIXED, kernel)
-    return kernel(a, _diag_cleared(a), d, ks, k_den, ms, m_den)
+    return _dpsi_kernel()(a, _diag_cleared(a), d, ks, k_den, ms, m_den)
 
 
 def dpsi_coeff(table: DerivativeTable) -> Fraction:
@@ -696,10 +692,7 @@ def _rational_roots(f: list[int], sturm: dict | None = None) -> list[tuple[int, 
         q, r = divmod(num * lc, den)
         m = q + (2 * r > den or (2 * r == den and q % 2 == 1))
         p, q = _reduced(m, lc)
-        # q^n f(p / q), as _value gives it
-        v, w = 0, 1
-        for c in f:
-            v, w = v * p + c * w, w * q
+        v = _value(f, p, q)
         if v:
             scaled = [c * lc**k for k, c in enumerate(f)]
             for _ in range(64):
@@ -903,8 +896,9 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     (`_real_roots`), which decide exactly whether all are real. Other input
     is solved by mpmath at `dps` decimal digits, keeping repeated roots
     accurate far beyond double precision; a root is real when its imaginary
-    part is at most 1e-10. Raises ValueError, naming the root farthest off
-    the real axis, if a root is not real. The roots returned, or the one
+    part is at most 1e-10; ValueError when it is not finite. Raises
+    ValueError, naming the root farthest off the real axis, if a root is not
+    real. The roots returned, or the one
     named, must pass a re-check (`_is_root`); where they fail, the quartic
     is solved again with its variable scaled by a power of two
     (`_scaled_roots`). Returns the four real roots ascending. mpmath is
@@ -915,6 +909,8 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
         return _recover_cleared(_primitive(clear_denominators([1, -e1, e2, -e3, e4])[0]), dps)
     import mpmath as mp
 
+    if not all(mp.isfinite(_to_mpf(v)) for v in (p1, p2, p3, e4)):
+        raise ValueError(f"power sums must be finite, got p1={p1!r}, p2={p2!r}, p3={p3!r}, e4={e4!r}")
     with mp.workdps(dps):
         e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
         coeffs = [_to_mpf(c) for c in (1, -e1, e2, -e3, e4)]
@@ -1131,6 +1127,7 @@ def run_identity_sweep(
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; choose from {sorted(_TRIALS)}")
+    _require_int(trials=trials, height=height)
     if trials < 1:
         raise ValueError("trials must be positive")
     if height < 1:

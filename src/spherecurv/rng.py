@@ -137,8 +137,17 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
             return z % n, counter
 
 
+def _require_int(**values) -> None:
+    """TypeError naming the first of values that is not a plain int: a float
+    or a bool would pass the range checks and make the draws inexact."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     """Uniform integer in [lo, hi], bias-free via rejection."""
+    _require_int(lo=lo, hi=hi)
     if lo > hi:
         raise ValueError(f"invalid int range [{lo}, {hi}]")
     value, counter = _below(stream.seed, stream.counter, hi - lo + 1)
@@ -198,6 +207,7 @@ def draw_rationals(stream: RngStream, height: int, n: int) -> tuple[tuple[Fracti
     draw_int(-height, height) and then its denominator as draw_int(1, height).
     The bound survives reduction, so the height contract is exact.
     """
+    _require_int(height=height, n=n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     pairs, counter = _rational_walk(stream.seed, stream.counter, height, n)

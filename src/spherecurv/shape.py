@@ -106,7 +106,10 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
         ea = vectors[a]
         for b in range(a, 4):
             eb = vectors[b]
-            # hess_bilinear(terms, ea, eb), in place and in its term order
+            # ea^T H eb over the nonzero upper entries only. For finite
+            # vectors a zero entry's term is a zero of either sign, and adding
+            # one cannot change a sum that starts at int 0, which is never
+            # -0.0; so the sum has the bits of the one over every entry.
             val = 0
             for h, (i, j) in terms:
                 val += h * ea[i] * eb[i] if i == j else h * (ea[i] * eb[j] + ea[j] * eb[i])

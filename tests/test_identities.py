@@ -656,6 +656,22 @@ def _expanded_psi_weights():
     return ({key: w for key, w in t.items() if w} for t in (hh, mixed))
 
 
+@pytest.fixture
+def fresh_dpsi_kernel():
+    """Clear the cached dpsi kernel before and after a test that plants
+    tables, so that each kernel is built from the tables of its call."""
+    identities._dpsi_kernel.cache_clear()
+    yield
+    identities._dpsi_kernel.cache_clear()
+
+
+def _plant(monkeypatch, table, rows):
+    """Replace the collected dpsi table `table` by rows, and drop the kernel
+    built from the one before."""
+    monkeypatch.setattr(identities, table, rows)
+    identities._dpsi_kernel.cache_clear()
+
+
 class TestCollectedPsiTerms:
     def test_tables_match_the_expanded_blocks(self):
         hh, mixed = _expanded_psi_weights()
@@ -667,7 +683,7 @@ class TestCollectedPsiTerms:
             assert n == _TRIPLES.index(tuple(sorted((x, k, l))))
 
     @pytest.mark.parametrize("table", ["_DPSI_HH", "_DPSI_MIXED"])
-    def test_sweep_catches_every_wrong_weight(self, monkeypatch, table):
+    def test_sweep_catches_every_wrong_weight(self, fresh_dpsi_kernel, monkeypatch, table):
         """An h h weight set to 0, or a mixed weight moved by one, makes the
         dpsi sweep fail; tried on every key in turn."""
         rows = getattr(identities, table)
@@ -675,14 +691,14 @@ class TestCollectedPsiTerms:
         for r, row in enumerate(rows):
             w = row[-1]
             bad = (*row[:-1], 0 if table == "_DPSI_HH" else w + 1)
-            monkeypatch.setattr(identities, table, rows[:r] + (bad,) + rows[r + 1:])
+            _plant(monkeypatch, table, rows[:r] + (bad,) + rows[r + 1:])
             assert run_identity_sweep("dpsi", 200, seed=5).failures > 0, row
 
-    def test_mixed_division_is_checked(self, monkeypatch):
+    def test_mixed_division_is_checked(self, fresh_dpsi_kernel, monkeypatch):
         """A planted mixed key whose denominator (a_1 - a_0)^2 = 49 does not
         divide D = 1008 at lam = (0, 7, 8, 9) raises. The h h division is
         held the same way by test_wrong_moment_or_cofactor_raises."""
-        monkeypatch.setattr(identities, "_DPSI_MIXED", identities._DPSI_MIXED + ((0, 1, 1, 0, -2),))
+        _plant(monkeypatch, "_DPSI_MIXED", identities._DPSI_MIXED + ((0, 1, 1, 0, -2),))
         lam = Quadruple((F(0), F(7), F(8), F(9)))
         with pytest.raises(RuntimeError, match="mixed denominator does not divide"):
             dpsi_coeff(DerivativeTable(lam, (F(1),) * 4, (F(1),) * 4))
@@ -802,20 +818,20 @@ class TestGeneratedDpsiKernel:
         assert copies[0] is not hh and copies[1] is not mixed
         assert identities._dpsi_source(*copies) == identities._dpsi_source(hh, mixed)
 
-    def test_kernel_follows_the_module_tables(self, monkeypatch):
-        """Replacing a table regenerates the kernel on the next call, and
-        putting the original back regenerates it again."""
+    def test_kernel_follows_the_module_tables(self, fresh_dpsi_kernel, monkeypatch):
+        """The kernel is built once, on the first call, from the current
+        tables; cache_clear() rebuilds it from the tables then current."""
         args = ([0, 1, 3, 7], 2, [1, 2, 3, 4], 5, [1, -1, 2, 3], 7)
         before = identities._dpsi_cleared(*args)
-        kernel = identities._dpsi_kernel[2]
+        kernel = identities._dpsi_kernel()
+        assert identities._dpsi_kernel() is kernel
         hh = identities._DPSI_HH
-        monkeypatch.setattr(identities, "_DPSI_HH", hh[1:])
+        _plant(monkeypatch, "_DPSI_HH", hh[1:])
         changed = identities._dpsi_cleared(*args)
         assert changed == _loop_dpsi_cleared(*args) != before
-        assert identities._dpsi_kernel[2] is not kernel
-        monkeypatch.setattr(identities, "_DPSI_HH", hh)
+        assert identities._dpsi_kernel() is not kernel
+        _plant(monkeypatch, "_DPSI_HH", hh)
         assert identities._dpsi_cleared(*args) == before
-        assert identities._dpsi_kernel[:2] == (hh, identities._DPSI_MIXED)
 
 
 class TestRecoverCurvatures:
@@ -854,6 +870,16 @@ class TestRecoverCurvatures:
     def test_complex_roots_rejected(self):
         with pytest.raises(ValueError):
             recover_curvatures(F(0), F(0), F(0), F(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_input_is_rejected(self, position, bad):
+        """Each once raised TypeError: unsupported operand type(s) for //
+        from mp.mag of a non-finite coefficient in _scaled_roots."""
+        sums = [0.0, 4.0, 0.0, -1.0]
+        sums[position] = bad
+        with pytest.raises(ValueError, match="^power sums must be finite"):
+            recover_curvatures(*sums)
 
     @pytest.mark.parametrize("eps", [F(1, 10**6), F(1, 10**11), F(1, 10**20)])
     def test_tiny_complex_pair_rejected(self, eps):
@@ -1015,7 +1041,7 @@ class TestRecoverCurvatures:
         recovered exactly from the whole quartic, without the Sturm
         fallback."""
 
-        def no_fallback(f, dps):
+        def no_fallback(*args):
             raise AssertionError("Sturm fallback reached")
 
         monkeypatch.setattr(identities, "_real_roots", no_fallback)
@@ -1038,10 +1064,14 @@ class TestRecoverCurvatures:
         its own, each halving evaluates s alone. The roots are those of a
         100-digit reference, rounded."""
         sturm, value = identities._sturm, identities._value
-        events = []  # each Sturm sequence built, and (polynomial, point) of each evaluation
+        # each Sturm sequence built, and (polynomial, point) of each evaluation
+        # made by _real_roots; the exact search's, by _rational_roots, are
+        # left out
+        events = []
 
         def recording_value(q, num, den):
-            events.append((q, F(num, den)))
+            if sys._getframe(1).f_code is not identities._rational_roots.__code__:
+                events.append((q, F(num, den)))
             return value(q, num, den)
 
         monkeypatch.setattr(identities, "_sturm", lambda f: events.append(sturm(f)) or events[-1])
@@ -1393,7 +1423,7 @@ def test_real_roots_are_correctly_rounded():
     assert checked > 300 and repeated_irrational > 50
 
 
-def _no_fallback(f, dps):
+def _no_fallback(*args):
     raise AssertionError("Sturm fallback reached")
 
 
@@ -1603,6 +1633,16 @@ class TestSweeps:
     def test_height_below_one_rejected(self, name, height):
         with pytest.raises(ValueError, match=f"^height must be >= 1, got {height}$"):
             run_identity_sweep(name, 5, seed=0, height=height)
+
+    @pytest.mark.parametrize("value", [1e3, 2.5, True])
+    @pytest.mark.parametrize("arg", ["height", "trials"])
+    def test_height_and_trials_must_be_plain_ints(self, arg, value):
+        """A float height once drew floats, and g2 still reported exact: true
+        with 0 failures; the other identities raised an internal TypeError
+        from math.lcm. A bool passed as 1."""
+        kwargs = {"trials": 5, "height": 1000, arg: value}
+        with pytest.raises(TypeError, match=f"^{arg} must be an int, got {value!r}$"):
+            run_identity_sweep("g2", seed=0, **kwargs)
 
     @pytest.mark.parametrize("name", ["vandermonde", "i-closed", "i-sign", "dpsi"])
     def test_height_without_four_distinct_values_rejected(self, name):

@@ -113,7 +113,7 @@ class TestPayloads:
         ]
 
     def test_catalog_payload(self):
-        entries = [(m, model_check(m, dps=30)) for m in all_models()]
+        entries = [(m, model_check(m)) for m in all_models()]
         payload = catalog_payload(entries)
         assert len(payload) == 4
         assert all(p["all_passed"] for p in payload)
@@ -158,7 +158,7 @@ class TestSchema:
         validate(json.loads(to_json(rep)), REPORT_SCHEMA)
 
     def test_catalog_report_validates(self):
-        entries = [(m, model_check(m, dps=30)) for m in all_models()]
+        entries = [(m, model_check(m)) for m in all_models()]
         config = dict(VERIFY_CONFIG, trials=None, identity=None, height=None, seed=0, workers=1)
         rep = build_report("catalog", config, catalog_payload(entries), 0.2)
         validate(json.loads(to_json(rep)), REPORT_SCHEMA)
@@ -221,7 +221,7 @@ class TestCsv:
         assert json.loads(rows[2][4]) == bad.first_counterexample
 
     def test_catalog_rows(self):
-        entries = [(m, model_check(m, dps=30)) for m in all_models()]
+        entries = [(m, model_check(m)) for m in all_models()]
         rows = _rows(to_csv("catalog", catalog_payload(entries)))
         assert rows[0] == [
             "name", "g", "multiplicities", "curvatures", "S", "R", "theta0", "all_passed",

@@ -187,6 +187,21 @@ def test_draw_rationals_rejects_a_negative_count():
         draw_rationals(RngStream(1, 5), 10, -3)
 
 
+@pytest.mark.parametrize("value", [1e3, 2.5, True])
+def test_draw_views_take_plain_int_arguments(value):
+    """draw_int(stream, 0, 2.5) once returned a float, and a float height
+    drew float rationals; a bool read as 0 or 1."""
+    stream = RngStream(1, 5)
+    for draw, arg, args in [
+        (draw_int, "lo", (value, 2000)),
+        (draw_int, "hi", (0, value)),
+        (draw_rationals, "height", (value, 4)),
+        (draw_rationals, "n", (10, value)),
+    ]:
+        with pytest.raises(TypeError, match=f"^{arg} must be an int, got {value!r}$"):
+            draw(stream, *args)
+
+
 def _reference_below_wide(stream, n):
     """Uniform integer in [0, n) for n > 2^64: ceil(bits / 64) raw draws read
     as one number, first draw most significant, by rejection."""

@@ -55,14 +55,14 @@ def test_projection_onto_equator_is_explicit():
 
 
 def test_projection_satisfies_both_constraints():
-    p = project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF, tol=1e-12)
+    p = project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF)
     assert abs(_norm(p.coords) - 1.0) <= 1e-12
     assert _residual(QUARTIC_HALF, p.coords) <= 1e-12
 
 
 def test_projection_is_idempotent():
-    p = project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF, tol=1e-13)
-    q = project_to_level(p.coords, QUARTIC_HALF, tol=1e-13)
+    p = project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF)
+    q = project_to_level(p.coords, QUARTIC_HALF)
     assert max(abs(a - b) for a, b in zip(p.coords, q.coords)) < 1e-10
 
 
@@ -145,14 +145,6 @@ def test_projection_rejects_bad_input():
         project_to_level((1.0, 0.0), EQUATOR)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
-def test_projection_tol_must_be_positive_and_finite(bad):
-    """At tol = inf the start point, 0.40 off the level, would come back
-    unprojected; at nan the stall check would never fire."""
-    with pytest.raises(ValueError, match="tol"):
-        project_to_level((0.9, -0.1, 0.2, 0.3, -0.2, 0.1), QUARTIC_HALF, tol=bad)
-
-
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
 def test_non_finite_level_is_rejected(level):
     """A NaN level once projected every start to itself, unprojected, since
@@ -171,7 +163,7 @@ def test_quadric_level_projection():
         polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 1}),
         0.25,
     )
-    p = project_to_level((0.4, 0.3, 0.5, 0.2, -0.6, 0.1), quadric, tol=1e-13)
+    p = project_to_level((0.4, 0.3, 0.5, 0.2, -0.6, 0.1), quadric)
     assert abs(p.coords[0] ** 2 + p.coords[1] ** 2 - 0.25) <= 1e-12
     assert abs(_norm(p.coords) - 1.0) <= 1e-12
 
