@@ -406,6 +406,28 @@ def _diff(x: int, y: int) -> tuple[int, str]:
     return (1, f"e{x}{y}") if x > y else (-1, f"e{y}{x}")
 
 
+# The six locals of the dpsi kernel whose product is D, each once
+_DPSI_DIFFS = ("e10", "e20", "e30", "e21", "e31", "e32")
+
+
+def _complement(
+    divisor: Sequence[tuple[int, int]], dividend: Sequence[str], message: str
+) -> tuple[int, list[str]]:
+    """(sign, names) with prod(dividend) = prod_{(x, y) in divisor} (a_x - a_y)
+    * sign * prod(names), for a multiset dividend of the kernel's difference
+    names: names are those the divisor's factors leave, sorted. Raises
+    RuntimeError(message) when a factor is 0 or not left in dividend, that
+    is, when the divisor does not divide it as a polynomial in a0..a3."""
+    sign, rest = 1, list(dividend)
+    for x, y in divisor:
+        s, name = _diff(x, y)
+        if name not in rest:
+            raise RuntimeError(message)
+        sign *= s
+        rest.remove(name)
+    return sign, sorted(rest)
+
+
 def _combination(terms: Sequence[tuple[int, str]]) -> str:
     """The int sum of weight * name over terms, written out."""
     out = ""
@@ -418,61 +440,69 @@ def _combination(terms: Sequence[tuple[int, str]]) -> str:
 
 def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]) -> str:
     """Source of `_dpsi_kernel(a, P, d, ks, k_den, ms, m_den)`, the body of
-    _dpsi_cleared for the collected tables hh and mixed, straight-line.
+    _dpsi_cleared for the collected tables hh and mixed, straight-line and
+    without a division.
 
-    Each key gets one divmod, commented with its kind and key, and its own
-    remainder check. The sign of every difference a_x - a_y with x < y is
-    folded into the key's weight, which is exact because a remainder is 0
-    for a divisor exactly when it is 0 for its negative. The products of two
-    cofactors and of two differences are bound once, and each k_c^2 and
-    m_n^2 multiplies the weighted sum of its group's quotients.
+    Each key's value is its accumulator's denominator, D^2 for h h and D for
+    mixed, divided by the key's own. That quotient is the product of the
+    differences of D^2 (or D) that the key's divisor does not use, with the
+    sign of the divisor's factors (_complement): for an h h key (c, p, q)
+    with r the fourth index, D^2 / (P_p P_q (a_c - a_p)(a_c - a_q)) =
+    +-(a_p - a_r)(a_q - a_r)(a_c - a_r)^2, and a mixed quotient is the
+    product of the four other differences. Deriving it proves, once per
+    table and for every input, that the divisor divides; a key whose divisor
+    does not, such as an h h key with c in {p, q}, raises here. The h h
+    divisors hold for P = the cofactors of a alone, so the kernel checks the
+    P it is handed against its own differences. Each quotient is bound on a
+    line commented with its kind and key, each product of two differences
+    is bound once, and each k_c^2 and m_n^2 multiplies the weighted sum of
+    its group's quotients.
     """
     lines = [
         "def _dpsi_kernel(a, P, d, ks, k_den, ms, m_den):",
         "    a0, a1, a2, a3 = a",
-        "    p0, p1, p2, p3 = P",
         "    e10, e20, e30 = a1 - a0, a2 - a0, a3 - a0",
         "    e21, e31, e32 = a2 - a1, a3 - a1, a3 - a2",
+        "    if P != [e10 * e20 * e30, -e10 * e21 * e31, e20 * e21 * e32, -e30 * e31 * e32]:",
+        "        raise RuntimeError('h h denominator does not divide D^2: P is not the cofactors of a"
+        " (unreachable)')",
         "    D = e10 * e20 * e30 * e21 * e31 * e32",
         "    D2 = D * D",
     ]
     bound: set[str] = set()
     quotients: list[str] = []
-    # {index: [(weight with the signs folded in, quotient name), ...]} for
+    # {index: [(weight times the quotient's sign, quotient name), ...]} for
     # the k_c of the h h keys and the m_n of the mixed keys
     k_groups: dict[int, list] = {}
     m_groups: dict[int, list] = {}
 
     def product(u: str, v: str) -> str:
-        """The name bound to u * v, bound on first use; "0" for a zero factor."""
-        if "0" in (u, v):
-            return "0"
+        """The name bound to u * v, bound on first use."""
         name = "_".join(sorted((u, v)))
         if name not in bound:
             bound.add(name)
             lines.append(f"    {name} = {u} * {v}")
         return name
 
-    def quotient(kind: str, key: tuple, dividend: str, divisor: str, message: str) -> str:
+    def quotient(kind: str, key: tuple, names: list[str]) -> str:
+        pairs = [product(u, v) for u, v in zip(names[::2], names[1::2])]
         q = f"q{len(quotients)}"
         quotients.append(q)
-        lines.append(f"    {q}, r = divmod({dividend}, {divisor})  # {kind} {key}")
-        lines.append("    if r:")
-        lines.append(f"        raise RuntimeError({message!r})")
+        lines.append(f"    {q} = {' * '.join(pairs)}  # {kind} {key}")
         return q
 
     for c, p, q, w in hh:
         # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
         #   = k_c^2 d^8 / (k_den^2 P_p P_q (a_c - a_p)(a_c - a_q))
-        (sp, ep), (sq, eq) = _diff(c, p), _diff(c, q)
-        divisor = f"{product(f'p{p}', f'p{q}')} * {product(ep, eq)}"
-        name = quotient("hh", (c, p, q), "D2", divisor, "h h denominator does not divide D^2 (unreachable)")
-        k_groups.setdefault(c, []).append((w * sp * sq, name))
+        divisor = [(j, x) for x in (p, q) for j in range(4) if j != x] + [(c, p), (c, q)]
+        message = "h h denominator does not divide D^2 (unreachable)"
+        sign, names = _complement(divisor, _DPSI_DIFFS * 2, message)
+        k_groups.setdefault(c, []).append((w * sign, quotient("hh", (c, p, q), names)))
     for x, k, l, n, w in mixed:
         # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 (a_k - a_x)(a_l - a_x))
-        (sk, ek), (sl, el) = _diff(k, x), _diff(l, x)
-        name = quotient("mixed", (x, k, l), "D", product(ek, el), "mixed denominator does not divide D (unreachable)")
-        m_groups.setdefault(n, []).append((w * sk * sl, name))
+        message = "mixed denominator does not divide D (unreachable)"
+        sign, names = _complement([(k, x), (l, x)], _DPSI_DIFFS, message)
+        m_groups.setdefault(n, []).append((w * sign, quotient("mixed", (x, k, l), names)))
     for acc, v, groups in (("acc_hh", "k", k_groups), ("acc_mixed", "m", m_groups)):
         parts = [f"{v}{i} * {v}{i} * ({_combination(terms)})" for i, terms in groups.items()]
         lines.append(f"    {v}0, {v}1, {v}2, {v}3 = {v}s")
@@ -510,8 +540,11 @@ def _dpsi_cleared(
     mixed terms are the collected tables _DPSI_HH and _DPSI_MIXED, so each
     distinct value is computed once and enters with its summed weight. Its
     cofactor, the accumulator's denominator divided by the value's own, is
-    taken by division checked to leave no remainder, once per key. The keys
-    run in straight-line code generated from the two tables (_dpsi_kernel).
+    the product of the differences that the value's denominator lacks,
+    proved to divide when the kernel is generated (_dpsi_source), so no
+    division runs here. The keys run in straight-line code generated from
+    the two tables (_dpsi_kernel), which is handed the moment-checked P of
+    _diag_cleared and checks it against its own differences.
     """
     return _dpsi_kernel()(a, _diag_cleared(a), d, ks, k_den, ms, m_den)
 
@@ -1035,13 +1068,22 @@ def _trial_i_closed(seed: int, height: int) -> dict | None:
     a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     pairs, _counter = _rational_walk(seed, counter, height, 4)
     ks, k_den = _cleared_four(pairs)
-    # Column l of h over k_den P_i P_j P_k: n_x = k_l d^3 prod_{y not in {x, l}} P_y.
+    # h_xl = k_l d^3 / (k_den P_x) = k_l d^3 Q_x / (k_den D), where Q_x, the
+    # product of the three differences without x, has P_x Q_x = D; that is
+    # checked against the moment-checked P. Column l is n_x = k_l d^3 Q_x
+    # over k_den D.
     P = _diag_cleared(a)
-    d3 = d**3
+    a0, a1, a2, a3 = a
+    e10, e20, e30, e21, e31, e32 = a1 - a0, a2 - a0, a3 - a0, a2 - a1, a3 - a1, a3 - a2
+    Q = (e21 * e31 * e32, -e20 * e30 * e32, e10 * e30 * e31, -e10 * e20 * e21)
+    D = e10 * e20 * e30 * Q[0]
+    if P[0] * Q[0] != D or P[1] * Q[1] != D or P[2] * Q[2] != D or P[3] * Q[3] != D:
+        raise RuntimeError("cofactor times complement is not D (unreachable)")
+    d3, col_den = d**3, k_den * D
     cols = []
     for l, (i, j, k) in enumerate(_OTHERS):
         n = ks[l] * d3
-        cols.append(((n * P[j] * P[k], n * P[i] * P[k], n * P[i] * P[j]), k_den * P[i] * P[j] * P[k]))
+        cols.append(((n * Q[i], n * Q[j], n * Q[k]), col_den))
     closed, den = _I_cleared(a, d, ks, k_den)
     if any(n * den != c * n_den for (n, n_den), c in zip(_I_def_cleared(a, d, cols), closed)):
         return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}

@@ -563,6 +563,23 @@ def test_wrong_moment_or_cofactor_raises(monkeypatch):
         dpsi_coeff(table)
 
 
+def test_wrong_cofactors_make_the_i_closed_trial_raise(monkeypatch):
+    """The i-closed columns are read from the complements Q_x with
+    P_x Q_x = D, tied to the moment-checked P: a P off by one breaks the
+    moments, and a scaled P, whose moments hold, breaks P_x Q_x = D."""
+    seed = rng._child_seed(3, 0)
+    assert identities._trial_i_closed(seed, 1000) is None
+    cofactors = identities._cofactors
+    monkeypatch.setattr(
+        identities, "_cofactors", lambda a: [p + (i == 2) for i, p in enumerate(cofactors(a))]
+    )
+    with pytest.raises(RuntimeError, match="moment"):
+        identities._trial_i_closed(seed, 1000)
+    monkeypatch.setattr(identities, "_cofactors", lambda a: [(2**61 - 1) * p for p in cofactors(a)])
+    with pytest.raises(RuntimeError, match="cofactor times complement is not D"):
+        identities._trial_i_closed(seed, 1000)
+
+
 def test_gauss_r_frozen():
     assert gauss_R(LAM_1234) == 82
 
@@ -809,8 +826,58 @@ class TestGeneratedDpsiKernel:
         keys += [f"# mixed {(x, k, l)}\n" for x, k, l, _n, _w in identities._DPSI_MIXED]
         assert len(set(keys)) == 24
         assert all(source.count(key) == 1 for key in keys)
-        assert source.count("divmod(") == 24
-        assert source.count("    if r:\n        raise RuntimeError(") == 24
+        assert source.count("divmod(") == 0
+
+    def test_each_quotient_times_its_divisor_is_D_squared_or_D(self):
+        """Certificate of the generated kernel, as polynomials in a0..a3: for
+        every key, its divisor times its quotient, with the sign the kernel
+        gives it in the weighted sums, is D^2 (h h) or D (mixed), where
+        D = prod_{i<j} (a_j - a_i). The quotients and their signs are read
+        from the generated source, so this is what the kernel computes."""
+        sympy = pytest.importorskip("sympy")
+        a = sympy.symbols("a0:4")
+        ks, ms = sympy.symbols("k0:4"), sympy.symbols("m0:4")
+        qs = sympy.symbols("q0:24")
+        values = {f"e{i}{j}": a[i] - a[j] for i in range(4) for j in range(i)}
+        sums = {**{f"k{i}": ks[i] for i in range(4)}, **{f"m{i}": ms[i] for i in range(4)}}
+        sums.update({f"q{i}": qs[i] for i in range(24)})
+        keyed = {}
+        source = identities._dpsi_source(identities._DPSI_HH, identities._DPSI_MIXED)
+        for line in source.splitlines():
+            name, _, rest = line.strip().partition(" = ")
+            if re.fullmatch(r"e\d\d_e\d\d", name):
+                values[name] = eval(rest, {}, values)
+            elif re.fullmatch(r"q\d+", name):
+                expr, kind, key = re.fullmatch(r"(.*)  # (hh|mixed) (\(.*\))", rest).groups()
+                values[name] = eval(expr, {}, values)
+                keyed[kind, eval(key)] = sympy.Symbol(name)
+            elif name in ("acc_hh", "acc_mixed"):
+                sums[name] = sympy.expand(eval(rest, {}, sums))
+        assert len(keyed) == 24
+
+        def P(i):
+            return sympy.Mul(*(a[j] - a[i] for j in range(4) if j != i))
+
+        D = sympy.Mul(*(a[j] - a[i] for i, j in itertools.combinations(range(4), 2)))
+        checks = [
+            ("hh", (c, p, q), w, ks[c], P(p) * P(q) * (a[c] - a[p]) * (a[c] - a[q]), D**2)
+            for c, p, q, w in identities._DPSI_HH
+        ] + [
+            ("mixed", (x, k, l), w, ms[n], (a[k] - a[x]) * (a[l] - a[x]), D)
+            for x, k, l, n, w in identities._DPSI_MIXED
+        ]
+        for kind, key, w, v, divisor, dividend in checks:
+            q = keyed[kind, key]
+            sign = sympy.cancel(sums[f"acc_{kind}"].coeff(q) / (w * v * v))
+            assert sign in (1, -1), (kind, key)
+            assert sympy.expand(divisor * sign * values[q.name] - dividend) == 0, (kind, key)
+
+    @pytest.mark.parametrize("key", [(0, 0, 1), (1, 0, 1), (2, 0, 2)])
+    def test_hh_key_with_c_in_pq_raises_when_the_kernel_is_built(self, fresh_dpsi_kernel, monkeypatch, key):
+        """Its divisor has the factor a_c - a_c = 0, which divides nothing."""
+        _plant(monkeypatch, "_DPSI_HH", identities._DPSI_HH + ((*key, -1),))
+        with pytest.raises(RuntimeError, match="h h denominator does not divide D"):
+            identities._dpsi_kernel()
 
     def test_equal_tables_give_identical_source(self):
         hh, mixed = identities._DPSI_HH, identities._DPSI_MIXED
@@ -1643,6 +1710,26 @@ class TestSweeps:
         kwargs = {"trials": 5, "height": 1000, arg: value}
         with pytest.raises(TypeError, match=f"^{arg} must be an int, got {value!r}$"):
             run_identity_sweep("g2", seed=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "seed, workers, error, message",
+        [
+            (1.5, 1, TypeError, "^seed must be an int, got 1.5$"),
+            (True, 1, TypeError, "^seed must be an int, got True$"),
+            (0, 0, ValueError, "^workers must be at least 1, got 0$"),
+            (0, 2.5, TypeError, "^workers must be an int, got 2.5$"),
+            (0, True, TypeError, "^workers must be an int, got True$"),
+        ],
+    )
+    def test_seed_and_workers_are_checked_before_any_trial(self, seed, workers, error, message, monkeypatch):
+        """A float seed once raised an internal TypeError from rng._child_seed,
+        and workers 0, 2.5 or True ran as if valid."""
+        def never(*args):
+            raise AssertionError("a trial ran before the arguments were checked")
+
+        monkeypatch.setitem(identities._TRIALS, "g2", (never, True, 0))
+        with pytest.raises(error, match=message):
+            run_identity_sweep("g2", 5, seed, workers=workers)
 
     @pytest.mark.parametrize("name", ["vandermonde", "i-closed", "i-sign", "dpsi"])
     def test_height_without_four_distinct_values_rejected(self, name):

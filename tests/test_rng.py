@@ -14,7 +14,8 @@ from spherecurv import (
     draw_rational,
     draw_rationals,
 )
-from spherecurv.rng import _rational_walk, chunk_bounds, map_chunks
+from spherecurv import rng
+from spherecurv.rng import _BLOCK, _output, _outputs, _rational_walk, chunk_bounds, map_chunks
 from fieldtools import draw_float, draw_u64
 
 _MASK = (1 << 64) - 1
@@ -154,13 +155,15 @@ def _reference_pair(stream, height):
     return tuple(parts), stream
 
 
-@pytest.mark.parametrize("height", [1, 2, 3, 1000, 10**6, 2**63, 2**70])
+@pytest.mark.parametrize("height", [1, 2, 3, 1000, 10**6, 2**62, 3 * 2**61, 2**63, 2**70])
 def test_draw_rationals_matches_successive_single_draws(height):
     """The int-pair walk draws what the Fraction draws read: its unreduced
     pairs are the per-value reference's, as Fractions they are draw_rationals
     and n successive draw_rational calls, and all end on one counter. At
-    2^63 and 2^70 the numerator range exceeds 2^64 and takes several raw
-    outputs per candidate."""
+    2^62 and 3 2^61 the ranges fit one output but up to half the outputs are
+    rejected, so a block of outputs runs out in mid-walk. At 2^63 and 2^70
+    the numerator range exceeds 2^64 and takes several raw outputs per
+    candidate."""
     root = RngStream(271828)
     starts = [root.split(key) for key in range(300)] + [RngStream(7, counter=2**64 - 3)]
     for start in starts:
@@ -277,6 +280,36 @@ def test_draw_gaussians_matches_successive_single_draws():
             assert [v.hex() for v in vals] == single == ref
             assert end == s == t
             assert end.counter == (start.counter + 2 * n) % 2**64
+
+
+@pytest.mark.parametrize("seed, counter", [(5, 0), (2**64 - 1, 2**64 - 3), (161803, 12345)])
+def test_outputs_are_the_single_outputs(seed, counter):
+    """Every block size from 0 to _BLOCK, also where the counter wraps."""
+    for m in range(_BLOCK + 1):
+        assert _outputs(seed, counter, m) == tuple(_output(seed, counter + i) for i in range(1, m + 1))
+
+
+def test_walkers_cross_blocks_and_cap_them(monkeypatch):
+    """Walks longer than one block read the same values as single draws, and
+    no block holds more than _BLOCK outputs."""
+    sizes = []
+    outputs = rng._outputs
+    monkeypatch.setattr(rng, "_outputs", lambda seed, counter, m: sizes.append(m) or outputs(seed, counter, m))
+    start = RngStream(31, counter=2**64 - 40)
+    for height in (1000, 2**62):
+        vals, end = draw_rationals(start, height, 150)
+        s, single = start, []
+        for _ in range(150):
+            v, s = draw_rational(s, height)
+            single.append(v)
+        assert vals == tuple(single) and end == s
+    vals, end = draw_gaussians(start, 150)
+    s, single = start, []
+    for _ in range(150):
+        v, s = draw_gaussian(s)
+        single.append(v.hex())
+    assert [v.hex() for v in vals] == single and end == s
+    assert max(sizes) == _BLOCK
 
 
 def test_draw_gaussians_rejects_a_negative_count():

@@ -326,6 +326,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_analyze(EQUATOR, 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, workers, error, message",
+        [
+            (5, 1.5, 1, TypeError, "^seed must be an int, got 1.5$"),
+            (5.0, 0, 1, TypeError, "^n must be an int, got 5.0$"),
+            (5, 0, 0, ValueError, "^workers must be at least 1, got 0$"),
+            (5, 0, 2.5, TypeError, "^workers must be an int, got 2.5$"),
+            (5, 0, True, TypeError, "^workers must be an int, got True$"),
+        ],
+    )
+    def test_sweep_arguments_are_checked_before_sampling(self, n, seed, workers, error, message, monkeypatch):
+        """A float seed once raised an internal TypeError from rng._child_seed,
+        a float n one about 'float' object as an integer, and workers 0, 2.5
+        or True ran as if valid."""
+        def never(*args):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(shape, "_sweep_point", never)
+        with pytest.raises(error, match=message):
+            sweep_analyze(EQUATOR, n, seed, workers=workers)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
     def test_f1_tol_must_be_positive_and_finite(self, bad, monkeypatch):
         """A NaN threshold would make non_isoparametric unreachable, since
