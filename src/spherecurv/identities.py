@@ -13,10 +13,10 @@ wrapper over an int core: the curvatures are scaled by a common denominator
 d to integers a_i = lam_i d, K and the mixed components are cleared the
 same way, and Fractions are built only for the returned values. The
 definition side never calls the closed forms. Each trial of the random
-sweeps gets its child stream as an int seed and walks the counter as an
-int, drawing integers (rng._below) and (numerator, denominator) int pairs
-(rng._rational_walk) that it hands to the int cores, so it stays on ints
-from draw to verdict and builds Fractions only to name a counterexample.
+sweeps gets its child stream as an int seed and reads all its inputs in
+one rng._walk from counter 0: bounded ints that it clears straight into
+the arguments of the int cores, so it stays on ints from draw to verdict
+and builds Fractions only to name a counterexample.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 # draw_int, draw_rational, solve_linear and matrix_rank are no longer called
-# here (the trials draw through _below and _rational_walk); they stay bound
+# here (the trials draw through _walk); they stay bound
 # under these names because the per-layer tracer in bench/layers.py wraps them.
 from .exact import (
     RationalLike,
@@ -48,7 +48,7 @@ from .exact import (
     matrix_rank,
     solve_linear,
 )
-from .rng import _below, _rational_walk, _require_int, draw_int, draw_rational, map_chunks
+from .rng import _below, _rational_pairs, _rational_walk, _require_int, _walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -985,11 +985,27 @@ def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in pairs], d
 
 
-def _cleared_four(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """_cleared_pairs for exactly four pairs, written out."""
-    (n0, d0), (n1, d1), (n2, d2), (n3, d3) = pairs
-    d = math.lcm(d0, d1, d2, d3)
-    return [n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), n3 * (d // d3)], d
+@functools.lru_cache(maxsize=64)
+def _ranges(height: int, rationals: int, tail: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """The _walk ranges of `rationals` rationals of the given height, each
+    a numerator range 2 height + 1 and a denominator range height, followed
+    by the ranges of `tail`."""
+    return (2 * height + 1, height) * rationals + tail
+
+
+def _cleared_drawn(vals: Sequence[int], height: int) -> tuple[list[int], int]:
+    """_cleared_pairs of the four rationals that eight values drawn below
+    _ranges(height, 4) make, written out: numerator value - height over
+    denominator value + 1."""
+    n0, e0, n1, e1, n2, e2, n3, e3 = vals
+    e0, e1, e2, e3 = e0 + 1, e1 + 1, e2 + 1, e3 + 1
+    d = math.lcm(e0, e1, e2, e3)
+    return [
+        (n0 - height) * (d // e0),
+        (n1 - height) * (d // e1),
+        (n2 - height) * (d // e2),
+        (n3 - height) * (d // e3),
+    ], d
 
 
 def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list[int], int, int]:
@@ -1002,25 +1018,53 @@ def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list
     and order are read on the ints, which share the denominator d.
     """
     while True:
-        pairs, counter = _rational_walk(seed, counter, height, 4)
-        a, d = _cleared_four(pairs)
+        vals, counter = _walk(seed, counter, _ranges(height, 4))
+        a, d = _cleared_drawn(vals, height)
         if len(set(a)) == 4:
             a.sort()
             return a, d, counter
+
+
+def _walk_after_quadruple(
+    seed: int, height: int, ranges: tuple[int, ...]
+) -> tuple[list[int], int, list[int]]:
+    """(a, d, vals): the quadruple _draw_distinct_quadruple(seed, 0, height)
+    gives, and the values drawn below ranges[8:] after it.
+
+    ranges is _ranges(height, n, tail) with n >= 4, and one walk from
+    counter 0 reads it all. When its first four rationals are distinct, they
+    are the quadruple
+    and the rest of the walk is what follows it. Otherwise the quadruple is
+    redrawn by _draw_distinct_quadruple and the rest walked from its
+    counter: exactly the draws of those two steps.
+    """
+    vals, _counter = _walk(seed, 0, ranges)
+    a, d = _cleared_drawn(vals[:8], height)
+    if len(set(a)) == 4:
+        a.sort()
+        return a, d, vals[8:]
+    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
+    vals, _counter = _walk(seed, counter, ranges[8:])
+    return a, d, vals
 
 
 def _fmt(values) -> list[str]:
     return [str(v) for v in values]
 
 
-# Each trial draws from the stream (seed, 0) that map_chunks hands it, walking
-# the counter as an int: _below(seed, counter, n) is draw_int(0, n - 1).
+def _fmt_drawn(vals: Sequence[int], height: int) -> list[str]:
+    """The reduced rationals that values drawn below _ranges(height, n) make,
+    as _fmt strings."""
+    return _fmt(Fraction(*p) for p in _rational_pairs(vals, height))
+
+
+# Each trial draws from the stream (seed, 0) that map_chunks hands it, reading
+# all its inputs in one _walk: a value below n is what draw_int(0, n - 1)
+# draws there.
 
 
 def _trial_g2(seed: int, height: int) -> dict | None:
-    k, counter = _below(seed, 0, 3)
-    num, counter = _below(seed, counter, height)
-    den, _counter = _below(seed, counter, height)
+    (k, num, den), _counter = _walk(seed, 0, (3, height, height))
     k, num, den = k + 1, num + 1, den + 1
     # lam = (l / c) sqrt(rad) and mu = (m / c) sqrt(rad), so k lam^2 + (4-k) mu^2
     # is (k l^2 + (4-k) m^2) rad_num / (c^2 rad_den), compared with num / den.
@@ -1033,29 +1077,32 @@ def _trial_g2(seed: int, height: int) -> dict | None:
 
 
 def _trial_g3(seed: int, height: int) -> dict | None:
-    choice, counter = _below(seed, 0, 3)
-    p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
-    # All three are redrawn until no two are equal, read on ints that share d.
-    while True:
-        pairs, counter = _rational_walk(seed, counter, height, 3)
-        a, d = _cleared_pairs(pairs)
-        if len(set(a)) == 3:
-            break
+    # The choice, then three rationals, in one walk. When two of the three
+    # are equal, all three are redrawn from the counter after the choice
+    # until no two are, read on ints that share d.
+    vals, _counter = _walk(seed, 0, (3,) + _ranges(height, 3))
+    a, d = _cleared_pairs(_rational_pairs(vals[1:], height))
+    if len(set(a)) < 3:
+        counter = _below(seed, 0, 3)[1]
+        while len(set(a)) < 3:
+            pairs, counter = _rational_walk(seed, counter, height, 3)
+            a, d = _cleared_pairs(pairs)
+    p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[vals[0]]
     if _g3_kernel_cleared(p, q, r, a) != 0:
         return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(Fraction(x, d) for x in a)}
     return None
 
 
-# The four-curvature trials run on ints from draw to verdict: the drawn pairs
-# go straight to the int cores, the two sides are compared by
+# The four-curvature trials run on ints from draw to verdict: the drawn values
+# are cleared straight into the int cores, the two sides are compared by
 # cross-multiplication, and Fractions are built only to name a counterexample
 # (Fraction(num, den) reduces, so the strings are those of the drawn values).
 
 
 def _trial_vandermonde(seed: int, height: int) -> dict | None:
-    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
-    [(k, k_den)], counter = _rational_walk(seed, counter, height, 1)
-    l, _counter = _below(seed, counter, 4)
+    # K_l, then l
+    a, d, (k, k_den, l) = _walk_after_quadruple(seed, height, _ranges(height, 5, (4,)))
+    k, k_den = k - height, k_den + 1
     # The system gives h_il = y_i / (det k_den), the closed form k d^3 / (k_den P_i).
     y, det = _diag_system_cleared(a, d, k)
     scale = k * d**3 * det
@@ -1065,13 +1112,24 @@ def _trial_vandermonde(seed: int, height: int) -> dict | None:
 
 
 def _trial_i_closed(seed: int, height: int) -> dict | None:
-    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
-    pairs, _counter = _rational_walk(seed, counter, height, 4)
-    ks, k_den = _cleared_four(pairs)
+    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 8))
+    ks, k_den = _cleared_drawn(vals, height)
     # h_xl = k_l d^3 / (k_den P_x) = k_l d^3 Q_x / (k_den D), where Q_x, the
     # product of the three differences without x, has P_x Q_x = D; that is
     # checked against the moment-checked P. Column l is n_x = k_l d^3 Q_x
     # over k_den D.
+    #
+    # All four terms are checked, though any one follows from the other
+    # three and _diag_cleared's moment checks. When three hold, those three
+    # P_x are D / Q_x, the true cofactors, all nonzero. The m = 0 moment
+    # check, sum_i prod_{j != i} P_j = 0, is then linear in the fourth entry
+    # P_x, with coefficient P_a P_b + P_a P_c + P_b P_c over the other
+    # three; the true cofactors satisfy sum_i 1 / P_i = 0, so that
+    # coefficient is -P_a P_b P_c / P_x, which is nonzero, and the check
+    # fixes P_x to the true cofactor. The x = 0 term alone is not enough:
+    # the moment checks hold vacuously when two entries of P are 0, so a P
+    # such as [P_0, 0, 0, y] passes them and the x = 0 term, and only the
+    # other terms reject it.
     P = _diag_cleared(a)
     a0, a1, a2, a3 = a
     e10, e20, e30, e21, e31, e32 = a1 - a0, a2 - a0, a3 - a0, a2 - a1, a3 - a1, a3 - a2
@@ -1086,25 +1144,23 @@ def _trial_i_closed(seed: int, height: int) -> dict | None:
         cols.append(((n * Q[i], n * Q[j], n * Q[k]), col_den))
     closed, den = _I_cleared(a, d, ks, k_den)
     if any(n * den != c * n_den for (n, n_den), c in zip(_I_def_cleared(a, d, cols), closed)):
-        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
+        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt_drawn(vals, height)}
     return None
 
 
 def _trial_i_sign(seed: int, height: int) -> dict | None:
-    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
-    pairs, _counter = _rational_walk(seed, counter, height, 4)
-    nums, _den = _I_cleared(a, d, *_cleared_four(pairs))
-    if any(n > 0 for n in nums):
-        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt(Fraction(*p) for p in pairs)}
+    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 8))
+    nums, _den = _I_cleared(a, d, *_cleared_drawn(vals, height))
+    if max(nums) > 0:
+        return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt_drawn(vals, height)}
     return None
 
 
 def _trial_dpsi(seed: int, height: int) -> dict | None:
-    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
     # K, then the mixed components
-    pairs, _counter = _rational_walk(seed, counter, height, 8)
-    ks, k_den = _cleared_four(pairs[:4])
-    num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_four(pairs[4:]))
+    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 12))
+    ks, k_den = _cleared_drawn(vals[:8], height)
+    num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_drawn(vals[8:], height))
     # gauss_R / 2 - sum I_l over 2 d^2 i_den
     closed, i_den = _I_cleared(a, d, ks, k_den)
     d2 = d * d
@@ -1112,15 +1168,15 @@ def _trial_dpsi(seed: int, height: int) -> dict | None:
     if num * 2 * d2 * i_den != rhs * den:
         return {
             "lam": _fmt(Fraction(x, d) for x in a),
-            "K": _fmt(Fraction(*p) for p in pairs[:4]),
-            "mixed": _fmt(Fraction(*p) for p in pairs[4:]),
+            "K": _fmt_drawn(vals[:8], height),
+            "mixed": _fmt_drawn(vals[8:], height),
         }
     return None
 
 
 def _trial_recover(seed: int, height: int) -> dict | None:
-    pairs, _counter = _rational_walk(seed, 0, height, 4)
-    a, d = _cleared_four(pairs)
+    vals, _counter = _walk(seed, 0, _ranges(height, 4))
+    a, d = _cleared_drawn(vals, height)
     a.sort()
     a0, a1, a2, a3 = a
     s0, s1, s2, s3 = a0 * a0, a1 * a1, a2 * a2, a3 * a3

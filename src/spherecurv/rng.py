@@ -3,24 +3,29 @@
 The generator is SplitMix64 (Steele, Lea, Flood 2014): output i of a stream
 with seed s is mix64(s + (i+1)*GOLDEN) where mix64 is the published finalizer.
 Every draw is a pure function of (seed, counter), so two plain ints carry
-all of a stream's state. The walkers (_below, _rational_walk and the
-Box-Muller loop of draw_gaussians) take and return them as ints. _below,
-which reads one output at a time, runs the SplitMix64 step inline on the
-running state seed + counter GOLDEN; the walkers that read many take them a
-block at a time from _outputs, which mixes up to _BLOCK states at once as
-lanes of one int. The RngStream value API sits on top: drawing returns the
-drawn scalar together with the advanced stream, and any stream can be split
-into an independent child without touching the parent. All arithmetic is 64-bit wrapping integer
+all of a stream's state. There is one walk of bounded draws, _walk(seed,
+counter, ranges): it takes its raw outputs a block at a time from _outputs,
+which mixes up to _BLOCK states at once as lanes of one int, and returns
+one value below each range with the final counter. _below is its one-range
+case (and keeps its own multi-word path for ranges beyond 2^64),
+_rational_walk reads rationals from it, and the exact sweeps walk it
+directly; draw_gaussians reads _outputs itself. The RngStream value API
+sits on top: drawing returns the drawn scalar together with the advanced
+stream, and any stream can be split into an independent child without
+touching the parent. All arithmetic is 64-bit wrapping integer
 arithmetic, identical on every platform. `map_chunks` is the one sweep
 driver: it hands item i of a sweep the int seed `_child_seed(seed, i)` of
-child stream `RngStream(seed).split(i)`, at counter 0, so cutting the index
-range into chunks for worker processes cannot change the results.
+child stream `RngStream(seed).split(i)`, at counter 0, computed a block of
+items at a time by _child_seeds, so cutting the index range into chunks
+for worker processes cannot change the results.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -52,8 +57,14 @@ class RngStream:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", self.seed & _MASK64)
-        object.__setattr__(self, "counter", self.counter & _MASK64)
+        # Most streams are built from ints already below 2^64, so a field is
+        # written only when the mask changes it or it is not a plain int (a
+        # bool such as True is stored as 1).
+        seed, counter = self.seed, self.counter
+        if type(seed) is not int or seed & _MASK64 != seed:
+            object.__setattr__(self, "seed", seed & _MASK64)
+        if type(counter) is not int or counter & _MASK64 != counter:
+            object.__setattr__(self, "counter", counter & _MASK64)
 
     def split(self, key: int) -> "RngStream":
         """Derive an independent child stream from an integer key."""
@@ -77,12 +88,14 @@ def chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
 
 def _map_chunk(fn, seed: int, start: int, stop: int, *args) -> list[tuple]:
     """The (i, result) pairs of map_chunks for i in [start, stop), each item
-    handed the int seed of its child stream."""
+    handed the int seed of its child stream; the seeds come _BLOCK at a time
+    from _child_seeds."""
     out = []
-    for i in range(start, stop):
-        result = fn(_child_seed(seed, i), *args)
-        if result is not None:
-            out.append((i, result))
+    for block in range(start, stop, _BLOCK):
+        children = _child_seeds(seed, block, min(_BLOCK, stop - block))
+        for i, result in enumerate(map(fn, children, *map(itertools.repeat, args)), block):
+            if result is not None:
+                out.append((i, result))
     return out
 
 
@@ -145,10 +158,31 @@ def _outputs(seed: int, counter: int, m: int) -> tuple[int, ...]:
     host.
     """
     ones, ramp, mask, unpack = _lanes(m)
-    z = (((seed + counter * _GOLDEN) & _MASK64) * ones + ramp) & mask
+    z = _mix_lanes((((seed + counter * _GOLDEN) & _MASK64) * ones + ramp) & mask, mask)
+    return unpack(z.to_bytes(16 * m, "little"))
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """mix64 of every 128-bit lane of z, each lane below 2^64, as _outputs
+    describes: the low 64 bits of each lane of the result are its mix, and
+    the high half holds bits of the next lane."""
     z = ((z ^ z >> 30) & mask) * _MIX1 & mask
     z = ((z ^ z >> 27) & mask) * _MIX2 & mask
-    return unpack((z ^ z >> 31).to_bytes(16 * m, "little"))
+    return z ^ z >> 31
+
+
+def _child_seeds(seed: int, start: int, m: int) -> tuple[int, ...]:
+    """_child_seed(seed, key) for key = start, ..., start + m - 1, for
+    0 <= m <= _BLOCK, computed at once.
+
+    The inner mixes mix64((key + 1) GOLDEN) are the lanes of _outputs(0,
+    start, m); each is masked to its low word and XORed with the seed's low
+    64 bits in every lane, and the outer mix runs once for all lanes.
+    """
+    ones, ramp, mask, unpack = _lanes(m)
+    inner = _mix_lanes(((start * _GOLDEN & _MASK64) * ones + ramp) & mask, mask)
+    z = _mix_lanes((inner & mask) ^ (seed & _MASK64) * ones, mask)
+    return unpack(z.to_bytes(16 * m, "little"))
 
 
 def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
@@ -158,8 +192,7 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
     A candidate is the next `words` raw outputs read as one number, first
     output most significant: one up to n = 2^64, and ceil(bits(n) / 64)
     beyond, so that it spans at least n and at least half of its range is
-    accepted. With one word the SplitMix64 step runs inline on the running
-    state seed + counter GOLDEN.
+    accepted. Up to 2^64 it is _walk over the one range.
     """
     if n > 1 << 64:
         words = -(-n.bit_length() // 64)
@@ -172,16 +205,55 @@ def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
                 raw = raw << 64 | _output(seed, counter)
             if raw < limit:
                 return raw % n, counter
-    limit = (1 << 64) - (1 << 64) % n
-    state = (seed + counter * _GOLDEN) & _MASK64
-    while True:
-        counter += 1
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        z ^= z >> 31
-        if z < limit:
-            return z % n, counter
+    (value,), counter = _walk(seed, counter, (n,))
+    return value, counter
+
+
+@functools.lru_cache(maxsize=256)
+def _least_limit(ranges: tuple[int, ...]) -> int | None:
+    """The least rejection limit over the ranges of a block, or None when a
+    range exceeds 2^64. The limit of a range n is 2^64 - 2^64 mod n, the
+    largest multiple of n not above 2^64; an output at or above it is
+    rejected. Cached, since a sweep walks the same blocks trial after
+    trial."""
+    if max(ranges) > 1 << 64:
+        return None
+    return (1 << 64) - max((1 << 64) % n for n in ranges)
+
+
+def _walk(seed: int, counter: int, ranges: tuple[int, ...]) -> tuple[list[int], int]:
+    """One uniform value below each range (each at least 1), in order, with
+    the counter of the last output used: exactly the values and counter of
+    successive _below calls.
+
+    The outputs come from _outputs a block at a time, as many as the ranges
+    still need when nothing more is rejected, and at most _BLOCK. When the
+    largest output of a block lies below the least limit of its ranges, no
+    output is rejected and the block is mapped to its values at once;
+    otherwise the block is read one output at a time, each against the
+    next range's limit, and the walk goes on from the next output. From a
+    block holding a range beyond 2^64 on, the ranges are drawn one at a time
+    by _below.
+    """
+    vals = []
+    while (start := len(vals)) < len(ranges):
+        block = ranges[start : start + _BLOCK]
+        least = _least_limit(block)
+        if least is None:
+            for n in ranges[start:]:
+                value, counter = _below(seed, counter, n)
+                vals.append(value)
+            break
+        outs = _outputs(seed, counter, len(block))
+        counter += len(outs)
+        if max(outs) < least:
+            vals += map(operator.mod, outs, block)
+        else:
+            for z in outs:
+                n = ranges[len(vals)]
+                if z < (1 << 64) - (1 << 64) % n:
+                    vals.append(z % n)
+    return vals, counter
 
 
 def _require_int(**values) -> None:
@@ -206,38 +278,22 @@ def _rational_walk(seed: int, counter: int, height: int, n: int) -> tuple[list[t
     height, unreduced, with the counter of the last output used.
 
     Each pair draws its numerator as _below(2 height + 1) - height and then
-    its denominator as _below(height) + 1. For ranges up to 2^64 the raw
-    outputs come from _outputs, as many per block as the pairs still need
-    when nothing more is rejected, so every output of a block is used: each
-    is read in order against the same rejection limits as _below's, and a
-    block that rejections use up is followed by the next. Wider ranges go
-    through _below. This is the one rational draw: draw_rationals is its
-    Fraction view and the exact sweeps read the ints.
+    its denominator as _below(height) + 1: _walk over n such range pairs,
+    read by _rational_pairs. This is the one rational draw: draw_rationals
+    is its Fraction view and the exact sweeps read the ints.
     """
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    span = 2 * height + 1
-    pairs = []
-    if span > 1 << 64:
-        for _ in range(n):
-            num, counter = _below(seed, counter, span)
-            den, counter = _below(seed, counter, height)
-            pairs.append((num - height, den + 1))
-        return pairs, counter
-    num_limit = (1 << 64) - (1 << 64) % span
-    den_limit = (1 << 64) - (1 << 64) % height
-    num = None  # the accepted numerator of a pair still without denominator
-    while len(pairs) < n:
-        m = min(2 * (n - len(pairs)) - (num is not None), _BLOCK)
-        for z in _outputs(seed, counter, m):
-            if num is None:
-                if z < num_limit:
-                    num = z % span - height
-            elif z < den_limit:
-                pairs.append((num, z % height + 1))
-                num = None
-        counter += m
-    return pairs, counter
+    vals, counter = _walk(seed, counter, (2 * height + 1, height) * n)
+    return _rational_pairs(vals, height), counter
+
+
+def _rational_pairs(vals: list[int], height: int) -> list[tuple[int, int]]:
+    """The (numerator, denominator) pairs of walk values drawn below
+    2 height + 1 and height in turn: each numerator value minus height, and
+    each denominator value plus 1."""
+    it = iter(vals)
+    return [(num - height, den + 1) for num, den in zip(it, it)]
 
 
 def draw_rationals(stream: RngStream, height: int, n: int) -> tuple[tuple[Fraction, ...], RngStream]:
@@ -268,6 +324,7 @@ def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStr
     [0, 1) as its top 53 bits times 2^-53. The 2n outputs come from _outputs
     a block at a time, and one stream is built at the end.
     """
+    _require_int(n=n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     seed, counter = stream.seed, stream.counter

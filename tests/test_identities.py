@@ -1779,6 +1779,66 @@ def test_int_quadruple_draw_matches_fraction_draw(height):
         assert redrawn > 100
 
 
+def _sequential_inputs(name, stream, height):
+    """The inputs of one g3 or four-curvature trial drawn one step at a time
+    through the public draws, as its counterexample names them, and whether
+    the first triple or quadruple repeated a value, so that it was redrawn."""
+    if name == "g3":
+        choice, stream = rng.draw_int(stream, 0, 2)
+        lams, stream = draw_rationals(stream, height, 3)
+        repeated = len(set(lams)) < 3
+        while len(set(lams)) < 3:
+            lams, stream = draw_rationals(stream, height, 3)
+        p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[choice]
+        return repeated, {"p": str(p), "q": str(q), "r": str(r), "lams": [str(v) for v in lams]}
+    repeated = len(set(draw_rationals(stream, height, 4)[0])) < 4
+    quad, stream = _reference_distinct_quadruple(stream, height)
+    found = {"lam": [str(v) for v in quad.lam]}
+    if name == "vandermonde":
+        K_l, stream = draw_rational(stream, height)
+        l, stream = rng.draw_int(stream, 0, 3)
+        return repeated, dict(found, K_l=str(K_l), l=str(l))
+    K, stream = draw_rationals(stream, height, 4)
+    found["K"] = [str(v) for v in K]
+    if name == "dpsi":
+        mixed, stream = draw_rationals(stream, height, 4)
+        found["mixed"] = [str(v) for v in mixed]
+    return repeated, found
+
+
+# identity -> (the core its trial compares, that core's result spoiled so the
+# trial fails on every input and names all it drew): the kernel dimension
+# 1; the first system entry off by one, against a nonzero cofactor; every
+# closed sum off by one, against a nonzero denominator; a positive I_1; the
+# divergence numerator off by its nonzero denominator.
+_ALWAYS_WRONG = {
+    "g3": ("_g3_kernel_cleared", lambda r: 1),
+    "vandermonde": ("_diag_system_cleared", lambda r: ([r[0][0] + 1, *r[0][1:]], r[1])),
+    "i-closed": ("_I_cleared", lambda r: ([c + 1 for c in r[0]], r[1])),
+    "i-sign": ("_I_cleared", lambda r: ((abs(r[0][0]) + 1, *r[0][1:]), r[1])),
+    "dpsi": ("_dpsi_cleared", lambda r: (r[0] + r[1], r[1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALWAYS_WRONG))
+def test_one_walk_trials_draw_the_sequential_inputs(name, monkeypatch):
+    """Each trial reads its inputs in one walk; when the first triple or
+    quadruple repeats a value, it falls back to redrawing it step by step.
+    Height 2 offers 7 distinct values, so both paths run, and on both the
+    trial names exactly the inputs of the step-by-step draws."""
+    attr, spoil = _ALWAYS_WRONG[name]
+    core = getattr(identities, attr)
+    monkeypatch.setattr(identities, attr, lambda *args: spoil(core(*args)))
+    trial = identities._TRIALS[name][0]
+    root = RngStream(31)
+    repeats = 0
+    for key in range(200):
+        repeated, expected = _sequential_inputs(name, root.split(key), 2)
+        assert trial(root.split(key).seed, 2) == expected
+        repeats += repeated
+    assert 20 < repeats < 180
+
+
 def _fraction_trial_vandermonde(stream, height):
     """The vandermonde trial as it was on Fractions, through the public
     functions; kept as the reference the int trial must equal."""
@@ -1926,6 +1986,17 @@ def test_int_trials_match_fraction_trials(name, height, monkeypatch):
         assert found == reference(root.split(key), height)
         failed += found is not None
     assert 60 < failed < 240
+
+
+def test_recover_sweep_fails_on_a_root_off_by_a_millionth(monkeypatch):
+    """Correct roots come back correctly rounded, so the trial's 1e-9 bound
+    is never reached by a working core; one root moved by 1e-6 must fail
+    every trial and report its error, or a loosened bound would pass."""
+    core = identities._recover_cleared
+    monkeypatch.setattr(identities, "_recover_cleared", lambda *args: (lambda r: (r[0] + 1e-6, *r[1:]))(core(*args)))
+    verdict = run_identity_sweep("recover", 20, seed=5)
+    assert verdict.failures == 20
+    assert 0.9e-6 < float(verdict.first_counterexample["max_error"]) < 1.1e-6
 
 
 _TRIAL2_LAM = ["-1", "0", "1/2", "1"]

@@ -190,16 +190,18 @@ def test_draw_rationals_rejects_a_negative_count():
         draw_rationals(RngStream(1, 5), 10, -3)
 
 
-@pytest.mark.parametrize("value", [1e3, 2.5, True])
+@pytest.mark.parametrize("value", [1e3, 2.0, 2.5, True])
 def test_draw_views_take_plain_int_arguments(value):
     """draw_int(stream, 0, 2.5) once returned a float, and a float height
-    drew float rationals; a bool read as 0 or 1."""
+    drew float rationals; a bool read as 0 or 1. draw_gaussians(stream, 2.5)
+    raised an internal TypeError from range, and n=True drew one value."""
     stream = RngStream(1, 5)
     for draw, arg, args in [
         (draw_int, "lo", (value, 2000)),
         (draw_int, "hi", (0, value)),
         (draw_rationals, "height", (value, 4)),
         (draw_rationals, "n", (10, value)),
+        (draw_gaussians, "n", (value,)),
     ]:
         with pytest.raises(TypeError, match=f"^{arg} must be an int, got {value!r}$"):
             draw(stream, *args)
@@ -289,6 +291,50 @@ def test_outputs_are_the_single_outputs(seed, counter):
         assert _outputs(seed, counter, m) == tuple(_output(seed, counter + i) for i in range(1, m + 1))
 
 
+# Range tuples for _walk: the g2 trial's; ranges that reject up to half of
+# the outputs (2^63 + 1) or a quarter (3 2^61) next to ones that reject none
+# (1, 2^62, 2^64); a walk of 150 that crosses _BLOCK with rejections in its
+# blocks; and ranges beyond 2^64 in the first block or after it.
+_WALK_RANGES = [
+    (3, 1000, 1000),
+    (2**62, 3 * 2**61, 2**64, 2**63 + 1) * 5,
+    (2001, 1000, 3 * 2**61, 2**63 + 1, 1, 2**64) * 25,
+    (5, 2**64 + 1, 2**70, 9),
+    (2001, 1000) * 35 + (2**70, 3),
+    (),
+]
+
+
+@pytest.mark.parametrize("ranges", _WALK_RANGES, ids=lambda r: f"{len(r)}-ranges-from-{r[:1]}")
+def test_walk_is_successive_single_draws(ranges):
+    """One walk draws the values and ends on the counter of successive
+    per-value draws on _output, also from a counter about to wrap."""
+    root = RngStream(5150)
+    starts = [root.split(key) for key in range(60)] + [RngStream(7, counter=2**64 - 3)]
+    rejected = 0
+    for start in starts:
+        vals, counter = rng._walk(start.seed, start.counter, ranges)
+        s, ref = start, []
+        for n in ranges:
+            v, s = _reference_below(s, n)
+            ref.append(v)
+        assert vals == ref
+        assert RngStream(start.seed, counter) == s
+        rejected += (s.counter - start.counter) % 2**64 > len(ranges)
+    if any(n == 2**63 + 1 for n in ranges):
+        assert rejected > len(starts) // 2
+
+
+def test_child_seeds_are_the_single_child_seeds():
+    """Every block size from 0 to _BLOCK, for seeds the mask wraps and for
+    keys about to wrap."""
+    for seed in (77, -1, 2**64 + 5):
+        for start in (0, 75, 2**64 - 10):
+            for m in range(_BLOCK + 1):
+                expected = tuple(rng._child_seed(seed, start + i) for i in range(m))
+                assert rng._child_seeds(seed, start, m) == expected
+
+
 def test_walkers_cross_blocks_and_cap_them(monkeypatch):
     """Walks longer than one block read the same values as single draws, and
     no block holds more than _BLOCK outputs."""
@@ -341,6 +387,18 @@ def test_seed_and_counter_wrap_to_64_bits():
     assert s.counter == 9
 
 
+@pytest.mark.parametrize("seed, counter", [(True, False), (-1, -2), (2**64 - 1, 2**64), (5, 9)])
+def test_stream_fields_are_masked_plain_ints(seed, counter):
+    """Fields already below 2^64 are kept as given; the rest, bools
+    included, are stored masked, so values, ==, hash and repr are those of
+    the masked ints."""
+    s = RngStream(seed, counter)
+    masked = RngStream(int(seed) % 2**64, int(counter) % 2**64)
+    assert (s.seed, s.counter) == (masked.seed, masked.counter)
+    assert type(s.seed) is int and type(s.counter) is int
+    assert s == masked and hash(s) == hash(masked) and repr(s) == repr(masked)
+
+
 def test_chunk_bounds_clamp_to_items_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert chunk_bounds(10, 1000) == [(0, 2), (2, 5), (5, 7), (7, 10)]
@@ -364,6 +422,22 @@ def test_map_chunks_runs_a_single_chunk_in_process():
 def _odd_child_seed(seed, offset):
     """Module level, so a worker process can receive it."""
     return seed + offset if seed % 2 else None
+
+
+def _own_seed(seed):
+    """Module level, so a worker process can receive it."""
+    return seed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [77, -1, 2**64 + 5])
+def test_map_chunks_hands_out_child_seeds_across_blocks(seed, workers, monkeypatch):
+    """150 items take three blocks of child seeds; at workers 2 the second
+    chunk starts at item 75, inside a block. The CLI passes any int --seed,
+    so seeds the mask wraps are included."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = [(i, RngStream(seed).split(i).seed) for i in range(150)]
+    assert map_chunks(_own_seed, 150, workers, seed) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
