@@ -69,7 +69,7 @@ class SymMat4:
 _IDENTITY = tuple(tuple(float(i == j) for j in range(N)) for i in range(N))
 
 
-def _off_norm(a: list[list[float]]) -> float:
+def _off_norm(a: Sequence[Sequence[float]]) -> float:
     (_, a01, a02, a03), (_, _, a12, a13), (_, _, _, a23), _ = a
     return math.sqrt(0 + a01**2 + a02**2 + a03**2 + a12**2 + a13**2 + a23**2)
 
@@ -79,13 +79,18 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
 
     Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
     """
-    a = [list(row) for row in m.rows]
-    v = [list(row) for row in _IDENTITY]
+    # a and v stay the input's tuples until the first rotation, so an m
+    # already within the threshold (a diagonal one) is not copied into lists
+    a = m.rows
+    v = _IDENTITY
     threshold = _OFF_FACTOR * max(m.frobenius(), 1e-300)
 
-    for _ in range(_SWEEP_CAP):
+    for sweep in range(_SWEEP_CAP):
         if _off_norm(a) <= threshold:
             break
+        if not sweep:
+            a = [list(row) for row in a]
+            v = [list(row) for row in v]
         for p in range(N - 1):
             for q in range(p + 1, N):
                 apq = a[p][q]

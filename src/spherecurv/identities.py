@@ -929,7 +929,8 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     (`_real_roots`), which decide exactly whether all are real. Other input
     is solved by mpmath at `dps` decimal digits, keeping repeated roots
     accurate far beyond double precision; a root is real when its imaginary
-    part is at most 1e-10; ValueError when it is not finite. Raises
+    part is at most 1e-10 times the largest root modulus; ValueError when
+    the input is not finite. Raises
     ValueError, naming the root farthest off the real axis, if a root is not
     real. The roots returned, or the one
     named, must pass a re-check (`_is_root`); where they fail, the quartic
@@ -950,7 +951,8 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
         for solve in (_roots, _scaled_roots):
             roots = solve(coeffs)
             worst = max(roots, key=lambda rt: abs(mp.im(rt)))
-            real = abs(mp.im(worst)) <= mp.mpf("1e-10")
+            # relative to the roots' scale, so tiny complex roots are not real
+            real = abs(mp.im(worst)) <= mp.mpf("1e-10") * max(abs(rt) for rt in roots)
             # the roots returned, or the one named, must be roots
             if all(_is_root(coeffs, rt) for rt in (roots if real else [worst])):
                 break

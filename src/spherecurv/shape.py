@@ -221,7 +221,10 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
     if g != 3:
         theta0, residual = fit_theta0(distinct_desc)
 
-    return CurvatureReport(
+    # CurvatureReport has no __post_init__, so filling its fields directly
+    # skips no check and saves the frozen __init__'s setattr per field
+    rep = object.__new__(CurvatureReport)
+    rep.__dict__.update(
         point=point.coords,
         lambdas=lambdas,
         f1=f1,
@@ -237,6 +240,7 @@ def curvature_report(spec: LevelSpec, point: SpherePoint) -> CurvatureReport:
         theta0=theta0,
         theta0_residual=residual,
     )
+    return rep
 
 
 def _kahan_sum(values: Sequence[float]) -> float:

@@ -119,7 +119,7 @@ def project_to_level(x0: Sequence[float], spec: LevelSpec) -> SpherePoint:
     if len(x0) != N_VARS:
         raise ValueError("start point must have 6 components")
     tol = _TOL
-    x = tuple([float(c) for c in x0])
+    x = tuple(map(float, x0))
     level = spec.level
     value, grad = eval1(spec.field, x)
     p0, p1, p2, p3, p4, p5 = x
@@ -200,12 +200,11 @@ def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float,
         if len(anchors) == N_VARS:
             break
         v0, v1, v2, v3, v4, v5 = seed
-        # second pass stabilizes near-dependent seeds
-        for _pass in range(2):
-            for a0, a1, a2, a3, a4, a5 in anchors:
-                t = -(0 + v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
-                v0, v1, v2 = v0 + t * a0, v1 + t * a1, v2 + t * a2
-                v3, v4, v5 = v3 + t * a3, v4 + t * a4, v5 + t * a5
+        # two passes over the anchors; the second stabilizes near-dependent seeds
+        for a0, a1, a2, a3, a4, a5 in anchors * 2:
+            t = -(0 + v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4 + v5 * a5)
+            v0, v1, v2 = v0 + t * a0, v1 + t * a1, v2 + t * a2
+            v3, v4, v5 = v3 + t * a3, v4 + t * a4, v5 + t * a5
         n = math.sqrt(0 + v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4 + v5 * v5)
         if n < _SEED_SKIP_EPS:
             continue
@@ -226,7 +225,8 @@ def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
         comps, stream = draw_gaussians(stream, N_VARS)
         n = _norm(comps)
         if n > 1e-8:
-            return SpherePoint(tuple([c / n for c in comps])), stream
+            c0, c1, c2, c3, c4, c5 = comps
+            return SpherePoint((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), stream
 
 
 def sample_level_point(spec: LevelSpec, stream: RngStream) -> tuple[SpherePoint, RngStream]:

@@ -227,16 +227,73 @@ def _hex(value):
     return tuple(_hex(v) for v in value)
 
 
+def _eigen_outcome(fn):
+    """fn()'s floats by float.hex, or the type and text of what it raised."""
+    try:
+        return _hex(fn())
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _skip_edge_upper():
+    """A matrix whose entry (0, 1) equals threshold * 1e-2 exactly, the
+    largest entry the sweep skips, next to an entry (2, 3) that makes the
+    first sweep run. Rotating (0, 1) would give eigenvectors an entry near
+    1e-16 where the skip leaves 0.0."""
+    upper = [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.5, 4.0]
+    while True:
+        threshold = 1e-14 * max(SymMat4.from_upper(upper).frobenius(), 1e-300)
+        if upper[1] == threshold * 1e-2:
+            return upper
+        upper[1] = threshold * 1e-2
+
+
+_DIAGONAL = (0, 4, 7, 9)  # the diagonal entries among the 10 upper ones
+
+
+def _edge_uppers(rng):
+    """Matrices with a nan or an infinite entry, among random entries or
+    among zeros of either sign; random ones scaled by 1e-300 and by 1e300;
+    all-zero ones; the skip edge; and ones the first off-diagonal norm test
+    already accepts: diagonal ones with signed-zero or tiny nonzero
+    off-diagonal entries and tied or ordered diagonals."""
+    def zeros():
+        return [rng.choice((0.0, -0.0)) for _ in range(10)]
+
+    out = [_skip_edge_upper()]
+    for _ in range(12):
+        upper = [rng.gauss(0.0, 1.0) for _ in range(10)]
+        diagonal = zeros()
+        for k, d in zip(_DIAGONAL, rng.choice(([3.0, 1.0, 2.0, -1.0], [2.0, 2.0, -0.0, 2.0], upper[:4]))):
+            diagonal[k] = d
+        out += [diagonal, [x if k in _DIAGONAL else rng.choice((1e-20, -1e-20, 0.0)) for k, x in enumerate(diagonal)]]
+        for bad in (math.nan, math.inf, -math.inf):
+            for base in (upper, zeros()):
+                planted = list(base)
+                planted[rng.randrange(10)] = bad
+                out.append(planted)
+        out += [[x * 1e-300 for x in upper], [x * 1e300 for x in upper], zeros()]
+    return out
+
+
 def test_kernels_match_the_loop_form_bit_for_bit():
     """3000 seeded matrices with signed zeros, sparse rows and repeated
-    entries: Frobenius norm, eigenvalues and eigenvectors by float.hex."""
+    entries, and the edge matrices of _edge_uppers: Frobenius norm,
+    eigenvalues and eigenvectors by float.hex. A nan entry is not skipped
+    (abs(nan) <= skip is false), so it rotates and spreads; a nan Frobenius
+    norm keeps the threshold nan (max(nan, 1e-300) is nan), so a zero entry
+    is not skipped either, and its rotation divides by zero."""
     rng = random.Random("sym-eigen-kernels")
+    uppers = []
     for n in range(3000):
         upper = [rng.choice((0.0, -0.0, 1.0, -2.5)) if rng.random() < 0.2 else rng.gauss(0.0, 1.0)
                  for _ in range(10)]
         if n % 7 == 0:
             upper = [rng.choice((0.0, -0.0)) for _ in range(10)]
             upper[rng.randrange(10)] = rng.gauss(0.0, 1.0)
+        uppers.append(upper)
+    for n, upper in enumerate(uppers + _edge_uppers(rng)):
         m = SymMat4.from_upper(upper)
-        values, vectors = sym_eigen(m)
-        assert _hex((m.frobenius(), values, vectors)) == _hex(_ref_sym_eigen(m)), n
+        assert _eigen_outcome(lambda: (m.frobenius(), *sym_eigen(m))) == _eigen_outcome(
+            lambda: _ref_sym_eigen(m)), n
+

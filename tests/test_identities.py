@@ -1629,6 +1629,19 @@ class TestRootSearch:
         assert min(abs(complex(r) - root) for r in roots) <= 1e-12 * abs(root)
         assert abs(root.real) == pytest.approx(abs(root.imag), rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-250, 1e-200])
+    def test_tiny_float_complex_roots_are_not_real(self, scale):
+        """Float power sums all `scale` have four roots of modulus about
+        scale^(1/4), off the axis at 45 degrees. Judged by an absolute 1e-10
+        bound their imaginary parts read as real, and the real parts came
+        back, (-7.07e-76, -7.07e-76, 7.07e-76, 7.07e-76) for 1e-300; the bound
+        relative to the largest root modulus names one of the four."""
+        with pytest.raises(ValueError, match="not real") as info:
+            recover_curvatures(scale, scale, scale, scale)
+        root = complex(str(info.value).removeprefix("curvature root is not real: ").replace(" ", ""))
+        assert abs(root.real) == pytest.approx(abs(root.imag), rel=1e-9)
+        assert abs(root) == pytest.approx(scale ** 0.25, rel=0.5)
+
     @pytest.mark.parametrize("f", [[1, 0, -6, 0, 1], [1, 0, -5, 0, 6]], ids=["x^4-6x^2+1", "x^4-5x^2+6"])
     def test_stalled_search_hands_its_gcd_to_the_fallback(self, f, monkeypatch):
         """Integer Newton stalls on these square-free quartics; the Sturm

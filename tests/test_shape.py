@@ -8,6 +8,7 @@ gradient) as well as the magnitudes:
   x1^2 + x2^2 + x3^2 = 1/2  at (1/sqrt2, 0, 0, 1/sqrt2, 0, 0) -> (1, 1, -1, -1)
 """
 
+import dataclasses
 import inspect
 import math
 import random
@@ -429,6 +430,24 @@ def test_second_form_and_power_sums_match_the_loop_forms_bit_for_bit(surface):
         rep = curvature_report(spec, point)
         assert _hex(rep.lambdas) == _hex(sym_eigen(got)[0]), i
         assert _hex((rep.f1, rep.f2, rep.f3, rep.f4, rep.K)) == _hex(_ref_power_sums(rep.lambdas)), i
+
+
+@pytest.mark.parametrize("spec, point", [(M13, M13_POINT), (M22, M22_POINT), (EQUATOR, None)],
+                         ids=["m13", "m22", "equator"])
+def test_curvature_report_equals_the_checked_constructor(spec, point):
+    """curvature_report fills CurvatureReport's fields without its __init__;
+    the value equals, hashes and prints as the constructed one, and its
+    fields stay frozen. That skips no check only while the class has no
+    __post_init__; adding one fails here, so the fill must be revisited."""
+    assert not hasattr(shape.CurvatureReport, "__post_init__")
+    if point is None:
+        point, _ = sample_level_point(spec, RngStream(5))
+    rep = curvature_report(spec, point)
+    built = shape.CurvatureReport(**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
+    assert rep == built and hash(rep) == hash(built) and repr(rep) == repr(built)
+    assert vars(rep) == vars(built) and list(vars(rep)) == list(vars(built))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.g = 0
 
 
 def _gauss_with_zeros(rng):

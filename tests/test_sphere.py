@@ -306,6 +306,50 @@ def test_projection_and_frame_match_the_loop_forms_bit_for_bit(surface):
     assert projected == n
 
 
+def _frame_outcome(fn, p, normal):
+    """The frame by float.hex, or the text of the ValueError. float.hex
+    reads every nan as 'nan': the sign bit of a nan that a float operation
+    returns is the C compiler's choice of operand order, and the kernel and
+    the loop form already differ there."""
+    try:
+        return _hex(fn(SpherePoint(p), normal))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _unit(k, sign=1.0):
+    return tuple(sign if i == k else 0.0 for i in range(N_VARS))
+
+
+_INF, _NAN = math.inf, math.nan
+FRAME_EDGE_CASES = {
+    # signed zeros in p and in the normal
+    "signed-zeros": ((0.6, -0.0, 0.8, 0.0, -0.0, 0.0), (-0.0, 1.0, 0.0, -0.0, 0.0, -0.0)),
+    "signed-zeros-mixed": ((-0.0, 0.6, -0.0, -0.8, 0.0, -0.0), (0.0, -0.0, -0.6, -0.0, -0.8, 0.0)),
+    "negative-zero-normal": ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), (-0.0, -0.0, -0.0, -1.0, -0.0, -0.0)),
+    # p = +-e_k, so seed e_k leaves a zero residual and is skipped
+    **{f"p=e{k}": (_unit(k), _unit((k + 1) % N_VARS)) for k in range(N_VARS)},
+    **{f"p=-e{k}": (_unit(k, -1.0), _unit((k + 2) % N_VARS, -1.0)) for k in range(N_VARS)},
+    "p=e0-tilted-normal": (_unit(0), (0.0, 0.6, 0.0, -0.8, 0.0, 0.0)),
+    # the normal equal to p: only its own seed is skipped
+    "normal=p": (_unit(2), _unit(2)),
+    # non-finite coordinates
+    "nan-in-p": ((0.6, _NAN, 0.8, 0.0, 0.0, 0.0), _unit(1)),
+    "inf-in-p": ((_INF, 1.0, 0.0, 0.0, 0.0, 0.0), _unit(2)),
+    "minus-inf-in-normal": (_unit(4), (0.0, -_INF, 0.0, 0.0, 0.0, 0.0)),
+    "nan-in-normal": ((0.0, 0.6, 0.0, 0.8, 0.0, 0.0), (_NAN, 0.0, 0.0, 0.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_EDGE_CASES))
+def test_frame_matches_the_loop_form_on_edge_inputs(case):
+    """tangent_basis bit for bit against the loop form: signed zeros,
+    coordinate axes whose own seed is skipped, and non-finite coordinates,
+    which fill the frame with nans."""
+    p, normal = FRAME_EDGE_CASES[case]
+    assert _frame_outcome(tangent_basis, p, normal) == _frame_outcome(_ref_tangent_basis, p, normal)
+
+
 @pytest.mark.parametrize("start, level, kind", [
     (None, cartan_level(math.pi / 8), "ok"),  # the near-focal start
     ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.5, "FocalPointError"),
