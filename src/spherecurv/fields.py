@@ -11,14 +11,13 @@ are built in, and arbitrary tables can be given directly:
                homogeneous family with four distinct curvatures
   polynomial   arbitrary polynomial given by an exponent-tuple table
 
-The kind is only a label for reports. At construction each field is
-differentiated once into 6 gradient tables and 21 upper-triangle Hessian
-tables, compiled into one plan over a shared monomial chain. Integral
-coefficients are kept as int, so rational points give exact Fractions and
-float points give floats.
+The kind is only a label for reports. Integral coefficients are kept as
+int, so rational points give exact Fractions and float points give floats.
 
-eval1 and eval2 run straight-line Python generated from that plan on a
-field's first evaluation: one multiplication per monomial, then each table
+On a field's first evaluation its table is differentiated into 6 gradient
+tables and 21 upper-triangle Hessian tables, compiled into one plan over a
+shared monomial chain, and eval1 and eval2 run straight-line Python
+generated from that plan: one multiplication per monomial, then each table
 as one sum written out left to right from int 0. That is the order in which
 sum() adds floats on Python 3.11, and the golden statistics hold its bits;
 from 3.12 on sum() compensates float sums, so a written-out sum keeps the
@@ -32,8 +31,8 @@ left out of a field's pickled state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import compress
 from typing import Mapping, Sequence
@@ -89,31 +88,17 @@ def _compile(tables: Sequence[Table]) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Polynomial field; its derivative tables are built once, at construction."""
+    """Polynomial field; its derivative tables are built on first evaluation."""
 
     kind: str
     coeffs: Table
     index: int | None = None
-    _plan: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        grad = tuple(_derivative(self.coeffs, i) for i in range(N_VARS))
-        hess = tuple(_derivative(grad[i], j) for i, j in _UPPER)
-        object.__setattr__(self, "_plan", _compile((self.coeffs,) + grad + hess))
 
     @cached_property
     def _evaluators(self) -> tuple:
-        """(eval1, eval2) functions of the point for this table, generated on
-        first use.
-
-        The cache key holds each coefficient's type, so a table with 1.0
-        never gets the functions built for an equal-comparing 1.
-        """
-        key = tuple((exps, type(c), c) for exps, c in self.coeffs)
-        fns = _EVALUATORS.get(key)
-        if fns is None:
-            fns = _EVALUATORS[key] = _generate(self._plan)
-        return fns
+        """(eval1, eval2) for this table; the key holds each coefficient's
+        type, so a 1.0 never gets the functions built for an equal 1."""
+        return _built(tuple((exps, type(c), c) for exps, c in self.coeffs))
 
     def __getstate__(self) -> dict:
         """Pickled state without the generated functions, which do not
@@ -193,11 +178,6 @@ def _check_point(x) -> None:
             raise ValueError("non-finite point component")
 
 
-# Evaluators generated from a coefficient table, shared by every field with
-# that table in this process; see ScalarField._evaluators.
-_EVALUATORS: dict = {}
-
-
 def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str:
     """Source of `name(x)`: the tables in plans at the point x, straight-line.
 
@@ -232,9 +212,18 @@ def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str
     return "\n".join(lines) + "\n"
 
 
-def _generate(plan: tuple) -> tuple:
-    """(eval1, eval2) for a compiled plan, as functions of the point alone."""
-    chain, plans = plan
+def _plan(coeffs: Table) -> tuple:
+    """_compile's plan for a table's value, gradient and Hessian tables."""
+    grad = tuple(_derivative(coeffs, i) for i in range(N_VARS))
+    hess = tuple(_derivative(grad[i], j) for i, j in _UPPER)
+    return _compile((coeffs,) + grad + hess)
+
+
+@cache
+def _built(key: tuple) -> tuple:
+    """(eval1, eval2) of the point for the table of (exps, type, coefficient)
+    triples key, built once per process and shared by equal fields."""
+    chain, plans = _plan(tuple((exps, c) for exps, _, c in key))
     cname: dict = {}
     for cs, _ in plans:
         for c in cs:

@@ -51,6 +51,7 @@ from .exact import (
 from .rng import _below, _rational_pairs, _rational_walk, _require_int, _walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
+_RECOVER_DPS = 50  # digits naming a non-real rational root; the float solve's floor
 
 
 def _four(name: str, vals: Sequence[RationalLike]) -> Quad:
@@ -125,6 +126,7 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
     """
     if k not in (1, 2, 3):
         raise ValueError(f"multiplicity k must be 1, 2 or 3, got {k}")
+    _require_int(k=k)
     S = as_rational(S)
     if S == 0:
         raise ValueError("S = 0 collapses both curvatures to zero (degenerate)")
@@ -152,6 +154,7 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     for name, m in (("p", p), ("q", q), ("r", r)):
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"multiplicity {name} must be a positive integer, got {m}")
+    _require_int(p=p, q=q, r=r)
     if p + q + r != 4:
         raise ValueError(f"multiplicities must sum to 4, got {p}+{q}+{r}")
     vals = tuple(as_rational(v) for v in lams)
@@ -250,6 +253,7 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
     """
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
+    _require_int(l=l)
     a, d = clear_denominators(lam.lam)
     K_l = as_rational(K_l)
     y, det = _diag_system_cleared(a, d, K_l.numerator)
@@ -831,7 +835,7 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _real_roots(f: list[int], dps: int, sturm: dict | None = None) -> list[float]:
+def _real_roots(f: list[int], sturm: dict | None = None) -> list[float]:
     """The roots of the integer polynomial f, with multiplicity, as correctly
     rounded floats; ValueError when one is not real.
 
@@ -839,17 +843,18 @@ def _real_roots(f: list[int], dps: int, sturm: dict | None = None) -> list[float
     once. Sturm counts of s on dyadic intervals (lo, hi] split (-b, b], b a
     power of two above the roots of every Sturm term, until each root has its
     own; at +-b each term has the sign of its leading term, as at +-infinity,
-    so unless (-b, b] holds deg s roots, mpmath at dps digits names the root
-    farthest off the real axis, found again at more digits when its
-    imaginary part reads 0 at dps, and with s scaled when it is not a root. An interval with one root is halved by the
-    sign of s at the midpoint against its sign at hi, until hi is the root,
-    as a tie between two floats ends, or both ends round to one float, the
-    correctly rounded root since rounding is monotone. The sign at hi comes
-    from the Sturm count that isolated the interval and then from the
-    halving before, so s is evaluated once per point. g gives the repeated
-    roots. Counts never run on f, all of whose Sturm terms vanish at a
-    repeated root. A sequence that `sturm` holds under tuple(p), as
-    _rational_roots leaves it, is not built again.
+    so unless (-b, b] holds deg s roots, mpmath at _RECOVER_DPS digits names
+    the root farthest off the real axis, found again at more digits when its
+    imaginary part reads 0 there, and with s scaled when it is not a root.
+    An interval with one root is halved by the sign of s at the midpoint
+    against its sign at hi, until hi is the root, as a tie between two
+    floats ends, or both ends round to one float, the correctly rounded root
+    since rounding is monotone. The sign at hi comes from the Sturm count
+    that isolated the interval and then from the halving before, so s is
+    evaluated once per point. g gives the repeated roots. Counts never run
+    on f, all of whose Sturm terms vanish at a repeated root. A sequence
+    that `sturm` holds under tuple(p), as _rational_roots leaves it, is not
+    built again.
     """
     sturm = sturm or {}
     roots = []
@@ -865,14 +870,14 @@ def _real_roots(f: list[int], dps: int, sturm: dict | None = None) -> list[float
         if vlo - vhi != len(s) - 1:
             import mpmath as mp
 
-            # When the worst root's imaginary part reads 0 at dps digits, the
-            # coefficients' spread hid the pair, so it is named again at as
-            # many more digits as the largest coefficient has; either way the
-            # message is written at dps digits. A worst root off the axis that
-            # fails _is_root is found again with s scaled (_scaled_roots).
+            # When the worst root's imaginary part reads 0 at _RECOVER_DPS,
+            # the coefficients' spread hid the pair, so it is named again at
+            # as many more digits as the largest coefficient has; either way
+            # the message is written at _RECOVER_DPS. A worst root off the
+            # axis that fails _is_root is found again scaled (_scaled_roots).
             digits = math.ceil(max(abs(c).bit_length() for c in s) * math.log10(2))
-            with mp.workdps(dps):
-                for prec in (dps, dps + digits):
+            with mp.workdps(_RECOVER_DPS):
+                for prec in (_RECOVER_DPS, _RECOVER_DPS + digits):
                     with mp.workdps(prec):
                         coeffs = [_to_mpf(c) for c in s]
                         worst = max(_roots(coeffs), key=lambda rt: abs(mp.im(rt)))
@@ -909,16 +914,16 @@ def _real_roots(f: list[int], dps: int, sturm: dict | None = None) -> list[float
     return roots
 
 
-def _recover_cleared(f: list[int], dps: int = 50) -> tuple[float, ...]:
+def _recover_cleared(f: list[int]) -> tuple[float, ...]:
     """The roots of the primitive integer polynomial f, ascending, as
     correctly rounded floats: the rational path of recover_curvatures."""
     sturm: dict = {}
     exact = _rational_roots(f, sturm)
     # int / int is correctly rounded, as float(Fraction(p, q)) is
-    return tuple(sorted(_real_roots(f, dps, sturm) if exact is None else (p / q for p, q in exact)))
+    return tuple(sorted(_real_roots(f, sturm) if exact is None else (p / q for p, q in exact)))
 
 
-def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, float, float]:
+def recover_curvatures(p1, p2, p3, e4) -> tuple[float, float, float, float]:
     """Curvature quadruple from power sums p1, p2, p3 and product e4.
 
     Newton's identities convert the power sums to elementary symmetric
@@ -927,25 +932,24 @@ def recover_curvatures(p1, p2, p3, e4, dps: int = 50) -> tuple[float, float, flo
     back correctly rounded: found exactly when all are rational
     (`_rational_roots`), else isolated by Sturm counts and bisected on ints
     (`_real_roots`), which decide exactly whether all are real. Other input
-    is solved by mpmath at `dps` decimal digits, keeping repeated roots
-    accurate far beyond double precision; a root is real when its imaginary
-    part is at most 1e-10 times the largest root modulus; ValueError when
-    the input is not finite. Raises
-    ValueError, naming the root farthest off the real axis, if a root is not
-    real. The roots returned, or the one
-    named, must pass a re-check (`_is_root`); where they fail, the quartic
-    is solved again with its variable scaled by a power of two
-    (`_scaled_roots`). Returns the four real roots ascending. mpmath is
+    is solved by mpmath at the mpmath context's precision, but at least
+    _RECOVER_DPS digits, keeping repeated roots accurate far beyond double
+    precision; a root is real when its imaginary part is at most 1e-10
+    times the largest root modulus; ValueError when the input is not
+    finite. Raises ValueError, naming the root farthest off the real axis,
+    if a root is not real. The roots returned, or the one named, must pass
+    a re-check (`_is_root`); where they fail, the quartic is solved again
+    with its variable scaled by a power of two (`_scaled_roots`). Returns the four real roots ascending. mpmath is
     loaded only for input that is not rational or to name a non-real root.
     """
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
-        return _recover_cleared(_primitive(clear_denominators([1, -e1, e2, -e3, e4])[0]), dps)
+        return _recover_cleared(_primitive(clear_denominators([1, -e1, e2, -e3, e4])[0]))
     import mpmath as mp
 
     if not all(mp.isfinite(_to_mpf(v)) for v in (p1, p2, p3, e4)):
         raise ValueError(f"power sums must be finite, got p1={p1!r}, p2={p2!r}, p3={p3!r}, e4={e4!r}")
-    with mp.workdps(dps):
+    with mp.workdps(max(_RECOVER_DPS, mp.mp.dps)):
         e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
         coeffs = [_to_mpf(c) for c in (1, -e1, e2, -e3, e4)]
         for solve in (_roots, _scaled_roots):

@@ -307,8 +307,6 @@ def sweep_analyze(
     failures = [f"point {r[0]}: {r[2]}" for r in rows if not r[1]]
     if len(failures) > MAX_FAILURE_FRACTION * n:
         raise RuntimeError(f"{len(failures)}/{n} projections failed; first: {failures[0]}")
-    if not ok_rows:
-        raise RuntimeError("no surface point could be sampled")
 
     max_abs_f1 = max(abs(r[2]) for r in ok_rows)
     s_vals = [r[3] for r in ok_rows]

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from spherecurv import N_VARS, RngStream, ScalarField, polynomial_field
-from spherecurv.fields import _convolve
+from spherecurv.fields import _convolve, _plan
 from spherecurv.rng import _output
 
 # Upper-triangle Hessian layout: row i holds columns i..5.
@@ -28,7 +28,7 @@ def run_plan(spec: ScalarField, x, n_tables: int) -> list:
     walking the field's compiled plan: each monomial is its parent times one
     coordinate, from the constant 1, and each table is summed left to right
     from int 0. fields.eval1 and eval2 must give these results bit for bit."""
-    chain, plans = spec._plan
+    chain, plans = _plan(spec.coeffs)
     mono = [1]
     for parent, var in chain:
         mono.append(mono[parent] * x[var])

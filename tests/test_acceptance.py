@@ -234,7 +234,7 @@ def test_criterion_10_invariant_recovery():
 
     with mp.workdps(60):
         p3 = 8 * mp.sqrt(3) / 3
-        roots_b = recover_curvatures(F(0), F(4), p3, F(-1, 3), dps=60)
+        roots_b = recover_curvatures(F(0), F(4), p3, F(-1, 3))
     s3 = math.sqrt(3)
     expected_b = [-1 / s3, -1 / s3, -1 / s3, s3]
     dev_b = max(abs(x - y) for x, y in zip(roots_b, expected_b))

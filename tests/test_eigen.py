@@ -227,12 +227,12 @@ def _hex(value):
     return tuple(_hex(v) for v in value)
 
 
-def _eigen_outcome(fn):
-    """fn()'s floats by float.hex, or the type and text of what it raised."""
+def _ref_outcome(m):
+    """_ref_sym_eigen(m)'s floats by float.hex, or None where it raises."""
     try:
-        return _hex(fn())
-    except ArithmeticError as exc:
-        return type(exc).__name__, str(exc)
+        return _hex(_ref_sym_eigen(m))
+    except ArithmeticError:
+        return None
 
 
 def _skip_edge_upper():
@@ -254,13 +254,16 @@ _DIAGONAL = (0, 4, 7, 9)  # the diagonal entries among the 10 upper ones
 def _edge_uppers(rng):
     """Matrices with a nan or an infinite entry, among random entries or
     among zeros of either sign; random ones scaled by 1e-300 and by 1e300;
-    all-zero ones; the skip edge; and ones the first off-diagonal norm test
+    all-zero ones; the skip edge; ones the first off-diagonal norm test
     already accepts: diagonal ones with signed-zero or tiny nonzero
-    off-diagonal entries and tied or ordered diagonals."""
+    off-diagonal entries and tied or ordered diagonals; and two finite ones
+    whose Frobenius norm overflows only through the diagonal, so that the
+    threshold is inf."""
     def zeros():
         return [rng.choice((0.0, -0.0)) for _ in range(10)]
 
-    out = [_skip_edge_upper()]
+    out = [_skip_edge_upper(), [1e200, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, -1e200, 0.0, 2.0],
+           [1e200, 1.0, 0.5, 0.0, 1e200, 0.0, 0.0, 1.0, 1e150, -2.0]]
     for _ in range(12):
         upper = [rng.gauss(0.0, 1.0) for _ in range(10)]
         diagonal = zeros()
@@ -279,10 +282,11 @@ def _edge_uppers(rng):
 def test_kernels_match_the_loop_form_bit_for_bit():
     """3000 seeded matrices with signed zeros, sparse rows and repeated
     entries, and the edge matrices of _edge_uppers: Frobenius norm,
-    eigenvalues and eigenvectors by float.hex. A nan entry is not skipped
-    (abs(nan) <= skip is false), so it rotates and spreads; a nan Frobenius
-    norm keeps the threshold nan (max(nan, 1e-300) is nan), so a zero entry
-    is not skipped either, and its rotation divides by zero."""
+    eigenvalues and eigenvectors by float.hex. A matrix with a nan or an
+    infinite entry, or one on which the loop form raises, raises ValueError:
+    there the loop form divides by zero on a nan threshold (a nan entry is
+    not skipped, and max(nan, 1e-300) is nan), returns nans after 100
+    sweeps, or overflows squaring an off-diagonal entry."""
     rng = random.Random("sym-eigen-kernels")
     uppers = []
     for n in range(3000):
@@ -292,8 +296,30 @@ def test_kernels_match_the_loop_form_bit_for_bit():
             upper = [rng.choice((0.0, -0.0)) for _ in range(10)]
             upper[rng.randrange(10)] = rng.gauss(0.0, 1.0)
         uppers.append(upper)
+    rejected = 0
     for n, upper in enumerate(uppers + _edge_uppers(rng)):
         m = SymMat4.from_upper(upper)
-        assert _eigen_outcome(lambda: (m.frobenius(), *sym_eigen(m))) == _eigen_outcome(
-            lambda: _ref_sym_eigen(m)), n
+        want = _ref_outcome(m)
+        if want is None or not all(map(math.isfinite, upper)):
+            with pytest.raises(ValueError, match="sym_eigen"):
+                sym_eigen(m)
+            rejected += 1
+        else:
+            assert _hex((m.frobenius(), *sym_eigen(m))) == want, n
+    assert rejected == 12 * 7  # the 72 with a nan or an inf, the 12 scaled by 1e300
+
+
+@pytest.mark.parametrize(
+    "upper, message",
+    [
+        ([math.nan] + [0.0] * 9, r"^sym_eigen needs finite entries, got \(\(nan, 0\.0, 0\.0, 0\.0\), "),
+        ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, -math.inf, 1.0], r"needs finite entries, .*-inf"),
+        ([1.0, 2e154, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], "^sym_eigen: an off-diagonal entry's square overflows$"),
+    ],
+)
+def test_extreme_entries_raise_value_error(upper, message):
+    """Where the loop form raised ZeroDivisionError (nan), returned nans or
+    raised OverflowError (2e154 squared), sym_eigen raises ValueError."""
+    with pytest.raises(ValueError, match=message):
+        sym_eigen(SymMat4.from_upper(upper))
 

@@ -52,7 +52,6 @@ def test_settable_values_are_pinned():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     params += _defaulted(member, f"{name}.{attr}")
     assert sorted(params) == [
-        "recover_curvatures.dps",
         "run_identity_sweep.height",
         "run_identity_sweep.workers",
         "sweep_analyze.f1_tol",
@@ -64,4 +63,4 @@ def test_settable_values_are_pinned():
         "--surface", "--t", "--samples", "--tol",
         "--identity", "--trials", "--height",
     }
-    assert len(params) + len(options) == 16
+    assert len(params) + len(options) == 15

@@ -322,6 +322,25 @@ def _fraction_I_closed(lam, K):
     return tuple(-K[l] * K[l] * brackets[l] / (D * D) for l in range(4))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: g2_solve(True, 4), "k"),
+        (lambda: g2_solve(2.0, 4), "k"),
+        (lambda: g3_kernel(True, True, 2, (F(0), F(1), F(2))), "p"),
+        (lambda: g3_kernel(1, 2, True, (F(0), F(1), F(2))), "r"),
+        (lambda: diag_from_system(LAM_1234, F(1), True), "l"),
+        (lambda: diag_from_system(LAM_1234, F(1), 3.0), "l"),
+    ],
+    ids=["g2-k-bool", "g2-k-float", "g3-p-bool", "g3-r-bool", "system-l-bool", "system-l-float"],
+)
+def test_counts_and_indices_must_be_ints(call, name):
+    """A bool or an integral float passes the range checks, as 1 or 3 would;
+    it is a TypeError naming the argument, as in the draws."""
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        call()
+
+
 class TestInteractionSums:
     K_ONES = (F(1), F(1), F(1), F(1))
 
@@ -915,7 +934,7 @@ class TestRecoverCurvatures:
         """Triple root -1/sqrt(3) next to sqrt(3) needs precise p3."""
         with mp.workdps(60):
             p3 = 8 * mp.sqrt(3) / 3
-            roots = recover_curvatures(F(0), F(4), p3, F(-1, 3), dps=60)
+            roots = recover_curvatures(F(0), F(4), p3, F(-1, 3))
         s3 = math.sqrt(3)
         assert roots == pytest.approx([-1 / s3, -1 / s3, -1 / s3, s3], abs=1e-9)
 
@@ -1179,7 +1198,7 @@ class TestRecoverCurvatures:
 
         monkeypatch.setattr(identities, "_sturm", lambda g: passes.append([]) or sturm(g))
         monkeypatch.setattr(identities, "_value", recording_value)
-        got = identities._real_roots(f, 50)
+        got = identities._real_roots(f)
         assert sum(len(calls) - len(set(calls)) for calls in passes) == 0
         with mp.workdps(100):
             ref = [float(mp.re(rt)) for p in _square_free_parts(f) for rt in mp.polyroots(p)]
@@ -1209,11 +1228,12 @@ class TestRecoverCurvatures:
             return polyroots(*args, **kwargs)
 
         monkeypatch.setattr(mp, "polyroots", counted)
-        if raises:
-            with pytest.raises(ValueError, match="not real"):
-                recover_curvatures(*p, dps=dps)
-        else:
-            got = recover_curvatures(*p, dps=dps)
+        with mp.workdps(dps):
+            if raises:
+                with pytest.raises(ValueError, match="not real"):
+                    recover_curvatures(*p)
+            else:
+                got = recover_curvatures(*p)
         rational = all(isinstance(v, F) for v in p)
         assert (next(calls) >= 1) == (raises or not rational)
         if rational and not raises:
@@ -1363,9 +1383,9 @@ def _check_real_roots_count(f, count):
     distinct = len(_reference_square_free_parts(f)[0]) - 1
     if count < distinct:
         with pytest.raises(ValueError, match="not real"):
-            identities._real_roots(f, 50)
+            identities._real_roots(f)
     else:
-        assert count == distinct and len(set(identities._real_roots(f, 50))) == count
+        assert count == distinct and len(set(identities._real_roots(f))) == count
 
 
 def test_square_free_parts_and_root_count_match_reference():
@@ -1480,11 +1500,11 @@ def test_real_roots_are_correctly_rounded():
         parts = _square_free_parts(f)
         if any(_reference_real_root_count(p) != len(p) - 1 for p in parts):
             with pytest.raises(ValueError, match="not real"):
-                identities._real_roots(f, 50)
+                identities._real_roots(f)
             continue
         with mp.workdps(100):
             ref = sorted(float(mp.re(rt)) for p in parts for rt in identities._roots([mp.mpf(c) for c in p]))
-        assert sorted(identities._real_roots(f, 50)) == ref
+        assert sorted(identities._real_roots(f)) == ref
         checked += 1
         repeated_irrational += any(identities._rational_roots(p) is None for p in parts[1:])
     assert checked > 300 and repeated_irrational > 50
@@ -1628,6 +1648,22 @@ class TestRootSearch:
                                  maxsteps=500, extraprec=2000)
         assert min(abs(complex(r) - root) for r in roots) <= 1e-12 * abs(root)
         assert abs(root.real) == pytest.approx(abs(root.imag), rel=1e-9)
+
+    @pytest.mark.parametrize("context_dps, want", [(15, 50), (50, 50), (80, 80)])
+    def test_solve_precision_follows_the_mpmath_context(self, context_dps, want, monkeypatch):
+        """Float input is solved at the context's precision, at least 50
+        digits; a non-real root of rational input is named at 50 digits
+        whatever the context, so its message does not move."""
+        seen = []
+        roots = identities._roots
+        monkeypatch.setattr(identities, "_roots", lambda coeffs: seen.append(mp.mp.dps) or roots(coeffs))
+        with mp.workdps(context_dps):
+            recover_curvatures(0.0, 12.0, 0.0, 1.0)
+            with pytest.raises(ValueError, match="not real") as info:
+                recover_curvatures(F(0), F(0), F(0), F(1))
+        assert seen == [want, 50]
+        assert str(info.value) == ("curvature root is not real: (-0.70710678118654752440084436210484903928483593768847"
+                                   " + 0.70710678118654752440084436210484903928483593768847j)")
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-250, 1e-200])
     def test_tiny_float_complex_roots_are_not_real(self, scale):

@@ -296,6 +296,15 @@ class TestSweep:
         stats = sweep_analyze(spec, 12, seed=2, f1_tol=10.0)
         assert stats.verdict == "inconclusive"
 
+    def test_one_signature_that_no_model_matches_in_s_is_inconclusive(self):
+        """Every row has g = 2 with multiplicities (1, 3), clifford_1_3's
+        signature, but S = 5 where that model has 4, so the verdict falls
+        through the model loop; at S = 4 the same rows name the model."""
+        rows = [(i, True, 0.0, 5.0, 0.0, 2, (3, 1), None) for i in range(3)]
+        assert shape._classify(rows, 0.0, 1e-8) == "inconclusive"
+        rows = [row[:3] + (4.0,) + row[4:] for row in rows]
+        assert shape._classify(rows, 0.0, 1e-8) == "clifford_1_3"
+
     def test_worker_count_does_not_change_results(self):
         serial = sweep_analyze(CARTAN_MIN, 24, seed=9, workers=1)
         parallel = sweep_analyze(CARTAN_MIN, 24, seed=9, workers=3)

@@ -145,6 +145,16 @@ def test_projection_rejects_bad_input():
         project_to_level((1.0, 0.0), EQUATOR)
 
 
+def test_projection_rejects_the_origin():
+    with pytest.raises(ValueError, match="cannot project the origin"):
+        project_to_level((0.0,) * N_VARS, EQUATOR)
+
+
+def test_sphere_point_needs_six_coordinates():
+    with pytest.raises(ValueError, match=r"points live in R\^6"):
+        SpherePoint((1.0, 0.0, 0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
 def test_non_finite_level_is_rejected(level):
     """A NaN level once projected every start to itself, unprojected, since
