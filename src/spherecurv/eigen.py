@@ -78,20 +78,21 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
     """Eigenvalues (ascending) and matching orthonormal eigenvectors (as rows).
 
     Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
-    ValueError for a nan or inf entry or an off-diagonal square that overflows.
+    ValueError on a nan or inf entry, or where the norm overflows on a large off-diagonal part.
     """
     # a and v stay the input's tuples until the first rotation, so an m
     # already within the threshold (a diagonal one) is not copied into lists
     a = m.rows
     v = _IDENTITY
     if not (frobenius := m.frobenius()) < math.inf:
-        # a nan or inf spreads or divides by zero; _off_norm's squares overflow
-        if not all(map(math.isfinite, sum(a, ()))):
-            raise ValueError(f"sym_eigen needs finite entries, got {a}")
+        # a nan or inf spreads or divides by zero; for finite entries the inf
+        # threshold stops at once, right only for a negligible off-diagonal part
         try:
-            _off_norm(a)
-        except OverflowError:
-            raise ValueError("sym_eigen: an off-diagonal entry's square overflows") from None
+            bad = not _off_norm(a) <= _OFF_FACTOR * max(abs(a[k][k]) for k in range(N))
+        except OverflowError:  # an off-diagonal square
+            bad = True
+        if bad or not all(map(math.isfinite, sum(a, ()))):
+            raise ValueError(f"sym_eigen needs finite entries, off-diagonal ones negligible if the norm overflows, got {a}")
     threshold = _OFF_FACTOR * max(frobenius, 1e-300)
 
     for sweep in range(_SWEEP_CAP):

@@ -51,7 +51,7 @@ from .exact import (
 from .rng import _below, _rational_pairs, _rational_walk, _require_int, _walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
-_RECOVER_DPS = 50  # digits naming a non-real rational root; the float solve's floor
+_RECOVER_DPS = 50  # digits of the float solve and of naming a non-real rational root
 
 
 def _four(name: str, vals: Sequence[RationalLike]) -> Quad:
@@ -847,14 +847,13 @@ def _real_roots(f: list[int], sturm: dict | None = None) -> list[float]:
     the root farthest off the real axis, found again at more digits when its
     imaginary part reads 0 there, and with s scaled when it is not a root.
     An interval with one root is halved by the sign of s at the midpoint
-    against its sign at hi, until hi is the root, as a tie between two
-    floats ends, or both ends round to one float, the correctly rounded root
-    since rounding is monotone. The sign at hi comes from the Sturm count
-    that isolated the interval and then from the halving before, so s is
-    evaluated once per point. g gives the repeated roots. Counts never run
-    on f, all of whose Sturm terms vanish at a repeated root. A sequence
-    that `sturm` holds under tuple(p), as _rational_roots leaves it, is not
-    built again.
+    against its sign at hi, until hi is the root, as a tie between two floats
+    ends, or both ends round to one float: the correctly rounded root, as
+    rounding is monotone. The sign at hi comes from the Sturm count that
+    isolated the interval, then from the halving before, so s is evaluated
+    once per point. g gives the repeated roots. Counts never run on f, all of
+    whose Sturm terms vanish at a repeated root. Sequences in `sturm`, keyed
+    by tuple(p) as _rational_roots leaves them, are not built again.
     """
     sturm = sturm or {}
     roots = []
@@ -932,15 +931,15 @@ def recover_curvatures(p1, p2, p3, e4) -> tuple[float, float, float, float]:
     back correctly rounded: found exactly when all are rational
     (`_rational_roots`), else isolated by Sturm counts and bisected on ints
     (`_real_roots`), which decide exactly whether all are real. Other input
-    is solved by mpmath at the mpmath context's precision, but at least
-    _RECOVER_DPS digits, keeping repeated roots accurate far beyond double
-    precision; a root is real when its imaginary part is at most 1e-10
-    times the largest root modulus; ValueError when the input is not
-    finite. Raises ValueError, naming the root farthest off the real axis,
-    if a root is not real. The roots returned, or the one named, must pass
-    a re-check (`_is_root`); where they fail, the quartic is solved again
-    with its variable scaled by a power of two (`_scaled_roots`). Returns the four real roots ascending. mpmath is
-    loaded only for input that is not rational or to name a non-real root.
+    is solved by mpmath at _RECOVER_DPS digits, whatever the mpmath context,
+    keeping repeated roots accurate far beyond double precision; a root is
+    real when its imaginary part is at most 1e-10 times the largest root
+    modulus; ValueError when the input is not finite. Raises ValueError,
+    naming the root farthest off the real axis, if a root is not real. The
+    roots returned, or the one named, must pass a re-check (`_is_root`);
+    where they fail, the quartic is solved again with its variable scaled by
+    a power of two (`_scaled_roots`). Returns the four real roots ascending;
+    mpmath is loaded only for input that is not rational or to name one.
     """
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
@@ -949,7 +948,7 @@ def recover_curvatures(p1, p2, p3, e4) -> tuple[float, float, float, float]:
 
     if not all(mp.isfinite(_to_mpf(v)) for v in (p1, p2, p3, e4)):
         raise ValueError(f"power sums must be finite, got p1={p1!r}, p2={p2!r}, p3={p3!r}, e4={e4!r}")
-    with mp.workdps(max(_RECOVER_DPS, mp.mp.dps)):
+    with mp.workdps(_RECOVER_DPS):
         e1, e2, e3 = _elementary(*(_to_mpf(v) for v in (p1, p2, p3)))
         coeffs = [_to_mpf(c) for c in (1, -e1, e2, -e3, e4)]
         for solve in (_roots, _scaled_roots):

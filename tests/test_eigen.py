@@ -312,14 +312,25 @@ def test_kernels_match_the_loop_form_bit_for_bit():
 @pytest.mark.parametrize(
     "upper, message",
     [
-        ([math.nan] + [0.0] * 9, r"^sym_eigen needs finite entries, got \(\(nan, 0\.0, 0\.0, 0\.0\), "),
+        ([math.nan] + [0.0] * 9, r"^sym_eigen needs finite entries, .* got \(\(nan, 0\.0, 0\.0, 0\.0\), "),
         ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, -math.inf, 1.0], r"needs finite entries, .*-inf"),
-        ([1.0, 2e154, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], "^sym_eigen: an off-diagonal entry's square overflows$"),
+        ([1.0, 2e154, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], r"negligible if the norm overflows, got \(\(1\.0, 2e\+154, "),
+        ([1.0, 1.2e154, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], "negligible if the norm overflows"),
+        ([0.0, 1e154, 1e154, 1e154, 0.0, 1e154, 1e154, 0.0, 1e154, 0.0], "negligible if the norm overflows"),
+        ([1e200, 1e160, 0.0, 0.0, 1e200, 0.0, 0.0, 1.0, 0.0, 1.0], "negligible if the norm overflows"),
+        ([1e160, 1e150, 0.0, 0.0, 1e160, 0.0, 0.0, 1.0, 0.0, 1.0], "negligible if the norm overflows"),
     ],
+    ids=["nan", "inf", "square-overflows", "norm-overflows", "six-squares-overflow", "square-beside-1e200",
+         "1e150-beside-1e160"],
 )
 def test_extreme_entries_raise_value_error(upper, message):
     """Where the loop form raised ZeroDivisionError (nan), returned nans or
-    raised OverflowError (2e154 squared), sym_eigen raises ValueError."""
+    raised OverflowError (2e154 squared), sym_eigen raises ValueError. So it
+    does where the loop form returned the diagonal and identity vectors
+    because an overflowing norm made its threshold inf while the
+    off-diagonal part was not negligible: the true eigenvalues of the
+    1.2e154 matrix are about +-1.2e154, not 1, and those of the 1e160 one
+    are 1e160 +- 1e150."""
     with pytest.raises(ValueError, match=message):
         sym_eigen(SymMat4.from_upper(upper))
 

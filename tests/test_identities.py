@@ -1649,11 +1649,11 @@ class TestRootSearch:
         assert min(abs(complex(r) - root) for r in roots) <= 1e-12 * abs(root)
         assert abs(root.real) == pytest.approx(abs(root.imag), rel=1e-9)
 
-    @pytest.mark.parametrize("context_dps, want", [(15, 50), (50, 50), (80, 80)])
-    def test_solve_precision_follows_the_mpmath_context(self, context_dps, want, monkeypatch):
-        """Float input is solved at the context's precision, at least 50
-        digits; a non-real root of rational input is named at 50 digits
-        whatever the context, so its message does not move."""
+    @pytest.mark.parametrize("context_dps", [15, 50, 80])
+    def test_solve_precision_ignores_the_mpmath_context(self, context_dps, monkeypatch):
+        """Float input is solved, and a non-real root of rational input is
+        named, at 50 digits whatever the context, so no result or message
+        follows the caller's mp.dps."""
         seen = []
         roots = identities._roots
         monkeypatch.setattr(identities, "_roots", lambda coeffs: seen.append(mp.mp.dps) or roots(coeffs))
@@ -1661,7 +1661,7 @@ class TestRootSearch:
             recover_curvatures(0.0, 12.0, 0.0, 1.0)
             with pytest.raises(ValueError, match="not real") as info:
                 recover_curvatures(F(0), F(0), F(0), F(1))
-        assert seen == [want, 50]
+        assert seen == [50, 50]
         assert str(info.value) == ("curvature root is not real: (-0.70710678118654752440084436210484903928483593768847"
                                    " + 0.70710678118654752440084436210484903928483593768847j)")
 
