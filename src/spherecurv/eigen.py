@@ -44,16 +44,7 @@ class SymMat4:
         """Build from the 10 upper-triangle entries, row-major."""
         if len(upper) != 10:
             raise ValueError("upper triangle of a 4x4 has 10 entries")
-        u0, u1, u2, u3, u4, u5, u6, u7, u8, u9 = map(float, upper)
-        m = object.__new__(cls)
-        # symmetric by construction, so __post_init__'s check is skipped
-        object.__setattr__(m, "rows", (
-            (u0, u1, u2, u3),
-            (u1, u4, u5, u6),
-            (u2, u5, u7, u8),
-            (u3, u6, u8, u9),
-        ))
-        return m
+        return _from_floats(*map(float, upper))
 
     def frobenius(self) -> float:
         (r00, r01, r02, r03), (r10, r11, r12, r13) = self.rows[:2]
@@ -64,6 +55,20 @@ class SymMat4:
             + r20 * r20 + r21 * r21 + r22 * r22 + r23 * r23
             + r30 * r30 + r31 * r31 + r32 * r32 + r33 * r33
         )
+
+
+def _from_floats(u0: float, u1: float, u2: float, u3: float, u4: float,
+                 u5: float, u6: float, u7: float, u8: float, u9: float) -> SymMat4:
+    """SymMat4 of the 10 upper-triangle floats, row-major, without its
+    __init__: symmetric by construction, so __post_init__'s check is skipped."""
+    m = object.__new__(SymMat4)
+    m.__dict__["rows"] = (
+        (u0, u1, u2, u3),
+        (u1, u4, u5, u6),
+        (u2, u5, u7, u8),
+        (u3, u6, u8, u9),
+    )
+    return m
 
 
 _IDENTITY = tuple(tuple(float(i == j) for j in range(N)) for i in range(N))
@@ -127,6 +132,11 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
     # Eigenvectors are the columns of v, taken by ascending diagonal; the
     # sort is stable, so tied values keep their column order.
     diag = [a[0][0], a[1][1], a[2][2], a[3][3]]
+    if v is _IDENTITY:
+        # no rotation ran: column k is row k of _IDENTITY, a unit vector
+        # whose sign the loop below would keep
+        order = sorted(range(N), key=diag.__getitem__)
+        return tuple(map(diag.__getitem__, order)), tuple(map(_IDENTITY.__getitem__, order))
     v0, v1, v2, v3 = v
     values = []
     vectors = []

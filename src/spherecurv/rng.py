@@ -9,15 +9,16 @@ which mixes up to _BLOCK states at once as lanes of one int, and returns
 one value below each range with the final counter. _below is its one-range
 case (and keeps its own multi-word path for ranges beyond 2^64),
 _rational_walk reads rationals from it, and the exact sweeps walk it
-directly; draw_gaussians reads _outputs itself. The RngStream value API
-sits on top: drawing returns the drawn scalar together with the advanced
-stream, and any stream can be split into an independent child without
-touching the parent. All arithmetic is 64-bit wrapping integer
-arithmetic, identical on every platform. `map_chunks` is the one sweep
-driver: it hands item i of a sweep the int seed `_child_seed(seed, i)` of
-child stream `RngStream(seed).split(i)`, at counter 0, computed a block of
-items at a time by _child_seeds, so cutting the index range into chunks
-for worker processes cannot change the results.
+directly; _gaussians, the core of draw_gaussians, reads _outputs itself.
+The RngStream value API sits on top: drawing returns the drawn scalar
+together with the advanced stream, and any stream can be split into an
+independent child without touching the parent. All arithmetic is 64-bit
+wrapping integer arithmetic, identical on every platform. `map_chunks` is
+the one sweep driver: it hands item i of a sweep the int seed
+`_child_seed(seed, i)` of child stream `RngStream(seed).split(i)`, at
+counter 0, computed a block of items at a time by _child_seeds, so cutting
+the index range into chunks for worker processes cannot change the
+results.
 """
 
 from __future__ import annotations
@@ -317,17 +318,9 @@ def draw_rational(stream: RngStream, height: int) -> tuple[Fraction, RngStream]:
     return vals[0], stream
 
 
-def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStream]:
-    """n standard normals via Box-Muller, with the stream after the last.
-
-    Each value consumes two raw outputs, each turned into a uniform float in
-    [0, 1) as its top 53 bits times 2^-53. The 2n outputs come from _outputs
-    a block at a time, and one stream is built at the end.
-    """
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    seed, counter = stream.seed, stream.counter
+def _gaussians(seed: int, counter: int, n: int) -> tuple[float, ...]:
+    """The values of draw_gaussians(RngStream(seed, counter), n), for an int
+    n >= 0, without the checks and the stream."""
     vals = []
     for start in range(0, 2 * n, _BLOCK):
         outs = iter(_outputs(seed, counter + start, min(_BLOCK, 2 * n - start)))
@@ -336,7 +329,21 @@ def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStr
             # the shifted value strictly positive.
             r = math.sqrt(-2.0 * math.log(1.0 - (z1 >> 11) * (2.0**-53)))
             vals.append(r * math.cos(2.0 * math.pi * ((z2 >> 11) * (2.0**-53))))
-    return tuple(vals), RngStream(seed, counter + 2 * n)
+    return tuple(vals)
+
+
+def draw_gaussians(stream: RngStream, n: int) -> tuple[tuple[float, ...], RngStream]:
+    """n standard normals via Box-Muller, with the stream after the last.
+
+    Each value consumes two raw outputs, each turned into a uniform float in
+    [0, 1) as its top 53 bits times 2^-53. The 2n outputs come from _outputs
+    a block at a time (_gaussians), and one stream is built at the end.
+    """
+    _require_int(n=n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    seed, counter = stream.seed, stream.counter
+    return _gaussians(seed, counter, n), RngStream(seed, counter + 2 * n)
 
 
 def draw_gaussian(stream: RngStream) -> tuple[float, RngStream]:

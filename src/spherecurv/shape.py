@@ -22,7 +22,7 @@ from operator import add
 from typing import Sequence
 
 from .catalog import all_models
-from .eigen import SymMat4, sym_eigen
+from .eigen import SymMat4, _from_floats, sym_eigen
 from .fields import eval2, hess_terms
 from .rng import RngStream, map_chunks
 from .sphere import (
@@ -100,6 +100,10 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
     if nt < FOCAL_EPS:
         raise FocalPointError(f"tangential gradient {nt:.3e} below {FOCAL_EPS:.0e}")
     terms = hess_terms(hess)
+    if not terms:
+        # a linear field: each entry's sum is int 0, minus gp on the diagonal
+        d, z = (0 - gp) / nt, 0 / nt
+        return _from_floats(d, z, z, z, d, z, z, d, z, d)
     upper = []
     vectors = frame.vectors
     for a in range(4):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import N_VARS, ScalarField, eval1
-from .rng import RngStream, draw_gaussians
+from .rng import RngStream, _gaussians
 
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
@@ -67,6 +67,14 @@ class TangentFrame:
     base: SpherePoint
     normal: tuple[float, ...]
     vectors: tuple[tuple[float, ...], ...]
+
+
+def _point(coords: tuple[float, ...]) -> SpherePoint:
+    """SpherePoint of a 6-tuple the caller wrote out, without its __init__:
+    the length check is its only check, and it passes."""
+    point = object.__new__(SpherePoint)
+    point.__dict__["coords"] = coords
+    return point
 
 
 def _norm(a: Sequence[float]) -> float:
@@ -173,7 +181,7 @@ def project_to_level(x0: Sequence[float], spec: LevelSpec) -> SpherePoint:
         raise ProjectionError(
             f"projection stalled at residual {res:.3e} (target {tol:.1e})", res
         )
-    return SpherePoint((p0, p1, p2, p3, p4, p5))
+    return _point((p0, p1, p2, p3, p4, p5))
 
 
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
@@ -216,17 +224,26 @@ def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float,
 
 def frame_at(p: SpherePoint, spec: LevelSpec) -> TangentFrame:
     normal = surface_normal(p, spec)
-    return TangentFrame(base=p, normal=normal, vectors=tangent_basis(p, normal))
+    vectors = tangent_basis(p, normal)
+    # TangentFrame has no __post_init__, so filling its fields directly
+    # skips no check and saves the frozen __init__'s setattr per field
+    frame = object.__new__(TangentFrame)
+    frame.__dict__.update(base=p, normal=normal, vectors=vectors)
+    return frame
 
 
 def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
-    """Uniform point on the unit 5-sphere via normalized Gaussians."""
+    """Uniform point on the unit 5-sphere via normalized Gaussians: the
+    values of draw_gaussians(stream, 6), redrawn from the stream after them
+    while their norm is at most 1e-8."""
+    seed, counter = stream.seed, stream.counter
     while True:
-        comps, stream = draw_gaussians(stream, N_VARS)
+        comps = _gaussians(seed, counter, N_VARS)
+        counter += 2 * N_VARS
         n = _norm(comps)
         if n > 1e-8:
             c0, c1, c2, c3, c4, c5 = comps
-            return SpherePoint((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), stream
+            return _point((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), RngStream(seed, counter)
 
 
 def sample_level_point(spec: LevelSpec, stream: RngStream) -> tuple[SpherePoint, RngStream]:

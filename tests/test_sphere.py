@@ -1,5 +1,6 @@
 """Constraint projection, frames, and sampling on the unit 5-sphere."""
 
+import dataclasses
 import math
 import random
 from operator import mul
@@ -13,9 +14,11 @@ from spherecurv import (
     ProjectionError,
     RngStream,
     SpherePoint,
+    TangentFrame,
     cartan_field,
     cartan_level,
     coordinate_field,
+    draw_gaussians,
     eval1,
     frame_at,
     polynomial_field,
@@ -481,3 +484,51 @@ def test_equator_projection_needs_no_full_focal_check(monkeypatch):
         start, _ = sample_on_sphere(RngStream(2828).split(i))
         project_to_level(start.coords, EQUATOR)
     assert calls == []
+
+
+def _assert_equals_the_constructed(record):
+    """record equals, hashes, prints and lists its fields as the one its
+    class's __init__ builds from the same values, and its fields are frozen."""
+    cls = type(record)
+    built = cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
+    assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+    assert vars(record) == vars(built) and list(vars(record)) == list(vars(built))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, dataclasses.fields(record)[0].name, None)
+
+
+@pytest.mark.parametrize("spec", [EQUATOR, LevelSpec(cartan_field(), cartan_level(math.pi / 8))],
+                         ids=["equator", "cartan"])
+def test_records_filled_without_init_equal_the_constructed_ones(spec):
+    """sample_on_sphere, project_to_level and frame_at fill SpherePoint and
+    TangentFrame without their __init__. That skips no check only while
+    TangentFrame has no __post_init__ and SpherePoint checks nothing but the
+    length of the 6-tuple these functions write out; a new check fails here."""
+    assert not hasattr(TangentFrame, "__post_init__")
+    for coords in [(math.nan,) * 6, (math.inf, -math.inf, 0, -0.0, 1e300, 2), (0.0,) * 6]:
+        assert SpherePoint(coords).coords is coords
+    for i in range(5):
+        stream = RngStream(34).split(i)
+        start, after = sample_on_sphere(stream)
+        comps, drawn = draw_gaussians(stream, N_VARS)
+        n = _norm(comps)
+        assert start == SpherePoint(tuple(c / n for c in comps)) and after == drawn
+        point = project_to_level(start.coords, spec)
+        frame = frame_at(point, spec)
+        for record in (start, point, frame, frame.base):
+            _assert_equals_the_constructed(record)
+
+
+def test_sample_on_sphere_redraws_from_the_stream_after_a_tiny_draw(monkeypatch):
+    """A draw of norm at most 1e-8 is dropped, and the point comes from the
+    stream after it, as draw_gaussians would hand it on."""
+    expected = sample_on_sphere(RngStream(34, 17))
+    gaussians = sphere._gaussians
+    draws = []
+
+    def tiny_first(seed, counter, n):
+        draws.append(counter)
+        return (0.0,) * n if len(draws) == 1 else gaussians(seed, counter, n)
+
+    monkeypatch.setattr(sphere, "_gaussians", tiny_first)
+    assert sample_on_sphere(RngStream(34, 5)) == expected and draws == [5, 17]

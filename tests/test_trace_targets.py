@@ -3,9 +3,12 @@ and, for the per-point targets, still be called, or its per-layer metrics
 silently read 0."""
 
 import importlib
+import math
 from pathlib import Path
 
-from spherecurv import LevelSpec, coordinate_field, sweep_analyze
+import pytest
+
+from spherecurv import LevelSpec, cartan_field, cartan_level, coordinate_field, sweep_analyze
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +44,38 @@ def test_per_point_targets_are_called(monkeypatch):
     sweep_analyze(LevelSpec(coordinate_field(5), 0.0), 4, seed=3, workers=1)
     assert len(names) == 10
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def _per_point_calls(monkeypatch, spec):
+    """Calls of each shape and sphere target during a 4-point sweep at seed 3."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    layers = importlib.import_module("layers")
+    calls = {}
+    for name, _count in layers.TARGETS:
+        if not name.startswith(("spherecurv.shape.", "spherecurv.sphere.")):
+            continue
+        calls[name] = 0
+        module_name, _, attr = name.rpartition(".")
+        module = importlib.import_module(module_name)
+
+        def counted(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    sweep_analyze(spec, 4, seed=3, workers=1)
+    return calls
+
+
+@pytest.mark.parametrize("surface, eval1_calls", [("equator", 23), ("cartan", 29)])
+def test_per_point_targets_are_called_as_often_as_before(monkeypatch, surface, eval1_calls):
+    """A kernel that inlined a traced call would halve a per-call mean, not
+    zero it; so each single-call target runs exactly once per point, and
+    eval1 as often as the projection and the normal need."""
+    spec = {
+        "equator": LevelSpec(coordinate_field(5), 0.0),
+        "cartan": LevelSpec(cartan_field(), cartan_level(math.pi / 8)),
+    }[surface]
+    calls = _per_point_calls(monkeypatch, spec)
+    assert calls.pop("spherecurv.sphere.eval1") == eval1_calls
+    assert len(calls) == 9 and set(calls.values()) == {4}, calls
