@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import cartan_field, coordinate_field
+from .rng import _require_int
 from .sphere import LevelSpec
 
 _DEFAULT_DPS = 50
@@ -119,6 +120,7 @@ def equator_model() -> IsoModel:
 
 def clifford_model(r: int, s: int) -> IsoModel:
     """Minimal product torus S^r x S^s, radii sqrt(r)/2 and sqrt(s)/2."""
+    _require_int(r=r, s=s)
     if r + s != 4 or not 1 <= r <= s:
         raise ValueError(f"need r+s=4 with 1 <= r <= s, got ({r},{s})")
     # cot(theta0) = sqrt(s/r):  (1,3) -> pi/6, (2,2) -> pi/4

@@ -48,7 +48,7 @@ from .exact import (
     matrix_rank,
     solve_linear,
 )
-from .rng import _below, _rational_pairs, _rational_walk, _require_int, _walk, draw_int, draw_rational, map_chunks
+from .rng import _rational_pairs, _require_int, _walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 _RECOVER_DPS = 50  # digits of the float solve and of naming a non-real rational root
@@ -1013,44 +1013,31 @@ def _cleared_drawn(vals: Sequence[int], height: int) -> tuple[list[int], int]:
     ], d
 
 
-def _draw_distinct_quadruple(seed: int, counter: int, height: int) -> tuple[list[int], int, int]:
-    """Four distinct rationals of the given height, ascending, as (a, d,
-    counter) with lam_i = a_i / d; d is the lcm of the four drawn
-    denominators, and counter is that of the last output used.
-
-    All four are redrawn until no two are equal, exactly as redrawing
-    draw_rationals(RngStream(seed, counter), height, 4) would; distinctness
-    and order are read on the ints, which share the denominator d.
-    """
-    while True:
-        vals, counter = _walk(seed, counter, _ranges(height, 4))
-        a, d = _cleared_drawn(vals, height)
-        if len(set(a)) == 4:
-            a.sort()
-            return a, d, counter
-
-
-def _walk_after_quadruple(
+def _draw_distinct_quadruple(
     seed: int, height: int, ranges: tuple[int, ...]
-) -> tuple[list[int], int, list[int]]:
-    """(a, d, vals): the quadruple _draw_distinct_quadruple(seed, 0, height)
-    gives, and the values drawn below ranges[8:] after it.
+) -> tuple[list[int], int, int, list[int]]:
+    """Four distinct rationals of the given height, ascending, and the
+    values drawn below the rest of ranges after them, as (a, d, counter,
+    tail) with lam_i = a_i / d; d is the lcm of the four drawn denominators,
+    and counter is that of the last output used.
 
     ranges is _ranges(height, n, tail) with n >= 4, and one walk from
-    counter 0 reads it all. When its first four rationals are distinct, they
-    are the quadruple
-    and the rest of the walk is what follows it. Otherwise the quadruple is
-    redrawn by _draw_distinct_quadruple and the rest walked from its
-    counter: exactly the draws of those two steps.
+    counter 0 reads it all. All four are redrawn until no two are equal,
+    exactly as redrawing draw_rationals(RngStream(seed), height, 4) would,
+    and the tail is then walked again after the accepted four; distinctness
+    and order are read on the ints, which share the denominator d.
     """
-    vals, _counter = _walk(seed, 0, ranges)
+    vals, counter = _walk(seed, 0, ranges)
     a, d = _cleared_drawn(vals[:8], height)
-    if len(set(a)) == 4:
-        a.sort()
-        return a, d, vals[8:]
-    a, d, counter = _draw_distinct_quadruple(seed, 0, height)
-    vals, _counter = _walk(seed, counter, ranges[8:])
-    return a, d, vals
+    tail = vals[8:]
+    if len(set(a)) < 4:
+        counter = _walk(seed, 0, ranges[:8])[1]
+        while len(set(a)) < 4:
+            vals, counter = _walk(seed, counter, ranges[:8])
+            a, d = _cleared_drawn(vals, height)
+        tail, counter = _walk(seed, counter, ranges[8:])
+    a.sort()
+    return a, d, counter, tail
 
 
 def _fmt(values) -> list[str]:
@@ -1088,10 +1075,10 @@ def _trial_g3(seed: int, height: int) -> dict | None:
     vals, _counter = _walk(seed, 0, (3,) + _ranges(height, 3))
     a, d = _cleared_pairs(_rational_pairs(vals[1:], height))
     if len(set(a)) < 3:
-        counter = _below(seed, 0, 3)[1]
+        counter = _walk(seed, 0, (3,))[1]
         while len(set(a)) < 3:
-            pairs, counter = _rational_walk(seed, counter, height, 3)
-            a, d = _cleared_pairs(pairs)
+            redrawn, counter = _walk(seed, counter, _ranges(height, 3))
+            a, d = _cleared_pairs(_rational_pairs(redrawn, height))
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[vals[0]]
     if _g3_kernel_cleared(p, q, r, a) != 0:
         return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(Fraction(x, d) for x in a)}
@@ -1106,7 +1093,7 @@ def _trial_g3(seed: int, height: int) -> dict | None:
 
 def _trial_vandermonde(seed: int, height: int) -> dict | None:
     # K_l, then l
-    a, d, (k, k_den, l) = _walk_after_quadruple(seed, height, _ranges(height, 5, (4,)))
+    a, d, _counter, (k, k_den, l) = _draw_distinct_quadruple(seed, height, _ranges(height, 5, (4,)))
     k, k_den = k - height, k_den + 1
     # The system gives h_il = y_i / (det k_den), the closed form k d^3 / (k_den P_i).
     y, det = _diag_system_cleared(a, d, k)
@@ -1117,7 +1104,7 @@ def _trial_vandermonde(seed: int, height: int) -> dict | None:
 
 
 def _trial_i_closed(seed: int, height: int) -> dict | None:
-    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 8))
+    a, d, _counter, vals = _draw_distinct_quadruple(seed, height, _ranges(height, 8))
     ks, k_den = _cleared_drawn(vals, height)
     # h_xl = k_l d^3 / (k_den P_x) = k_l d^3 Q_x / (k_den D), where Q_x, the
     # product of the three differences without x, has P_x Q_x = D; that is
@@ -1154,7 +1141,7 @@ def _trial_i_closed(seed: int, height: int) -> dict | None:
 
 
 def _trial_i_sign(seed: int, height: int) -> dict | None:
-    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 8))
+    a, d, _counter, vals = _draw_distinct_quadruple(seed, height, _ranges(height, 8))
     nums, _den = _I_cleared(a, d, *_cleared_drawn(vals, height))
     if max(nums) > 0:
         return {"lam": _fmt(Fraction(x, d) for x in a), "K": _fmt_drawn(vals, height)}
@@ -1163,7 +1150,7 @@ def _trial_i_sign(seed: int, height: int) -> dict | None:
 
 def _trial_dpsi(seed: int, height: int) -> dict | None:
     # K, then the mixed components
-    a, d, vals = _walk_after_quadruple(seed, height, _ranges(height, 12))
+    a, d, _counter, vals = _draw_distinct_quadruple(seed, height, _ranges(height, 12))
     ks, k_den = _cleared_drawn(vals[:8], height)
     num, den = _dpsi_cleared(a, d, ks, k_den, *_cleared_drawn(vals[8:], height))
     # gauss_R / 2 - sum I_l over 2 d^2 i_den

@@ -6,10 +6,9 @@ Every draw is a pure function of (seed, counter), so two plain ints carry
 all of a stream's state. There is one walk of bounded draws, _walk(seed,
 counter, ranges): it takes its raw outputs a block at a time from _outputs,
 which mixes up to _BLOCK states at once as lanes of one int, and returns
-one value below each range with the final counter. _below is its one-range
-case (and keeps its own multi-word path for ranges beyond 2^64),
-_rational_walk reads rationals from it, and the exact sweeps walk it
-directly; _gaussians, the core of draw_gaussians, reads _outputs itself.
+one value below each range with the final counter. draw_int walks one
+range, _rational_walk reads rationals from it, and the exact sweeps walk
+it directly; _gaussians, the core of draw_gaussians, reads _outputs itself.
 The RngStream value API sits on top: drawing returns the drawn scalar
 together with the advanced stream, and any stream can be split into an
 independent child without touching the parent. All arithmetic is 64-bit
@@ -59,16 +58,22 @@ class RngStream:
 
     def __post_init__(self) -> None:
         # Most streams are built from ints already below 2^64, so a field is
-        # written only when the mask changes it or it is not a plain int (a
-        # bool such as True is stored as 1).
+        # checked and written only when the mask changes it or it is not a
+        # plain int (a bool such as True is stored as 1).
         seed, counter = self.seed, self.counter
         if type(seed) is not int or seed & _MASK64 != seed:
+            if not isinstance(seed, int):
+                raise TypeError(f"seed must be an int, got {seed!r}")
             object.__setattr__(self, "seed", seed & _MASK64)
         if type(counter) is not int or counter & _MASK64 != counter:
+            if not isinstance(counter, int):
+                raise TypeError(f"counter must be an int, got {counter!r}")
             object.__setattr__(self, "counter", counter & _MASK64)
 
     def split(self, key: int) -> "RngStream":
         """Derive an independent child stream from an integer key."""
+        if not isinstance(key, int):
+            raise TypeError(f"key must be an int, got {key!r}")
         return RngStream(_child_seed(self.seed, key))
 
 
@@ -186,30 +191,6 @@ def _child_seeds(seed: int, start: int, m: int) -> tuple[int, ...]:
     return unpack(z.to_bytes(16 * m, "little"))
 
 
-def _below(seed: int, counter: int, n: int) -> tuple[int, int]:
-    """Uniform integer in [0, n), bias-free via rejection, with the counter of
-    the accepted output.
-
-    A candidate is the next `words` raw outputs read as one number, first
-    output most significant: one up to n = 2^64, and ceil(bits(n) / 64)
-    beyond, so that it spans at least n and at least half of its range is
-    accepted. Up to 2^64 it is _walk over the one range.
-    """
-    if n > 1 << 64:
-        words = -(-n.bit_length() // 64)
-        span = 1 << (64 * words)
-        limit = span - span % n
-        while True:
-            raw = 0
-            for _ in range(words):
-                counter += 1
-                raw = raw << 64 | _output(seed, counter)
-            if raw < limit:
-                return raw % n, counter
-    (value,), counter = _walk(seed, counter, (n,))
-    return value, counter
-
-
 @functools.lru_cache(maxsize=256)
 def _least_limit(ranges: tuple[int, ...]) -> int | None:
     """The least rejection limit over the ranges of a block, or None when a
@@ -223,28 +204,36 @@ def _least_limit(ranges: tuple[int, ...]) -> int | None:
 
 
 def _walk(seed: int, counter: int, ranges: tuple[int, ...]) -> tuple[list[int], int]:
-    """One uniform value below each range (each at least 1), in order, with
-    the counter of the last output used: exactly the values and counter of
-    successive _below calls.
+    """One uniform value below each range (each at least 1), in order,
+    bias-free via rejection, with the counter of the last output used.
 
     The outputs come from _outputs a block at a time, as many as the ranges
     still need when nothing more is rejected, and at most _BLOCK. When the
     largest output of a block lies below the least limit of its ranges, no
     output is rejected and the block is mapped to its values at once;
     otherwise the block is read one output at a time, each against the
-    next range's limit, and the walk goes on from the next output. From a
-    block holding a range beyond 2^64 on, the ranges are drawn one at a time
-    by _below.
+    next range's limit, and the walk goes on from the next output. A block
+    holding a range beyond 2^64 draws its ranges one at a time: a candidate
+    is the next `words` raw outputs read as one number, first output most
+    significant, one up to n = 2^64 and ceil(bits(n) / 64) beyond, so that
+    it spans at least n and at least half of its range is accepted.
     """
     vals = []
     while (start := len(vals)) < len(ranges):
         block = ranges[start : start + _BLOCK]
         least = _least_limit(block)
         if least is None:
-            for n in ranges[start:]:
-                value, counter = _below(seed, counter, n)
-                vals.append(value)
-            break
+            for n in block:
+                words = 1 if n <= 1 << 64 else -(-n.bit_length() // 64)
+                span = 1 << 64 * words
+                raw = limit = span - span % n
+                while raw >= limit:
+                    raw = 0
+                    for _ in range(words):
+                        counter += 1
+                        raw = raw << 64 | _output(seed, counter)
+                vals.append(raw % n)
+            continue
         outs = _outputs(seed, counter, len(block))
         counter += len(outs)
         if max(outs) < least:
@@ -270,7 +259,7 @@ def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:
     _require_int(lo=lo, hi=hi)
     if lo > hi:
         raise ValueError(f"invalid int range [{lo}, {hi}]")
-    value, counter = _below(stream.seed, stream.counter, hi - lo + 1)
+    (value,), counter = _walk(stream.seed, stream.counter, (hi - lo + 1,))
     return lo + value, RngStream(stream.seed, counter)
 
 
@@ -278,8 +267,8 @@ def _rational_walk(seed: int, counter: int, height: int, n: int) -> tuple[list[t
     """The (numerator, denominator) int pairs of n rationals of the given
     height, unreduced, with the counter of the last output used.
 
-    Each pair draws its numerator as _below(2 height + 1) - height and then
-    its denominator as _below(height) + 1: _walk over n such range pairs,
+    Each pair draws its numerator below 2 height + 1, minus height, and then
+    its denominator below height, plus 1: _walk over n such range pairs,
     read by _rational_pairs. This is the one rational draw: draw_rationals
     is its Fraction view and the exact sweeps read the ints.
     """

@@ -10,6 +10,7 @@ hypersurface degenerates and no frame exists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +46,8 @@ class LevelSpec:
     level: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.level, numbers.Real):
+            raise TypeError(f"level must be a real number, got {self.level!r}")
         # max() in the projection's residual drops a NaN, so a NaN level
         # would hand back the start point unprojected
         if isinstance(self.level, float) and not math.isfinite(self.level):

@@ -20,6 +20,7 @@ from spherecurv import (
     model_check,
     sample_level_point,
 )
+from spherecurv import catalog
 
 SQ3 = math.sqrt(3.0)
 
@@ -109,6 +110,14 @@ def test_clifford_model_validation():
         clifford_model(3, 1)
     with pytest.raises(ValueError):
         clifford_model(0, 4)
+
+
+def test_form_str_writes_a_coefficient_other_than_one():
+    """No catalog model has a square-root form with a coefficient other than
+    1 or -1, so this branch runs only here."""
+    assert catalog._form_str(("sqrt", 2, 3)) == "2*sqrt(3)"
+    assert catalog._form_str(("sqrt", Fraction(-3, 2), Fraction(1, 3))) == "-3/2*sqrt(1/3)"
+    assert catalog._form_str(("sqrt", Fraction(-1), Fraction(1, 3))) == "-sqrt(1/3)"
 
 
 def test_cartan_level_values_and_range():

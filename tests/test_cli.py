@@ -130,6 +130,24 @@ class TestAnalyzeCommand:
         assert cfg["t"] == pytest.approx(math.pi / 8, abs=1e-15)
         assert cfg["level"] == pytest.approx(0.5, abs=1e-15)
 
+    def test_tol_is_echoed_and_decides_the_verdict(self, capsys):
+        """The minimal cartan member's max|f1| is about 3.7e-12, rounding
+        noise, so at --tol 1e-300 it is no longer treated as minimal."""
+        code, out, _ = _run(
+            capsys, "analyze", "--surface", "cartan", "--t", "pi/8", "--samples", "24", "--tol", "1e-300"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["tol"] == 1e-300
+        assert report["results"]["verdict"] == "non_isoparametric"
+        assert 1e-300 < report["results"]["max_abs_f1"] <= 1e-8
+
+    def test_tol_that_is_not_a_number_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--surface", "equator", "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "argument --tol: not a number: 'abc'" in capsys.readouterr().err
+
     def test_csv_format(self, capsys):
         code, out, _ = _run(
             capsys, "analyze", "--surface", "equator", "--samples", "6",

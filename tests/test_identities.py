@@ -287,7 +287,7 @@ class TestDiagonalTable:
         root = RngStream(25)
         for n in range(300):
             seed = root.split(n).seed
-            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            a, d, counter, _tail = identities._draw_distinct_quadruple(seed, height, identities._ranges(height, 4))
             [(k, _k_den)], _counter = rng._rational_walk(seed, counter, height, 1)
             prods = [math.prod(a[j] for j in range(4) if j != i) for i in range(4)]
             ref = [[1, 1, 1, 1, 0], [*a, 0], [v * v for v in a] + [0], [*prods, k * d**3]]
@@ -361,7 +361,7 @@ class TestInteractionSums:
         for i in range(2400):
             seed = root.split(i).seed
             height = (2, 3, 50, 1000, 10**6, 2**70)[i % 6]
-            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            a, d, counter, _tail = identities._draw_distinct_quadruple(seed, height, identities._ranges(height, 4))
             pairs, _counter = rng._rational_walk(seed, counter, height, 8)
             if i % 7 == 0:
                 pairs[2] = (0, pairs[2][1])
@@ -766,7 +766,9 @@ class TestCollectedPsiTerms:
             assert {w for _x, _k, _l, w in keys} == {-2}
         root = RngStream(6007)
         for i in range(300):
-            a, _d, _counter = identities._draw_distinct_quadruple(root.split(i).seed, 0, height)
+            a, _d, _counter, _tail = identities._draw_distinct_quadruple(
+                root.split(i).seed, height, identities._ranges(height, 4)
+            )
             D = math.prod(a[q] - a[p] for p, q in itertools.combinations(range(4), 2))
             for n, keys in by_set.items():
                 total = 0
@@ -816,7 +818,7 @@ class TestGeneratedDpsiKernel:
         root = RngStream(26026)
         for i in range(400):
             seed = root.split(i).seed
-            a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+            a, d, counter, _tail = identities._draw_distinct_quadruple(seed, height, identities._ranges(height, 4))
             pairs, _counter = rng._rational_walk(seed, counter, height, 8)
             if i % 5 == 0:
                 pairs[i % 8] = (0, pairs[i % 8][1])
@@ -1817,7 +1819,7 @@ def test_int_quadruple_draw_matches_fraction_draw(height):
     redrawn = 0
     for key in range(350):
         seed = root.split(key).seed
-        a, d, counter = identities._draw_distinct_quadruple(seed, 0, height)
+        a, d, counter, _tail = identities._draw_distinct_quadruple(seed, height, identities._ranges(height, 4))
         ref, ref_stream = _reference_distinct_quadruple(root.split(key), height)
         assert tuple(F(x, d) for x in a) == ref.lam
         assert (seed, counter) == (ref_stream.seed, ref_stream.counter)

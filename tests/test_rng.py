@@ -325,6 +325,24 @@ def test_walk_is_successive_single_draws(ranges):
         assert rejected > len(starts) // 2
 
 
+def test_walk_across_the_2_64_boundary():
+    """After a range beyond 2^64 the ranges of its block are drawn one at a
+    time, and a range of exactly 2^64 among them still takes one output per
+    candidate: 2^64 has bit length 65, so a word count by bit length alone
+    would read two outputs for it. Values and end counter equal the
+    per-value reference, on child streams and from a counter about to wrap."""
+    ranges = (2**64 + 1, 2**64, 3)
+    root = RngStream(6464)
+    for start in [root.split(key) for key in range(200)] + [RngStream(7, counter=2**64 - 3)]:
+        vals, counter = rng._walk(start.seed, start.counter, ranges)
+        s, ref = start, []
+        for n in ranges:
+            v, s = _reference_below(s, n)
+            ref.append(v)
+        assert (vals, RngStream(start.seed, counter)) == (ref, s)
+    assert rng._walk(5, 0, ranges) == ([6743003825869517726, 4292726422858613063, 2], 4)
+
+
 def test_child_seeds_are_the_single_child_seeds():
     """Every block size from 0 to _BLOCK, for seeds the mask wraps and for
     keys about to wrap."""

@@ -305,6 +305,15 @@ class TestSweep:
         rows = [row[:3] + (4.0,) + row[4:] for row in rows]
         assert shape._classify(rows, 0.0, 1e-8) == "clifford_1_3"
 
+    def test_rows_that_disagree_in_signature_are_inconclusive(self):
+        """One row has clifford_1_3's signature, g = 2 with multiplicities
+        (1, 3), and one clifford_2_2's, both at S = 4: each alone names its
+        model, together they name none."""
+        rows = [(0, True, 0.0, 4.0, 0.0, 2, (3, 1), None), (1, True, 0.0, 4.0, 0.0, 2, (2, 2), None)]
+        assert shape._classify(rows[:1], 0.0, 1e-8) == "clifford_1_3"
+        assert shape._classify(rows[1:], 0.0, 1e-8) == "clifford_2_2"
+        assert shape._classify(rows, 0.0, 1e-8) == "inconclusive"
+
     def test_worker_count_does_not_change_results(self):
         serial = sweep_analyze(CARTAN_MIN, 24, seed=9, workers=1)
         parallel = sweep_analyze(CARTAN_MIN, 24, seed=9, workers=3)
