@@ -7,6 +7,10 @@ or too many projection failures during analysis).
 The report goes to stdout (or --output) in JSON or CSV; a short human summary
 goes to stderr. Color is used on the stderr summary only when it is a TTY and
 NO_COLOR is unset.
+
+Each command's parser parses that command's own arguments, so every token is
+read once; the top-level parser handles help, an unknown or missing command
+and unrecognized arguments, with argparse's messages and exit code 2.
 """
 
 from __future__ import annotations
@@ -92,8 +96,14 @@ def _ok(flag: bool) -> str:
     return _color("ok", "32") if flag else _color("FAIL", "31")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per command."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """(top-level parser, {command: its own parser}), built once."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
@@ -130,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--height", type=_positive_int, default=1000,
                       help="max |numerator|, |denominator| of random rationals (default 1000)")
 
-    sub.add_parser("catalog", parents=[common],
-                   help="list the closed-form models and run their consistency checks")
-    return parser
+    p_ca = sub.add_parser("catalog", parents=[common],
+                          help="list the closed-form models and run their consistency checks")
+    return parser, {"analyze": p_an, "verify": p_ve, "catalog": p_ca}
 
 
 def _config_echo(args: argparse.Namespace, **extra) -> dict:
@@ -237,9 +247,24 @@ def _run_catalog(args: argparse.Namespace) -> int:
     return 0 if all_ok else 3
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser().parse_args(argv) would, with the same
+    exits and messages, but each token parsed once: when argv[0] names a
+    command, that command's parser reads the rest, and extra tokens are
+    reported by the top-level parser, as argparse does. Anything else (no
+    arguments, help, an unknown command) goes to the top-level parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     runners = {"analyze": _run_analyze, "verify": _run_verify, "catalog": _run_catalog}
     try:
         if args.output == "":

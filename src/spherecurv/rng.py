@@ -110,14 +110,17 @@ def map_chunks(fn, n: int, workers: int, seed: int, *args) -> list[tuple]:
     result is not None, in index order: item i gets the seed of child stream
     RngStream(seed).split(i) as an int, and draws from it at counter 0.
 
-    range(n) is cut into contiguous chunks by chunk_bounds; they run in a
-    process pool, or in this process when there is one chunk. n, workers and
-    seed must be plain ints (TypeError) and workers at least 1 (ValueError),
-    checked before any item runs.
+    One worker runs every item in this process, without asking for the CPU
+    count. Otherwise range(n) is cut into contiguous chunks by chunk_bounds;
+    they run in a process pool, or in this process when there is one chunk.
+    n, workers and seed must be plain ints (TypeError) and workers at least 1
+    (ValueError), checked before any item runs.
     """
     _require_int(n=n, workers=workers, seed=seed)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
+        return _map_chunk(fn, seed, 0, n, *args)
     bounds = chunk_bounds(n, workers)
     if len(bounds) == 1:
         return _map_chunk(fn, seed, 0, n, *args)

@@ -298,14 +298,14 @@ def sweep_analyze(
     """Sample n surface points and aggregate their curvature invariants.
 
     f1_tol is the largest max |f1| (four times the mean curvature) still
-    treated as minimal; TypeError unless it is a real number, ValueError
-    unless it is positive and finite. Raises RuntimeError when more than
-    MAX_FAILURE_FRACTION of the projections fail; individual failures below
-    that are counted and the first few messages kept.
+    treated as minimal; TypeError unless it is a real number other than a
+    bool, ValueError unless it is positive and finite. Raises RuntimeError
+    when more than MAX_FAILURE_FRACTION of the projections fail; individual
+    failures below that are counted and the first few messages kept.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not isinstance(f1_tol, numbers.Real):
+    if isinstance(f1_tol, bool) or not isinstance(f1_tol, numbers.Real):
         raise TypeError(f"f1_tol must be a real number, got {f1_tol!r}")
     if not (f1_tol > 0.0 and math.isfinite(f1_tol)):
         raise ValueError(f"f1_tol must be a positive finite number, got {f1_tol!r}")

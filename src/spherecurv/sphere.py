@@ -46,7 +46,8 @@ class LevelSpec:
     level: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, numbers.Real):
+        # a bool is a numbers.Real, but True is no level
+        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Real):
             raise TypeError(f"level must be a real number, got {self.level!r}")
         # max() in the projection's residual drops a NaN, so a NaN level
         # would hand back the start point unprojected

@@ -20,8 +20,12 @@ _ROWS = [
     # accepted, and sweep_analyze then failed inside the projection
     (lambda: LevelSpec(coordinate_field(5), "0"), "level must be a real number, got '0'"),
     (lambda: LevelSpec(coordinate_field(5), None), "level must be a real number, got None"),
+    # a bool is a numbers.Real: True was kept as the level
+    (lambda: LevelSpec(coordinate_field(5), True), "level must be a real number, got True"),
     # once "'>' not supported between instances of 'str' and 'float'"
     (lambda: sweep_analyze(_EQUATOR, 2, 0, "1"), "f1_tol must be a real number, got '1'"),
+    # once ran with f1_tol 1 and answered equator
+    (lambda: sweep_analyze(_EQUATOR, 2, 0, True), "f1_tol must be a real number, got True"),
     # once "unsupported operand type(s) for &"
     (lambda: RngStream(1.5), "seed must be an int, got 1.5"),
     (lambda: RngStream("a"), "seed must be an int, got 'a'"),

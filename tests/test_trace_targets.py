@@ -13,9 +13,18 @@ from spherecurv import LevelSpec, cartan_field, cartan_level, coordinate_field, 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+def _layers(monkeypatch):
+    """The benchmark's bench/layers.py, which lists the traced targets. These
+    tests check that list against src/, so without bench/ they fail and say so."""
+    if not (BENCH_DIR / "layers.py").is_file():
+        pytest.fail(f"bench/layers.py is missing (looked for {BENCH_DIR / 'layers.py'}); "
+                    "these tests check the benchmark's traced targets and need bench/")
     monkeypatch.syspath_prepend(str(BENCH_DIR))
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers")
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    layers = _layers(monkeypatch)
     missing = []
     for name, _count in layers.TARGETS:
         module_name, _, attr = name.rpartition(".")
@@ -27,8 +36,7 @@ def test_every_traced_target_resolves(monkeypatch):
 def test_per_point_targets_are_called(monkeypatch):
     """A kernel that inlined a traced function would leave its span empty and
     its per-layer metric at 0; each per-point target must still be called."""
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    layers = importlib.import_module("layers")
+    layers = _layers(monkeypatch)
     names = [name for name, _count in layers.TARGETS
              if name.startswith(("spherecurv.shape.", "spherecurv.sphere."))]
     calls = dict.fromkeys(names, 0)
@@ -48,8 +56,7 @@ def test_per_point_targets_are_called(monkeypatch):
 
 def _per_point_calls(monkeypatch, spec):
     """Calls of each shape and sphere target during a 4-point sweep at seed 3."""
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    layers = importlib.import_module("layers")
+    layers = _layers(monkeypatch)
     calls = {}
     for name, _count in layers.TARGETS:
         if not name.startswith(("spherecurv.shape.", "spherecurv.sphere.")):
