@@ -8,7 +8,8 @@ its first component of magnitude above 1e-12 is positive.
 
 Symmetry is checked where rows come in: `SymMat4(rows)` rejects rows that
 are not 4x4 or not exactly symmetric. `SymMat4.from_upper` writes each entry
-below the diagonal as its mirror, so it checks only the count of 10.
+below the diagonal as its mirror, so it checks only the count of 10. Both
+raise TypeError on an entry that is not a real number or is a bool.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from .rng import _require_real
 
 N = 4
 
@@ -34,6 +37,9 @@ class SymMat4:
     def __post_init__(self) -> None:
         if len(self.rows) != N or any(len(r) != N for r in self.rows):
             raise ValueError("SymMat4 needs 4x4 entries")
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                _require_real(x, f"SymMat4 entry at row {i}, column {j}")
         for i in range(N):
             for j in range(i + 1, N):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -44,6 +50,8 @@ class SymMat4:
         """Build from the 10 upper-triangle entries, row-major."""
         if len(upper) != 10:
             raise ValueError("upper triangle of a 4x4 has 10 entries")
+        for k, x in enumerate(upper):
+            _require_real(x, f"upper-triangle entry {k}")
         return _from_floats(*map(float, upper))
 
     def frobenius(self) -> float:
@@ -79,14 +87,12 @@ def _off_norm(a: Sequence[Sequence[float]]) -> float:
     return math.sqrt(0 + a01**2 + a02**2 + a03**2 + a12**2 + a13**2 + a23**2)
 
 
-def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """Eigenvalues (ascending) and matching orthonormal eigenvectors (as rows).
-
-    Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
-    ValueError on a nan or inf entry, or where the norm overflows on a large off-diagonal part.
-    """
+def _jacobi(m: SymMat4) -> tuple:
+    """(a, v) after the cyclic Jacobi sweeps on m: the rotated rows and the
+    product of the rotations, each a list of lists, or m.rows and _IDENTITY
+    when no rotation runs. ValueError as sym_eigen gives it."""
     # a and v stay the input's tuples until the first rotation, so an m
-    # already within the threshold (a diagonal one) is not copied into lists
+    # already within the threshold is not copied into lists
     a = m.rows
     v = _IDENTITY
     if not (frobenius := m.frobenius()) < math.inf:
@@ -128,7 +134,25 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
                     vkp, vkq = v[k][p], v[k][q]
                     v[k][p] = c * vkp - s * vkq
                     v[k][q] = s * vkp + c * vkq
+    return a, v
 
+
+def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Eigenvalues (ascending) and matching orthonormal eigenvectors (as rows).
+
+    Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
+    ValueError on a nan or inf entry, or where the norm overflows on a large off-diagonal part.
+    """
+    a = m.rows
+    v = _IDENTITY
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = a
+    # An off-diagonal part of zeros of either sign passes the first threshold
+    # test whatever the norms are, so a finite diagonal skips them. A nan or
+    # an inf off the diagonal is truthy, and takes the checks in _jacobi.
+    if a01 or a02 or a03 or a12 or a13 or a23 or not (
+        math.isfinite(a00) and math.isfinite(a11) and math.isfinite(a22) and math.isfinite(a33)
+    ):
+        a, v = _jacobi(m)
     # Eigenvectors are the columns of v, taken by ascending diagonal; the
     # sort is stable, so tied values keep their column order.
     diag = [a[0][0], a[1][1], a[2][2], a[3][3]]

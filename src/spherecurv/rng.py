@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 import os
 import struct
@@ -75,6 +76,14 @@ class RngStream:
         if not isinstance(key, int):
             raise TypeError(f"key must be an int, got {key!r}")
         return RngStream(_child_seed(self.seed, key))
+
+
+def _stream(seed: int, counter: int = 0) -> RngStream:
+    """RngStream(seed, counter) of two ints already below 2^64, without its
+    __init__: __post_init__ would only confirm that the mask keeps them."""
+    stream = object.__new__(RngStream)
+    stream.__dict__.update(seed=seed, counter=counter)
+    return stream
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -255,6 +264,14 @@ def _require_int(**values) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _require_real(value: object, what: str) -> None:
+    """TypeError naming `what` unless value is a real number other than a
+    bool: a bool is a numbers.Real, but True is no level, tolerance or
+    matrix entry."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
 
 
 def draw_int(stream: RngStream, lo: int, hi: int) -> tuple[int, RngStream]:

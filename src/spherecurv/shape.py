@@ -15,7 +15,6 @@ offset of the cotangent ladder when the pattern allows one).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -25,7 +24,7 @@ from typing import Sequence
 from .catalog import all_models
 from .eigen import SymMat4, _from_floats, sym_eigen
 from .fields import eval2, hess_terms
-from .rng import RngStream, map_chunks
+from .rng import _require_real, _stream, map_chunks
 from .sphere import (
     FOCAL_EPS,
     FocalPointError,
@@ -121,7 +120,7 @@ def second_form(spec: LevelSpec, frame: TangentFrame) -> SymMat4:
             if a == b:
                 val -= gp
             upper.append(val / nt)
-    return SymMat4.from_upper(upper)
+    return _from_floats(*upper)
 
 
 def _cluster(ascending: Sequence[float]) -> list[list[float]]:
@@ -262,9 +261,10 @@ def _kahan_sum(values: Sequence[float]) -> float:
 def _sweep_point(seed: int, spec: LevelSpec) -> tuple:
     """(True, f1, S, f3, g, multiplicities, theta0) at the point drawn from
     the stream RngStream(seed), or (False, message) when no point can be
-    sampled there."""
+    sampled there. seed comes from map_chunks, an int below 2^64, so the
+    stream is filled without the checked constructor."""
     try:
-        point, _ = sample_level_point(spec, RngStream(seed))
+        point, _ = sample_level_point(spec, _stream(seed))
         rep = curvature_report(spec, point)
     except (FocalPointError, ProjectionError) as exc:
         return (False, str(exc))
@@ -305,8 +305,7 @@ def sweep_analyze(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if isinstance(f1_tol, bool) or not isinstance(f1_tol, numbers.Real):
-        raise TypeError(f"f1_tol must be a real number, got {f1_tol!r}")
+    _require_real(f1_tol, "f1_tol")
     if not (f1_tol > 0.0 and math.isfinite(f1_tol)):
         raise ValueError(f"f1_tol must be a positive finite number, got {f1_tol!r}")
 

@@ -10,12 +10,11 @@ hypersurface degenerates and no frame exists.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import N_VARS, ScalarField, eval1
-from .rng import RngStream, _gaussians
+from .rng import _MASK64, RngStream, _gaussians, _require_real, _stream
 
 FOCAL_EPS = 1e-10
 _SEED_SKIP_EPS = 1e-6
@@ -46,9 +45,7 @@ class LevelSpec:
     level: float
 
     def __post_init__(self) -> None:
-        # a bool is a numbers.Real, but True is no level
-        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Real):
-            raise TypeError(f"level must be a real number, got {self.level!r}")
+        _require_real(self.level, "level")
         # max() in the projection's residual drops a NaN, so a NaN level
         # would hand back the start point unprojected
         if isinstance(self.level, float) and not math.isfinite(self.level):
@@ -66,11 +63,24 @@ class SpherePoint:
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Base point, unit normal inside the sphere, and orthonormal 4-frame."""
+    """Base point, unit normal inside the sphere, and orthonormal 4-frame.
+
+    frame_at leaves vectors unset: its first read computes
+    tangent_basis(base, normal) and stores it, so a frame whose basis is
+    never read (that of a linear field in second_form) never builds it.
+    """
 
     base: SpherePoint
     normal: tuple[float, ...]
+    # no default: a class attribute would be found before __getattr__ runs
     vectors: tuple[tuple[float, ...], ...]
+
+    def __getattr__(self, name: str):
+        # runs only for a name the instance lacks
+        if name != "vectors":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vectors = self.__dict__["vectors"] = tangent_basis(self.base, self.normal)
+        return vectors
 
 
 def _point(coords: tuple[float, ...]) -> SpherePoint:
@@ -227,12 +237,12 @@ def tangent_basis(p: SpherePoint, normal: Sequence[float]) -> tuple[tuple[float,
 
 
 def frame_at(p: SpherePoint, spec: LevelSpec) -> TangentFrame:
+    """Frame at p with its basis left to its first read."""
     normal = surface_normal(p, spec)
-    vectors = tangent_basis(p, normal)
     # TangentFrame has no __post_init__, so filling its fields directly
     # skips no check and saves the frozen __init__'s setattr per field
     frame = object.__new__(TangentFrame)
-    frame.__dict__.update(base=p, normal=normal, vectors=vectors)
+    frame.__dict__.update(base=p, normal=normal)
     return frame
 
 
@@ -247,7 +257,8 @@ def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
         n = _norm(comps)
         if n > 1e-8:
             c0, c1, c2, c3, c4, c5 = comps
-            return _point((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), RngStream(seed, counter)
+            # the counter masked as RngStream(seed, counter) masks it
+            return _point((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), _stream(seed, counter & _MASK64)
 
 
 def sample_level_point(spec: LevelSpec, stream: RngStream) -> tuple[SpherePoint, RngStream]:

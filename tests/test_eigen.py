@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from spherecurv import RngStream, SymMat4, draw_gaussian, sym_eigen
+from spherecurv import RngStream, SymMat4, draw_gaussian, eigen, sym_eigen
 
 from fieldtools import left_sum
 
@@ -319,9 +319,14 @@ def test_kernels_match_the_loop_form_bit_for_bit():
         ([0.0, 1e154, 1e154, 1e154, 0.0, 1e154, 1e154, 0.0, 1e154, 0.0], "negligible if the norm overflows"),
         ([1e200, 1e160, 0.0, 0.0, 1e200, 0.0, 0.0, 1.0, 0.0, 1.0], "negligible if the norm overflows"),
         ([1e160, 1e150, 0.0, 0.0, 1e160, 0.0, 0.0, 1.0, 0.0, 1.0], "negligible if the norm overflows"),
+        ([1.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0, 3.0, 0.0, math.inf], r"needs finite entries, .*inf\)\)$"),
+        ([1.0, 0.0, 0.0, 0.0, -math.inf, 0.0, 0.0, 3.0, 0.0, 4.0], r"needs finite entries, .*-inf"),
+        ([1.0, -0.0, 0.0, 0.0, 2.0, 0.0, 0.0, math.nan, -0.0, 4.0], r"needs finite entries, .*nan"),
+        ([1.0, 0.0, math.nan, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 4.0], r"needs finite entries, .*nan"),
     ],
     ids=["nan", "inf", "square-overflows", "norm-overflows", "six-squares-overflow", "square-beside-1e200",
-         "1e150-beside-1e160"],
+         "1e150-beside-1e160", "inf-on-a-diagonal-form", "minus-inf-on-a-diagonal-form",
+         "nan-on-a-diagonal-form", "nan-off-the-diagonal"],
 )
 def test_extreme_entries_raise_value_error(upper, message):
     """Where the loop form raised ZeroDivisionError (nan), returned nans or
@@ -333,4 +338,30 @@ def test_extreme_entries_raise_value_error(upper, message):
     are 1e160 +- 1e150."""
     with pytest.raises(ValueError, match=message):
         sym_eigen(SymMat4.from_upper(upper))
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [
+        [2.0, -0.0, 0.0, -0.0, -1.0, -0.0, 0.0, 2.0, -0.0, 0.5],
+        [-0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 0.0],
+        [1e200, 0.0, -0.0, 0.0, -1e200, 0.0, 0.0, 3.0, 0.0, 1e200],
+        [1.7976931348623157e308, 0.0, 0.0, 0.0, -1.7976931348623157e308, 0.0, 0.0, 5e-324, 0.0, -0.0],
+    ],
+    ids=["signed-zero-off-diagonal", "all-signed-zeros", "1e200-norm-overflows", "float-max"],
+)
+def test_extreme_diagonal_forms_skip_the_norms_and_keep_the_loop_form_bits(monkeypatch, upper):
+    """An exactly diagonal form with a finite diagonal returns the sorted
+    diagonal and identity vectors before either norm runs, with the bits of
+    the loop form, which computes both and finds nothing to rotate: also
+    where its Frobenius norm overflows and its threshold is inf."""
+    m = SymMat4.from_upper(upper)
+    want = _ref_outcome(m)
+
+    def no_norm(*args):
+        raise AssertionError("a norm ran on a diagonal form")
+
+    monkeypatch.setattr(eigen, "_off_norm", no_norm)
+    monkeypatch.setattr(SymMat4, "frobenius", no_norm)
+    assert want is not None and _hex(sym_eigen(m)) == want[1:]
 

@@ -1,7 +1,9 @@
 """Constraint projection, frames, and sampling on the unit 5-sphere."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from operator import mul
 
@@ -26,6 +28,7 @@ from spherecurv import (
     sample_level_point,
     sample_on_sphere,
     surface_normal,
+    sweep_analyze,
     tangent_basis,
 )
 from spherecurv import sphere
@@ -500,10 +503,14 @@ def _assert_equals_the_constructed(record):
 @pytest.mark.parametrize("spec", [EQUATOR, LevelSpec(cartan_field(), cartan_level(math.pi / 8))],
                          ids=["equator", "cartan"])
 def test_records_filled_without_init_equal_the_constructed_ones(spec):
-    """sample_on_sphere, project_to_level and frame_at fill SpherePoint and
-    TangentFrame without their __init__. That skips no check only while
-    TangentFrame has no __post_init__ and SpherePoint checks nothing but the
-    length of the 6-tuple these functions write out; a new check fails here."""
+    """sample_on_sphere, project_to_level and frame_at fill SpherePoint,
+    RngStream and TangentFrame without their __init__; frame_at fills only
+    base and normal, and the first read of vectors (here the getattr that
+    builds the reference record) computes and stores the basis. That skips
+    no check only while TangentFrame has no __post_init__, SpherePoint
+    checks nothing but the length of the 6-tuple these functions write out,
+    and RngStream only masks a counter that sample_on_sphere masks itself;
+    a new check fails here."""
     assert not hasattr(TangentFrame, "__post_init__")
     for coords in [(math.nan,) * 6, (math.inf, -math.inf, 0, -0.0, 1e300, 2), (0.0,) * 6]:
         assert SpherePoint(coords).coords is coords
@@ -515,8 +522,68 @@ def test_records_filled_without_init_equal_the_constructed_ones(spec):
         assert start == SpherePoint(tuple(c / n for c in comps)) and after == drawn
         point = project_to_level(start.coords, spec)
         frame = frame_at(point, spec)
-        for record in (start, point, frame, frame.base):
+        for record in (start, after, point, frame, frame.base):
             _assert_equals_the_constructed(record)
+
+
+def _count_tangent_basis(monkeypatch):
+    calls = []
+
+    def counted(p, normal):
+        calls.append(p)
+        return tangent_basis(p, normal)
+
+    monkeypatch.setattr(sphere, "tangent_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, built", [(EQUATOR, 0), (LevelSpec(cartan_field(), cartan_level(math.pi / 8)), 4)],
+                         ids=["equator", "cartan"])
+def test_a_sweep_builds_the_basis_only_where_the_form_reads_it(monkeypatch, spec, built):
+    """second_form returns a linear field's umbilic form without reading the
+    frame's basis, so an equator point never builds one; a cartan point
+    builds it once."""
+    calls = _count_tangent_basis(monkeypatch)
+    sweep_analyze(spec, 4, seed=3, workers=1)
+    assert len(calls) == built
+
+
+def _fresh_frames():
+    """Frames of equator and cartan points whose basis was never read."""
+    cartan = LevelSpec(cartan_field(), cartan_level(math.pi / 8))
+    for spec in (EQUATOR, cartan):
+        for i in range(3):
+            point, _ = sample_level_point(spec, RngStream(37).split(i))
+            yield lambda point=point, spec=spec: frame_at(point, spec)
+
+
+def test_the_frame_builds_its_basis_on_first_read_and_stores_it(monkeypatch):
+    calls = _count_tangent_basis(monkeypatch)
+    for fresh in _fresh_frames():
+        frame = fresh()
+        assert "vectors" not in vars(frame) and calls == []
+        vectors = frame.vectors
+        assert len(calls) == 1 and vars(frame)["vectors"] is vectors
+        assert frame.vectors is vectors and len(calls) == 1
+        assert _hex(vectors) == _hex(tangent_basis(frame.base, frame.normal))
+        calls.clear()
+
+
+def test_an_unread_frame_acts_as_the_constructed_one():
+    """==, hash, repr, copy and pickle of a frame whose basis was never read
+    are those of TangentFrame(base, normal, vectors); any other missing name
+    is still missing, and the basis stays frozen."""
+    for fresh in _fresh_frames():
+        frame = fresh()
+        built = TangentFrame(frame.base, frame.normal, tangent_basis(frame.base, frame.normal))
+        assert fresh() == built and built == fresh()
+        assert hash(fresh()) == hash(built) and repr(fresh()) == repr(built)
+        assert copy.copy(fresh()) == built and pickle.loads(pickle.dumps(fresh())) == built
+        assert not hasattr(fresh(), "nope")
+        with pytest.raises(AttributeError, match="^'TangentFrame' object has no attribute 'nope'$"):
+            fresh().nope
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh().vectors = built.vectors
 
 
 def test_sample_on_sphere_redraws_from_the_stream_after_a_tiny_draw(monkeypatch):
