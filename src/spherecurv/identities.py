@@ -16,7 +16,9 @@ definition side never calls the closed forms. Each trial of the random
 sweeps gets its child stream as an int seed and reads all its inputs in
 one rng._walk from counter 0: bounded ints that it clears straight into
 the arguments of the int cores, so it stays on ints from draw to verdict
-and builds Fractions only to name a counterexample.
+and builds Fractions only to name a counterexample. The facts the int cores
+rest on (g3's determinant, the cofactors' moment sums, P_x Q_x = D and the
+dpsi quotients) are certified over Z[a] in the tests, not checked per call.
 
 Index conventions (0-based internally, matching the docstrings' 1-based math):
 
@@ -148,8 +150,7 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     three distinct curvature values. The determinant factors as
     p q r (mu-la)(sig-la)(sig-mu), which is nonzero exactly when the values
     are distinct, so the kernel dimension is always 0 for admissible input;
-    both the cofactor determinant and the factored form are computed and
-    cross-checked on every call.
+    the tests certify that factorisation, and each call reads the rank.
     """
     for name, m in (("p", p), ("q", q), ("r", r)):
         if not isinstance(m, int) or m < 1:
@@ -170,16 +171,11 @@ def _g3_kernel_cleared(p: int, q: int, r: int, a: Sequence[int]) -> int:
     """g3_kernel for the values a_i / d, from the integers a alone.
 
     Row m of the system's matrix, (p la^m, q mu^m, r sig^m), scaled by d^m
-    is the integer moment row (p a1^m, q a2^m, r a3^m) of the same rank; its
-    determinant factors as p q r (a2-a1)(a3-a1)(a3-a2), checked on ints.
+    is the integer moment row (p a1^m, q a2^m, r a3^m) of the same rank.
     """
     a1, a2, a3 = a
     x1, x2, x3 = p * a1, q * a2, r * a3
-    y1, y2, y3 = x1 * a1, x2 * a2, x3 * a3
-    m = [[p, q, r], [x1, x2, x3], [y1, y2, y3]]
-    det = p * (x2 * y3 - x3 * y2) - q * (x1 * y3 - x3 * y1) + r * (x1 * y2 - x2 * y1)
-    if det != p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2):
-        raise RuntimeError("determinant factorization mismatch (unreachable)")
+    m = [[p, q, r], [x1, x2, x3], [x1 * a1, x2 * a2, x3 * a3]]
     return 3 - len(_reduce(m, 3))
 
 
@@ -188,46 +184,32 @@ def _g3_kernel_cleared(p: int, q: int, r: int, a: Sequence[int]) -> int:
 
 
 def _cofactors(a: Sequence[int]) -> list[int]:
-    """P_i = prod_{j != i} (a_j - a_i) for the integer quadruple a."""
+    """P_i = prod_{j != i} (a_j - a_i) for the integer quadruple a; for
+    lam_i = a_i / d, prod_{j != i} (lam_j - lam_i) = P_i / d^3."""
     a1, a2, a3, a4 = a
     d21, d31, d41, d32, d42, d43 = a2 - a1, a3 - a1, a4 - a1, a3 - a2, a4 - a2, a4 - a3
     return [d21 * d31 * d41, -d21 * d32 * d42, d31 * d32 * d43, -d41 * d42 * d43]
 
 
-def _diag_cleared(a: Sequence[int]) -> list[int]:
-    """The cofactors P of the integer quadruple a, with h_il = k_l d^3 / (k_den P_i).
-
-    With lam_i = a_i / d for any positive d, prod_{j != i} (lam_j - lam_i)
-    = P_i / d^3, and K_l = k_l / k_den for any positive k_den. Column l is
-    k_l d^3 / k_den times (1 / P_i)_i, so the three moment constraints hold
-    for every column exactly when sum_i a_i^m / P_i = 0 for m = 0, 1, 2;
-    they are checked on ints as sum_i a_i^m prod_{j != i} P_j = 0. P depends
-    on a alone, so d, k and k_den are left to the caller.
-    """
-    P = _cofactors(a)
-    p0, p1, p2, p3 = P
-    a0, a1, a2, a3 = a
-    r0, r1, r2, r3 = p1 * p2 * p3, p0 * p2 * p3, p0 * p1 * p3, p0 * p1 * p2
-    if (
-        r0 + r1 + r2 + r3
-        or a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3
-        or a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2 + a3 * a3 * r3
-    ):
-        raise RuntimeError("moment constraints violated (unreachable)")
-    return P
+def _cleared_lam(lam: Quadruple) -> tuple[list[int], int]:
+    """clear_denominators(lam.lam); TypeError when lam is not a Quadruple."""
+    if not isinstance(lam, Quadruple):
+        raise TypeError(f"lam must be a Quadruple, got {type(lam).__name__}")
+    return clear_denominators(lam.lam)
 
 
 def diag_from_K(lam: Quadruple, K: Sequence[RationalLike]) -> tuple[tuple[Fraction, ...], ...]:
     """h_iil = K_l / prod_{j != i} (lam_j - lam_i), for all i, l.
 
     Each column is the unique solution of the three moment constraints with
-    the prescribed K_l; the constraints are re-verified exactly on every
-    call. Computed on Python ints, with one Fraction per entry at the end.
+    the prescribed K_l: sum_i a_i^m / P_i = 0 for m = 0, 1, 2, which the
+    tests certify over Z[a] for the cofactors P of _cofactors. Computed on
+    Python ints, with one Fraction per entry at the end.
     """
-    a, d = clear_denominators(lam.lam)
+    a, d = _cleared_lam(lam)
     ks, k_den = clear_denominators(_four("K", K))
     d3 = d**3
-    return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in _diag_cleared(a))
+    return tuple(tuple(Fraction(k * d3, k_den * p) for k in ks) for p in _cofactors(a))
 
 
 def _diag_system_cleared(a: Sequence[int], d: int, k: int) -> tuple[list[int], int]:
@@ -254,7 +236,7 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
     _require_int(l=l)
-    a, d = clear_denominators(lam.lam)
+    a, d = _cleared_lam(lam)
     K_l = as_rational(K_l)
     y, det = _diag_system_cleared(a, d, K_l.numerator)
     return tuple(Fraction(v, det * K_l.denominator) for v in y)
@@ -290,11 +272,14 @@ def I_def(lam: Quadruple, diag: Sequence[Sequence[Fraction]]) -> Quad:
     """I_l = sum over pairs i < j (both != l) of
     h_iil h_jjl / ((lam_l - lam_i)(lam_l - lam_j)).
 
-    Each column's three entries are cleared over one integer and summed on
-    ints by _I_def_cleared.
+    diag[i][l] = h_iil is a 4x4 table of exact values. Each column's three
+    entries are cleared over one integer and summed by _I_def_cleared.
     """
-    a, d = clear_denominators(lam.lam)
-    cols = [clear_denominators([diag[x][l] for x in _OTHERS[l]]) for l in range(4)]
+    a, d = _cleared_lam(lam)
+    if len(diag) != 4:
+        raise ValueError(f"diag has four rows, got {len(diag)}")
+    rows = [_four(f"diag row {i}", row) for i, row in enumerate(diag)]
+    cols = [clear_denominators([rows[x][l] for x in _OTHERS[l]]) for l in range(4)]
     return tuple(Fraction(n, den) for n, den in _I_def_cleared(a, d, cols))
 
 
@@ -324,7 +309,7 @@ def _I_cleared(
 def I_closed(lam: Quadruple, K: Sequence[RationalLike]) -> Quad:
     """The same four sums in closed form: -K_l^2 / D^2 times a difference
     bracket, D = prod_{i<j} (lam_j - lam_i)."""
-    a, d = clear_denominators(lam.lam)
+    a, d = _cleared_lam(lam)
     nums, den = _I_cleared(a, d, *clear_denominators(_four("K", K)))
     return tuple(Fraction(n, den) for n in nums)
 
@@ -335,7 +320,7 @@ def sign_lemma(lam: Quadruple, K: Sequence[RationalLike]) -> bool:
     The closed forms share a positive denominator, so this reads the signs
     of their integer numerators.
     """
-    a, d = clear_denominators(lam.lam)
+    a, d = _cleared_lam(lam)
     nums, _den = _I_cleared(a, d, *clear_denominators(_four("K", K)))
     return all(n <= 0 for n in nums)
 
@@ -348,7 +333,7 @@ def _gauss_R_cleared(a: Sequence[int], d: int) -> int:
 
 def gauss_R(lam: Quadruple) -> Fraction:
     """Scalar curvature sum over ordered pairs: sum_{i != j} (1 + lam_i lam_j)."""
-    a, d = clear_denominators(lam.lam)
+    a, d = _cleared_lam(lam)
     return Fraction(_gauss_R_cleared(a, d), d * d)
 
 
@@ -443,7 +428,7 @@ def _combination(terms: Sequence[tuple[int, str]]) -> str:
 
 
 def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]) -> str:
-    """Source of `_dpsi_kernel(a, P, d, ks, k_den, ms, m_den)`, the body of
+    """Source of `_dpsi_kernel(a, d, ks, k_den, ms, m_den)`, the body of
     _dpsi_cleared for the collected tables hh and mixed, straight-line and
     without a division.
 
@@ -455,21 +440,17 @@ def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]
     +-(a_p - a_r)(a_q - a_r)(a_c - a_r)^2, and a mixed quotient is the
     product of the four other differences. Deriving it proves, once per
     table and for every input, that the divisor divides; a key whose divisor
-    does not, such as an h h key with c in {p, q}, raises here. The h h
-    divisors hold for P = the cofactors of a alone, so the kernel checks the
-    P it is handed against its own differences. Each quotient is bound on a
-    line commented with its kind and key, each product of two differences
-    is bound once, and each k_c^2 and m_n^2 multiplies the weighted sum of
-    its group's quotients.
+    does not, such as an h h key with c in {p, q}, raises here. P_p and P_q
+    enter the divisor as the kernel's own differences, so the kernel needs
+    no P. Each quotient is bound on a line commented with its kind and key,
+    each product of two differences is bound once, and each k_c^2 and m_n^2
+    multiplies the weighted sum of its group's quotients.
     """
     lines = [
-        "def _dpsi_kernel(a, P, d, ks, k_den, ms, m_den):",
+        "def _dpsi_kernel(a, d, ks, k_den, ms, m_den):",
         "    a0, a1, a2, a3 = a",
         "    e10, e20, e30 = a1 - a0, a2 - a0, a3 - a0",
         "    e21, e31, e32 = a2 - a1, a3 - a1, a3 - a2",
-        "    if P != [e10 * e20 * e30, -e10 * e21 * e31, e20 * e21 * e32, -e30 * e31 * e32]:",
-        "        raise RuntimeError('h h denominator does not divide D^2: P is not the cofactors of a"
-        " (unreachable)')",
         "    D = e10 * e20 * e30 * e21 * e31 * e32",
         "    D2 = D * D",
     ]
@@ -547,10 +528,10 @@ def _dpsi_cleared(
     the product of the differences that the value's denominator lacks,
     proved to divide when the kernel is generated (_dpsi_source), so no
     division runs here. The keys run in straight-line code generated from
-    the two tables (_dpsi_kernel), which is handed the moment-checked P of
-    _diag_cleared and checks it against its own differences.
+    the two tables (_dpsi_kernel); the tests certify each quotient times its
+    divisor as D^2 or D over Z[a].
     """
-    return _dpsi_kernel()(a, _diag_cleared(a), d, ks, k_den, ms, m_den)
+    return _dpsi_kernel()(a, d, ks, k_den, ms, m_den)
 
 
 def dpsi_coeff(table: DerivativeTable) -> Fraction:
@@ -1098,37 +1079,26 @@ def _trial_vandermonde(seed: int, height: int) -> dict | None:
     # The system gives h_il = y_i / (det k_den), the closed form k d^3 / (k_den P_i).
     y, det = _diag_system_cleared(a, d, k)
     scale = k * d**3 * det
-    if any(v * p != scale for v, p in zip(y, _diag_cleared(a))):
+    if any(v * p != scale for v, p in zip(y, _cofactors(a))):
         return {"lam": _fmt(Fraction(x, d) for x in a), "K_l": str(Fraction(k, k_den)), "l": str(l)}
     return None
+
+
+def _complements(a: Sequence[int]) -> tuple[tuple[int, int, int, int], int]:
+    """(Q, D): D = prod_{i<j} (a_j - a_i) and Q_x the signed product of the
+    three differences without x, with P_x Q_x = D for P = _cofactors(a)."""
+    a0, a1, a2, a3 = a
+    e10, e20, e30, e21, e31, e32 = a1 - a0, a2 - a0, a3 - a0, a2 - a1, a3 - a1, a3 - a2
+    Q = (e21 * e31 * e32, -e20 * e30 * e32, e10 * e30 * e31, -e10 * e20 * e21)
+    return Q, e10 * e20 * e30 * Q[0]
 
 
 def _trial_i_closed(seed: int, height: int) -> dict | None:
     a, d, _counter, vals = _draw_distinct_quadruple(seed, height, _ranges(height, 8))
     ks, k_den = _cleared_drawn(vals, height)
-    # h_xl = k_l d^3 / (k_den P_x) = k_l d^3 Q_x / (k_den D), where Q_x, the
-    # product of the three differences without x, has P_x Q_x = D; that is
-    # checked against the moment-checked P. Column l is n_x = k_l d^3 Q_x
-    # over k_den D.
-    #
-    # All four terms are checked, though any one follows from the other
-    # three and _diag_cleared's moment checks. When three hold, those three
-    # P_x are D / Q_x, the true cofactors, all nonzero. The m = 0 moment
-    # check, sum_i prod_{j != i} P_j = 0, is then linear in the fourth entry
-    # P_x, with coefficient P_a P_b + P_a P_c + P_b P_c over the other
-    # three; the true cofactors satisfy sum_i 1 / P_i = 0, so that
-    # coefficient is -P_a P_b P_c / P_x, which is nonzero, and the check
-    # fixes P_x to the true cofactor. The x = 0 term alone is not enough:
-    # the moment checks hold vacuously when two entries of P are 0, so a P
-    # such as [P_0, 0, 0, y] passes them and the x = 0 term, and only the
-    # other terms reject it.
-    P = _diag_cleared(a)
-    a0, a1, a2, a3 = a
-    e10, e20, e30, e21, e31, e32 = a1 - a0, a2 - a0, a3 - a0, a2 - a1, a3 - a1, a3 - a2
-    Q = (e21 * e31 * e32, -e20 * e30 * e32, e10 * e30 * e31, -e10 * e20 * e21)
-    D = e10 * e20 * e30 * Q[0]
-    if P[0] * Q[0] != D or P[1] * Q[1] != D or P[2] * Q[2] != D or P[3] * Q[3] != D:
-        raise RuntimeError("cofactor times complement is not D (unreachable)")
+    # h_xl = k_l d^3 / (k_den P_x) = k_l d^3 Q_x / (k_den D), so column l is
+    # n_x = k_l d^3 Q_x over k_den D.
+    Q, D = _complements(a)
     d3, col_den = d**3, k_den * D
     cols = []
     for l, (i, j, k) in enumerate(_OTHERS):

@@ -31,6 +31,7 @@ from fractions import Fraction
 import check_golden
 import mpmath as mp
 import pytest
+import sympy
 
 from spherecurv import identities, rng
 from spherecurv.exact import clear_denominators
@@ -59,6 +60,7 @@ from spherecurv import (
 
 F = Fraction
 LAM_1234 = Quadruple((F(1), F(2), F(3), F(4)))
+A = sympy.symbols("a0:4")  # the quadruple a as symbols, for the certificates
 
 
 def _forbid_mpmath_roots(monkeypatch):
@@ -174,10 +176,40 @@ def _g3_matrix(p, q, r, lams):
     ]
 
 
+def _g3_determinant_residues(monkeypatch):
+    """det(rows) - p q r (a2 - a1)(a3 - a1)(a3 - a2), expanded over
+    Z[a1, a2, a3], for each (p, q, r) the g3 trial draws; rows is the
+    matrix that _g3_kernel_cleared, run on symbols, hands _reduce."""
+    a1, a2, a3 = sympy.symbols("a1:4")
+    recorded = []
+    monkeypatch.setattr(identities, "_reduce", lambda rows, ncols: recorded.append(rows) or [0, 1, 2])
+    residues = []
+    for p, q, r in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
+        identities._g3_kernel_cleared(p, q, r, (a1, a2, a3))
+        residues.append(sympy.expand(_det3(recorded.pop()) - p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2)))
+    return residues
+
+
 class TestThreeCurvatures:
     def test_matrix_determinant_frozen(self):
         m = _g3_matrix(1, 1, 2, (F(0), F(1), F(2)))
         assert _det3(m) == 4
+
+    def test_determinant_factorisation_is_certified(self, monkeypatch):
+        """Certificate for the g3 kernel: the integer moment rows that
+        _g3_kernel_cleared eliminates have determinant
+        p q r (a2 - a1)(a3 - a1)(a3 - a2) as a polynomial, so they have rank
+        3, and the kernel is 0, whenever the three values are distinct. A
+        planted kernel that drops the multiplicity r, or repeats a value,
+        is rejected."""
+        assert _g3_determinant_residues(monkeypatch) == [0, 0, 0]
+        kernel = identities._g3_kernel_cleared
+        for planted in (
+            lambda p, q, r, a: kernel(p, q, 1, a),
+            lambda p, q, r, a: kernel(p, q, r, (a[0], a[0], a[2])),
+        ):
+            monkeypatch.setattr(identities, "_g3_kernel_cleared", planted)
+            assert _g3_determinant_residues(monkeypatch) != [0, 0, 0]
 
     def test_kernel_always_trivial(self):
         assert g3_kernel(1, 1, 2, (F(0), F(1), F(2))) == 0
@@ -224,7 +256,27 @@ class TestThreeCurvatures:
             assert repeated > 20
 
 
+def _cofactor_residues():
+    """The cofactor certificate, expanded over Z[a0..a3] with
+    P = identities._cofactors(A) on symbols: the moment sums
+    sum_i a_i^m prod_{j != i} P_j for m = 0, 1, 2, and
+    P_i - prod_{j != i} (a_j - a_i) for each i."""
+    P = [sympy.Poly(p, *A) for p in identities._cofactors(A)]
+    rest = [math.prod(P[j] for j in range(4) if j != i) for i in range(4)]
+    moments = [sum(A[i] ** m * rest[i] for i in range(4)) for m in range(3)]
+    true = [math.prod(A[j] - A[i] for j in range(4) if j != i) for i in range(4)]
+    return [r.as_expr() for r in moments], [(p - t).as_expr() for p, t in zip(P, true)]
+
+
 class TestDiagonalTable:
+    def test_cofactors_are_certified(self):
+        """Certificate for diag_from_K and the vandermonde trial: P_i is
+        prod_{j != i} (a_j - a_i), and sum_i a_i^m prod_{j != i} P_j = 0 for
+        m = 0, 1, 2, as polynomials in a0..a3. Divided by prod(P), nonzero
+        for distinct values, that is sum_i a_i^m / P_i = 0, so every column
+        k_l d^3 / (k_den P_i) meets the three moment constraints."""
+        assert _cofactor_residues() == ([0, 0, 0], [0, 0, 0, 0])
+
     def test_frozen_column(self):
         diag = diag_from_K(LAM_1234, (F(1), F(0), F(0), F(0)))
         col0 = tuple(diag[i][0] for i in range(4))
@@ -256,10 +308,11 @@ class TestDiagonalTable:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_each_moment_sum_is_checked(self, m, monkeypatch):
-        """A planted P that breaks moment sum m alone, sum_i a_i^m
-        prod_{j != i} P_j, makes _diag_cleared raise. P_i = L / w_i for an
-        integer w with sum_i a_i^k w_i = 0 at the two other k and not at m,
-        since prod_{j != i} P_j is then prod(P) w_i / L."""
+        """A planted P that breaks moment sum m alone at a = (0, 1, 2, 3),
+        sum_i a_i^m prod_{j != i} P_j, fails the cofactor certificate at
+        sum m there. P_i = L / w_i for an integer w with sum_i a_i^k w_i = 0
+        at the two other k and not at m, since prod_{j != i} P_j is then
+        prod(P) w_i / L."""
         a = [0, 1, 2, 3]
         broken = [k == m for k in range(3)]
         w = next(
@@ -271,8 +324,9 @@ class TestDiagonalTable:
         rest = [math.prod(P[j] for j in range(4) if j != i) for i in range(4)]
         assert [sum(x**k * r for x, r in zip(a, rest)) != 0 for k in range(3)] == broken
         monkeypatch.setattr(identities, "_cofactors", lambda a: list(P))
-        with pytest.raises(RuntimeError, match="moment constraints violated"):
-            identities._diag_cleared(a)
+        moments, cofactors = _cofactor_residues()
+        assert [r.subs(dict(zip(A, a))) != 0 for r in moments] == broken
+        assert all(cofactors)
 
     @pytest.mark.parametrize("height", [2, 1000, 2**70])
     def test_system_matches_math_prod_reference(self, height, monkeypatch):
@@ -350,7 +404,7 @@ class TestInteractionSums:
         their unreduced denominators, are the same values over their
         positive denominator and carry the same signs, zero included, which
         is all sign_lemma and the i-sign trial read. On the same ints every
-        int core of the definition side (_diag_cleared, _diag_system_cleared,
+        int core of the definition side (_cofactors, _diag_system_cleared,
         _I_def_cleared fed the trial's product-form columns, _dpsi_cleared,
         _gauss_R_cleared) equals its public Fraction function and the
         Fraction reference. Every third quadruple is rotated out of order;
@@ -383,7 +437,7 @@ class TestInteractionSums:
 
             ref_diag = _fraction_diag_from_K(quad, K)
             assert diag_from_K(quad, K) == ref_diag
-            P = identities._diag_cleared(a)
+            P = identities._cofactors(a)
             d3 = d**3
             assert all(F(ks[l] * d3, k_den * P[x]) == ref_diag[x][l] for x in range(4) for l in range(4))
             l = i % 4
@@ -562,41 +616,53 @@ def test_definition_side_kernels_match_fraction_reference():
     assert min(zero_lam, zero_k, zero_mixed) > 300
 
 
-def test_wrong_moment_or_cofactor_raises(monkeypatch):
-    """A wrong P_i breaks the moment check in diag_from_K. Scaling every P_i
-    by one prime keeps the moments at zero, but then the h h denominators of
-    dpsi_coeff no longer divide D^2."""
-    lam = Quadruple((F(-2), F(1, 3), F(1), F(7, 2)))
-    table = DerivativeTable(lam, (F(2), F(-1), F(1, 5), F(3)), (F(1),) * 4)
+def test_wrong_moment_or_cofactor_fails_the_certificate(monkeypatch):
+    """A P_i off by one breaks the cofactor certificate's moment sums.
+    Scaling every P_i by one prime keeps the moment sums at zero, but not
+    P_i = prod_{j != i} (a_j - a_i). Either P gives a vandermonde
+    counterexample, which compares y_i P_i with k_l d^3 det."""
     cofactors = identities._cofactors
+    assert run_identity_sweep("vandermonde", 20, seed=3).failures == 0
     monkeypatch.setattr(
-        identities, "_cofactors", lambda a: [p + (i == 2) for i, p in enumerate(cofactors(a))]
+        identities, "_cofactors", lambda a: [p + int(i == 2) for i, p in enumerate(cofactors(a))]
     )
-    with pytest.raises(RuntimeError, match="moment"):
-        diag_from_K(table.lam, table.K)
-    with pytest.raises(RuntimeError, match="moment"):
-        dpsi_coeff(table)
+    moments, wrong = _cofactor_residues()
+    assert all(moments) and wrong == [0, 0, 1, 0]
+    assert run_identity_sweep("vandermonde", 20, seed=3).failures > 0
     monkeypatch.setattr(identities, "_cofactors", lambda a: [(2**61 - 1) * p for p in cofactors(a)])
-    diag_from_K(table.lam, table.K)
-    with pytest.raises(RuntimeError, match="divide"):
-        dpsi_coeff(table)
+    moments, wrong = _cofactor_residues()
+    assert moments == [0, 0, 0] and all(wrong)
+    assert run_identity_sweep("vandermonde", 20, seed=3).failures > 0
 
 
-def test_wrong_cofactors_make_the_i_closed_trial_raise(monkeypatch):
-    """The i-closed columns are read from the complements Q_x with
-    P_x Q_x = D, tied to the moment-checked P: a P off by one breaks the
-    moments, and a scaled P, whose moments hold, breaks P_x Q_x = D."""
-    seed = rng._child_seed(3, 0)
-    assert identities._trial_i_closed(seed, 1000) is None
+def _complement_residues():
+    """The i-closed certificate, expanded over Z[a0..a3] with
+    P = identities._cofactors(A) and (Q, D) = identities._complements(A) on
+    symbols: D - prod_{i<j} (a_j - a_i), then P_x Q_x - D for each x."""
+    P = identities._cofactors(A)
+    Q, D = identities._complements(A)
+    vandermonde = sympy.Mul(*(A[j] - A[i] for i, j in itertools.combinations(range(4), 2)))
+    return [sympy.expand(D - vandermonde)] + [sympy.expand(p * q - D) for p, q in zip(P, Q)]
+
+
+def test_i_closed_columns_are_certified():
+    """Certificate for the i-closed trial's columns: D is
+    prod_{i<j} (a_j - a_i), nonzero for distinct values, and P_x Q_x = D
+    for every x, as polynomials in a0..a3. So n_x = k_l d^3 Q_x over k_den D
+    is h_xl = k_l d^3 / (k_den P_x), the entry of diag_from_K."""
+    assert _complement_residues() == [0] * 5
+
+
+def test_wrong_cofactors_fail_the_i_closed_certificate(monkeypatch):
+    """A P off by one at index 2 breaks P_x Q_x = D at x = 2, and a P
+    scaled by one prime, whose moment sums hold, breaks it at every x."""
     cofactors = identities._cofactors
     monkeypatch.setattr(
-        identities, "_cofactors", lambda a: [p + (i == 2) for i, p in enumerate(cofactors(a))]
+        identities, "_cofactors", lambda a: [p + int(i == 2) for i, p in enumerate(cofactors(a))]
     )
-    with pytest.raises(RuntimeError, match="moment"):
-        identities._trial_i_closed(seed, 1000)
+    assert [r != 0 for r in _complement_residues()] == [False, False, False, True, False]
     monkeypatch.setattr(identities, "_cofactors", lambda a: [(2**61 - 1) * p for p in cofactors(a)])
-    with pytest.raises(RuntimeError, match="cofactor times complement is not D"):
-        identities._trial_i_closed(seed, 1000)
+    assert [r != 0 for r in _complement_residues()] == [False, True, True, True, True]
 
 
 def test_gauss_r_frozen():
@@ -733,7 +799,7 @@ class TestCollectedPsiTerms:
     def test_mixed_division_is_checked(self, fresh_dpsi_kernel, monkeypatch):
         """A planted mixed key whose denominator (a_1 - a_0)^2 = 49 does not
         divide D = 1008 at lam = (0, 7, 8, 9) raises. The h h division is
-        held the same way by test_wrong_moment_or_cofactor_raises."""
+        held the same way by test_hh_key_with_c_in_pq_raises_when_the_kernel_is_built."""
         _plant(monkeypatch, "_DPSI_MIXED", identities._DPSI_MIXED + ((0, 1, 1, 0, -2),))
         lam = Quadruple((F(0), F(7), F(8), F(9)))
         with pytest.raises(RuntimeError, match="mixed denominator does not divide"):
@@ -783,7 +849,7 @@ def _loop_dpsi_cleared(a, d, ks, k_den, ms, m_den):
     """identities._dpsi_cleared as it was before its keys were generated as
     straight-line code: one loop over each collected table, one checked
     division per key. The reference for the generated kernel."""
-    P = identities._diag_cleared(a)
+    P = identities._cofactors(a)
     diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
     D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
     D2 = D * D
@@ -855,8 +921,7 @@ class TestGeneratedDpsiKernel:
         gives it in the weighted sums, is D^2 (h h) or D (mixed), where
         D = prod_{i<j} (a_j - a_i). The quotients and their signs are read
         from the generated source, so this is what the kernel computes."""
-        sympy = pytest.importorskip("sympy")
-        a = sympy.symbols("a0:4")
+        a = A
         ks, ms = sympy.symbols("k0:4"), sympy.symbols("m0:4")
         qs = sympy.symbols("q0:24")
         values = {f"e{i}{j}": a[i] - a[j] for i in range(4) for j in range(i)}

@@ -5,9 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from spherecurv import LevelSpec, RngStream, SymMat4, clifford_model, coordinate_field, sweep_analyze
+from spherecurv import (
+    DerivativeTable,
+    I_closed,
+    I_def,
+    LevelSpec,
+    Quadruple,
+    RngStream,
+    SymMat4,
+    clifford_model,
+    coordinate_field,
+    diag_from_K,
+    diag_from_system,
+    gauss_R,
+    sign_lemma,
+    sweep_analyze,
+)
 
 _EQUATOR = LevelSpec(coordinate_field(5), 0.0)
+_LAM = Quadruple((1, 2, 3, 4))
+_ONES = (1, 1, 1, 1)
 
 
 def _rows_with(i, j, entry):
@@ -46,12 +63,50 @@ _ROWS = [
     # once parsed as floats
     (lambda: SymMat4.from_upper(["1"] * 10), "upper-triangle entry 0 must be a real number, got '1'"),
     (lambda: SymMat4.from_upper([1.0] * 9 + [False]), "upper-triangle entry 9 must be a real number, got False"),
+    # once "'float' object has no attribute 'denominator'"; the exact
+    # functions share one message for a float
+    (lambda: I_def(_LAM, [[1.5] * 4] * 4), "float input would silently break exactness; pass a Fraction"),
+]
+
+# lam given as something other than a Quadruple, to each function that reads
+# it; once "'tuple' object has no attribute 'lam'"
+_LAM_CALLS = {
+    "diag_from_K": lambda lam: diag_from_K(lam, _ONES),
+    "diag_from_system": lambda lam: diag_from_system(lam, 1, 0),
+    "I_def": lambda lam: I_def(lam, [_ONES] * 4),
+    "I_closed": lambda lam: I_closed(lam, _ONES),
+    "sign_lemma": lambda lam: sign_lemma(lam, _ONES),
+    "gauss_R": gauss_R,
+}
+
+# (call, message): each call raises ValueError with exactly this message;
+# both once raised "IndexError: list index out of range"
+_SHAPE_ROWS = [
+    (lambda: I_def(_LAM, [_ONES] * 3), "diag has four rows, got 3"),
+    (lambda: I_def(_LAM, [(1, 1, 1)] * 4), "diag row 0 has four entries, got 3"),
 ]
 
 
 @pytest.mark.parametrize("call, message", _ROWS, ids=[message for _call, message in _ROWS])
 def test_wrong_type_raises_a_named_type_error(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(_LAM_CALLS))
+def test_lam_must_be_a_quadruple(name):
+    call = _LAM_CALLS[name]
+    call(_LAM)
+    with pytest.raises(TypeError, match="^lam must be a Quadruple, got tuple$"):
+        call((1, 2, 3, 4))
+    table = DerivativeTable(_LAM, _ONES, _ONES)
+    with pytest.raises(TypeError, match="^lam must be a Quadruple, got DerivativeTable$"):
+        call(table)
+
+
+@pytest.mark.parametrize("call, message", _SHAPE_ROWS, ids=[message for _call, message in _SHAPE_ROWS])
+def test_wrong_shape_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 
