@@ -87,14 +87,12 @@ def _off_norm(a: Sequence[Sequence[float]]) -> float:
     return math.sqrt(0 + a01**2 + a02**2 + a03**2 + a12**2 + a13**2 + a23**2)
 
 
-def _jacobi(m: SymMat4) -> tuple:
+def _jacobi(m: SymMat4) -> tuple[list[list[float]], list[list[float]]]:
     """(a, v) after the cyclic Jacobi sweeps on m: the rotated rows and the
-    product of the rotations, each a list of lists, or m.rows and _IDENTITY
-    when no rotation runs. ValueError as sym_eigen gives it."""
-    # a and v stay the input's tuples until the first rotation, so an m
-    # already within the threshold is not copied into lists
+    product of the rotations, each a list of lists, copied from m.rows and
+    _IDENTITY before the first threshold test. ValueError as sym_eigen
+    gives it."""
     a = m.rows
-    v = _IDENTITY
     if not (frobenius := m.frobenius()) < math.inf:
         # a nan or inf spreads or divides by zero; for finite entries the inf
         # threshold stops at once, right only for a negligible off-diagonal part
@@ -104,14 +102,13 @@ def _jacobi(m: SymMat4) -> tuple:
             bad = True
         if bad or not all(map(math.isfinite, sum(a, ()))):
             raise ValueError(f"sym_eigen needs finite entries, off-diagonal ones negligible if the norm overflows, got {a}")
+    a = [list(row) for row in a]
+    v = [list(row) for row in _IDENTITY]
     threshold = _OFF_FACTOR * max(frobenius, 1e-300)
 
-    for sweep in range(_SWEEP_CAP):
+    for _ in range(_SWEEP_CAP):
         if _off_norm(a) <= threshold:
             break
-        if not sweep:
-            a = [list(row) for row in a]
-            v = [list(row) for row in v]
         for p in range(N - 1):
             for q in range(p + 1, N):
                 apq = a[p][q]
@@ -143,24 +140,21 @@ def sym_eigen(m: SymMat4) -> tuple[tuple[float, ...], tuple[tuple[float, ...], .
     Reconstruction sum(lam_k v_k v_k^T) reproduces m to ~1e-14 of its norm.
     ValueError on a nan or inf entry, or where the norm overflows on a large off-diagonal part.
     """
-    a = m.rows
-    v = _IDENTITY
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = a
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.rows
     # An off-diagonal part of zeros of either sign passes the first threshold
-    # test whatever the norms are, so a finite diagonal skips them. A nan or
-    # an inf off the diagonal is truthy, and takes the checks in _jacobi.
-    if a01 or a02 or a03 or a12 or a13 or a23 or not (
+    # test whatever the norms are, so a finite diagonal skips the sweeps:
+    # column k is row k of _IDENTITY, a unit vector with a positive sign. A
+    # nan or an inf off the diagonal is truthy, and takes the checks in _jacobi.
+    if not (a01 or a02 or a03 or a12 or a13 or a23) and (
         math.isfinite(a00) and math.isfinite(a11) and math.isfinite(a22) and math.isfinite(a33)
     ):
-        a, v = _jacobi(m)
+        diag = [a00, a11, a22, a33]
+        order = sorted(range(N), key=diag.__getitem__)
+        return tuple(map(diag.__getitem__, order)), tuple(map(_IDENTITY.__getitem__, order))
+    a, v = _jacobi(m)
     # Eigenvectors are the columns of v, taken by ascending diagonal; the
     # sort is stable, so tied values keep their column order.
     diag = [a[0][0], a[1][1], a[2][2], a[3][3]]
-    if v is _IDENTITY:
-        # no rotation ran: column k is row k of _IDENTITY, a unit vector
-        # whose sign the loop below would keep
-        order = sorted(range(N), key=diag.__getitem__)
-        return tuple(map(diag.__getitem__, order)), tuple(map(_IDENTITY.__getitem__, order))
     v0, v1, v2, v3 = v
     values = []
     vectors = []

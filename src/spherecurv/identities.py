@@ -126,9 +126,9 @@ def g2_solve(k: int, S: RationalLike) -> tuple[tuple[Surd, Surd], tuple[Surd, Su
     lam > 0 in the first branch. S = 0 would force lam = mu = 0, a
     degenerate pair, and is rejected. The values come from _g2_cleared.
     """
+    _require_int(k=k)
     if k not in (1, 2, 3):
         raise ValueError(f"multiplicity k must be 1, 2 or 3, got {k}")
-    _require_int(k=k)
     S = as_rational(S)
     if S == 0:
         raise ValueError("S = 0 collapses both curvatures to zero (degenerate)")
@@ -152,10 +152,10 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
     are distinct, so the kernel dimension is always 0 for admissible input;
     the tests certify that factorisation, and each call reads the rank.
     """
-    for name, m in (("p", p), ("q", q), ("r", r)):
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"multiplicity {name} must be a positive integer, got {m}")
     _require_int(p=p, q=q, r=r)
+    for name, m in (("p", p), ("q", q), ("r", r)):
+        if m < 1:
+            raise ValueError(f"multiplicity {name} must be a positive integer, got {m}")
     if p + q + r != 4:
         raise ValueError(f"multiplicities must sum to 4, got {p}+{q}+{r}")
     vals = tuple(as_rational(v) for v in lams)
@@ -233,9 +233,9 @@ def diag_from_system(lam: Quadruple, K_l: RationalLike, l: int) -> tuple[Fractio
     fraction-free elimination, with no reference to the closed form.
     Agreement with diag_from_K is the correctness check for both.
     """
+    _require_int(l=l)
     if l not in (0, 1, 2, 3):
         raise ValueError(f"column index must be 0..3, got {l}")
-    _require_int(l=l)
     a, d = _cleared_lam(lam)
     K_l = as_rational(K_l)
     y, det = _diag_system_cleared(a, d, K_l.numerator)
@@ -549,7 +549,9 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     partial-fraction identity, and the exact sweep checks it rather than
     assuming it. Everything runs on Python ints in _dpsi_cleared.
     """
-    a, d = clear_denominators(table.lam.lam)
+    if not isinstance(table, DerivativeTable):
+        raise TypeError(f"table must be a DerivativeTable, got {type(table).__name__}")
+    a, d = _cleared_lam(table.lam)
     ks, k_den = clear_denominators(table.K)
     ms, m_den = clear_denominators(table.mixed)
     return Fraction(*_dpsi_cleared(a, d, ks, k_den, ms, m_den))
@@ -668,7 +670,7 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _rational_roots(f: list[int], sturm: dict | None = None) -> list[tuple[int, int]] | None:
+def _rational_roots(f: list[int]) -> list[tuple[int, int]] | None:
     """The roots of the integer polynomial f, exactly and with multiplicity,
     as reduced (p, q) int pairs, when all are rational; None when they
     cannot all be found that way.
@@ -690,9 +692,7 @@ def _rational_roots(f: list[int], sturm: dict | None = None) -> list[tuple[int, 
     next to an irrational one. When the refinement stalls, f = s g with g =
     gcd(f, f') and s = f / g, and both parts are searched; a constant g
     means f has no repeated root to blame, and the search fails. g is the
-    last term of _sturm(f), and when a dict `sturm` is given, the sequence
-    is stored in it under tuple(f), so that _real_roots need not build it
-    again.
+    last term of _sturm(f); _real_roots builds its own sequences.
     """
     roots = []
     while len(f) > 1 and f[-1] == 0:
@@ -726,13 +726,10 @@ def _rational_roots(f: list[int], sturm: dict | None = None) -> list[tuple[int, 
                     break
                 m -= step
             if v:
-                seq = _sturm(f)
-                if sturm is not None:
-                    sturm[tuple(f)] = seq
-                g = seq[-1]
+                g = _sturm(f)[-1]
                 if len(g) == 1:
                     return None
-                parts = [_rational_roots(h, sturm) for h in (_primitive(_pseudo_divmod(f, g)[0]), g)]
+                parts = [_rational_roots(h) for h in (_primitive(_pseudo_divmod(f, g)[0]), g)]
                 return None if None in parts else roots + parts[0] + parts[1]
             p, q = _reduced(m, lc)
         roots.append((p, q))
@@ -816,7 +813,7 @@ def _to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _real_roots(f: list[int], sturm: dict | None = None) -> list[float]:
+def _real_roots(f: list[int]) -> list[float]:
     """The roots of the integer polynomial f, with multiplicity, as correctly
     rounded floats; ValueError when one is not real.
 
@@ -833,17 +830,15 @@ def _real_roots(f: list[int], sturm: dict | None = None) -> list[float]:
     rounding is monotone. The sign at hi comes from the Sturm count that
     isolated the interval, then from the halving before, so s is evaluated
     once per point. g gives the repeated roots. Counts never run on f, all of
-    whose Sturm terms vanish at a repeated root. Sequences in `sturm`, keyed
-    by tuple(p) as _rational_roots leaves them, are not built again.
+    whose Sturm terms vanish at a repeated root.
     """
-    sturm = sturm or {}
     roots = []
     while len(f) > 1:
-        seq = sturm.get(tuple(f)) or _sturm(f)
+        seq = _sturm(f)
         g, s = seq[-1], f
         if len(g) > 1:
             s = _primitive(_pseudo_divmod(f, g)[0])
-            seq = sturm.get(tuple(s)) or _sturm(s)
+            seq = _sturm(s)
         b = 1 << max((max(map(abs, p[1:])) // abs(p[0]) + 2).bit_length() for p in seq if len(p) > 1)
         at_hi = [_value(p, b, 1) for p in seq]
         vlo, vhi = _changes(_value(p, -b, 1) for p in seq), _changes(at_hi)
@@ -897,10 +892,9 @@ def _real_roots(f: list[int], sturm: dict | None = None) -> list[float]:
 def _recover_cleared(f: list[int]) -> tuple[float, ...]:
     """The roots of the primitive integer polynomial f, ascending, as
     correctly rounded floats: the rational path of recover_curvatures."""
-    sturm: dict = {}
-    exact = _rational_roots(f, sturm)
+    exact = _rational_roots(f)
     # int / int is correctly rounded, as float(Fraction(p, q)) is
-    return tuple(sorted(_real_roots(f, sturm) if exact is None else (p / q for p, q in exact)))
+    return tuple(sorted(_real_roots(f) if exact is None else (p / q for p, q in exact)))
 
 
 def recover_curvatures(p1, p2, p3, e4) -> tuple[float, float, float, float]:
@@ -1051,15 +1045,13 @@ def _trial_g2(seed: int, height: int) -> dict | None:
 
 def _trial_g3(seed: int, height: int) -> dict | None:
     # The choice, then three rationals, in one walk. When two of the three
-    # are equal, all three are redrawn from the counter after the choice
-    # until no two are, read on ints that share d.
-    vals, _counter = _walk(seed, 0, (3,) + _ranges(height, 3))
+    # are equal, all three are redrawn from where the walk ended until no two
+    # are, read on ints that share d.
+    vals, counter = _walk(seed, 0, (3,) + _ranges(height, 3))
     a, d = _cleared_pairs(_rational_pairs(vals[1:], height))
-    if len(set(a)) < 3:
-        counter = _walk(seed, 0, (3,))[1]
-        while len(set(a)) < 3:
-            redrawn, counter = _walk(seed, counter, _ranges(height, 3))
-            a, d = _cleared_pairs(_rational_pairs(redrawn, height))
+    while len(set(a)) < 3:
+        redrawn, counter = _walk(seed, counter, _ranges(height, 3))
+        a, d = _cleared_pairs(_rational_pairs(redrawn, height))
     p, q, r = ((1, 1, 2), (1, 2, 1), (2, 1, 1))[vals[0]]
     if _g3_kernel_cleared(p, q, r, a) != 0:
         return {"p": str(p), "q": str(q), "r": str(r), "lams": _fmt(Fraction(x, d) for x in a)}

@@ -58,18 +58,11 @@ class RngStream:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        # Most streams are built from ints already below 2^64, so a field is
-        # checked and written only when the mask changes it or it is not a
-        # plain int (a bool such as True is stored as 1).
-        seed, counter = self.seed, self.counter
-        if type(seed) is not int or seed & _MASK64 != seed:
-            if not isinstance(seed, int):
-                raise TypeError(f"seed must be an int, got {seed!r}")
-            object.__setattr__(self, "seed", seed & _MASK64)
-        if type(counter) is not int or counter & _MASK64 != counter:
-            if not isinstance(counter, int):
-                raise TypeError(f"counter must be an int, got {counter!r}")
-            object.__setattr__(self, "counter", counter & _MASK64)
+        # each field is stored masked, as a plain int (a bool such as True is 1)
+        for name, value in (("seed", self.seed), ("counter", self.counter)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, value & _MASK64)
 
     def split(self, key: int) -> "RngStream":
         """Derive an independent child stream from an integer key."""
@@ -128,10 +121,7 @@ def map_chunks(fn, n: int, workers: int, seed: int, *args) -> list[tuple]:
     _require_int(n=n, workers=workers, seed=seed)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        return _map_chunk(fn, seed, 0, n, *args)
-    bounds = chunk_bounds(n, workers)
-    if len(bounds) == 1:
+    if workers == 1 or len(bounds := chunk_bounds(n, workers)) == 1:
         return _map_chunk(fn, seed, 0, n, *args)
     from concurrent.futures import ProcessPoolExecutor
 

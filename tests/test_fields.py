@@ -9,13 +9,16 @@ from spherecurv import (
     N_VARS,
     RngStream,
     cartan_field,
+    cartan_model,
     coordinate_field,
     draw_rational,
+    equator_model,
     eval1,
     eval2,
     hess_terms,
     polynomial_field,
 )
+from spherecurv.fields import _convolve, _derivative, _normalize, _unit
 from fieldtools import UPPER, draw_float, expanded_quartic, hess_matrix, polynomial_product
 
 # Central differences: gradient error ~ h^2 + eps/h, second-derivative error
@@ -263,3 +266,57 @@ def test_eval1_agrees_with_eval2():
     x = _random_point(55)
     value, grad, _ = eval2(field, x)
     assert eval1(field, x) == (value, grad)
+
+
+# |x|^2 on R^6 as an exponent table
+_X2 = tuple((_unit(i, 2), 1) for i in range(N_VARS))
+
+
+def _sum(*scaled):
+    """The normalized table of sum(c * table) over the (c, table) pairs."""
+    acc = {}
+    for c, table in scaled:
+        for exps, v in table:
+            acc[exps] = acc.get(exps, 0) + c * v
+    return _normalize(acc)
+
+
+def _munzner_residues(table, g):
+    """(|grad F|^2 - g^2 |x|^(2g - 2), Laplacian of F) for the exponent
+    table F of a homogeneous polynomial of degree g on R^6, each as a
+    normalized table: () when it vanishes identically."""
+    power = (((0,) * N_VARS, 1),)  # |x|^(2g - 2), from the constant 1
+    for _ in range(g - 1):
+        power = _normalize(_convolve(power, _X2))
+    grads = [_derivative(table, i) for i in range(N_VARS)]
+    grad_sq = _sum(*((1, _normalize(_convolve(d, d))) for d in grads), (-g * g, power))
+    return grad_sq, _sum(*((1, _derivative(d, i)) for i, d in enumerate(grads)))
+
+
+def _cartan_munzner(quartic):
+    """G = |x|^4 - 2 F for the exponent table F of the Cartan quartic."""
+    return _sum((1, _normalize(_convolve(_X2, _X2))), (-2, quartic))
+
+
+@pytest.mark.parametrize(
+    "model, munzner", [(equator_model(), lambda f: f), (cartan_model(), _cartan_munzner)], ids=["equator", "cartan"]
+)
+def test_analyze_fields_are_isoparametric(model, munzner):
+    """The fields that analyze samples satisfy Munzner's (1980) equations,
+    exactly on their own tables: a homogeneous F of degree g on R^6 with
+    |grad F|^2 = g^2 |x|^(2g - 2) and Laplacian c |x|^(g - 2) has
+    isoparametric levels in S^5 with g distinct principal curvatures, and
+    c = 0 makes their multiplicities equal, m = 4 / g. For the Cartan
+    quartic F the Cartan-Munzner polynomial is G = |x|^4 - 2 F, g = 4 and
+    m = 1; the coordinate x_6 is the g = 1 case, the equator."""
+    g, table = model.g, munzner(model.field_spec.field.coeffs)
+    assert {sum(exps) for exps, _c in table} == {g}
+    assert _munzner_residues(table, g) == ((), ())
+    assert model.multiplicities == ((N_VARS - 2) // g,) * g
+
+
+def test_munzner_residues_reject_a_planted_coefficient():
+    """A Cartan table with one coefficient off by one fails both equations."""
+    (exps, c), *rest = cartan_field().coeffs
+    grad_sq, laplacian = _munzner_residues(_cartan_munzner(((exps, c + 1), *rest)), 4)
+    assert grad_sq and laplacian

@@ -249,7 +249,7 @@ class TestThreeCurvatures:
                 continue
             assert g3_kernel(*pqr, vals) == identities._g3_kernel_cleared(*pqr, a) == 0
             assert matrix_rank(_g3_matrix(*pqr, vals)) == 3
-            for bad in ((0, 2, 2), (1, 1, 1), (2, 2, 1), (-1, 3, 2), (1.0, 1, 2)):
+            for bad in ((0, 2, 2), (1, 1, 1), (2, 2, 1), (-1, 3, 2)):
                 with pytest.raises(ValueError, match="multiplicit"):
                     g3_kernel(*bad, vals)
         if height < 4:
@@ -1218,16 +1218,25 @@ class TestRecoverCurvatures:
         100-digit reference, rounded."""
         sturm, value = identities._sturm, identities._value
         # each Sturm sequence built, and (polynomial, point) of each evaluation
-        # made by _real_roots; the exact search's, by _rational_roots, are
+        # made, by _real_roots; the exact search's, by _rational_roots, are
         # left out
         events = []
 
+        def by_fallback():
+            return sys._getframe(2).f_code is not identities._rational_roots.__code__
+
+        def recording_sturm(f):
+            seq = sturm(f)
+            if by_fallback():
+                events.append(seq)
+            return seq
+
         def recording_value(q, num, den):
-            if sys._getframe(1).f_code is not identities._rational_roots.__code__:
+            if by_fallback():
                 events.append((q, F(num, den)))
             return value(q, num, den)
 
-        monkeypatch.setattr(identities, "_sturm", lambda f: events.append(sturm(f)) or events[-1])
+        monkeypatch.setattr(identities, "_sturm", recording_sturm)
         monkeypatch.setattr(identities, "_value", recording_value)
         got = recover_curvatures(*p)
         assert sum(isinstance(ev, list) for ev in events) == builds
@@ -1746,18 +1755,18 @@ class TestRootSearch:
         assert abs(root) == pytest.approx(scale ** 0.25, rel=0.5)
 
     @pytest.mark.parametrize("f", [[1, 0, -6, 0, 1], [1, 0, -5, 0, 6]], ids=["x^4-6x^2+1", "x^4-5x^2+6"])
-    def test_stalled_search_hands_its_gcd_to_the_fallback(self, f, monkeypatch):
-        """Integer Newton stalls on these square-free quartics; the Sturm
-        sequence that gives gcd(f, f') is built once, in the search, and the
-        fallback isolates the roots with it: one pseudo-remainder per term
-        after f', where the search's gcd once added as many again."""
+    def test_fallback_builds_its_own_sturm_sequence(self, f, monkeypatch):
+        """Integer Newton stalls on these square-free quartics. The search
+        builds f's Sturm sequence for gcd(f, f'), a constant, and gives up;
+        the fallback builds its own and isolates the roots with it. Each
+        build takes one pseudo-remainder per term after f'."""
         terms = len(identities._sturm(f))
         sturm, pseudo_divmod = identities._sturm, identities._pseudo_divmod
         built, divisions = [], []
         monkeypatch.setattr(identities, "_sturm", lambda p: built.append(p) or sturm(p))
         monkeypatch.setattr(identities, "_pseudo_divmod", lambda a, b: divisions.append(a) or pseudo_divmod(a, b))
         got = identities._recover_cleared(f)
-        assert len(built) == 1 and len(divisions) == terms - 2
+        assert len(built) == 2 and len(divisions) == 2 * (terms - 2)
         with mp.workdps(100):
             assert got == tuple(sorted(float(mp.re(r)) for r in mp.polyroots(f)))
 

@@ -17,6 +17,9 @@ from spherecurv import (
     coordinate_field,
     diag_from_K,
     diag_from_system,
+    dpsi_coeff,
+    g2_solve,
+    g3_kernel,
     gauss_R,
     sign_lemma,
     sweep_analyze,
@@ -66,6 +69,15 @@ _ROWS = [
     # once "'float' object has no attribute 'denominator'"; the exact
     # functions share one message for a float
     (lambda: I_def(_LAM, [[1.5] * 4] * 4), "float input would silently break exactness; pass a Fraction"),
+    # once "'tuple' object has no attribute 'lam'"
+    (lambda: dpsi_coeff((_LAM.lam, _ONES, (0, 0, 0, 0))), "table must be a DerivativeTable, got tuple"),
+    # a count or index is checked for its type before its range: 1.5 once
+    # raised ValueError for k and l, and 1.0 for p
+    (lambda: g2_solve(1.0, 4), "k must be an int, got 1.0"),
+    (lambda: g2_solve(1.5, 4), "k must be an int, got 1.5"),
+    (lambda: g3_kernel(1.0, 1, 2, (1, 2, 3)), "p must be an int, got 1.0"),
+    (lambda: g3_kernel(1, 1.5, 2, (1, 2, 3)), "q must be an int, got 1.5"),
+    (lambda: diag_from_system(_LAM, 1, 1.5), "l must be an int, got 1.5"),
 ]
 
 # lam given as something other than a Quadruple, to each function that reads

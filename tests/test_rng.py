@@ -437,6 +437,22 @@ def test_map_chunks_runs_a_single_chunk_in_process():
     assert seen == ["x"] * 3
 
 
+@pytest.mark.parametrize("n, cpus", [(1, 4), (5, 1)], ids=["one-item", "one-cpu"])
+def test_map_chunks_runs_one_chunk_in_process_at_two_workers(n, cpus, monkeypatch):
+    """At workers 2, one item or one CPU leaves chunk_bounds a single chunk,
+    which runs in this process: the closure could not reach a pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    seeds = []
+
+    def item(seed):
+        seeds.append(seed)
+        return seed
+
+    expected = [(i, RngStream(77).split(i).seed) for i in range(n)]
+    assert map_chunks(item, n, 2, 77) == expected
+    assert seeds == [seed for _i, seed in expected]
+
+
 def _odd_child_seed(seed, offset):
     """Module level, so a worker process can receive it."""
     return seed + offset if seed % 2 else None
