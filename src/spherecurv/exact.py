@@ -32,6 +32,14 @@ def as_rational(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+def _values(vals: Sequence[RationalLike], name: str) -> Sequence[RationalLike]:
+    """vals, unless it is a str, bytes or bytearray, whose characters would
+    be read as the values: TypeError naming `name`. One value may be a str."""
+    if isinstance(vals, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a sequence of values, got {vals!r}")
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class Surd:
     """Exact real coef*sqrt(radicand) with radicand a nonnegative rational.
@@ -107,9 +115,10 @@ def clear_denominators(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
 
 def _int_rows(matrix: Sequence[Sequence[RationalLike]]) -> list[list[int]]:
     """Each row of a rational matrix scaled by the lcm of its denominators."""
+    rows = (_values(row, f"matrix row {i}") for i, row in enumerate(matrix))
     return [
         clear_denominators([v if isinstance(v, (int, Fraction)) else as_rational(v) for v in row])[0]
-        for row in matrix
+        for row in rows
     ]
 
 
@@ -189,8 +198,8 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     ints; the solution is divided by det once. Raises ValueError on a
     singular matrix or one that is not n x n for n right-hand sides.
     """
-    n = len(rhs)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    n = len(_values(rhs, "rhs"))
+    if len(matrix) != n or any(len(_values(row, f"matrix row {i}")) != n for i, row in enumerate(matrix)):
         raise ValueError(f"need an {n} x {n} matrix for {n} right-hand sides")
     y, det = _solve_cleared(_int_rows([[*row, b] for row, b in zip(matrix, rhs)]))
     return [Fraction(v, det) for v in y]

@@ -45,12 +45,13 @@ from .exact import (
     Surd,
     _reduce,
     _solve_cleared,
+    _values,
     as_rational,
     clear_denominators,
     matrix_rank,
     solve_linear,
 )
-from .rng import _rational_pairs, _require_int, _walk, draw_int, draw_rational, map_chunks
+from .rng import _rational_pairs, _require_int, _require_real, _walk, draw_int, draw_rational, map_chunks
 
 Quad = tuple[Fraction, Fraction, Fraction, Fraction]
 _RECOVER_DPS = 50  # digits of the float solve and of naming a non-real rational root
@@ -58,7 +59,7 @@ _RECOVER_DPS = 50  # digits of the float solve and of naming a non-real rational
 
 def _four(name: str, vals: Sequence[RationalLike]) -> Quad:
     """vals as a tuple of four Fractions; ValueError for any other length."""
-    out = tuple(as_rational(v) for v in vals)
+    out = tuple(as_rational(v) for v in _values(vals, name))
     if len(out) != 4:
         raise ValueError(f"{name} has four entries, got {len(out)}")
     return out
@@ -75,9 +76,6 @@ class Quadruple:
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"values must be strictly increasing: {vals}")
         object.__setattr__(self, "lam", vals)
-
-
-_MIXED_KEYS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,6 @@ class DerivativeTable:
             object.__setattr__(self, "lam", Quadruple(self.lam))
         object.__setattr__(self, "K", _four("K", self.K))
         object.__setattr__(self, "mixed", _four("mixed", self.mixed))
-
-
-def _mixed_index(a: int, b: int, c: int) -> int:
-    return _MIXED_KEYS.index(tuple(sorted((a, b, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def g3_kernel(p: int, q: int, r: int, lams: Sequence[RationalLike]) -> int:
             raise ValueError(f"multiplicity {name} must be a positive integer, got {m}")
     if p + q + r != 4:
         raise ValueError(f"multiplicities must sum to 4, got {p}+{q}+{r}")
-    vals = tuple(as_rational(v) for v in lams)
+    vals = tuple(as_rational(v) for v in _values(lams, "lams"))
     if len(vals) != 3:
         raise ValueError(f"lams has three entries, got {len(vals)}")
     la, mu, sig = vals
@@ -341,197 +335,84 @@ def gauss_R(lam: Quadruple) -> Fraction:
 # The divergence-form coefficient
 
 
-# Each triple product omega_i ^ omega_j ^ omega_kl of the closed 3-form uses
-# an even permutation (i, j, k, l) of (1, 2, 3, 4), so one coefficient formula
-# serves all six terms.
-_PSI_TERMS = (
-    (0, 1, 2, 3),
-    (1, 2, 0, 3),
-    (2, 0, 1, 3),
-    (0, 3, 1, 2),
-    (1, 3, 2, 0),
-    (2, 3, 0, 1),
-)
-# The three blocks of every term as (weight, kind, c p q) in the term's own
-# letters. ("hh", c, p, q) stands for h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
-# and ("mixed", x, k, l) for h_xkl^2 / ((lam_k - lam_x)(lam_l - lam_x)).
-_PSI_BLOCKS = (
-    # derivative on the first 1-form leg
-    (-1, "hh", "kil"), (-1, "hh", "lik"), (-1, "mixed", "ikl"),
-    # derivative on the second 1-form leg (enters the total negatively)
-    (-1, "hh", "kjl"), (-1, "hh", "ljk"), (-1, "mixed", "jkl"),
-    # derivative on the connection form; its curvature term is added apart
-    (1, "hh", "ikl"), (1, "hh", "jkl"), (-1, "mixed", "ikl"), (-1, "mixed", "jkl"),
-)
-
-
-def _collect_psi_terms() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The blocks of all six terms with like terms collected, as the tables
-    ((c, p, q, weight), ...) for h h and ((x, k, l, position in mixed,
-    weight), ...) for mixed, with p < q, k < l and no zero weight.
-
-    An h h value depends on c and {p, q} only, and a mixed one on x and
-    {k, l} only, so each key sums the weights of every block entry it names.
-    """
-    tables: dict[str, dict[tuple[int, int, int], int]] = {"hh": {}, "mixed": {}}
-    for term in _PSI_TERMS:
-        at = dict(zip("ijkl", term))
-        for weight, kind, letters in _PSI_BLOCKS:
-            c, p, q = (at[s] for s in letters)
-            key = (c, min(p, q), max(p, q))
-            tables[kind][key] = tables[kind].get(key, 0) + weight
-    hh, mixed = (sorted((key, w) for key, w in t.items() if w) for t in tables.values())
-    return tuple((*key, w) for key, w in hh), tuple((*key, _mixed_index(*key), w) for key, w in mixed)
-
-
-_DPSI_HH, _DPSI_MIXED = _collect_psi_terms()
-
-
-def _diff(x: int, y: int) -> tuple[int, str]:
-    """(sign, name) with a_x - a_y = sign * name in the dpsi kernel, whose
-    locals e{i}{j} = a_i - a_j have i > j; "0" when x = y."""
-    if x == y:
-        return 1, "0"
-    return (1, f"e{x}{y}") if x > y else (-1, f"e{y}{x}")
-
-
-# The six locals of the dpsi kernel whose product is D, each once
-_DPSI_DIFFS = ("e10", "e20", "e30", "e21", "e31", "e32")
-
-
-def _complement(
-    divisor: Sequence[tuple[int, int]], dividend: Sequence[str], message: str
-) -> tuple[int, list[str]]:
-    """(sign, names) with prod(dividend) = prod_{(x, y) in divisor} (a_x - a_y)
-    * sign * prod(names), for a multiset dividend of the kernel's difference
-    names: names are those the divisor's factors leave, sorted. Raises
-    RuntimeError(message) when a factor is 0 or not left in dividend, that
-    is, when the divisor does not divide it as a polynomial in a0..a3."""
-    sign, rest = 1, list(dividend)
-    for x, y in divisor:
-        s, name = _diff(x, y)
-        if name not in rest:
-            raise RuntimeError(message)
-        sign *= s
-        rest.remove(name)
-    return sign, sorted(rest)
-
-
-def _combination(terms: Sequence[tuple[int, str]]) -> str:
-    """The int sum of weight * name over terms, written out."""
-    out = ""
-    for w, name in terms:
-        if w:
-            mag = name if abs(w) == 1 else f"{abs(w)} * {name}"
-            out += (" - " if w < 0 else " + ") + mag if out else ("-" if w < 0 else "") + mag
-    return out or "0"
-
-
-def _dpsi_source(hh: Sequence[tuple[int, ...]], mixed: Sequence[tuple[int, ...]]) -> str:
-    """Source of `_dpsi_kernel(a, d, ks, k_den, ms, m_den)`, the body of
-    _dpsi_cleared for the collected tables hh and mixed, straight-line and
-    without a division.
-
-    Each key's value is its accumulator's denominator, D^2 for h h and D for
-    mixed, divided by the key's own. That quotient is the product of the
-    differences of D^2 (or D) that the key's divisor does not use, with the
-    sign of the divisor's factors (_complement): for an h h key (c, p, q)
-    with r the fourth index, D^2 / (P_p P_q (a_c - a_p)(a_c - a_q)) =
-    +-(a_p - a_r)(a_q - a_r)(a_c - a_r)^2, and a mixed quotient is the
-    product of the four other differences. Deriving it proves, once per
-    table and for every input, that the divisor divides; a key whose divisor
-    does not, such as an h h key with c in {p, q}, raises here. P_p and P_q
-    enter the divisor as the kernel's own differences, so the kernel needs
-    no P. Each quotient is bound on a line commented with its kind and key,
-    each product of two differences is bound once, and each k_c^2 and m_n^2
-    multiplies the weighted sum of its group's quotients.
-    """
-    lines = [
-        "def _dpsi_kernel(a, d, ks, k_den, ms, m_den):",
-        "    a0, a1, a2, a3 = a",
-        "    e10, e20, e30 = a1 - a0, a2 - a0, a3 - a0",
-        "    e21, e31, e32 = a2 - a1, a3 - a1, a3 - a2",
-        "    D = e10 * e20 * e30 * e21 * e31 * e32",
-        "    D2 = D * D",
-    ]
-    bound: set[str] = set()
-    quotients: list[str] = []
-    # {index: [(weight times the quotient's sign, quotient name), ...]} for
-    # the k_c of the h h keys and the m_n of the mixed keys
-    k_groups: dict[int, list] = {}
-    m_groups: dict[int, list] = {}
-
-    def product(u: str, v: str) -> str:
-        """The name bound to u * v, bound on first use."""
-        name = "_".join(sorted((u, v)))
-        if name not in bound:
-            bound.add(name)
-            lines.append(f"    {name} = {u} * {v}")
-        return name
-
-    def quotient(kind: str, key: tuple, names: list[str]) -> str:
-        pairs = [product(u, v) for u, v in zip(names[::2], names[1::2])]
-        q = f"q{len(quotients)}"
-        quotients.append(q)
-        lines.append(f"    {q} = {' * '.join(pairs)}  # {kind} {key}")
-        return q
-
-    for c, p, q, w in hh:
-        # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
-        #   = k_c^2 d^8 / (k_den^2 P_p P_q (a_c - a_p)(a_c - a_q))
-        divisor = [(j, x) for x in (p, q) for j in range(4) if j != x] + [(c, p), (c, q)]
-        message = "h h denominator does not divide D^2 (unreachable)"
-        sign, names = _complement(divisor, _DPSI_DIFFS * 2, message)
-        k_groups.setdefault(c, []).append((w * sign, quotient("hh", (c, p, q), names)))
-    for x, k, l, n, w in mixed:
-        # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 (a_k - a_x)(a_l - a_x))
-        message = "mixed denominator does not divide D (unreachable)"
-        sign, names = _complement([(k, x), (l, x)], _DPSI_DIFFS, message)
-        m_groups.setdefault(n, []).append((w * sign, quotient("mixed", (x, k, l), names)))
-    for acc, v, groups in (("acc_hh", "k", k_groups), ("acc_mixed", "m", m_groups)):
-        parts = [f"{v}{i} * {v}{i} * ({_combination(terms)})" for i, terms in groups.items()]
-        lines.append(f"    {v}0, {v}1, {v}2, {v}3 = {v}s")
-        lines.append(f"    {acc} = {' + '.join(parts) or '0'}")
-    curv = " + ".join(f"a{k} * a{l}" for _i, _j, k, l in _PSI_TERMS)
-    lines += [
-        "    d2 = d * d",
-        f"    acc_curv = {len(_PSI_TERMS)} * d2 + {curv}",
-        "    kd, md = k_den * k_den, m_den * m_den",
-        "    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2",
-        "    return num, kd * md * D2 * d2",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-@functools.cache
-def _dpsi_kernel() -> Callable:
-    """The straight-line dpsi kernel (_dpsi_source) for the module tables
-    _DPSI_HH and _DPSI_MIXED, compiled on the first dpsi call."""
-    namespace: dict = {}
-    source = _dpsi_source(_DPSI_HH, _DPSI_MIXED)
-    exec(compile(source, "<spherecurv.identities dpsi kernel>", "exec"), namespace)
-    return namespace["_dpsi_kernel"]
-
-
 def _dpsi_cleared(
     a: Sequence[int], d: int, ks: Sequence[int], k_den: int, ms: Sequence[int], m_den: int
 ) -> tuple[int, int]:
     """dpsi_coeff as (numerator, denominator) for lam_i = a_i / d,
     K_l = k_l / k_den and mixed = m / m_den, with d, k_den, m_den positive.
 
-    With h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i), three
-    accumulators collect the h h terms over k_den^2 D^2 / d^8, the mixed
-    terms over m_den^2 D / d^2 and the curvature terms over d^2. The h h and
-    mixed terms are the collected tables _DPSI_HH and _DPSI_MIXED, so each
-    distinct value is computed once and enters with its summed weight. Its
-    cofactor, the accumulator's denominator divided by the value's own, is
-    the product of the differences that the value's denominator lacks,
-    proved to divide when the kernel is generated (_dpsi_source), so no
-    division runs here. The keys run in straight-line code generated from
-    the two tables (_dpsi_kernel); the tests certify each quotient times its
-    divisor as D^2 or D over Z[a].
+    With h_il = k_l d^3 / (k_den P_i) and D = prod_{i<j} (a_j - a_i), the
+    h h keys (c, p, q), h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q)), sum
+    over k_den^2 D^2 / d^8, the mixed keys (x, k, l),
+    h_xkl^2 / ((lam_k - lam_x)(lam_l - lam_x)), over m_den^2 D / d^2, and
+    the curvature terms over d^2. A key's quotient, its sum's denominator
+    over its own, is the product of the differences its divisor lacks,
+    signed: for an h h key, r the fourth index, it is +-(a_p - a_r)(a_q - a_r)
+    (a_c - a_r)^2 = D^2 / (P_p P_q (a_c - a_p)(a_c - a_q)), and for a mixed
+    one the product of the four other differences, so nothing is divided.
+    The tests derive the weights from the six terms and certify each
+    quotient times its divisor as D^2 or D over Z[a].
     """
-    return _dpsi_kernel()(a, d, ks, k_den, ms, m_den)
+    a0, a1, a2, a3 = a
+    e10, e20, e30 = a1 - a0, a2 - a0, a3 - a0
+    e21, e31, e32 = a2 - a1, a3 - a1, a3 - a2
+    D = e10 * e20 * e30 * e21 * e31 * e32
+    D2 = D * D
+    e30_e30 = e30 * e30
+    e31_e32 = e31 * e32
+    q0 = e30_e30 * e31_e32  # hh (0, 1, 2)
+    e20_e20 = e20 * e20
+    e21_e32 = e21 * e32
+    q1 = e20_e20 * e21_e32  # hh (0, 1, 3)
+    e10_e10 = e10 * e10
+    e21_e31 = e21 * e31
+    q2 = e10_e10 * e21_e31  # hh (0, 2, 3)
+    e30_e31 = e30 * e31
+    q3 = e30_e31 * e31_e32  # hh (1, 0, 2)
+    e20_e21 = e20 * e21
+    q4 = e20_e21 * e21_e32  # hh (1, 0, 3)
+    e20_e30 = e20 * e30
+    q5 = e10_e10 * e20_e30  # hh (1, 2, 3)
+    e32_e32 = e32 * e32
+    q6 = e30_e31 * e32_e32  # hh (2, 0, 1)
+    e10_e21 = e10 * e21
+    q7 = e10_e21 * e21_e31  # hh (2, 0, 3)
+    e10_e20 = e10 * e20
+    q8 = e10_e20 * e20_e30  # hh (2, 1, 3)
+    q9 = e20_e21 * e32_e32  # hh (3, 0, 1)
+    e31_e31 = e31 * e31
+    q10 = e10_e21 * e31_e31  # hh (3, 0, 2)
+    q11 = e10_e20 * e30_e30  # hh (3, 1, 2)
+    e21_e30 = e21 * e30
+    q12 = e21_e30 * e31_e32  # mixed (0, 1, 2)
+    q13 = e20_e21 * e31_e32  # mixed (0, 1, 3)
+    q14 = e10_e21 * e31_e32  # mixed (0, 2, 3)
+    q15 = e20_e30 * e31_e32  # mixed (1, 0, 2)
+    e30_e32 = e30 * e32
+    q16 = e20_e21 * e30_e32  # mixed (1, 0, 3)
+    q17 = e10_e20 * e30_e32  # mixed (1, 2, 3)
+    e10_e30 = e10 * e30
+    q18 = e10_e30 * e31_e32  # mixed (2, 0, 1)
+    q19 = e10_e21 * e30_e31  # mixed (2, 0, 3)
+    q20 = e10_e20 * e30_e31  # mixed (2, 1, 3)
+    q21 = e10_e20 * e21_e32  # mixed (3, 0, 1)
+    q22 = e10_e20 * e21_e31  # mixed (3, 0, 2)
+    q23 = e10_e20 * e21_e30  # mixed (3, 1, 2)
+    k0, k1, k2, k3 = ks
+    acc_hh = (
+        k0 * k0 * (q0 - q1 + q2) + k1 * k1 * (q3 - q4 + q5)
+        + k2 * k2 * (q6 - q7 + q8) + k3 * k3 * (q9 - q10 + q11)
+    )
+    m0, m1, m2, m3 = ms
+    acc_mixed = (
+        m0 * m0 * (-2 * q12 + 2 * q15 - 2 * q18) + m1 * m1 * (-2 * q13 + 2 * q16 - 2 * q21)
+        + m2 * m2 * (-2 * q14 + 2 * q19 - 2 * q22) + m3 * m3 * (-2 * q17 + 2 * q20 - 2 * q23)
+    )
+    d2 = d * d
+    acc_curv = 6 * d2 + a2 * a3 + a0 * a3 + a1 * a3 + a1 * a2 + a2 * a0 + a0 * a1
+    kd, md = k_den * k_den, m_den * m_den
+    num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
+    return num, kd * md * D2 * d2
 
 
 def dpsi_coeff(table: DerivativeTable) -> Fraction:
@@ -541,7 +422,8 @@ def dpsi_coeff(table: DerivativeTable) -> Fraction:
     Each term contributes three blocks (derivative on the first leg, on the
     second leg, on the connection form); sectional curvature enters as
     R_klkl = 1 + lam_k lam_l. Like terms of the six terms' blocks are
-    collected once, at import (_collect_psi_terms). The h h part is then
+    collected in the written-out kernel _dpsi_cleared, whose weights the
+    tests derive from the six terms. The h h part is then
     minus the sums of I_def: weight -1 on each of the 12 values with c not
     in {p, q}. Each fully mixed component h_xkl enters as
     -2 h_xkl^2 sum_x 1/((lam_k-lam_x)(lam_l-lam_x)), the sum running over
@@ -915,7 +797,10 @@ def recover_curvatures(p1, p2, p3, e4) -> tuple[float, float, float, float]:
     where they fail, the quartic is solved again with its variable scaled by
     a power of two (`_scaled_roots`). Returns the four real roots ascending;
     mpmath is loaded only for input that is not rational or to name one.
+    A bool, a str or None raises TypeError naming its argument.
     """
+    for name, v in (("p1", p1), ("p2", p2), ("p3", p3), ("e4", e4)):
+        _require_real(v, name)
     if all(isinstance(v, (int, Fraction)) for v in (p1, p2, p3, e4)):
         e1, e2, e3 = _elementary(*(Fraction(v) for v in (p1, p2, p3)))
         return _recover_cleared(_primitive(clear_denominators([1, -e1, e2, -e3, e4])[0]))

@@ -544,17 +544,24 @@ def _fraction_gauss_R(lam):
     return sum(1 + ls[i] * ls[j] for i in range(4) for j in range(4) if i != j)
 
 
+# Each triple product omega_i ^ omega_j ^ omega_kl of the closed 3-form uses
+# an even permutation (i, j, k, l) of (1, 2, 3, 4), so one coefficient formula
+# serves all six terms.
+_PSI_TERMS = ((0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3), (0, 3, 1, 2), (1, 3, 2, 0), (2, 3, 0, 1))
+_TRIPLES = list(itertools.combinations(range(4), 3))  # the order of DerivativeTable.mixed
+
+
 def _fraction_dpsi_coeff(lam, K, mixed):
     """The six terms' three blocks each, over Fraction."""
     ls = lam.lam
     diag = _fraction_diag_from_K(lam, K)
     table = DerivativeTable(lam, K, mixed)
     total = F(0)
-    for i, j, k, l in identities._PSI_TERMS:
+    for i, j, k, l in _PSI_TERMS:
         dki, dli, dkj, dlj = ls[k] - ls[i], ls[l] - ls[i], ls[k] - ls[j], ls[l] - ls[j]
         dkl = ls[k] - ls[l]
-        m_ikl = table.mixed[identities._mixed_index(i, k, l)]
-        m_jkl = table.mixed[identities._mixed_index(j, k, l)]
+        m_ikl = table.mixed[_TRIPLES.index(tuple(sorted((i, k, l))))]
+        m_jkl = table.mixed[_TRIPLES.index(tuple(sorted((j, k, l))))]
         block_a = -(
             diag[i][k] * diag[l][k] / (dki * dkl)
             + diag[i][l] * diag[k][l] / (dli * -dkl)
@@ -740,14 +747,13 @@ _FRACTION_PSI_BLOCKS = (
     (-1, ((1, "hh", "kjl"), (1, "hh", "ljk"), (1, "mixed", "jkl"))),
     (1, ((1, "hh", "ikl"), (1, "hh", "jkl"), (-1, "mixed", "ikl"), (-1, "mixed", "jkl"))),
 )
-_TRIPLES = list(itertools.combinations(range(4), 3))  # the order of DerivativeTable.mixed
 
 
 def _expanded_psi_weights():
     """{(c, p, q): weight} for h h and {(x, k, l): weight} for mixed, p < q
     and k < l, summed over the six terms' blocks, zero weights dropped."""
     hh, mixed = {}, {}
-    for term in identities._PSI_TERMS:
+    for term in _PSI_TERMS:
         at = dict(zip("ijkl", term))
         for block_sign, entries in _FRACTION_PSI_BLOCKS:
             for sign, kind, letters in entries:
@@ -758,52 +764,44 @@ def _expanded_psi_weights():
     return ({key: w for key, w in t.items() if w} for t in (hh, mixed))
 
 
-@pytest.fixture
-def fresh_dpsi_kernel():
-    """Clear the cached dpsi kernel before and after a test that plants
-    tables, so that each kernel is built from the tables of its call."""
-    identities._dpsi_kernel.cache_clear()
-    yield
-    identities._dpsi_kernel.cache_clear()
-
-
-def _plant(monkeypatch, table, rows):
-    """Replace the collected dpsi table `table` by rows, and drop the kernel
-    built from the one before."""
-    monkeypatch.setattr(identities, table, rows)
-    identities._dpsi_kernel.cache_clear()
+# The expanded weights as the loop form's tables, keys sorted: (c, p, q,
+# weight) for h h and (x, k, l, position in DerivativeTable.mixed, weight)
+# for mixed.
+_HH_WEIGHTS, _MIXED_WEIGHTS = _expanded_psi_weights()
+_DPSI_HH = tuple((*key, w) for key, w in sorted(_HH_WEIGHTS.items()))
+_DPSI_MIXED = tuple((*key, _TRIPLES.index(tuple(sorted(key))), w) for key, w in sorted(_MIXED_WEIGHTS.items()))
 
 
 class TestCollectedPsiTerms:
     def test_tables_match_the_expanded_blocks(self):
+        """The loop form's tables hold the expanded weights, each mixed key
+        with its position in mixed, in the order the written-out kernel
+        binds their quotients."""
         hh, mixed = _expanded_psi_weights()
-        assert len(identities._DPSI_HH) == len(hh)
-        assert {(c, p, q): w for c, p, q, w in identities._DPSI_HH} == hh
-        assert len(identities._DPSI_MIXED) == len(mixed)
-        assert {(x, k, l): w for x, k, l, _n, w in identities._DPSI_MIXED} == mixed
-        for x, k, l, n, _w in identities._DPSI_MIXED:
+        assert len(_DPSI_HH) == len(hh) == 12
+        assert {(c, p, q): w for c, p, q, w in _DPSI_HH} == hh
+        assert len(_DPSI_MIXED) == len(mixed) == 12
+        assert {(x, k, l): w for x, k, l, _n, w in _DPSI_MIXED} == mixed
+        for x, k, l, n, _w in _DPSI_MIXED:
             assert n == _TRIPLES.index(tuple(sorted((x, k, l))))
+        named = re.findall(r"# (hh|mixed) (\(.*\))\n", inspect.getsource(identities._dpsi_cleared))
+        keys = [("hh", str((c, p, q))) for c, p, q, _w in _DPSI_HH]
+        assert named == keys + [("mixed", str((x, k, l))) for x, k, l, _n, _w in _DPSI_MIXED]
 
-    @pytest.mark.parametrize("table", ["_DPSI_HH", "_DPSI_MIXED"])
-    def test_sweep_catches_every_wrong_weight(self, fresh_dpsi_kernel, monkeypatch, table):
-        """An h h weight set to 0, or a mixed weight moved by one, makes the
-        dpsi sweep fail; tried on every key in turn."""
-        rows = getattr(identities, table)
+    @pytest.mark.parametrize("kind", ["hh", "mixed"], ids=["_DPSI_HH", "_DPSI_MIXED"])
+    def test_sweep_catches_every_wrong_weight(self, monkeypatch, kind):
+        """An h h weight set to 0, or a mixed weight moved by one, in the
+        loop form's table makes the dpsi sweep fail once that loop form
+        stands in for the kernel; tried on every key in turn."""
+        rows = _DPSI_HH if kind == "hh" else _DPSI_MIXED
+        assert run_identity_sweep("dpsi", 200, seed=5).failures == 0
+        monkeypatch.setattr(identities, "_dpsi_cleared", _loop_dpsi_cleared)
         assert run_identity_sweep("dpsi", 200, seed=5).failures == 0
         for r, row in enumerate(rows):
             w = row[-1]
-            bad = (*row[:-1], 0 if table == "_DPSI_HH" else w + 1)
-            _plant(monkeypatch, table, rows[:r] + (bad,) + rows[r + 1:])
+            bad = rows[:r] + ((*row[:-1], 0 if kind == "hh" else w + 1),) + rows[r + 1:]
+            monkeypatch.setattr(identities, "_dpsi_cleared", functools.partial(_loop_dpsi_cleared, **{kind: bad}))
             assert run_identity_sweep("dpsi", 200, seed=5).failures > 0, row
-
-    def test_mixed_division_is_checked(self, fresh_dpsi_kernel, monkeypatch):
-        """A planted mixed key whose denominator (a_1 - a_0)^2 = 49 does not
-        divide D = 1008 at lam = (0, 7, 8, 9) raises. The h h division is
-        held the same way by test_hh_key_with_c_in_pq_raises_when_the_kernel_is_built."""
-        _plant(monkeypatch, "_DPSI_MIXED", identities._DPSI_MIXED + ((0, 1, 1, 0, -2),))
-        lam = Quadruple((F(0), F(7), F(8), F(9)))
-        with pytest.raises(RuntimeError, match="mixed denominator does not divide"):
-            dpsi_coeff(DerivativeTable(lam, (F(1),) * 4, (F(1),) * 4))
 
     def test_hh_keys_are_the_pairs_of_I_def(self):
         """The h h part is minus the I_def sums: one key per (l, {p, q}) with
@@ -813,7 +811,7 @@ class TestCollectedPsiTerms:
         }
         assert len(pairs) == 12
         assert all(c not in (p, q) for c, p, q in pairs)
-        assert {(c, p, q): w for c, p, q, w in identities._DPSI_HH} == dict.fromkeys(pairs, -1)
+        assert {(c, p, q): w for c, p, q, w in _DPSI_HH} == dict.fromkeys(pairs, -1)
 
     @pytest.mark.parametrize("height", [2, 1000, 2**70])
     def test_mixed_terms_cancel_by_the_three_point_identity(self, height):
@@ -823,7 +821,7 @@ class TestCollectedPsiTerms:
         -2 m^2 sum_x D / ((a_k - a_x)(a_l - a_x)). That sum is 0 on ints:
         sum_x 1 / ((a_k - a_x)(a_l - a_x)) = 0 for any three distinct values."""
         by_set = {}
-        for x, k, l, n, w in identities._DPSI_MIXED:
+        for x, k, l, n, w in _DPSI_MIXED:
             by_set.setdefault(n, []).append((x, k, l, w))
         assert sorted(by_set) == [0, 1, 2, 3]
         for n, keys in by_set.items():
@@ -845,16 +843,16 @@ class TestCollectedPsiTerms:
                 assert total == 0
 
 
-def _loop_dpsi_cleared(a, d, ks, k_den, ms, m_den):
-    """identities._dpsi_cleared as it was before its keys were generated as
-    straight-line code: one loop over each collected table, one checked
-    division per key. The reference for the generated kernel."""
+def _loop_dpsi_cleared(a, d, ks, k_den, ms, m_den, hh=_DPSI_HH, mixed=_DPSI_MIXED):
+    """identities._dpsi_cleared as a loop over the tables hh and mixed, by
+    default those of the expanded weights, with one checked division per
+    key. The reference for the written-out kernel."""
     P = identities._cofactors(a)
     diff = [[x - y for y in a] for x in a]  # diff[x][y] = (lam_x - lam_y) d
     D = diff[1][0] * diff[2][0] * diff[3][0] * diff[2][1] * diff[3][1] * diff[3][2]
     D2 = D * D
     acc_hh = 0
-    for c, p, q, w in identities._DPSI_HH:
+    for c, p, q, w in hh:
         # h_pc h_qc / ((lam_c - lam_p)(lam_c - lam_q))
         #   = k_c^2 d^8 / (k_den^2 P_p P_q diff_cp diff_cq)
         cof, rem = divmod(D2, P[p] * P[q] * diff[c][p] * diff[c][q])
@@ -862,17 +860,70 @@ def _loop_dpsi_cleared(a, d, ks, k_den, ms, m_den):
             raise RuntimeError("h h denominator does not divide D^2 (unreachable)")
         acc_hh += w * ks[c] * ks[c] * cof
     acc_mixed = 0
-    for x, k, l, n, w in identities._DPSI_MIXED:
+    for x, k, l, n, w in mixed:
         # m^2 / ((lam_k - lam_x)(lam_l - lam_x)) = m^2 d^2 / (m_den^2 diff_kx diff_lx)
         cof, rem = divmod(D, diff[k][x] * diff[l][x])
         if rem:
             raise RuntimeError("mixed denominator does not divide D (unreachable)")
         acc_mixed += w * ms[n] * ms[n] * cof
-    acc_curv = sum(d * d + a[k] * a[l] for _i, _j, k, l in identities._PSI_TERMS)
+    acc_curv = sum(d * d + a[k] * a[l] for _i, _j, k, l in _PSI_TERMS)
     d2 = d * d
     kd, md = k_den * k_den, m_den * m_den
     num = acc_hh * d2**5 * md + acc_mixed * d2 * d2 * kd * D + acc_curv * kd * md * D2
     return num, kd * md * D2 * d2
+
+
+def _dpsi_quotient_failures(source):
+    """The keys, as (kind, key), at which the quotient certificate fails
+    for the dpsi kernel written in source; none for a sound kernel.
+
+    As polynomials in a0..a3: for every key, its divisor times its quotient,
+    with the sign the kernel gives it in the weighted sums, is D^2 (h h) or
+    D (mixed), where D = prod_{i<j} (a_j - a_i). The quotients and their
+    signs are read from the source; the weights come from _DPSI_HH and
+    _DPSI_MIXED, so a wrong weight fails too.
+    """
+    a = A
+    ks, ms = sympy.symbols("k0:4"), sympy.symbols("m0:4")
+    qs = sympy.symbols("q0:24")
+    values = {f"e{i}{j}": a[i] - a[j] for i in range(4) for j in range(i)}
+    sums = {**{f"k{i}": ks[i] for i in range(4)}, **{f"m{i}": ms[i] for i in range(4)}}
+    sums.update({f"q{i}": qs[i] for i in range(24)})
+    keyed = {}
+    lines = iter(source.splitlines())
+    for line in lines:
+        name, _, rest = line.strip().partition(" = ")
+        if rest == "(":
+            # a sum written over the lines up to its closing parenthesis
+            rest = " ".join(iter(lambda: next(lines).strip(), ")"))
+        if re.fullmatch(r"e\d\d_e\d\d", name):
+            values[name] = eval(rest, {}, values)
+        elif re.fullmatch(r"q\d+", name):
+            expr, kind, key = re.fullmatch(r"(.*)  # (hh|mixed) (\(.*\))", rest).groups()
+            values[name] = eval(expr, {}, values)
+            keyed[kind, eval(key)] = sympy.Symbol(name)
+        elif name in ("acc_hh", "acc_mixed"):
+            sums[name] = sympy.expand(eval(rest, {}, sums))
+    assert len(keyed) == 24
+
+    def P(i):
+        return sympy.Mul(*(a[j] - a[i] for j in range(4) if j != i))
+
+    D = sympy.Mul(*(a[j] - a[i] for i, j in itertools.combinations(range(4), 2)))
+    checks = [
+        ("hh", (c, p, q), w, ks[c], P(p) * P(q) * (a[c] - a[p]) * (a[c] - a[q]), D**2)
+        for c, p, q, w in _DPSI_HH
+    ] + [
+        ("mixed", (x, k, l), w, ms[n], (a[k] - a[x]) * (a[l] - a[x]), D)
+        for x, k, l, n, w in _DPSI_MIXED
+    ]
+    failures = []
+    for kind, key, w, v, divisor, dividend in checks:
+        q = keyed[kind, key]
+        sign = sympy.cancel(sums[f"acc_{kind}"].coeff(q) / (w * v * v))
+        if sign not in (1, -1) or sympy.expand(divisor * sign * values[q.name] - dividend) != 0:
+            failures.append((kind, key))
+    return failures
 
 
 class TestGeneratedDpsiKernel:
@@ -908,83 +959,35 @@ class TestGeneratedDpsiKernel:
                 assert identities._dpsi_cleared(*args) == _loop_dpsi_cleared(*args)
 
     def test_source_names_each_shipped_key_once(self):
-        source = identities._dpsi_source(identities._DPSI_HH, identities._DPSI_MIXED)
-        keys = [f"# hh {(c, p, q)}\n" for c, p, q, _w in identities._DPSI_HH]
-        keys += [f"# mixed {(x, k, l)}\n" for x, k, l, _n, _w in identities._DPSI_MIXED]
+        source = inspect.getsource(identities._dpsi_cleared)
+        keys = [f"# hh {(c, p, q)}\n" for c, p, q, _w in _DPSI_HH]
+        keys += [f"# mixed {(x, k, l)}\n" for x, k, l, _n, _w in _DPSI_MIXED]
         assert len(set(keys)) == 24
         assert all(source.count(key) == 1 for key in keys)
         assert source.count("divmod(") == 0
 
     def test_each_quotient_times_its_divisor_is_D_squared_or_D(self):
-        """Certificate of the generated kernel, as polynomials in a0..a3: for
-        every key, its divisor times its quotient, with the sign the kernel
-        gives it in the weighted sums, is D^2 (h h) or D (mixed), where
-        D = prod_{i<j} (a_j - a_i). The quotients and their signs are read
-        from the generated source, so this is what the kernel computes."""
-        a = A
-        ks, ms = sympy.symbols("k0:4"), sympy.symbols("m0:4")
-        qs = sympy.symbols("q0:24")
-        values = {f"e{i}{j}": a[i] - a[j] for i in range(4) for j in range(i)}
-        sums = {**{f"k{i}": ks[i] for i in range(4)}, **{f"m{i}": ms[i] for i in range(4)}}
-        sums.update({f"q{i}": qs[i] for i in range(24)})
-        keyed = {}
-        source = identities._dpsi_source(identities._DPSI_HH, identities._DPSI_MIXED)
-        for line in source.splitlines():
-            name, _, rest = line.strip().partition(" = ")
-            if re.fullmatch(r"e\d\d_e\d\d", name):
-                values[name] = eval(rest, {}, values)
-            elif re.fullmatch(r"q\d+", name):
-                expr, kind, key = re.fullmatch(r"(.*)  # (hh|mixed) (\(.*\))", rest).groups()
-                values[name] = eval(expr, {}, values)
-                keyed[kind, eval(key)] = sympy.Symbol(name)
-            elif name in ("acc_hh", "acc_mixed"):
-                sums[name] = sympy.expand(eval(rest, {}, sums))
-        assert len(keyed) == 24
+        """Certificate of the written-out kernel (_dpsi_quotient_failures),
+        read from its own source, so this is what the kernel computes."""
+        assert _dpsi_quotient_failures(inspect.getsource(identities._dpsi_cleared)) == []
 
-        def P(i):
-            return sympy.Mul(*(a[j] - a[i] for j in range(4) if j != i))
-
-        D = sympy.Mul(*(a[j] - a[i] for i, j in itertools.combinations(range(4), 2)))
-        checks = [
-            ("hh", (c, p, q), w, ks[c], P(p) * P(q) * (a[c] - a[p]) * (a[c] - a[q]), D**2)
-            for c, p, q, w in identities._DPSI_HH
-        ] + [
-            ("mixed", (x, k, l), w, ms[n], (a[k] - a[x]) * (a[l] - a[x]), D)
-            for x, k, l, n, w in identities._DPSI_MIXED
-        ]
-        for kind, key, w, v, divisor, dividend in checks:
-            q = keyed[kind, key]
-            sign = sympy.cancel(sums[f"acc_{kind}"].coeff(q) / (w * v * v))
-            assert sign in (1, -1), (kind, key)
-            assert sympy.expand(divisor * sign * values[q.name] - dividend) == 0, (kind, key)
-
-    @pytest.mark.parametrize("key", [(0, 0, 1), (1, 0, 1), (2, 0, 2)])
-    def test_hh_key_with_c_in_pq_raises_when_the_kernel_is_built(self, fresh_dpsi_kernel, monkeypatch, key):
-        """Its divisor has the factor a_c - a_c = 0, which divides nothing."""
-        _plant(monkeypatch, "_DPSI_HH", identities._DPSI_HH + ((*key, -1),))
-        with pytest.raises(RuntimeError, match="h h denominator does not divide D"):
-            identities._dpsi_kernel()
-
-    def test_equal_tables_give_identical_source(self):
-        hh, mixed = identities._DPSI_HH, identities._DPSI_MIXED
-        copies = tuple(tuple(row) for row in hh), tuple(list(mixed))
-        assert copies[0] is not hh and copies[1] is not mixed
-        assert identities._dpsi_source(*copies) == identities._dpsi_source(hh, mixed)
-
-    def test_kernel_follows_the_module_tables(self, fresh_dpsi_kernel, monkeypatch):
-        """The kernel is built once, on the first call, from the current
-        tables; cache_clear() rebuilds it from the tables then current."""
-        args = ([0, 1, 3, 7], 2, [1, 2, 3, 4], 5, [1, -1, 2, 3], 7)
-        before = identities._dpsi_cleared(*args)
-        kernel = identities._dpsi_kernel()
-        assert identities._dpsi_kernel() is kernel
-        hh = identities._DPSI_HH
-        _plant(monkeypatch, "_DPSI_HH", hh[1:])
-        changed = identities._dpsi_cleared(*args)
-        assert changed == _loop_dpsi_cleared(*args) != before
-        assert identities._dpsi_kernel() is not kernel
-        _plant(monkeypatch, "_DPSI_HH", hh)
-        assert identities._dpsi_cleared(*args) == before
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            # a quotient with one factor swapped, e32 for e31
+            ("q13 = e20_e21 * e31_e32", "q13 = e20_e21 * e31_e31", ("mixed", (0, 1, 3))),
+            # one weight's sign flipped in acc_hh, and one in acc_mixed
+            ("(q0 - q1 + q2)", "(q0 + q1 + q2)", ("hh", (0, 1, 3))),
+            ("(-2 * q12 + 2 * q15", "(2 * q12 + 2 * q15", ("mixed", (0, 1, 2))),
+        ],
+        ids=["quotient-factor", "hh-sign", "mixed-sign"],
+    )
+    def test_planted_kernel_edits_fail_the_certificate(self, old, new, key):
+        """Each edit to a copy of the kernel's source fails the certificate
+        at the key it touches, and only there."""
+        source = inspect.getsource(identities._dpsi_cleared)
+        assert source.count(old) == 1
+        assert _dpsi_quotient_failures(source.replace(old, new)) == [key]
 
 
 class TestRecoverCurvatures:

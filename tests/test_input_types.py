@@ -21,7 +21,10 @@ from spherecurv import (
     g2_solve,
     g3_kernel,
     gauss_R,
+    matrix_rank,
+    recover_curvatures,
     sign_lemma,
+    solve_linear,
     sweep_analyze,
 )
 
@@ -78,6 +81,28 @@ _ROWS = [
     (lambda: g3_kernel(1.0, 1, 2, (1, 2, 3)), "p must be an int, got 1.0"),
     (lambda: g3_kernel(1, 1.5, 2, (1, 2, 3)), "q must be an int, got 1.5"),
     (lambda: diag_from_system(_LAM, 1, 1.5), "l must be an int, got 1.5"),
+    # a str or bytes was read as its characters: Quadruple("1234") was
+    # (1, 2, 3, 4), K = "1111" was (1, 1, 1, 1), g3_kernel answered 0,
+    # matrix_rank(["12", "34"]) 2 and solve_linear solved [[1, 2], [3, 4]];
+    # diag_from_K raised "Invalid literal for Fraction: 'a'"
+    (lambda: Quadruple("1234"), "a quadruple must be a sequence of values, got '1234'"),
+    (lambda: Quadruple(b"1234"), "a quadruple must be a sequence of values, got b'1234'"),
+    (lambda: I_closed(_LAM, "1111"), "K must be a sequence of values, got '1111'"),
+    (lambda: diag_from_K(_LAM, "abcd"), "K must be a sequence of values, got 'abcd'"),
+    (lambda: DerivativeTable(_LAM, _ONES, "0000"), "mixed must be a sequence of values, got '0000'"),
+    (lambda: I_def(_LAM, ["1111"] * 4), "diag row 0 must be a sequence of values, got '1111'"),
+    (lambda: g3_kernel(1, 1, 2, "123"), "lams must be a sequence of values, got '123'"),
+    (lambda: matrix_rank(["12", "34"]), "matrix row 0 must be a sequence of values, got '12'"),
+    (lambda: solve_linear(["12", "34"], "56"), "rhs must be a sequence of values, got '56'"),
+    (lambda: solve_linear([[1, 2], "34"], [5, 6]), "matrix row 1 must be a sequence of values, got '34'"),
+    # recover_curvatures read "1" and True as 1, and None raised mpmath's
+    # "cannot create mpf from None"
+    (lambda: recover_curvatures("1", 2, 3, 4), "p1 must be a real number, got '1'"),
+    (lambda: recover_curvatures(True, Fraction(0), Fraction(0), Fraction(0)), "p1 must be a real number, got True"),
+    (lambda: recover_curvatures(None, 2, 3, 4), "p1 must be a real number, got None"),
+    (lambda: recover_curvatures(0, b"12", 0, 1), "p2 must be a real number, got b'12'"),
+    (lambda: recover_curvatures(0, 12, False, 1), "p3 must be a real number, got False"),
+    (lambda: recover_curvatures(0, 12, 0, "1"), "e4 must be a real number, got '1'"),
 ]
 
 # lam given as something other than a Quadruple, to each function that reads
