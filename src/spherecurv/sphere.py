@@ -83,14 +83,6 @@ class TangentFrame:
         return vectors
 
 
-def _point(coords: tuple[float, ...]) -> SpherePoint:
-    """SpherePoint of a 6-tuple the caller wrote out, without its __init__:
-    the length check is its only check, and it passes."""
-    point = object.__new__(SpherePoint)
-    point.__dict__["coords"] = coords
-    return point
-
-
 def _norm(a: Sequence[float]) -> float:
     a0, a1, a2, a3, a4, a5 = a
     return math.sqrt(0 + a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5)
@@ -195,7 +187,7 @@ def project_to_level(x0: Sequence[float], spec: LevelSpec) -> SpherePoint:
         raise ProjectionError(
             f"projection stalled at residual {res:.3e} (target {tol:.1e})", res
         )
-    return _point((p0, p1, p2, p3, p4, p5))
+    return SpherePoint((p0, p1, p2, p3, p4, p5))
 
 
 def surface_normal(p: SpherePoint, spec: LevelSpec) -> tuple[float, ...]:
@@ -258,7 +250,7 @@ def sample_on_sphere(stream: RngStream) -> tuple[SpherePoint, RngStream]:
         if n > 1e-8:
             c0, c1, c2, c3, c4, c5 = comps
             # the counter masked as RngStream(seed, counter) masks it
-            return _point((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), _stream(seed, counter & _MASK64)
+            return SpherePoint((c0 / n, c1 / n, c2 / n, c3 / n, c4 / n, c5 / n)), _stream(seed, counter & _MASK64)
 
 
 def sample_level_point(spec: LevelSpec, stream: RngStream) -> tuple[SpherePoint, RngStream]:

@@ -95,6 +95,15 @@ _ROWS = [
     (lambda: matrix_rank(["12", "34"]), "matrix row 0 must be a sequence of values, got '12'"),
     (lambda: solve_linear(["12", "34"], "56"), "rhs must be a sequence of values, got '56'"),
     (lambda: solve_linear([[1, 2], "34"], [5, 6]), "matrix row 1 must be a sequence of values, got '34'"),
+    # an unordered iterable was read in its own order: Quadruple({4, 3, 2, 1})
+    # built (1, 2, 3, 4), I_closed with K = {4, 1, 3, 2} gave the value for
+    # K = (1, 2, 3, 4), g3_kernel answered 0, matrix_rank read the sets' rows
+    # and solve_linear solved for the dict's keys
+    (lambda: Quadruple({4, 3, 2, 1}), "a quadruple must be a sequence of values, got {1, 2, 3, 4}"),
+    (lambda: I_closed(_LAM, {4, 1, 3, 2}), "K must be a sequence of values, got {1, 2, 3, 4}"),
+    (lambda: g3_kernel(1, 1, 2, {1, 2, 3}), "lams must be a sequence of values, got {1, 2, 3}"),
+    (lambda: matrix_rank([{1, 2}, {3, 4}]), "matrix row 0 must be a sequence of values, got {1, 2}"),
+    (lambda: solve_linear([[1, 0], [0, 1]], {5: 1, 6: 2}), "rhs must be a sequence of values, got {5: 1, 6: 2}"),
     # recover_curvatures read "1" and True as 1, and None raised mpmath's
     # "cannot create mpf from None"
     (lambda: recover_curvatures("1", 2, 3, 4), "p1 must be a real number, got '1'"),
