@@ -155,6 +155,10 @@ def all_models() -> list[IsoModel]:
     return [equator_model(), clifford_model(1, 3), clifford_model(2, 2), cartan_model()]
 
 
+# The analyze verdicts: a model's name, or one of the two outcomes that name none.
+VERDICTS = tuple(m.name for m in all_models()) + ("non_isoparametric", "inconclusive")
+
+
 def cartan_level(t: float) -> float:
     """Level value of the quartic field on the family member at angle t."""
     if not 0.0 < t < math.pi / 4:

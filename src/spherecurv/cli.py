@@ -24,7 +24,6 @@ import time
 
 from .catalog import all_models, cartan_level, checks_passed, model_check
 from .fields import cartan_field, coordinate_field
-from .identities import IDENTITY_NAMES, run_identity_sweep
 from .report import (
     REPORT_SCHEMA,
     build_report,
@@ -34,10 +33,30 @@ from .report import (
     to_json,
     verdicts_payload,
 )
-from .shape import sweep_analyze
 from .sphere import LevelSpec
 
 SURFACES = ("equator", "cartan")
+# sorted(identities.IDENTITY_NAMES), written out so that the parser does not
+# load the exact engine; tests/test_exports.py checks that the two agree.
+IDENTITIES = ("dpsi", "g2", "g3", "i-closed", "i-sign", "recover", "vandermonde")
+
+
+def sweep_analyze(*args, **kwargs):
+    """shape.sweep_analyze, imported on the first call, so that only analyze
+    loads shape and eigen. _run_analyze calls it through this module
+    attribute because the benchmark's tracer and the tests substitute it."""
+    from .shape import sweep_analyze
+
+    return sweep_analyze(*args, **kwargs)
+
+
+def run_identity_sweep(*args, **kwargs):
+    """identities.run_identity_sweep, imported on the first call, so that only
+    verify loads identities and exact. _run_verify calls it through this
+    module attribute because the benchmark's tracer and the tests substitute it."""
+    from .identities import run_identity_sweep
+
+    return run_identity_sweep(*args, **kwargs)
 
 
 class ConfigError(Exception):
@@ -133,7 +152,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_ve = sub.add_parser("verify", parents=[common],
                           help="run one exact identity sweep over random inputs")
-    p_ve.add_argument("--identity", choices=sorted(IDENTITY_NAMES), required=True,
+    p_ve.add_argument("--identity", choices=IDENTITIES, required=True,
                       help="which identity to sweep")
     p_ve.add_argument("--trials", type=_positive_int, default=1000,
                       help="number of random trials (default 1000)")

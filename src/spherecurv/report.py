@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .catalog import CheckResult, IsoModel, checks_passed
-from .identities import IdentityVerdict
-from .shape import VERDICTS, SurfaceStats
+from .catalog import VERDICTS, CheckResult, IsoModel, checks_passed
+
+if TYPE_CHECKING:
+    from .identities import IdentityVerdict
+    from .shape import SurfaceStats
 
 SCHEMA_VERSION = "1"
 

@@ -38,11 +38,11 @@ from .sphere import (
 )
 
 S_TOL = 1e-6  # allowed deviation of S from a catalog value
+F3_TOL = 1e-6  # allowed spread of f3 over a sweep's points, so that f3 counts as constant
 CLUSTER_TOL = 1e-4  # eigenvalue gap that separates distinct curvatures
 MAX_FAILURE_FRACTION = 0.10  # share of failed projections a sweep tolerates
 
 _MODELS = all_models()
-VERDICTS = tuple(m.name for m in _MODELS) + ("non_isoparametric", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,14 @@ def _sweep_point(seed: int, spec: LevelSpec) -> tuple:
 
 
 def _classify(ok_rows: list[tuple], max_abs_f1: float, f1_tol: float) -> str:
-    """non_isoparametric when max |f1| exceeds f1_tol; otherwise the name of the
-    catalog model every row matches in (g, multiplicities) and S, if any."""
+    """non_isoparametric when max |f1| exceeds f1_tol; otherwise, when f3
+    spreads by at most F3_TOL over the rows, the name of the catalog model
+    every row matches in (g, multiplicities) and S, if any."""
     if max_abs_f1 > f1_tol:
         return "non_isoparametric"
+    f3_vals = [row[4] for row in ok_rows]
+    if not max(f3_vals) - min(f3_vals) <= F3_TOL:
+        return "inconclusive"
     signatures = {(row[5], tuple(sorted(row[6]))) for row in ok_rows}
     if len(signatures) != 1:
         return "inconclusive"

@@ -25,6 +25,12 @@ def _third_party_imports() -> set[str]:
     return names - set(sys.stdlib_module_names) - {"spherecurv"}
 
 
+def _env() -> dict:
+    """This environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def test_declared_dependencies_match_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -34,12 +40,10 @@ def test_declared_dependencies_match_imports():
 
 
 def test_cli_import_loads_no_scipy():
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, spherecurv.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -49,8 +53,6 @@ def test_exact_sweeps_and_analyze_load_no_mpmath():
     """mpmath is imported only by the catalog checks, by recover_curvatures
     for input that is not rational and to name a non-real root; no
     identity's sweep imports it."""
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "import contextlib, io, sys\n"
         "from spherecurv import IDENTITY_NAMES\n"
@@ -62,7 +64,7 @@ def test_exact_sweeps_and_analyze_load_no_mpmath():
         "print('mpmath' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -71,8 +73,6 @@ def test_exact_sweeps_and_analyze_load_no_mpmath():
 def test_rational_recover_with_irrational_roots_loads_no_mpmath():
     """Rational input whose real roots are irrational, repeated ones
     included, is solved on ints without loading mpmath."""
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "import sys\n"
         "from spherecurv import recover_curvatures\n"
@@ -81,7 +81,36 @@ def test_rational_recover_with_irrational_roots_loads_no_mpmath():
         "print('mpmath' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _loaded(statement: str) -> set[str]:
+    """The spherecurv submodules in sys.modules after `statement` ran in a
+    fresh interpreter, its output discarded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(' '.join(m.split('.', 1)[1] for m in sys.modules if m.startswith('spherecurv.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """The catalog, run by the benchmark's start-up probe line, compiles
+    neither the exact engine nor the analyze pipeline; verify skips the
+    analyze pipeline, analyze the exact engine, and the bare package import
+    loads no submodule."""
+    run = "from spherecurv.cli import main; main({})"
+    assert _loaded(run.format(["catalog"])) == {"cli", "catalog", "fields", "rng", "sphere", "report"}
+    assert not _loaded(run.format(["verify", "--identity", "g2", "--trials", "1"])) & {"shape", "eigen"}
+    assert not _loaded(run.format(["analyze", "--surface", "equator", "--samples", "1"])) & {
+        "identities", "exact"}
+    assert _loaded("import spherecurv") == set()

@@ -1,10 +1,14 @@
-"""The package's export list is derived from its namespace, so it cannot
-drift from the imports; these checks keep stray names out of it, and pin
-the values a caller can set."""
+"""The package's export list is read from the table that maps each export to
+the submodule defining it, and each export loads on first access; these
+checks keep stray names out of the list, hold every entry to its home
+module's object, and pin the values a caller can set."""
 
 import argparse
+import importlib
 import inspect
 import types
+
+import pytest
 
 import spherecurv
 from spherecurv import cli
@@ -19,6 +23,35 @@ def test_all_is_the_sorted_public_names_then_the_version():
         assert not isinstance(value, types.ModuleType), name
         if inspect.isclass(value) or inspect.isfunction(value):
             assert value.__module__.startswith("spherecurv."), name
+
+
+def test_each_export_is_its_home_modules_object():
+    for module, names in spherecurv._EXPORTS.items():
+        home = importlib.import_module(f"spherecurv.{module}")
+        for name in names:
+            assert getattr(spherecurv, name) is getattr(home, name), name
+    assert sorted(spherecurv._HOME) == spherecurv.__all__[:-1]
+    assert set(spherecurv.__all__) <= set(dir(spherecurv))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from spherecurv import *", namespace)
+    for name in spherecurv.__all__:
+        assert namespace[name] is getattr(spherecurv, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'spherecurv' has no attribute 'no_such_name'$"):
+        spherecurv.no_such_name
+    assert not hasattr(spherecurv, "no_such_name")
+
+
+def test_cli_identity_choices_are_the_identity_names():
+    from spherecurv.identities import IDENTITY_NAMES
+
+    assert set(cli.IDENTITIES) == set(IDENTITY_NAMES)
+    assert len(cli.IDENTITIES) == len(IDENTITY_NAMES)
 
 
 def _defaulted(fn, prefix):

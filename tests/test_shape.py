@@ -305,6 +305,15 @@ class TestSweep:
         rows = [row[:3] + (4.0,) + row[4:] for row in rows]
         assert shape._classify(rows, 0.0, 1e-8) == "clifford_1_3"
 
+    def test_f3_that_is_not_constant_is_inconclusive(self):
+        """The theorem assumes f3 constant: rows with clifford_1_3's signature
+        and S = 4 at every point, but f3 spread by 1e-3, name no model; with f3
+        spread by half of F3_TOL they name it."""
+        rows = [(i, True, 0.0, 4.0, 4.6 + 5e-4 * i, 2, (3, 1), None) for i in range(3)]
+        assert shape._classify(rows, 0.0, 1e-8) == "inconclusive"
+        rows = [row[:4] + (4.6 + shape.F3_TOL * i / 4,) + row[5:] for i, row in enumerate(rows)]
+        assert shape._classify(rows, 0.0, 1e-8) == "clifford_1_3"
+
     def test_rows_that_disagree_in_signature_are_inconclusive(self):
         """One row has clifford_1_3's signature, g = 2 with multiplicities
         (1, 3), and one clifford_2_2's, both at S = 4: each alone names its
