@@ -1,7 +1,8 @@
 """Polynomial scalar fields on R^6 and their derivative tables.
 
-Every field is an exponent table {exponent 6-tuple: coefficient}. Two kinds
-are built in, and arbitrary tables can be given directly:
+Every field is an exponent table {exponent 6-tuple: coefficient}, built and
+differentiated with the sparse polynomial type Poly. Two kinds are built
+in, and arbitrary tables can be given directly:
 
   coordinate   F(x) = x_i, the linear height function whose zero level on the
                sphere is a great 4-sphere
@@ -15,17 +16,14 @@ The kind is only a label for reports. Integral coefficients are kept as
 int, so rational points give exact Fractions and float points give floats.
 
 On a field's first evaluation its table is differentiated into 6 gradient
-tables and 21 upper-triangle Hessian tables, compiled into one plan over a
-shared monomial chain, and eval1 and eval2 run straight-line Python
-generated from that plan: one multiplication per monomial, then each table
-as one sum written out left to right from int 0. That is the order in which
-sum() adds floats on Python 3.11, and the golden statistics hold its bits;
-from 3.12 on sum() compensates float sums, so a written-out sum keeps the
-same bits on every supported Python. Coefficients are bound by name, not
-written as literals, so int, Fraction and float coefficients act as
-themselves. The generated functions are cached per process under the
-coefficient table with each coefficient's type, shared by equal fields and
-left out of a field's pickled state.
+and 21 upper-triangle Hessian tables, compiled into one plan over a shared
+monomial chain, and eval1 and eval2 run straight-line Python generated from
+that plan. Each table is one sum written out left to right from int 0: that
+is how sum() adds floats on Python 3.11 (from 3.12 on it compensates), and
+the golden statistics hold those bits. Coefficients are bound by name, so
+int, Fraction and float coefficients act as themselves; the functions are
+cached per process under the table with each coefficient's type, shared by
+equal fields and left out of a field's pickled state.
 """
 
 from __future__ import annotations
@@ -49,14 +47,76 @@ _UPPER = tuple((i, j) for i in range(N_VARS) for j in range(i, N_VARS))
 Table = tuple[tuple[tuple[int, ...], "int | Fraction"], ...]
 
 
-def _derivative(table: Table, i: int) -> Table:
-    """d/dx_i of an exponent table."""
-    out = []
-    for exps, c in table:
-        if exps[i]:
-            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            out.append((lowered, c * exps[i]))
-    return tuple(out)
+class Poly:
+    """Sparse polynomial in n variables: terms maps exponent n-tuples to int or
+    Fraction coefficients, none 0; the constructor checks each term and reads
+    a float exactly. +, -, *, ** and diff keep terms in first-seen order and
+    types as computed: d/dx of Fraction(1, 2) x^2 is Fraction(1) x."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, terms: Mapping[tuple[int, ...], Fraction | int], n: int = N_VARS):
+        self.n, self.terms = n, {}
+        for exps, c in terms.items():
+            if len(exps) != n:
+                raise ValueError(f"bad exponent tuple: {exps} has {len(exps)} entries, not {n}")
+            # a float or bool exponent would be truncated or read as 0 / 1
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"bad exponent tuple: {exps}; exponents must be ints")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple: {exps}; exponents must be nonnegative")
+            if isinstance(c, (bool, str, bytes)):
+                raise TypeError(f"coefficient at {exps} must be a number, got {c!r}")
+            try:
+                c = c if type(c) is int else Fraction(c)
+            except (ValueError, OverflowError):  # NaN or infinity
+                raise ValueError(f"coefficient at {exps} must be finite, got {c!r}") from None
+            if c:
+                self.terms[tuple(exps)] = c
+
+    def _sum(self, pairs) -> Poly:
+        """sum(c x^exps) over the (exps, c) pairs, in self's variables."""
+        out, acc = Poly({}, self.n), {}
+        for exps, c in pairs:
+            acc[exps] = acc.get(exps, 0) + c
+        out.terms = {exps: c for exps, c in acc.items() if c}
+        return out
+
+    def _items(self, other):
+        return other.terms.items() if isinstance(other, Poly) else [((0,) * self.n, other)]
+
+    def __add__(self, other) -> Poly:
+        return self._sum([*self.terms.items(), *self._items(other)])
+
+    def __mul__(self, other) -> Poly:
+        return self._sum((tuple(map(int.__add__, ef, eg)), cf * cg)
+                         for ef, cf in self.terms.items() for eg, cg in self._items(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> Poly:
+        return self * -1
+
+    def __sub__(self, other) -> Poly:
+        return self + -other
+
+    def __rsub__(self, other) -> Poly:
+        return -self + other
+
+    def __pow__(self, k: int) -> Poly:
+        return math.prod([self] * k, start=Poly({(0,) * self.n: 1}, self.n))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (Poly, int, Fraction)) and not (self - other).terms
+
+    def diff(self, i: int) -> Poly:
+        return self._sum((exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * exps[i])
+                         for exps, c in self.terms.items() if exps[i])
+
+    @property
+    def table(self) -> Table:
+        """The canonical form: terms sorted, each integral coefficient an int."""
+        return tuple((exps, int(c) if c.denominator == 1 else c) for exps, c in sorted(self.terms.items()))
 
 
 def _compile(tables: Sequence[Table]) -> tuple[tuple, tuple]:
@@ -65,8 +125,7 @@ def _compile(tables: Sequence[Table]) -> tuple[tuple, tuple]:
     Returns (chain, plans). Monomial 0 is the constant 1 and monomial k + 1 is
     monomial chain[k][0] times x[chain[k][1]]; the list is closed under
     removing one variable, so each monomial costs one multiplication. Each
-    plan is (coefficients, monomial indices) for one table.
-    """
+    plan is (coefficients, monomial indices) for one table."""
     index = {(0,) * N_VARS: 0}
     chain: list[tuple[int, int]] = []
 
@@ -79,10 +138,7 @@ def _compile(tables: Sequence[Table]) -> tuple[tuple, tuple]:
             k = index[exps] = len(chain)
         return k
 
-    plans = tuple(
-        (tuple(c for _, c in table), tuple(add(exps) for exps, _ in table))
-        for table in tables
-    )
+    plans = tuple((tuple(c for _, c in table), tuple(add(exps) for exps, _ in table)) for table in tables)
     return tuple(chain), plans
 
 
@@ -117,65 +173,31 @@ class ScalarField:
         return out
 
 
-def _normalize(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> Table:
-    """Sorted table without zero terms; integral coefficients become int."""
-    norm = []
-    for exps, c in sorted(coeffs.items()):
-        if len(exps) != N_VARS:
-            raise ValueError(f"bad exponent tuple: {exps} has {len(exps)} entries, not {N_VARS}")
-        # a float or bool exponent would be truncated or read as 0 / 1
-        if any(type(e) is not int for e in exps):
-            raise TypeError(f"bad exponent tuple: {exps}; exponents must be ints")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple: {exps}; exponents must be nonnegative")
-        c = Fraction(c)
-        if c != 0:
-            norm.append((tuple(exps), int(c) if c.denominator == 1 else c))
-    return tuple(norm)
-
-
-def _convolve(f: Table, g: Table) -> dict[tuple[int, ...], Fraction | int]:
-    acc: dict[tuple[int, ...], Fraction | int] = {}
-    for ef, cf in f:
-        for eg, cg in g:
-            key = tuple(a + b for a, b in zip(ef, eg))
-            acc[key] = acc.get(key, 0) + cf * cg
-    return acc
-
-
-def _unit(i: int, degree: int = 1) -> tuple[int, ...]:
-    return tuple(degree if k == i else 0 for k in range(N_VARS))
-
-
 def coordinate_field(index: int) -> ScalarField:
     if type(index) is not int:
         raise TypeError(f"coordinate index must be an int, got {index!r}")
     if not 0 <= index < N_VARS:
         raise ValueError(f"coordinate index out of range: {index}")
-    return ScalarField(kind=COORDINATE, coeffs=((_unit(index), 1),), index=index)
+    return ScalarField(kind=COORDINATE, coeffs=((tuple(int(k == index) for k in range(N_VARS)), 1),), index=index)
 
 
 def cartan_field() -> ScalarField:
     """The quartic A^2 + 4 B^2 of the module docstring, expanded."""
-    a = tuple((_unit(i, 2), 1 if i < 3 else -1) for i in range(N_VARS))
-    b = tuple((tuple(int(i in (k, k + 3)) for i in range(N_VARS)), 1) for k in range(3))
-    quartic = _convolve(a, a)
-    for exps, c in _convolve(b, b).items():
-        quartic[exps] = quartic.get(exps, 0) + 4 * c
-    return ScalarField(kind=CARTAN_QUARTIC, coeffs=_normalize(quartic))
+    a = Poly({tuple(2 * (k == i) for k in range(N_VARS)): 1 if i < 3 else -1 for i in range(N_VARS)})
+    b = Poly({tuple(int(i in (k, k + 3)) for i in range(N_VARS)): 1 for k in range(3)})
+    return ScalarField(kind=CARTAN_QUARTIC, coeffs=(a * a + 4 * b * b).table)
 
 
 def polynomial_field(coeffs: Mapping[tuple[int, ...], Fraction | int]) -> ScalarField:
     """Polynomial from {exponent 6-tuple: coefficient}. Zero terms are dropped."""
-    return ScalarField(kind=POLYNOMIAL, coeffs=_normalize(coeffs))
+    return ScalarField(kind=POLYNOMIAL, coeffs=Poly(coeffs).table)
 
 
 def _check_point(x) -> None:
     if len(x) != N_VARS:
         raise ValueError(f"point must have {N_VARS} components, got {len(x)}")
-    for c in x:
-        if isinstance(c, float) and not math.isfinite(c):
-            raise ValueError("non-finite point component")
+    if any(isinstance(c, float) and not math.isfinite(c) for c in x):
+        raise ValueError("non-finite point component")
 
 
 def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str:
@@ -186,15 +208,13 @@ def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str
     is not finite. Then one assignment per monomial that the tables use,
     `m{k} = m{parent} * x{var}` from `m0 = 1`, and each table as one sum
     left to right from int 0, `0 + c * m + c * m + ...`; a table without
-    terms is the int 0. cname maps (type, value) of each coefficient to the
-    name it is bound by.
-    """
+    terms is the int 0. cname maps each coefficient's (type, value) to the
+    name it is bound by."""
     need = {k for _, ks in plans for k in ks}
     for k in range(len(chain), 0, -1):
         if k in need:
             need.add(chain[k - 1][0])
-    sums = [" + ".join(["0"] + [f"{cname[type(c), c]} * m{k}" for c, k in zip(cs, ks)])
-            for cs, ks in plans]
+    sums = [" + ".join(["0"] + [f"{cname[type(c), c]} * m{k}" for c, k in zip(cs, ks)]) for cs, ks in plans]
     lines = [
         f"def {name}(x):",
         f"    if len(x) != {N_VARS}:",
@@ -204,8 +224,7 @@ def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str
         "        _check_point(x)",
         "    m0 = 1",
     ]
-    lines += [f"    m{k} = m{parent} * x{var}"
-              for k, (parent, var) in enumerate(chain, 1) if k in need]
+    lines += [f"    m{k} = m{parent} * x{var}" for k, (parent, var) in enumerate(chain, 1) if k in need]
     tables = (sums[1:1 + N_VARS], sums[1 + N_VARS:])
     parts = [sums[0]] + [f"({', '.join(t)},)" for t in tables if t]
     lines.append(f"    return {', '.join(parts)}")
@@ -214,9 +233,10 @@ def _evaluator_source(name: str, chain: tuple, plans: tuple, cname: dict) -> str
 
 def _plan(coeffs: Table) -> tuple:
     """_compile's plan for a table's value, gradient and Hessian tables."""
-    grad = tuple(_derivative(coeffs, i) for i in range(N_VARS))
-    hess = tuple(_derivative(grad[i], j) for i, j in _UPPER)
-    return _compile((coeffs,) + grad + hess)
+    f = Poly({})._sum(coeffs)
+    grad = [f.diff(i) for i in range(N_VARS)]
+    hess = [grad[i].diff(j) for i, j in _UPPER]
+    return _compile([coeffs] + [p.terms.items() for p in grad + hess])
 
 
 @cache

@@ -1,13 +1,13 @@
-"""Shared helpers: explicit polynomial forms of the built-in quartic, the
-raw and uniform-float draws that the random references read, the sum that
-the float-kernel references use, and the plan interpreter that the
-generated field evaluators are checked against."""
+"""Shared helpers: the polynomial ring's variables and its conversions to
+and from fields, the built-in quartic expanded on the ring, the raw and
+uniform-float draws that the random references read, the sum that the
+float-kernel references use, and the plan interpreter that the generated
+field evaluators are checked against."""
 
 import math
-from fractions import Fraction
 
 from spherecurv import N_VARS, RngStream, ScalarField, polynomial_field
-from spherecurv.fields import _convolve, _plan
+from spherecurv.fields import Poly, _plan
 from spherecurv.rng import _output
 
 # Upper-triangle Hessian layout: row i holds columns i..5.
@@ -43,12 +43,6 @@ def hess_matrix(hess):
     return mat
 
 
-def _monomial(index: int, degree: int = 1) -> tuple[int, ...]:
-    exps = [0] * 6
-    exps[index] = degree
-    return tuple(exps)
-
-
 def draw_u64(stream: RngStream) -> tuple[int, RngStream]:
     """The stream's next raw 64-bit output, with the advanced stream."""
     counter = stream.counter + 1
@@ -64,40 +58,24 @@ def draw_float(stream: RngStream, lo: float, hi: float) -> tuple[float, RngStrea
     return lo + (hi - lo) * u, nxt
 
 
-def polynomial_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Exact product of two fields (coefficient convolution)."""
-    return polynomial_field(_convolve(f.coeffs, g.coeffs))
+def variables(n: int = N_VARS) -> list[Poly]:
+    """x_0 .. x_{n-1}, each a Poly in n variables."""
+    return [Poly({tuple(int(k == i) for k in range(n)): 1}, n) for i in range(n)]
 
 
-def poly_sum(*fields: ScalarField) -> ScalarField:
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for f in fields:
-        for exps, c in f.coeffs:
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-    return polynomial_field(acc)
+def ring(f: ScalarField) -> Poly:
+    """The field's table as a Poly."""
+    return Poly(dict(f.coeffs))
 
 
-def poly_scale(f: ScalarField, c) -> ScalarField:
-    return polynomial_field({exps: Fraction(c) * coef for exps, coef in f.coeffs})
+def field(p: Poly) -> ScalarField:
+    """The Poly as a polynomial field."""
+    return polynomial_field(p.terms)
 
 
 def expanded_quartic() -> ScalarField:
-    """The built-in quartic written out as an explicit 6-variable polynomial."""
-    a = polynomial_field(
-        {
-            _monomial(0, 2): 1,
-            _monomial(1, 2): 1,
-            _monomial(2, 2): 1,
-            _monomial(3, 2): -1,
-            _monomial(4, 2): -1,
-            _monomial(5, 2): -1,
-        }
-    )
-    b = polynomial_field(
-        {
-            (1, 0, 0, 1, 0, 0): 1,
-            (0, 1, 0, 0, 1, 0): 1,
-            (0, 0, 1, 0, 0, 1): 1,
-        }
-    )
-    return poly_sum(polynomial_product(a, a), poly_scale(polynomial_product(b, b), 4))
+    """The built-in quartic written out from the six variables."""
+    x1, x2, x3, x4, x5, x6 = variables()
+    a = x1**2 + x2**2 + x3**2 - x4**2 - x5**2 - x6**2
+    b = x1 * x4 + x2 * x5 + x3 * x6
+    return field(a**2 + 4 * b**2)

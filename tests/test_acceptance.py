@@ -41,7 +41,7 @@ from spherecurv import (
     second_form,
     sym_eigen,
 )
-from fieldtools import expanded_quartic, poly_scale
+from fieldtools import expanded_quartic, field, ring
 
 SEED = 0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -270,14 +270,14 @@ def _rotation_from(stream: RngStream):
 
 
 def test_criterion_11_orientation_and_frame_invariance():
-    quartic = expanded_quartic()
+    quartic = ring(expanded_quartic())
     quadric = polynomial_field({(2, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 1})
     axis = polynomial_field({(0, 0, 0, 0, 0, 1): 1})
     families = [
-        (LevelSpec(cartan_field(), cartan_level(math.pi / 8)), poly_scale(quartic, -1)),
-        (LevelSpec(cartan_field(), cartan_level(0.3)), poly_scale(quartic, -1)),
-        (LevelSpec(quadric, 0.25), poly_scale(quadric, -1)),
-        (LevelSpec(coordinate_field(5), 0.0), poly_scale(axis, -1)),
+        (LevelSpec(cartan_field(), cartan_level(math.pi / 8)), field(-quartic)),
+        (LevelSpec(cartan_field(), cartan_level(0.3)), field(-quartic)),
+        (LevelSpec(quadric, 0.25), field(-ring(quadric))),
+        (LevelSpec(coordinate_field(5), 0.0), field(-ring(axis))),
     ]
     per_family = 125
     tol = 1e-10

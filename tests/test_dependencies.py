@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the third-party modules the
-package imports, so a dropped dependency cannot come back unnoticed."""
+package imports, and with the test extra exactly those the tests import, so
+a dropped dependency cannot come back unnoticed."""
 
 import ast
 import os
@@ -12,17 +13,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spherecurv"
+TESTS = ROOT / "tests"
 
 
-def _third_party_imports() -> set[str]:
+def _third_party_imports(directory: Path) -> set[str]:
+    """The top-level modules that the directory's files import, without the
+    standard library, the package and the directory's own modules."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"spherecurv"}
+    local = {path.stem for path in directory.glob("*.py")}
+    return names - set(sys.stdlib_module_names) - {"spherecurv"} - local
 
 
 def _env() -> dict:
@@ -32,11 +37,15 @@ def _env() -> dict:
 
 
 def test_declared_dependencies_match_imports():
+    """The package imports exactly the runtime dependencies, and the tests
+    exactly those and the test extra: an undeclared import, or a declared
+    dependency that nothing imports, fails here."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-                for dep in project["dependencies"]}
-    assert declared == _third_party_imports()
+    runtime, test = ({re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+                     for deps in (project["dependencies"], project["optional-dependencies"]["test"]))
+    assert runtime == _third_party_imports(PACKAGE)
+    assert runtime | test == _third_party_imports(TESTS)
 
 
 def test_cli_import_loads_no_scipy():

@@ -31,7 +31,6 @@ from fractions import Fraction
 import check_golden
 import mpmath as mp
 import pytest
-import sympy
 
 from spherecurv import identities, rng
 from spherecurv.exact import clear_denominators
@@ -57,10 +56,11 @@ from spherecurv import (
     run_identity_sweep,
     sign_lemma,
 )
+from fieldtools import variables
 
 F = Fraction
 LAM_1234 = Quadruple((F(1), F(2), F(3), F(4)))
-A = sympy.symbols("a0:4")  # the quadruple a as symbols, for the certificates
+A = variables(4)  # the quadruple a as polynomials in a0..a3, for the certificates
 
 
 def _forbid_mpmath_roots(monkeypatch):
@@ -179,14 +179,15 @@ def _g3_matrix(p, q, r, lams):
 def _g3_determinant_residues(monkeypatch):
     """det(rows) - p q r (a2 - a1)(a3 - a1)(a3 - a2), expanded over
     Z[a1, a2, a3], for each (p, q, r) the g3 trial draws; rows is the
-    matrix that _g3_kernel_cleared, run on symbols, hands _reduce."""
-    a1, a2, a3 = sympy.symbols("a1:4")
+    matrix that _g3_kernel_cleared, run on the ring's variables, hands
+    _reduce."""
+    a1, a2, a3 = variables(3)
     recorded = []
     monkeypatch.setattr(identities, "_reduce", lambda rows, ncols: recorded.append(rows) or [0, 1, 2])
     residues = []
     for p, q, r in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
         identities._g3_kernel_cleared(p, q, r, (a1, a2, a3))
-        residues.append(sympy.expand(_det3(recorded.pop()) - p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2)))
+        residues.append(_det3(recorded.pop()) - p * q * r * (a2 - a1) * (a3 - a1) * (a3 - a2))
     return residues
 
 
@@ -256,16 +257,16 @@ class TestThreeCurvatures:
             assert repeated > 20
 
 
-def _cofactor_residues():
+def _cofactor_residues(a=A):
     """The cofactor certificate, expanded over Z[a0..a3] with
-    P = identities._cofactors(A) on symbols: the moment sums
-    sum_i a_i^m prod_{j != i} P_j for m = 0, 1, 2, and
-    P_i - prod_{j != i} (a_j - a_i) for each i."""
-    P = [sympy.Poly(p, *A) for p in identities._cofactors(A)]
+    P = identities._cofactors(a) on the variables (or its value at a
+    point a): the moment sums sum_i a_i^m prod_{j != i} P_j for
+    m = 0, 1, 2, and P_i - prod_{j != i} (a_j - a_i) for each i."""
+    P = identities._cofactors(a)
     rest = [math.prod(P[j] for j in range(4) if j != i) for i in range(4)]
-    moments = [sum(A[i] ** m * rest[i] for i in range(4)) for m in range(3)]
-    true = [math.prod(A[j] - A[i] for j in range(4) if j != i) for i in range(4)]
-    return [r.as_expr() for r in moments], [(p - t).as_expr() for p, t in zip(P, true)]
+    moments = [sum(a[i] ** m * rest[i] for i in range(4)) for m in range(3)]
+    true = [math.prod(a[j] - a[i] for j in range(4) if j != i) for i in range(4)]
+    return moments, [p - t for p, t in zip(P, true)]
 
 
 class TestDiagonalTable:
@@ -324,9 +325,8 @@ class TestDiagonalTable:
         rest = [math.prod(P[j] for j in range(4) if j != i) for i in range(4)]
         assert [sum(x**k * r for x, r in zip(a, rest)) != 0 for k in range(3)] == broken
         monkeypatch.setattr(identities, "_cofactors", lambda a: list(P))
-        moments, cofactors = _cofactor_residues()
-        assert [r.subs(dict(zip(A, a))) != 0 for r in moments] == broken
-        assert all(cofactors)
+        assert [r != 0 for r in _cofactor_residues(a)[0]] == broken
+        assert all(r != 0 for r in _cofactor_residues()[1])
 
     @pytest.mark.parametrize("height", [2, 1000, 2**70])
     def test_system_matches_math_prod_reference(self, height, monkeypatch):
@@ -634,22 +634,22 @@ def test_wrong_moment_or_cofactor_fails_the_certificate(monkeypatch):
         identities, "_cofactors", lambda a: [p + int(i == 2) for i, p in enumerate(cofactors(a))]
     )
     moments, wrong = _cofactor_residues()
-    assert all(moments) and wrong == [0, 0, 1, 0]
+    assert all(r != 0 for r in moments) and wrong == [0, 0, 1, 0]
     assert run_identity_sweep("vandermonde", 20, seed=3).failures > 0
     monkeypatch.setattr(identities, "_cofactors", lambda a: [(2**61 - 1) * p for p in cofactors(a)])
     moments, wrong = _cofactor_residues()
-    assert moments == [0, 0, 0] and all(wrong)
+    assert moments == [0, 0, 0] and all(r != 0 for r in wrong)
     assert run_identity_sweep("vandermonde", 20, seed=3).failures > 0
 
 
 def _complement_residues():
     """The i-closed certificate, expanded over Z[a0..a3] with
     P = identities._cofactors(A) and (Q, D) = identities._complements(A) on
-    symbols: D - prod_{i<j} (a_j - a_i), then P_x Q_x - D for each x."""
+    the variables: D - prod_{i<j} (a_j - a_i), then P_x Q_x - D for each x."""
     P = identities._cofactors(A)
     Q, D = identities._complements(A)
-    vandermonde = sympy.Mul(*(A[j] - A[i] for i, j in itertools.combinations(range(4), 2)))
-    return [sympy.expand(D - vandermonde)] + [sympy.expand(p * q - D) for p, q in zip(P, Q)]
+    vandermonde = math.prod(A[j] - A[i] for i, j in itertools.combinations(range(4), 2))
+    return [D - vandermonde] + [p * q - D for p, q in zip(P, Q)]
 
 
 def test_i_closed_columns_are_certified():
@@ -884,8 +884,9 @@ def _dpsi_quotient_failures(source):
     _DPSI_MIXED, so a wrong weight fails too.
     """
     a = A
-    ks, ms = sympy.symbols("k0:4"), sympy.symbols("m0:4")
-    qs = sympy.symbols("q0:24")
+    # the weighted sums are polynomials in k0..k3, m0..m3 and q0..q23
+    kmq = variables(32)
+    ks, ms, qs = kmq[:4], kmq[4:8], kmq[8:]
     values = {f"e{i}{j}": a[i] - a[j] for i in range(4) for j in range(i)}
     sums = {**{f"k{i}": ks[i] for i in range(4)}, **{f"m{i}": ms[i] for i in range(4)}}
     sums.update({f"q{i}": qs[i] for i in range(24)})
@@ -901,15 +902,15 @@ def _dpsi_quotient_failures(source):
         elif re.fullmatch(r"q\d+", name):
             expr, kind, key = re.fullmatch(r"(.*)  # (hh|mixed) (\(.*\))", rest).groups()
             values[name] = eval(expr, {}, values)
-            keyed[kind, eval(key)] = sympy.Symbol(name)
+            keyed[kind, eval(key)] = int(name[1:])
         elif name in ("acc_hh", "acc_mixed"):
-            sums[name] = sympy.expand(eval(rest, {}, sums))
+            sums[name] = eval(rest, {}, sums)
     assert len(keyed) == 24
 
     def P(i):
-        return sympy.Mul(*(a[j] - a[i] for j in range(4) if j != i))
+        return math.prod(a[j] - a[i] for j in range(4) if j != i)
 
-    D = sympy.Mul(*(a[j] - a[i] for i, j in itertools.combinations(range(4), 2)))
+    D = math.prod(a[j] - a[i] for i, j in itertools.combinations(range(4), 2))
     checks = [
         ("hh", (c, p, q), w, ks[c], P(p) * P(q) * (a[c] - a[p]) * (a[c] - a[q]), D**2)
         for c, p, q, w in _DPSI_HH
@@ -919,9 +920,12 @@ def _dpsi_quotient_failures(source):
     ]
     failures = []
     for kind, key, w, v, divisor, dividend in checks:
-        q = keyed[kind, key]
-        sign = sympy.cancel(sums[f"acc_{kind}"].coeff(q) / (w * v * v))
-        if sign not in (1, -1) or sympy.expand(divisor * sign * values[q.name] - dividend) != 0:
+        n = keyed[kind, key]
+        # q_n, variable 8 + n, enters its sum linearly, so its coefficient
+        # there is the sum's derivative in it
+        coeff = sums[f"acc_{kind}"].diff(8 + n)
+        sign = next((s for s in (1, -1) if coeff == s * w * v * v), None)
+        if sign is None or divisor * sign * values[f"q{n}"] != dividend:
             failures.append((kind, key))
     return failures
 

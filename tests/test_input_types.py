@@ -1,6 +1,7 @@
 """Library inputs of the wrong type fail at the boundary that owns them,
 with a TypeError that names the argument, before any work is done."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from spherecurv import (
     g3_kernel,
     gauss_R,
     matrix_rank,
+    polynomial_field,
     recover_curvatures,
     sign_lemma,
     solve_linear,
@@ -31,6 +33,7 @@ from spherecurv import (
 _EQUATOR = LevelSpec(coordinate_field(5), 0.0)
 _LAM = Quadruple((1, 2, 3, 4))
 _ONES = (1, 1, 1, 1)
+_X0 = (1, 0, 0, 0, 0, 0)
 
 
 def _rows_with(i, j, entry):
@@ -112,6 +115,10 @@ _ROWS = [
     (lambda: recover_curvatures(0, b"12", 0, 1), "p2 must be a real number, got b'12'"),
     (lambda: recover_curvatures(0, 12, False, 1), "p3 must be a real number, got False"),
     (lambda: recover_curvatures(0, 12, 0, "1"), "e4 must be a real number, got '1'"),
+    # polynomial_field stored True as 1 and "1/2" as 1/2
+    (lambda: polynomial_field({_X0: True}), "coefficient at (1, 0, 0, 0, 0, 0) must be a number, got True"),
+    (lambda: polynomial_field({_X0: "1/2"}), "coefficient at (1, 0, 0, 0, 0, 0) must be a number, got '1/2'"),
+    (lambda: polynomial_field({_X0: b"1"}), "coefficient at (1, 0, 0, 0, 0, 0) must be a number, got b'1'"),
 ]
 
 # lam given as something other than a Quadruple, to each function that reads
@@ -130,12 +137,16 @@ _LAM_CALLS = {
 _SHAPE_ROWS = [
     (lambda: I_def(_LAM, [_ONES] * 3), "diag has four rows, got 3"),
     (lambda: I_def(_LAM, [(1, 1, 1)] * 4), "diag row 0 has four entries, got 3"),
+    # once Fraction's bare "cannot convert NaN to integer ratio", and
+    # OverflowError for an infinity
+    (lambda: polynomial_field({_X0: float("nan")}), "coefficient at (1, 0, 0, 0, 0, 0) must be finite, got nan"),
+    (lambda: polynomial_field({_X0: float("-inf")}), "coefficient at (1, 0, 0, 0, 0, 0) must be finite, got -inf"),
 ]
 
 
 @pytest.mark.parametrize("call, message", _ROWS, ids=[message for _call, message in _ROWS])
 def test_wrong_type_raises_a_named_type_error(call, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -152,7 +163,7 @@ def test_lam_must_be_a_quadruple(name):
 
 @pytest.mark.parametrize("call, message", _SHAPE_ROWS, ids=[message for _call, message in _SHAPE_ROWS])
 def test_wrong_shape_raises_a_value_error(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -166,3 +177,7 @@ def test_valid_inputs_keep_working():
     assert LevelSpec(coordinate_field(5), Fraction(1, 4)).level == Fraction(1, 4)
     assert SymMat4(_rows_with(0, 1, 2)).rows[1][0] == 2
     assert SymMat4.from_upper([1, 0, 0, 0, 1, 0, 0, 1, 0, Fraction(1, 2)]).rows[3][3] == 0.5
+    # a float coefficient is its exact Fraction, and an integral one an int
+    coeffs = polynomial_field({_X0: 0.375, (0,) * 6: 2.0}).coeffs
+    assert coeffs == (((0,) * 6, 2), (_X0, Fraction(3, 8)))
+    assert [type(c) for _exps, c in coeffs] == [int, Fraction]
